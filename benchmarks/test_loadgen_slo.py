@@ -11,22 +11,21 @@ Three phases against one self-hosted front end with admission control:
    the timing assertion);
 3. **recovery** — the flood stops; shedding must return to zero.
 
-The overload phase's report is written to the ``loadgen_slo`` section
-of ``BENCH_service.json`` (other sections carried over, the same
-courtesy the other bench modules extend back).  Smoke mode
+The overload phase's report is emitted as the ``loadgen_slo`` section of
+``BENCH_service.json`` through the shared ``emit_bench`` fixture (other
+sections carried over; the tracked file only under
+``REPRO_BENCH_WRITE=1``).  Smoke mode
 (``REPRO_BENCH_SMOKE=1``) shrinks counts and rates, not coverage.
 """
 
 import json
 import os
-from pathlib import Path
 
 import pytest
 
 from repro.harness import default_benchmark
 from repro.loadgen import (
     build_report,
-    merge_into_bench,
     plan_workload,
     run_plans,
     stream_digest,
@@ -44,7 +43,6 @@ from repro.service import (
 from repro.service.admission import SHED_CLIENT_RATE, SHED_OVER_CAPACITY
 from repro.updates import UpdateCoordinator
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_service.json"
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
 SEED = 7
@@ -192,14 +190,12 @@ def test_shedding_recovers_after_the_flood(phases):
     assert window["shed_total"] == 0
 
 
-def test_emit_loadgen_slo(phases):
+def test_emit_loadgen_slo(phases, emit_bench):
     report = phases["report"]
     assert report["shapes"]["flood"]["shed_rate"] > 0
     assert report["shapes"]["interactive"]["shed_rate"] == 0.0
-    merged = merge_into_bench(BENCH_PATH, report)
-    written = json.loads(BENCH_PATH.read_text(encoding="utf-8"))
-    assert written["loadgen_slo"] == merged["loadgen_slo"]
-    slo = written["loadgen_slo"]
+    slo = emit_bench({"loadgen_slo": report})["loadgen_slo"]
+    assert slo == json.loads(json.dumps(report))
     assert slo["stream_sha256"] == report["stream_sha256"]
     for shape in ("interactive", "flood"):
         summary = slo["shapes"][shape]

@@ -45,8 +45,11 @@ the standard 50-topic benchmark, in several regimes:
   (``unrelated_hit_preserved == 1.0``), and a delta next to a cached
   seed must evict that entry and only be counted once.
 
-Results are written to ``BENCH_service.json`` at the repo root so the
-performance trajectory is tracked across PRs.  Each regime additionally
+Results are emitted as sections of ``BENCH_service.json`` through the
+shared ``emit_bench`` fixture (``benchmarks/conftest.py``): into the
+tracked file at the repo root under ``REPRO_BENCH_WRITE=1``, so the
+performance trajectory is tracked across PRs, and into a scratch copy
+otherwise, so a plain test run leaves the tree clean.  Each regime additionally
 reports ``stage_p50_ms`` — the median per-stage busy time (link /
 expand / cycle_mine / rank / merge) from the request traces the
 serving stack now records on every query — so a latency regression in
@@ -70,7 +73,6 @@ import statistics
 import tempfile
 import threading
 import time
-from pathlib import Path
 
 import pytest
 
@@ -84,7 +86,6 @@ from repro.service import (
     Snapshot,
 )
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_service.json"
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 CACHED_ROUNDS = 1 if SMOKE else 3
 SMOKE_QUERIES = 6
@@ -618,29 +619,15 @@ def test_unrelated_topics_keep_cache_hits_across_deltas(measurements):
     assert overlay["near_delta_evicts_target"] is True
 
 
-def test_emit_bench_json(measurements):
+def test_emit_bench_json(measurements, emit_bench):
     """Persist the numbers so the perf trajectory is tracked across PRs.
 
     Smoke runs still write and re-validate the JSON (that is the point:
-    the schema cannot silently rot), just with fewer samples.
-
-    Keys owned by other bench modules (``cycle_kernel_speedup`` is
-    written by ``test_timing_cycle_mining.py``, which sorts after this
-    file; ``loadgen_slo`` by ``test_loadgen_slo.py``, which sorts
-    before it) are carried over from the existing file rather than
-    clobbered.
+    the schema cannot silently rot), just with fewer samples.  Sections
+    owned by other bench modules (``cycle_kernel_speedup``,
+    ``loadgen_slo``) are carried over by ``emit_bench``.
     """
-    merged = dict(measurements)
-    if BENCH_PATH.exists():
-        try:
-            previous = json.loads(BENCH_PATH.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, OSError):
-            previous = {}
-        for key in ("cycle_kernel_speedup", "loadgen_slo"):
-            if key in previous and key not in merged:
-                merged[key] = previous[key]
-    BENCH_PATH.write_text(json.dumps(merged, indent=2) + "\n", encoding="utf-8")
-    written = json.loads(BENCH_PATH.read_text(encoding="utf-8"))
+    written = emit_bench(measurements)
     assert written["cold"]["queries"] == written["cached"]["queries"] // CACHED_ROUNDS
     assert written["sharded_cold"]["shards"] == SHARD_COUNT
     for regime in ("cold", "cached", "compact_cold", "compact_cached",

@@ -13,24 +13,21 @@ for the kernel engine: the deployed cold path (compact graph view,
 :class:`NeighborhoodCycleExpander`) timed under both engines strictly
 interleaved per query in one process — machine drift cancels out of the
 ratio — with every kernel expansion asserted bit-identical to its DFS
-twin before any timing counts.  The ratio is merged into
-``BENCH_service.json`` under ``cycle_kernel_speedup`` (read-modify-write,
-so the regimes written by ``test_service_latency.py`` survive, and vice
-versa).
+twin before any timing counts.  The ratio is emitted as the
+``cycle_kernel_speedup`` section of ``BENCH_service.json`` through the
+shared ``emit_bench`` fixture (the tracked file only under
+``REPRO_BENCH_WRITE=1``).
 """
 
-import json
 import os
 import statistics
 import time
-from pathlib import Path
 
 import pytest
 
 from repro.core import CycleFinder, NeighborhoodCycleExpander
 from repro.wiki.compact import CompactGraphView
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_service.json"
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 SMOKE_QUERIES = 6
 KERNEL_SPEEDUP_FLOOR = 3.0
@@ -73,7 +70,9 @@ def test_timing_full_graph_neighborhood(benchmark, bench_benchmark):
     assert result.num_features >= 0
 
 
-def test_cycle_kernel_speedup_interleaved(bench_benchmark, pipeline_result):
+def test_cycle_kernel_speedup_interleaved(
+    bench_benchmark, pipeline_result, emit_bench
+):
     """DFS vs kernels on the deployed cold path, interleaved, one process.
 
     Emits the ``cycle_kernel_speedup`` key into ``BENCH_service.json``
@@ -127,18 +126,7 @@ def test_cycle_kernel_speedup_interleaved(bench_benchmark, pipeline_result):
         "identical_expansions": True,  # asserted per query above
     }
 
-    # Read-modify-write: preserve the regimes test_service_latency.py
-    # wrote (and anything else already in the file).
-    existing = {}
-    if BENCH_PATH.exists():
-        try:
-            existing = json.loads(BENCH_PATH.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, OSError):
-            existing = {}
-    existing["cycle_kernel_speedup"] = payload
-    BENCH_PATH.write_text(
-        json.dumps(existing, indent=2) + "\n", encoding="utf-8"
-    )
+    emit_bench({"cycle_kernel_speedup": payload})
 
     assert ratio_p50 > 0 and ratio_mean > 0
     if SMOKE:

@@ -86,7 +86,13 @@ def server_quantiles(metrics_before: str, metrics_after: str) -> dict:
     out: dict = {}
     for key, quantile in _QUANTILES:
         out[key] = round(histogram_quantile(buckets, quantile) * 1000.0, 3)
-    lookups = _counter_delta(before, after, "repro_cache_lookups_total")
+    # The two result caches only: the router-side collection_stats and
+    # expansion_wire lookups would dilute what this rate has always meant.
+    lookups = {
+        labels: v for labels, v in _counter_delta(
+            before, after, "repro_cache_lookups_total"
+        ).items() if dict(labels).get("cache") in ("link", "expansion")
+    }
     hits = sum(v for labels, v in lookups.items()
                if dict(labels).get("result") == "hit")
     total = sum(lookups.values())

@@ -15,8 +15,12 @@ Families (all prefixed ``repro_``):
   (``link``, ``expand``, ``cycle_mine``, ``rank``, ``merge``);
 * ``repro_shard_stage_seconds{shard,stage}`` — the same, split by the
   shard that did the work (fan-out stages record one span per shard);
-* ``repro_cache_lookups_total{cache,result}`` — link/expansion cache
-  outcomes (``hit`` / ``miss``), derived from span labels;
+* ``repro_cache_lookups_total{cache,result}`` — cache outcomes
+  (``hit`` / ``miss``) derived from span labels: ``link`` and
+  ``expansion`` (the result caches), ``collection_stats`` (one lookup
+  per rank: hit = every leaf's global count was held, no probe round)
+  and ``expansion_wire`` (one per ``expand_seeds`` over a socket: hit =
+  the worker answered ``not_modified``);
 * ``repro_cycle_mine_total{engine}`` — cycle-mining runs by engine
   (``kernels`` bitset hot path / ``dfs`` oracle), derived from the
   ``engine`` label on ``cycle_mine`` spans — the switch that proves
@@ -41,8 +45,16 @@ from repro.obs.trace import Trace
 
 __all__ = ["ServingMetrics"]
 
-# Span labels that map onto the cache-lookup counter: stage -> cache name.
-_CACHE_STAGES = {"link": "link", "expand": "expansion"}
+# Span labels that map onto the cache-lookup counter: stage -> (cache
+# name, the boolean label that says whether the cache answered).  Only
+# the background phase of ``merge`` and the ``expand_seeds`` calls of
+# ``wire`` carry their label.
+_CACHE_STAGES = {
+    "link": ("link", "cached"),
+    "expand": ("expansion", "cached"),
+    "merge": ("collection_stats", "cached"),
+    "wire": ("expansion_wire", "not_modified"),
+}
 
 
 class ServingMetrics:
@@ -130,11 +142,11 @@ class ServingMetrics:
                 self.shard_stage_latency.observe(
                     seconds, shard=span.shard, stage=span.stage
                 )
-            cache = _CACHE_STAGES.get(span.stage)
-            cached = span.labels.get("cached")
-            if cache is not None and cached is not None:
+            cache, label = _CACHE_STAGES.get(span.stage, (None, None))
+            if label in span.labels:
                 self.cache_lookups.inc(
-                    cache=cache, result="hit" if cached else "miss"
+                    cache=cache,
+                    result="hit" if span.labels[label] else "miss",
                 )
             if span.stage == "cycle_mine":
                 engine = span.labels.get("engine")

@@ -11,8 +11,8 @@ from.
 
 Results are bit-identical (doc ids AND scores) to the synchronous
 router: both paths build the same query AST
-(:meth:`ShardRouter.build_query`), exchange the same global statistics
-(:meth:`ShardRouter.global_background`) and merge with the same
+(:meth:`ShardRouter.build_query`), run the same statistics exchange
+(:meth:`ShardRouter.background_exchange`) and merge with the same
 score-preserving k-way merge; the latency bench asserts the equality
 over HTTP on every run.
 
@@ -55,7 +55,10 @@ from repro.obs import trace as tracing
 from repro.retrieval.engine import SearchResult, merge_ranked_lists
 from repro.service.router import ShardRouter
 from repro.service.server import ServiceResponse
-from repro.service.wire import SHARD_PROTOCOL_VERSION  # re-export
+from repro.service.wire import (
+    SHARD_PROTOCOL_VERSION,  # re-export
+    SearchRequest,
+)
 
 __all__ = [
     "AsyncShardRouter",
@@ -143,15 +146,17 @@ class ExecutorShardAdapter:
         return await self._call(run, root)
 
     async def search_with_background(
-        self, root, background, top_k: int
+        self, request: SearchRequest
     ) -> list[SearchResult]:
         engine = self._worker.engine
 
-        def run(root, background, top_k):
+        def run(request):
             with tracing.span("rank", shard=self._shard_id, phase="score"):
-                return engine.search_with_background(root, background, top_k)
+                return engine.search_with_background(
+                    request.root, request.background, request.top_k
+                )
 
-        return await self._call(run, root, background, top_k)
+        return await self._call(run, request)
 
 
 class AsyncShardRouter:
@@ -235,8 +240,21 @@ class AsyncShardRouter:
         return tuple(self._adapters)
 
     def stats(self):
-        """Router counters plus the adapter-level resilience counters."""
+        """Router counters plus what only the adapters can count: the
+        resilience counters, and — with shards out of process, where the
+        router's in-process workers sit idle — the expansion-cache
+        outcomes each adapter saw in its ``cached`` flags."""
         stats = self._router.stats()
+        stats = replace(stats, shard_stats=tuple(
+            replace(shard, expansion_cache=replace(
+                shard.expansion_cache,
+                hits=shard.expansion_cache.hits
+                + getattr(adapter, "expansion_hits", 0),
+                misses=shard.expansion_cache.misses
+                + getattr(adapter, "expansion_misses", 0),
+            ))
+            for shard, adapter in zip(stats.shard_stats, self._adapters)
+        ))
         retries = sum(getattr(a, "retries_total", 0) for a in self._adapters)
         hedges = sum(getattr(a, "hedges_total", 0) for a in self._adapters)
         wins = sum(getattr(a, "hedge_wins_total", 0) for a in self._adapters)
@@ -487,21 +505,26 @@ class AsyncShardRouter:
     async def _rank(
         self, normalized: str, expansion: ExpansionResult, top_k: int
     ) -> tuple[SearchResult, ...]:
-        """The two-phase scatter-gather, with ``asyncio.gather`` fan-out."""
         root = self._router.build_query(normalized, expansion)
         if root is None:
             return ()
-        per_segment = await asyncio.gather(*(
-            adapter.leaf_collection_counts(root) for adapter in self._adapters
+        return tuple(await self._scatter_search(root, top_k))
+
+    async def _scatter_search(self, root, top_k: int) -> list[SearchResult]:
+        """:meth:`ShardRouter._scatter_search` with ``asyncio.gather``
+        fan-out over the adapters: the same exchange, the same merge."""
+        exchange = self._router.background_exchange(root)
+        probe = next(exchange)
+        per_segment = () if probe is None else await asyncio.gather(*(
+            adapter.leaf_collection_counts(probe) for adapter in self._adapters
         ))
-        with tracing.span("merge", phase="background"):
-            background = self._router.global_background(root, per_segment)
+        request = SearchRequest(root, exchange.send(per_segment), top_k)
         ranked_lists = await asyncio.gather(*(
-            adapter.search_with_background(root, background, top_k)
+            adapter.search_with_background(request)
             for adapter in self._adapters
         ))
         with tracing.span("merge", phase="topk"):
-            return tuple(merge_ranked_lists(list(ranked_lists), top_k))
+            return merge_ranked_lists(list(ranked_lists), top_k)
 
     def __repr__(self) -> str:
         return (

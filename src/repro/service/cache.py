@@ -84,6 +84,13 @@ class LRUCache:
     one logical lookup is never counted twice).  ``put`` inserts or
     refreshes; when the bound is exceeded the oldest entry is dropped and
     the eviction counter incremented.
+
+    Invalidation epoch: a value computed from state that an invalidation
+    replaces (a graph view, a linker) must not be published after that
+    invalidation ran — nothing would evict it again.  Such a computation
+    reads :attr:`epoch` *before* it reads the state and passes it to
+    :meth:`put`, which drops the value when :meth:`evict_where` or
+    :meth:`invalidate` moved the epoch on in between.
     """
 
     def __init__(self, max_size: int) -> None:
@@ -95,10 +102,24 @@ class LRUCache:
         self._hits = 0
         self._misses = 0
         self._evictions = 0
+        self._epoch = 0
 
     @property
     def max_size(self) -> int:
         return self._max_size
+
+    @property
+    def epoch(self) -> int:
+        """Count of invalidations so far (see the class docstring)."""
+        with self._lock:
+            return self._epoch
+
+    def invalidate(self) -> None:
+        """Advance the epoch without evicting anything: whatever the
+        cached values are computed from was just replaced, so a value
+        still being computed from the old state must not be published."""
+        with self._lock:
+            self._epoch += 1
 
     def __len__(self) -> int:
         with self._lock:
@@ -128,9 +149,17 @@ class LRUCache:
         with self._lock:
             return self._data.get(key, default)
 
-    def put(self, key: Hashable, value: object) -> None:
-        """Insert or refresh ``key``, evicting the oldest entry if full."""
+    def put(
+        self, key: Hashable, value: object, *, epoch: int | None = None
+    ) -> None:
+        """Insert or refresh ``key``, evicting the oldest entry if full.
+
+        With ``epoch`` (read before the value was computed) the value is
+        dropped instead when an invalidation has happened since.
+        """
         with self._lock:
+            if epoch is not None and epoch != self._epoch:
+                return
             if key in self._data:
                 self._data.move_to_end(key)
             self._data[key] = value
@@ -151,9 +180,11 @@ class LRUCache:
         leaving the rest of the cache warm.  Evicted entries count into
         the eviction counter (they are evictions, just not capacity
         ones).  The predicate runs under the cache lock and must not
-        touch the cache reentrantly.
+        touch the cache reentrantly.  Advances the epoch even when
+        nothing matched: a value still being computed has no entry yet.
         """
         with self._lock:
+            self._epoch += 1
             doomed = [key for key in self._data if predicate(key)]
             for key in doomed:
                 del self._data[key]

@@ -22,7 +22,11 @@ a :class:`~repro.service.artifacts.ShardedSnapshot`:
   per query leaf, the router sums them into the global background model,
   each segment scores its own documents under it) followed by a
   score-preserving k-way merge.  Scores and top-k order are bit-identical
-  to a single engine over the whole collection.
+  to a single engine over the whole collection.  The summed counts are
+  functions of the index segments alone, which no delta or compaction
+  touches, so the router keeps them (:meth:`ShardRouter.background_exchange`)
+  and only *probes* the segments for leaves it has not seen: a query whose
+  leaves are all known ranks in one fan-out round instead of two.
 
 Thread pool: shard fan-out (batch expansion pre-fill, both ranking phases)
 runs on one pool sized to the shard count.
@@ -60,6 +64,11 @@ from repro.service.cache import CacheStats, LRUCache
 from repro.service.server import ExpansionService, ServiceResponse, ServiceStats
 
 __all__ = ["ShardRouter", "RouterStats"]
+
+# Bound on the router's ``leaf -> global collection count`` cache.  It
+# must be bounded because keyword-fallback term leaves come from user
+# text; 65,536 leaves is far above any expansion vocabulary served here.
+_COLLECTION_STATS_ENTRIES = 65_536
 
 
 @dataclass(frozen=True, slots=True)
@@ -206,6 +215,10 @@ class ShardRouter:
         ]
         self._tokenizer = self._workers[0].engine.tokenizer
         self._link_cache = LRUCache(link_cache_size)
+        # leaf -> collection count summed over every segment.  Valid for
+        # as long as the engines are: deltas and compaction only replace
+        # graph artefacts (see swap_snapshot).
+        self._collection_stats = LRUCache(_COLLECTION_STATS_ENTRIES)
         self._pool = ThreadPoolExecutor(
             max_workers=len(self._workers), thread_name_prefix="shard-router"
         )
@@ -410,8 +423,9 @@ class ShardRouter:
             )
 
     def clear_caches(self) -> None:
-        """Drop the router link cache and every worker's caches."""
+        """Drop the router's caches and every worker's caches."""
         self._link_cache.clear()
+        self._collection_stats.clear()
         for worker in self._workers:
             worker.clear_caches()
 
@@ -442,12 +456,15 @@ class ShardRouter:
         ``build_query`` titles, owner routing); ``worker_graph`` is
         pushed into every in-process worker's expansion path.  Both are
         reference swaps — requests in flight finish on the view they
-        started with.  The caller evicts invalidated cache entries
+        started with, and what they compute from it is not cached (the
+        link cache's invalidation epoch moves on, as the workers' do in
+        ``set_graph``).  The caller evicts invalidated cache entries
         separately (:meth:`evict_expansions` / :meth:`evict_links`).
         """
         self._view = router_view
         if linker is not None:
             self._linker = linker
+            self._link_cache.invalidate()
         for worker in self._workers:
             worker.set_graph(worker_graph, linker=linker)
         if delta_seq:
@@ -462,7 +479,9 @@ class ShardRouter:
         replaces the graph artefacts (snapshot, view, linker, worker
         graphs) and deliberately keeps engines and caches: the overlay
         the workers were serving is bit-identical to the new base, so
-        every cached expansion stays valid across the swap.
+        every cached expansion stays valid across the swap, and the
+        collection-statistics cache stays valid because the engines do
+        (a swap that ever replaced them would have to clear it).
         """
         snapshot = snapshot.frozen()
         if snapshot.num_shards != self.num_shards:
@@ -540,10 +559,50 @@ class ShardRouter:
         for counts in per_segment_counts:
             for leaf, count in counts.items():
                 totals[leaf] += count
-        total_tokens = sum(
-            worker.engine.index.total_tokens for worker in self._workers
+        return background_from_counts(totals, self._total_tokens())
+
+    def background_exchange(self, root: QueryNode):
+        """The statistics exchange of one rank, as a two-step generator.
+
+        The blocking and the asyncio rank paths differ only in how they
+        reach the shards, so the exchange itself lives here and the
+        caller does the fan-out in between::
+
+            exchange = router.background_exchange(root)
+            probe = next(exchange)        # None: every leaf is known
+            background = exchange.send(per_shard_counts_of(probe))
+
+        ``probe`` is a ``#combine`` of exactly the leaves whose global
+        count is not cached; the caller sends back one
+        ``leaf_collection_counts(probe)`` mapping per shard (anything
+        when ``probe`` is None).  Counts are per leaf and independent of
+        the rest of the tree, so probing a sub-query yields the same
+        numbers as the full exchange — which is simply the case where
+        every leaf is missing.  The returned background is keyed in
+        ``collect_leaves(root)`` order and equals
+        :meth:`global_background` over the full exchange.
+
+        Cached counts are captured in the same pass that finds the
+        missing leaves and never re-read, so an LRU eviction between
+        probe and use cannot lose a leaf.  Records the ``merge`` span of
+        the background phase (``cached``: no probe was needed).
+        """
+        stats = self._collection_stats
+        totals = {leaf: stats.get(leaf) for leaf in collect_leaves(root)}
+        missing = [leaf for leaf, count in totals.items() if count is None]
+        per_segment_counts = yield (
+            CombineNode(tuple(missing)) if missing else None
         )
-        return background_from_counts(totals, total_tokens)
+        with tracing.span(
+            "merge", phase="background", cached=not missing,
+            probed=len(missing),
+        ):
+            for leaf in missing:
+                count = sum(counts[leaf] for counts in per_segment_counts)
+                stats.put(leaf, count)
+                totals[leaf] = count
+            background = background_from_counts(totals, self._total_tokens())
+        yield background
 
     # ------------------------------------------------------------------
     # Internals
@@ -561,12 +620,16 @@ class ShardRouter:
             self._unlinked += unlinked
             self._errors += errors
 
+    def _total_tokens(self) -> int:
+        return sum(worker.engine.index.total_tokens for worker in self._workers)
+
     def _link(self, normalized: str) -> tuple[LinkResult, bool]:
         cached = self._link_cache.get(normalized)
         if cached is not None:
             return cached, True
+        epoch = self._link_cache.epoch  # before the linker read
         result = self._linker.link(normalized)
-        self._link_cache.put(normalized, result)
+        self._link_cache.put(normalized, result, epoch=epoch)
         return result, False
 
     def _rank(
@@ -578,7 +641,8 @@ class ShardRouter:
         return tuple(self._scatter_search(root, top_k))
 
     def _scatter_search(self, root: QueryNode, top_k: int) -> list[SearchResult]:
-        """Two-phase distributed ranking with exact global statistics.
+        """Distributed ranking with exact global statistics: probe the
+        segments for the leaves whose counts are not cached, then score.
 
         Each fan-out call records a shard-labelled ``rank`` span
         (``phase`` distinguishes the counts and score phases); the two
@@ -589,7 +653,7 @@ class ShardRouter:
         def _counts(item):
             shard_id, engine = item
             with tracing.span("rank", shard=shard_id, phase="counts"):
-                return engine.leaf_collection_counts(root)
+                return engine.leaf_collection_counts(probe)
 
         def _score(item):
             shard_id, engine = item
@@ -597,12 +661,14 @@ class ShardRouter:
                 return engine.search_with_background(root, background, top_k)
 
         engines = [worker.engine for worker in self._workers]
-        # Phase 1: local collection counts per scoring leaf, in parallel.
-        per_segment = list(self._pool.map(
+        # Phase 1: local collection counts of the leaves the router has
+        # no global count for yet, in parallel; usually there are none.
+        exchange = self.background_exchange(root)
+        probe = next(exchange)
+        per_segment = () if probe is None else list(self._pool.map(
             tracing.carry_context(_counts), enumerate(engines)
         ))
-        with tracing.span("merge", phase="background"):
-            background = self.global_background(root, per_segment)
+        background = exchange.send(per_segment)
         # Phase 2: every segment ranks its own documents under the shared
         # background; the merge preserves scores and global tie-breaks.
         ranked_lists = list(self._pool.map(

@@ -437,11 +437,17 @@ class ExpansionService:
         swap.  Swapping is a reference assignment — requests already
         executing finish against the view they started with; the caller
         is responsible for evicting the cache entries the change
-        invalidates (:meth:`evict_expansions`).
+        invalidates (:meth:`evict_expansions`).  What those requests
+        compute is returned to them but never cached: the swap advances
+        the caches' invalidation epochs (after the assignment, so a
+        computation that read the old epoch may have read either view,
+        and one that reads the new epoch reads the new view).
         """
         self._graph = graph
+        self._expansion_cache.invalidate()
         if linker is not None:
             self._linker = linker
+            self._link_cache.invalidate()
 
     def evict_expansions(self, predicate) -> int:
         """Targeted invalidation: drop expansion-cache entries whose
@@ -505,6 +511,7 @@ class ExpansionService:
         pending = self._claim_pending({frozenset(seeds) for seeds in seed_sets})
         if pending:
             try:
+                epoch = self._expansion_cache.epoch  # before the graph read
                 with tracing.span(
                     "cycle_mine", shard=self._shard_id, batch=len(pending)
                 ) as span:
@@ -512,7 +519,7 @@ class ExpansionService:
                         span["engine"] = self._cycle_engine
                     expansions = list(batch_expand(self._graph, pending))
                 for seeds, result in zip(pending, expansions):
-                    self._expansion_cache.put(seeds, result)
+                    self._expansion_cache.put(seeds, result, epoch=epoch)
                     computed_here.add(seeds)
             finally:
                 self._release_pending(pending)
@@ -526,8 +533,9 @@ class ExpansionService:
         cached = self._link_cache.get(normalized)
         if cached is not None:
             return cached, True
+        epoch = self._link_cache.epoch  # before the linker read
         result = self._linker.link(normalized)
-        self._link_cache.put(normalized, result)
+        self._link_cache.put(normalized, result, epoch=epoch)
         return result, False
 
     def _expand_seeds(self, seeds: frozenset[int]) -> tuple[ExpansionResult, bool]:
@@ -556,7 +564,9 @@ class ExpansionService:
     ) -> tuple[ExpansionResult, bool]:
         """The winner of the in-flight race computes and publishes to the
         cache; losers wait on its event and re-read.  If the winner
-        fails, its event is still set and a waiter takes over."""
+        fails — or a delta landed while it mined, so its result is
+        returned but not published — its event is still set and a
+        waiter takes over."""
         while True:
             cached = self._expansion_cache.get(seeds)
             if cached is not None:
@@ -573,11 +583,12 @@ class ExpansionService:
                 self._inflight_waits += 1
             event.wait()
         try:
+            epoch = self._expansion_cache.epoch  # before the graph read
             with tracing.span("cycle_mine", shard=self._shard_id) as span:
                 if self._cycle_engine is not None:
                     span["engine"] = self._cycle_engine
                 result = self._expander.expand(self._graph, seeds)
-            self._expansion_cache.put(seeds, result)
+            self._expansion_cache.put(seeds, result, epoch=epoch)
             return result, False
         finally:
             with self._lock:

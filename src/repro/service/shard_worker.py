@@ -26,6 +26,15 @@ that id and returns its recorded spans in the response, which the
 socket adapter replays into the router-side request trace — one
 ``/metrics`` scrape still sees the whole pipeline, processes included.
 
+Conditional expansion fetch (protocol 3): every ``expand_seeds``
+response carries an ``etag`` naming the result *object* the worker
+answered with, and a request whose ``have`` names that same object is
+answered ``not_modified`` without the body.  The worker stays the only
+authority on freshness — a delta eviction, an LRU eviction, a restart
+or a rolling reload each make the next answer a new object (or a new
+process), hence a new token and a full body; the router never has to
+invalidate anything itself.
+
 Execution model mirrors the in-process stack: the event loop frames and
 dispatches; the calls themselves (cycle mining is CPU-heavy and cache-
 stateful) run on a small thread pool, so a slow expansion does not stop
@@ -40,6 +49,7 @@ specific call deterministically.
 from __future__ import annotations
 
 import asyncio
+import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -48,6 +58,7 @@ from repro.errors import ServiceError
 from repro.obs import trace as tracing
 from repro.service import wire
 from repro.service.artifacts import ShardedSnapshot
+from repro.service.cache import LRUCache
 from repro.service.faults import FaultPlan
 from repro.service.server import ExpansionService
 
@@ -132,6 +143,13 @@ class ShardWorkerServer:
         )
         self._server: asyncio.AbstractServer | None = None
         self.calls_served = 0
+        # seeds -> (etag, result) of the last expand_seeds answer, for
+        # the conditional fetch.  Holding the result keeps the identity
+        # comparison sound (no id reuse); the nonce keeps tokens of a
+        # restarted or reloaded worker from ever matching.
+        self._etags = LRUCache(wire.EXPANSION_ETAG_ENTRIES)
+        self._etag_nonce = os.urandom(6).hex()
+        self._etag_counter = itertools.count(1)
 
     async def start(self, host: str = "127.0.0.1", port: int = 0):
         self._server = await asyncio.start_server(self._serve_connection, host, port)
@@ -272,7 +290,14 @@ class ShardWorkerServer:
         if call == "expand_seeds":
             seeds = frozenset(int(s) for s in request["seeds"])
             expansion, cached = worker.expand_seeds(seeds)
-            return {"expansion": wire.encode_expansion(expansion), "cached": cached}
+            etag = self._etag_of(seeds, expansion)
+            if request.get("have") == etag:
+                return {"not_modified": True, "cached": cached, "etag": etag}
+            return {
+                "expansion": wire.encode_expansion(expansion),
+                "cached": cached,
+                "etag": etag,
+            }
         if call == "prefill_expansions":
             seed_sets = [
                 frozenset(int(s) for s in seeds)
@@ -307,6 +332,22 @@ class ShardWorkerServer:
             )
             return {"result": result}
         raise AssertionError(f"unreachable call {call!r}")
+
+    def _etag_of(self, seeds: frozenset[int], expansion) -> str:
+        """The token naming this exact result object for ``seeds``.
+
+        A cache hit hands back the object a previous call saw, so its
+        token is reused; a re-mined result is a new object and gets a
+        new one.  Two threads racing on the same seeds may each mint a
+        token — the loser's is never matched again, which only costs
+        its holder one full body.
+        """
+        held = self._etags.get(seeds)
+        if held is not None and held[1] is expansion:
+            return held[0]
+        etag = f"{self._etag_nonce}:{next(self._etag_counter)}"
+        self._etags.put(seeds, (etag, expansion))
+        return etag
 
 
 def _error_frame(error_type: str, message: str) -> dict:

@@ -36,14 +36,27 @@ needs:
   shard's expansion cache is the whole point — so dead-shard-owned
   queries surface as a structured 503 at the HTTP layer.
 
+Two things keep a cached query cheap on the wire.  ``expand_seeds`` is
+a *conditional fetch*: the adapter remembers the last decoded expansion
+per seed set with the ``etag`` the worker gave it, offers that token as
+``have``, and skips the body and its decode when the worker answers
+``not_modified`` (the worker alone decides — this memo is never
+invalidated from the router side).  And a ``search_with_background``
+fan-out shares one :class:`~repro.service.wire.SearchRequest`, so the
+query and background are encoded once per request, not once per shard.
+
 Worker spans ride home in each response (``spans``) and are replayed
 into the active request trace, so one ``/metrics`` scrape still sees
 ``link``/``expand``/``cycle_mine``/``rank`` per shard with workers out
-of process.
+of process.  Each attempt also records a ``wire`` span of its own
+(``call``, ``bytes_out``, ``bytes_in``, and ``not_modified`` on
+``expand_seeds``): the round trip as the router saw it, worker time
+included.
 
 Loop affinity matches the async router: one adapter belongs to one
 event loop; counters (``retries_total``, ``hedges_total``,
-``hedge_wins_total``) are mutated loop-side only, no locks.
+``hedge_wins_total``, ``expansion_hits``, ``expansion_misses``) are
+mutated loop-side only, no locks.
 """
 
 from __future__ import annotations
@@ -59,6 +72,7 @@ from repro.errors import (
 )
 from repro.obs import trace as tracing
 from repro.service import wire
+from repro.service.cache import LRUCache
 from repro.service.wire import SHARD_PROTOCOL_VERSION
 
 __all__ = ["ShardCallPolicy", "SocketShardAdapter"]
@@ -127,6 +141,13 @@ class SocketShardAdapter:
         self.hedges_total = 0
         self.hedge_wins_total = 0
         self.fallback_calls_total = 0
+        # seeds -> (etag, decoded ExpansionResult): what the worker last
+        # sent for these seeds, reused only when it says not_modified.
+        self._expansions = LRUCache(wire.EXPANSION_ETAG_ENTRIES)
+        # The worker's `cached` flags as seen here — the only place a
+        # router over socket workers can count expansion-cache outcomes.
+        self.expansion_hits = 0
+        self.expansion_misses = 0
 
     @property
     def shard_id(self) -> int:
@@ -150,11 +171,22 @@ class SocketShardAdapter:
     async def expand_seeds(self, seeds: frozenset[int]):
         # No fallback: expansion belongs to the owner shard (its cache,
         # its prefill).  A dead owner means a structured 503 upstream.
-        response = await self._call("expand_seeds", {"seeds": sorted(seeds)})
-        return (
-            wire.decode_expansion(response["expansion"]),
-            bool(response["cached"]),
-        )
+        payload: dict = {"seeds": sorted(seeds)}
+        held = self._expansions.get(seeds)
+        if held is not None:
+            payload["have"] = held[0]
+        response = await self._call("expand_seeds", payload)
+        if held is not None and response.get("not_modified"):
+            expansion = held[1]
+        else:
+            expansion = wire.decode_expansion(response["expansion"])
+            self._expansions.put(seeds, (str(response["etag"]), expansion))
+        cached = bool(response["cached"])
+        if cached:
+            self.expansion_hits += 1
+        else:
+            self.expansion_misses += 1
+        return expansion, cached
 
     async def prefill_expansions(self, seed_sets) -> set[frozenset[int]]:
         try:
@@ -179,21 +211,16 @@ class SocketShardAdapter:
             )
         return wire.decode_counts(response["counts"])
 
-    async def search_with_background(self, root, background, top_k: int):
+    async def search_with_background(self, request: wire.SearchRequest):
         try:
             response = await self._call(
-                "search_with_background",
-                {
-                    "root": wire.encode_query(root),
-                    "background": wire.encode_background(background),
-                    "top_k": int(top_k),
-                },
+                "search_with_background", request.wire_payload()
             )
         except ShardUnavailableError:
             return await self._fallback(
                 "score",
                 lambda engine: engine.search_with_background(
-                    root, background, top_k
+                    request.root, request.background, request.top_k
                 ),
             )
         return wire.decode_results(response["results"])
@@ -285,22 +312,31 @@ class SocketShardAdapter:
         )
 
     async def _attempt_once(self, request: dict) -> dict:
-        conn = self._pool_get() or await self._connect()
-        reader, writer = conn
-        try:
-            await wire.write_frame(writer, request)
-            response = await wire.read_frame(
-                reader, max_frame_bytes=self._max_frame_bytes
-            )
-        except BaseException:  # includes hedge-loser cancellation
-            writer.close()
-            raise
-        if response is None:
-            writer.close()
-            raise WireProtocolError(
-                f"shard {self._shard_id}: connection closed before the "
-                "response frame"
-            )
+        frame = wire.encode_frame(request)
+        with tracing.span(
+            "wire", shard=self._shard_id, call=request["call"],
+            bytes_out=len(frame), bytes_in=0,
+        ) as span:
+            conn = self._pool_get() or await self._connect()
+            reader, writer = conn
+            try:
+                writer.write(frame)
+                await writer.drain()
+                body = await wire.read_frame_body(
+                    reader, max_frame_bytes=self._max_frame_bytes
+                )
+                if body is None:
+                    raise WireProtocolError(
+                        f"shard {self._shard_id}: connection closed before "
+                        "the response frame"
+                    )
+                span["bytes_in"] = wire.FRAME_PREFIX_BYTES + len(body)
+                response = wire.decode_frame_body(body)
+            except BaseException:  # includes hedge-loser cancellation
+                writer.close()
+                raise
+            if request["call"] == "expand_seeds":
+                span["not_modified"] = bool(response.get("not_modified"))
         error = response.get("error")
         if error is not None:
             self._pool_put(conn)

@@ -52,8 +52,13 @@ from repro.retrieval.qlang import (
 __all__ = [
     "SHARD_PROTOCOL_VERSION",
     "MAX_FRAME_BYTES",
+    "FRAME_PREFIX_BYTES",
+    "EXPANSION_ETAG_ENTRIES",
+    "SearchRequest",
     "encode_frame",
     "read_frame",
+    "read_frame_body",
+    "decode_frame_body",
     "write_frame",
     "recv_frame",
     "send_frame",
@@ -75,8 +80,10 @@ __all__ = [
 # negotiated in the connection handshake.  Bumped together with
 # docs/shard_protocol.md.  (Also re-exported by async_router, the
 # module that historically defined it.)  Version 2 added the
-# ``apply_delta`` admin call (live updates, docs/live_updates.md).
-SHARD_PROTOCOL_VERSION = 2
+# ``apply_delta`` admin call (live updates, docs/live_updates.md);
+# version 3 the conditional ``expand_seeds`` fetch (``have`` / ``etag``
+# / ``not_modified``).
+SHARD_PROTOCOL_VERSION = 3
 
 # Default bound on one frame.  The largest legitimate frames are ranked
 # lists and expansion results over the benchmark-scale graph — well
@@ -84,7 +91,15 @@ SHARD_PROTOCOL_VERSION = 2
 # rejecting a garbled length prefix immediately.
 MAX_FRAME_BYTES = 8 << 20
 
+# Bound on both ends of the conditional ``expand_seeds`` fetch: the
+# worker's ``seeds -> (etag, result)`` table and the adapter's
+# ``seeds -> (etag, decoded result)`` memo.  One constant because a
+# token only helps while *both* sides still hold its entry; a decoded
+# 131-cycle expansion is about 40 kB, so 256 of them stay near 10 MB.
+EXPANSION_ETAG_ENTRIES = 256
+
 _LENGTH = struct.Struct("!I")
+FRAME_PREFIX_BYTES = _LENGTH.size
 
 
 # ----------------------------------------------------------------------
@@ -99,7 +114,8 @@ def encode_frame(payload: dict) -> bytes:
     return _LENGTH.pack(len(body)) + body
 
 
-def _decode_body(body: bytes) -> dict:
+def decode_frame_body(body: bytes) -> dict:
+    """The JSON object inside one frame body (see :func:`read_frame_body`)."""
     try:
         payload = json.loads(body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -126,6 +142,15 @@ async def read_frame(
     EOF *inside* a frame (mid-prefix or mid-body) raises
     :class:`WireProtocolError` — the peer died or short-wrote.
     """
+    body = await read_frame_body(reader, max_frame_bytes=max_frame_bytes)
+    return None if body is None else decode_frame_body(body)
+
+
+async def read_frame_body(
+    reader: asyncio.StreamReader, *, max_frame_bytes: int = MAX_FRAME_BYTES
+) -> bytes | None:
+    """:func:`read_frame` up to, not including, the JSON decode — for a
+    caller that also wants the frame's size (the ``wire`` span)."""
     try:
         prefix = await reader.readexactly(_LENGTH.size)
     except asyncio.IncompleteReadError as exc:
@@ -142,7 +167,7 @@ async def read_frame(
         raise WireProtocolError(
             f"connection closed mid-frame ({len(exc.partial)}/{length} bytes)"
         ) from exc
-    return _decode_body(body)
+    return body
 
 
 async def write_frame(writer: asyncio.StreamWriter, payload: dict) -> None:
@@ -174,7 +199,7 @@ def recv_frame(
     prefix = first + (read_exactly(_LENGTH.size - len(first)) if len(first) < _LENGTH.size else b"")
     (length,) = _LENGTH.unpack(prefix)
     _check_length(length, max_frame_bytes)
-    return _decode_body(read_exactly(length))
+    return decode_frame_body(read_exactly(length))
 
 
 def send_frame(sock: socket.socket, payload: dict) -> None:
@@ -325,6 +350,36 @@ def decode_background(payload: list) -> dict[QueryNode, float]:
         }
     except (TypeError, ValueError) as exc:
         raise WireProtocolError(f"malformed background payload: {exc}") from exc
+
+
+class SearchRequest:
+    """The arguments of one ``search_with_background`` fan-out.
+
+    Every shard is sent the same root, background and ``top_k``, so the
+    wire form is built once — by whichever socket adapter asks first —
+    and shared by the rest; in-process adapters never ask for it and
+    never pay for it.
+    """
+
+    __slots__ = ("root", "background", "top_k", "_payload")
+
+    def __init__(
+        self, root: QueryNode, background: dict[QueryNode, float], top_k: int
+    ) -> None:
+        self.root = root
+        self.background = background
+        self.top_k = top_k
+        self._payload: dict | None = None
+
+    def wire_payload(self) -> dict:
+        """The call's frame fields; callers must not mutate the result."""
+        if self._payload is None:
+            self._payload = {
+                "root": encode_query(self.root),
+                "background": encode_background(self.background),
+                "top_k": int(self.top_k),
+            }
+        return self._payload
 
 
 def encode_results(results) -> list:

@@ -185,6 +185,20 @@ class TestServerQuantiles:
         assert out["shed_total"] == 5
 
 
+    def test_cache_hit_rate_counts_the_result_caches_only(self):
+        """The router-side ``collection_stats`` / ``expansion_wire``
+        lookups share the family but not this rate's meaning."""
+        base = self._render([(0.01, 0), (math.inf, 0)])
+        lookups = (
+            'repro_cache_lookups_total{cache="link",result="hit"} 3\n'
+            'repro_cache_lookups_total{cache="expansion",result="miss"} 1\n'
+            'repro_cache_lookups_total{cache="collection_stats",result="hit"} 50\n'
+            'repro_cache_lookups_total{cache="expansion_wire",result="miss"} 50\n'
+        )
+        out = server_quantiles(base, base + lookups)
+        assert out["cache_hit_rate"] == 0.75
+
+
 class TestBenchMerge:
     def test_merge_preserves_other_sections(self, tmp_path):
         path = tmp_path / "BENCH_service.json"

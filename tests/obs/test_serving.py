@@ -41,6 +41,30 @@ class TestObserveRequest:
         assert metrics.cache_lookups.value(cache="expansion", result="miss") == 1
         assert metrics.cache_lookups.value(cache="expansion", result="hit") == 0
 
+    def test_collection_stats_and_expansion_wire_lookups(self):
+        """One lookup per rank exchange (did it need a probe round?) and
+        one per expand_seeds over a socket (was it not_modified?)."""
+        metrics = ServingMetrics()
+        trace = make_trace()  # its merge span is phase=topk: no label
+        trace.add("merge", 0.1, phase="background", cached=True, probed=0)
+        trace.add("merge", 0.3, phase="background", cached=False, probed=4)
+        trace.add("wire", 1.0, shard=1, call="expand_seeds",
+                  bytes_out=90, bytes_in=70, not_modified=True)
+        trace.add("wire", 2.0, shard=1, call="expand_seeds",
+                  bytes_out=60, bytes_in=9000, not_modified=False)
+        trace.add("wire", 1.5, shard=0, call="search_with_background",
+                  bytes_out=1753, bytes_in=563)
+        metrics.observe_request("expand_query", trace, 0.01)
+        lookups = metrics.cache_lookups
+        assert lookups.value(cache="collection_stats", result="hit") == 1
+        assert lookups.value(cache="collection_stats", result="miss") == 1
+        assert lookups.value(cache="expansion_wire", result="hit") == 1
+        assert lookups.value(cache="expansion_wire", result="miss") == 1
+        # The pre-existing tiers are untouched by the new labels.
+        assert lookups.value(cache="link", result="hit") == 1
+        assert lookups.value(cache="expansion", result="miss") == 1
+        assert metrics.shard_stage_latency.snapshot(shard=1, stage="wire")[2] == 2
+
     def test_spans_without_cached_label_do_not_count_as_lookups(self):
         metrics = ServingMetrics()
         trace = Trace()

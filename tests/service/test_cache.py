@@ -90,6 +90,53 @@ class TestCounters:
         assert LRUCache(2).stats.hit_rate == 0.0
 
 
+class TestInvalidationEpoch:
+    """A value computed from state an invalidation replaced must not be
+    published afterwards (see tests/updates/test_stale_publish.py for
+    the end-to-end race this closes)."""
+
+    def test_put_with_a_current_epoch_publishes(self):
+        cache = LRUCache(4)
+        epoch = cache.epoch
+        cache.put("k", "v", epoch=epoch)
+        assert cache.peek("k") == "v"
+
+    def test_evict_where_advances_the_epoch_even_when_nothing_matches(self):
+        cache = LRUCache(4)
+        epoch = cache.epoch
+        assert cache.evict_where(lambda key: False) == 0
+        cache.put("k", "stale", epoch=epoch)
+        assert "k" not in cache
+        cache.put("k", "fresh", epoch=cache.epoch)
+        assert cache.peek("k") == "fresh"
+
+    def test_invalidate_advances_without_evicting(self):
+        cache = LRUCache(4)
+        cache.put("kept", 1)
+        epoch = cache.epoch
+        cache.invalidate()
+        cache.put("late", 2, epoch=epoch)
+        assert cache.peek("kept") == 1 and "late" not in cache
+        assert cache.stats.evictions == 0
+
+    def test_a_stale_put_does_not_overwrite_a_fresh_entry(self):
+        cache = LRUCache(4)
+        epoch = cache.epoch
+        cache.evict_where(lambda key: True)
+        cache.put("k", "fresh", epoch=cache.epoch)
+        cache.put("k", "stale", epoch=epoch)
+        assert cache.peek("k") == "fresh"
+
+    def test_plain_put_and_clear_ignore_the_epoch(self):
+        cache = LRUCache(4)
+        epoch = cache.epoch
+        cache.clear()
+        assert cache.epoch == epoch
+        cache.invalidate()
+        cache.put("warmed", 1)  # warm_expansions-style unconditional put
+        assert cache.peek("warmed") == 1
+
+
 class TestCachedExpansionIdentity:
     def test_cached_result_identical_to_cold(self, small_benchmark):
         service = ExpansionService.from_benchmark(small_benchmark)

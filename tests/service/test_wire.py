@@ -105,6 +105,27 @@ class TestFraming:
             run(_read_chunks([frame]))
 
 
+    def test_body_reader_returns_the_raw_bytes_read_frame_decodes(self):
+        """``read_frame`` = ``read_frame_body`` + ``decode_frame_body``;
+        the split is what lets the adapter label a span with bytes_in."""
+        payload = {"not_modified": True, "cached": True, "etag": "ab12:7"}
+        frame = wire.encode_frame(payload)
+
+        async def read_bodies():
+            reader = asyncio.StreamReader()
+            reader.feed_data(frame + frame[:2])
+            reader.feed_eof()
+            first = await wire.read_frame_body(reader)
+            with pytest.raises(WireProtocolError, match="mid-length-prefix"):
+                await wire.read_frame_body(reader)
+            return first
+
+        body = run(read_bodies())
+        assert len(body) + wire.FRAME_PREFIX_BYTES == len(frame)
+        assert wire.decode_frame_body(body) == payload
+        assert run(_read_chunks([])) is None
+
+
 class TestSyncFraming:
     """recv_frame/send_frame — the supervisor's blocking ping path."""
 
@@ -183,6 +204,51 @@ class TestValueCodecs:
             TermNode("delta"),
         ))
         assert wire.decode_query(_json_round_trip(wire.encode_query(root))) == root
+
+    def test_search_request_encodes_once_and_matches_the_inline_form(self):
+        """The shared payload is what each adapter used to build per
+        shard — same fields, same frame bytes — and is built once."""
+        root = CombineNode((PhraseNode(("grand", "canal")), TermNode("venice")))
+        background = {PhraseNode(("grand", "canal")): 0.1 + 0.2,
+                      TermNode("venice"): 5e-324}
+        request = wire.SearchRequest(root, background, 7)
+        payload = request.wire_payload()
+        assert payload == {
+            "root": wire.encode_query(root),
+            "background": wire.encode_background(background),
+            "top_k": 7,
+        }
+        assert request.wire_payload() is payload
+        assert (request.root, request.background, request.top_k) == \
+            (root, background, 7)
+        frame = {"call": "search_with_background",
+                 "protocol": wire.SHARD_PROTOCOL_VERSION}
+        assert wire.encode_frame({**frame, **payload}) == wire.encode_frame({
+            **frame,
+            "root": wire.encode_query(root),
+            "background": wire.encode_background(background),
+            "top_k": 7,
+        })
+
+    def test_conditional_expand_fields_survive_the_frame(self):
+        """``have`` / ``etag`` / ``not_modified`` are plain JSON scalars
+        beside the existing fields; a body-less response still frames."""
+        expansion = ExpansionResult(
+            seed_articles=frozenset({3}), article_ids=frozenset({4}),
+            titles=("four",),
+        )
+        request = {"call": "expand_seeds", "protocol": 3, "seeds": [3],
+                   "have": "0a1b2c3d4e5f:12"}
+        full = {"expansion": wire.encode_expansion(expansion),
+                "cached": False, "etag": "0a1b2c3d4e5f:13"}
+        short = {"not_modified": True, "cached": True,
+                 "etag": "0a1b2c3d4e5f:12"}
+        for payload in (request, full, short):
+            assert run(_read_chunks([wire.encode_frame(payload)])) == payload
+        assert wire.decode_expansion(
+            _json_round_trip(full)["expansion"]
+        ) == expansion
+        assert len(wire.encode_frame(short)) < len(wire.encode_frame(full))
 
     def test_query_decode_rejects_malformed(self):
         for payload in ({}, {"term": "x", "extra": 1}, {"nope": []}, "term"):

@@ -259,3 +259,67 @@ class TestSupervisedLiveUpdates:
             reference.close()
             async_router.close()
             supervisor.stop()
+
+    def test_conditional_fetch_follows_delta_eviction(
+        self, small_benchmark, snapshot, tmp_path_factory
+    ):
+        """Protocol 3 across a live update: a repeated query is answered
+        ``not_modified`` until a delta evicts its expansion worker-side;
+        the next answer is a full body under a new etag and equals the
+        from-scratch rebuild — expansion, cycles and scores."""
+        root = tmp_path_factory.mktemp("live-conditional")
+        sharded = ShardedSnapshot.from_snapshot(snapshot, num_shards=2)
+        sharded.save(root)
+        query = small_benchmark.topics[0].keywords
+        supervisor = ShardSupervisor(str(root), 2)
+        supervisor.start(timeout_s=120.0)
+        router = ShardRouter(sharded)
+        async_router = AsyncShardRouter(router, supervisor=supervisor)
+        coordinator = UpdateCoordinator(
+            router, snapshot_dir=root, supervisor=supervisor
+        )
+        seeds = router.link_text(router.normalize(query))[0].article_ids
+        # A reciprocal link pair on a seed: a new 2-cycle, a new answer.
+        payloads = _payloads(min(seeds)) + [{
+            "op": "add_edge", "seq": 3, "source": min(seeds), "target": _NEW,
+            "kind": "link",
+        }]
+        reference = ShardRouter(rebuild_snapshot(sharded, apply_deltas_to_graph(
+            small_benchmark.graph, [Delta.from_payload(p) for p in payloads],
+        )))
+        adapter = async_router.adapters[router.owner_shard(seeds)]
+
+        def ask():
+            response = asyncio.run(async_router.expand_query(query, top_k=10))
+            (fetch,) = [
+                span.labels["not_modified"] for span in response.trace.spans
+                if span.stage == "wire"
+                and span.labels["call"] == "expand_seeds"
+            ]
+            return response, fetch, adapter._expansions.peek(seeds)[0]
+
+        try:
+            _, first_fetch, first_etag = ask()
+            again, second_fetch, second_etag = ask()
+            assert (first_fetch, second_fetch) == (False, True)
+            assert second_etag == first_etag
+
+            summary = coordinator.apply(payloads)
+            assert summary["stale_workers"] == []
+            after, fetch, etag = ask()
+            assert fetch is False, "an evicted entry must ship a full body"
+            assert etag != first_etag
+            assert not after.expansion_cached
+            expected = reference.expand_query(query, top_k=10)
+            assert_same_answers(after, expected, label=query)
+            assert after.expansion == expected.expansion  # cycles included
+            assert after.expansion != again.expansion
+
+            settled, fetch, settled_etag = ask()
+            assert fetch is True and settled_etag == etag
+            assert settled.expansion is after.expansion
+        finally:
+            reference.close()
+            async_router.close()
+            supervisor.stop()
+            router.close()

@@ -418,6 +418,31 @@ def check_worker_serving(
             print("workers: /expand over worker processes matches "
                   "the in-process router")
 
+        # The repeat is the cheap path of protocol 3: the expansion comes
+        # back `not_modified`, the rank skips its counts round, and the
+        # router (not its idle in-process workers) must see the hit.
+        repeat = get_json(f"{base}/expand", {"query": query})
+        if [(r["doc_id"], r["score"]) for r in repeat["results"]] != ref_results:
+            failures.append("worker-mode repeat /expand differs")
+        if "wire" not in repeat.get("stages", {}):
+            failures.append(f"no wire stage in worker mode: {repeat.get('stages')}")
+        hit_rate = get_json(f"{base}/healthz")["hit_rates"]["expansion"]
+        if hit_rate <= 0:
+            failures.append(
+                f"healthz expansion hit rate reads {hit_rate} under --workers"
+            )
+        samples = parse_prometheus_text(
+            get_text(f"{base}/metrics")[0]
+        )["samples"]
+        for cache in ("expansion_wire", "collection_stats"):
+            key = ("repro_cache_lookups_total",
+                   frozenset({("cache", cache), ("result", "hit")}))
+            if samples.get(key, 0) < 1:
+                failures.append(f"no {cache} hit counted after a repeat")
+        if not failures:
+            print("workers: repeat served not_modified + one rank round; "
+                  f"healthz expansion hit rate {hit_rate}")
+
         victim = workers[0].get("pid")
         if not victim:
             failures.append(f"worker entry carries no pid: {workers[0]}")
