@@ -1,59 +1,79 @@
-"""Length-specialised cycle-mining kernels over bitset adjacency.
+"""Cycle-mining kernels over bitset adjacency, rooted at the anchors.
 
 The general DFS of :mod:`repro.core.cycles` dominates cold serving
 latency: profiling shows ~90 % of a cold ``cycle_mine`` span inside the
 recursive path walk.  The input, however, is always a *query ball* — a
 few hundred nodes — so each node's neighbour row fits in a handful of
 machine words.  This module freezes the ball once per query into dense
-bitset rows and replaces the DFS with one closed-form kernel per cycle
-length of the paper's range L ∈ {2..5}, a semijoin-style reduction in
-the spirit of Leinders & Van den Bussche's semijoin algebra: every
-inner DFS level becomes one bitwise AND between precomputed rows.
+bitset rows and replaces the DFS, for the paper's range L ∈ {2..5}, with
+one rooted enumeration in which every DFS level is a bitwise AND between
+precomputed rows — a semijoin-style reduction in the spirit of Leinders
+& Van den Bussche's semijoin algebra, reduced by the most selective
+relation first: the paper only wants cycles *through the query's
+articles*, so the anchors are the outer loop, not the innermost filter.
 
 **Relabeling.**  Ball nodes are interned to ``0..n-1`` ordered by
-``(degree, node_id)`` ascending.  Degree ordering makes the canonical
-root of most cycles a low-degree node, so the ``> root`` pruning masks
-strip the dense rows hardest — the same orientation trick degeneracy-
-ordered triangle counting uses.  Per label the ball stores Python-int
-bitsets: the undirected redirect-free row ``adj``, the directed article
-link row ``link_out``, the antiparallel-link row ``mutual``, the
-article→category row ``belongs`` and the undirected category
-containment row ``inside``, plus one ``articles`` mask for the whole
-ball.
+``(degree, node_id)`` ascending, the orientation trick of degeneracy-
+ordered triangle counting: low-degree nodes are rooted and expanded
+first, while the rows they are ANDed with are still cheap to strip.  Per
+label the ball stores two Python-int bitsets — the undirected
+redirect-free row ``adj`` and the antiparallel-link row ``mutual`` —
+plus one ``articles`` mask for the whole ball.
 
-**Kernels.**  With ``above(x) = -1 << (x + 1)`` (all labels ``> x``):
+**Kernels.**  One generator, :meth:`KernelBall._open_paths`, serves
+``find``, ``count_by_length`` and ``find_features``.  Its *roots* are
+the anchors' labels in ascending order — every label when there is no
+anchor set.  ``alive`` starts as the whole ball and loses each root's
+bit for good when that root's turn begins.  For root ``r``:
 
-* L=2 — antiparallel-pair scan: for each article ``u``, every set bit
-  of ``mutual[u] & above(u)`` is one 2-cycle.
-* L=3 — for root ``r`` and ``a ∈ adj[r] & above(r)``, every bit of
-  ``adj[r] & adj[a] & above(a)`` closes a triangle ``(r, a, b)``.
-* L=4 — for ``a < c`` both in ``adj[r] & above(r)``, every bit of
-  ``adj[a] & adj[c] & above(r)`` minus ``{a, c}`` is a valid ``b`` of
-  ``(r, a, b, c)``.
-* L=5 — for ``a < d`` both in ``adj[r] & above(r)`` and
-  ``b ∈ adj[a] & above(r), b ≠ d``, every bit of
-  ``adj[b] & adj[d] & above(r)`` minus ``{a}`` is a valid ``c`` of
-  ``(r, a, b, c, d)``.
+* L=2 — every bit of ``mutual[r] & alive`` closes the pair ``(r, v)``;
+* ``a`` runs over ``adj[r] & alive`` ascending, and ``closers`` is what
+  is left of that row above ``a``: the neighbours of ``r`` through which
+  a cycle leaving by ``a`` may come back (the orientation rule below).
+  No closers, no cycle — the loop over ``a`` ends;
+* L=3 — every bit of ``adj[a] & closers`` closes ``(r, a, b)``;
+* L=4 — for ``b ∈ adj[a] & alive``, every bit of
+  ``adj[b] & closers`` closes ``(r, a, b, c)``;
+* L=5 — for ``c ∈ adj[b] & alive`` minus ``{a}``, every bit of
+  ``adj[c] & closers`` minus ``{b}`` closes ``(r, a, b, c, d)``.
 
-**Canonical-order proof sketch.**  The DFS emits each simple cycle
-exactly once as the tuple rooted at its minimum node id, every other
-node exceeding the root, oriented so ``path[1] < path[-1]``.  Each
-kernel enumerates, per root label ``r``, exactly the tuples whose
-labels all exceed ``r``, whose consecutive pairs (and the closing pair)
-are adjacent, whose nodes are pairwise distinct, and whose second label
-is below the last — the same three constraints in *label* space, so
-each rotation/reflection class is produced exactly once.  Because the
-degree order permutes labels away from id order, each emitted label
-tuple is mapped back to node ids and re-rooted at the minimum *id* in
-the direction with the smaller second id (:func:`_canonical_nodes`),
-which is precisely the DFS representative.  The caller sorts by
-``(length, nodes)`` exactly as :meth:`CycleFinder.find` does, so the
-final list is bit-identical.
+Each level yields its open path with the whole *closing row* at once,
+never bit by bit, so the three entry points differ only in what they do
+with a row: count it, expand it, or gate it through the filter table.
 
-Counting (:meth:`KernelBall.count_by_length`) never materialises
-tuples: the innermost level of each kernel collapses to
-``popcount`` — ``int.bit_count`` — of the candidate row (masked by the
-anchor row unless an earlier path node is already an anchor).
+**Canonical-order proof sketch.**  *Once per root:* for a fixed root the
+loops produce exactly the label sequences ``(r, p1, .., pk)`` that are
+pairwise distinct (each level draws from ``alive``, which excludes
+``r``, and strips the path's own bits that adjacency does not already
+exclude), adjacent consecutively and around the closing pair, and
+oriented ``p1 < pk`` (``closers`` lies above ``a``) — one of the two
+traversals of every simple cycle through ``r`` inside ``alive``.
+*Once overall:* let ``r`` be the first root, in label order, on a cycle
+``C`` that holds an anchor.  Earlier roots are not on ``C``, and at
+``r``'s turn every other node of ``C`` is still alive, so ``C`` is
+produced there; from then on ``r`` is dead, so no later root on ``C``
+can produce it again.  A cycle holding ``k`` anchors is therefore
+emitted once, at its first anchor, and a cycle holding none is never
+walked.  *All roots:* without an anchor set every label is a root and
+``alive`` at root ``r`` is exactly ``above(r) = -1 << (r + 1)`` — the
+"every other label exceeds the root" rule of the DFS, transported into
+label space; the census of a whole graph is the same loop with ``n``
+roots, not a second algorithm.  Because the degree order permutes
+labels away from id order, each emitted label sequence is mapped back
+to node ids and re-rooted at the minimum *id* in the direction with the
+smaller second id (:func:`_canonical_nodes`) — precisely the DFS
+representative — and the caller sorts by ``(length, nodes)`` exactly as
+:meth:`CycleFinder.find` does, so the final list is bit-identical.
+
+**Filters.**  The expander's ``accept(length, A, E)`` predicate has a
+finite domain, so it is evaluated over it once (:class:`AcceptTable`)
+and the feature kernel only looks cells up: a closing row is first cut
+to the labels whose article count can be accepted at all, and ``E(C)``
+— adjacent pairs plus antiparallel pairs, which is the paper's edge
+convention because every node pair carries one relation — is counted
+for the survivors alone.  The ``max_cycles`` tripwire counts whole
+closing rows before any gating, so it fires at the same total as the
+DFS.
 
 The ball builds from any WikiGraph-shaped object; graphs exposing
 ``kernel_csr()`` (the compact CSR read path —
@@ -68,7 +88,7 @@ from collections.abc import Iterable, Iterator
 
 from repro.errors import AnalysisError
 
-__all__ = ["KernelBall", "KERNEL_MAX_LENGTH"]
+__all__ = ["ACCEPT_ALL", "AcceptTable", "KernelBall", "KERNEL_MAX_LENGTH"]
 
 # Kernels are specialised for the paper's lengths; beyond 5 the general
 # DFS takes over (see repro.core.cycles.resolve_engine).
@@ -78,8 +98,6 @@ KERNEL_MAX_LENGTH = 5
 # core must not import at module level; a unit test asserts the sync).
 _LINK_OUT = 1
 _LINK_IN = 2
-_BELONGS = 4
-_INSIDE = 16 | 32  # INSIDE_PARENT | INSIDE_CHILD
 _FLAG_ARTICLE = 1
 
 
@@ -95,38 +113,58 @@ def _canonical_nodes(nodes: tuple[int, ...]) -> tuple[int, ...]:
     """Re-root a cyclic node sequence at its minimum id, oriented so the
     second node is smaller than the last — the DFS representative."""
     length = len(nodes)
-    pivot = min(range(length), key=nodes.__getitem__)
+    pivot = nodes.index(min(nodes))
+    twice = nodes + nodes
     if nodes[(pivot + 1) % length] < nodes[pivot - 1]:
-        return tuple(nodes[(pivot + k) % length] for k in range(length))
-    return tuple(nodes[(pivot - k) % length] for k in range(length))
+        return twice[pivot:pivot + length]
+    return twice[pivot + length:pivot:-1]
+
+
+class AcceptTable:
+    """A ``(length, num_articles, num_edges) -> bool`` predicate tabulated
+    over the kernels' finite domain, so the hot loop never calls Python
+    per cycle: ``cells[length][num_articles]`` is the frozenset of
+    accepted edge counts (a cycle of length L has L..L(L-1) edges).
+
+    Still callable — it *is* the predicate it was built from, which is
+    what the DFS oracle evaluates."""
+
+    __slots__ = ("accept", "cells")
+
+    def __init__(self, accept) -> None:
+        self.accept = accept
+        self.cells = {
+            length: tuple(
+                frozenset(
+                    edges
+                    for edges in range(length, length * (length - 1) + 1)
+                    if accept(length, num_articles, edges)
+                )
+                for num_articles in range(length + 1)
+            )
+            for length in range(2, KERNEL_MAX_LENGTH + 1)
+        }
+
+    def __call__(self, length: int, num_articles: int, num_edges: int) -> bool:
+        return self.accept(length, num_articles, num_edges)
+
+
+ACCEPT_ALL = AcceptTable(lambda length, num_articles, num_edges: True)
 
 
 class KernelBall:
     """One query ball frozen into degree-ordered bitset rows."""
 
-    __slots__ = (
-        "n", "ids", "_label_of", "adj", "link_out", "mutual",
-        "belongs", "inside", "articles",
-    )
+    __slots__ = ("n", "ids", "_label_of", "adj", "mutual", "articles")
 
     def __init__(
-        self,
-        ids: list[int],
-        adj: list[int],
-        link_out: list[int],
-        mutual: list[int],
-        belongs: list[int],
-        inside: list[int],
-        articles: int,
+        self, ids: list[int], adj: list[int], mutual: list[int], articles: int
     ) -> None:
         self.n = len(ids)
         self.ids = ids  # ids[label] -> original node id
         self._label_of = {node_id: label for label, node_id in enumerate(ids)}
         self.adj = adj
-        self.link_out = link_out
         self.mutual = mutual
-        self.belongs = belongs
-        self.inside = inside
         self.articles = articles
 
     # ------------------------------------------------------------------
@@ -154,74 +192,45 @@ class KernelBall:
         ``keep`` restricts to a ball (``None`` = the whole view);
         ``targets`` holds *base indices* into ``node_ids``.
         """
-        if keep is None:
-            ball_ids = list(node_ids)
-            base_rows = range(len(ball_ids))
-            in_ball = None
-        else:
-            ball_ids = sorted(keep)
-            base_rows = [index_of[node_id] for node_id in ball_ids]
-            in_ball = set(base_rows)
+        ball_ids = sorted(node_ids if keep is None else keep)
+        base_rows = [index_of[node_id] for node_id in ball_ids]
+        position_of = {base: p for p, base in enumerate(base_rows)}
 
-        # Pass 1: ball-restricted degree per node, for the label order.
-        degrees = []
+        # Pass 1: each node's in-ball slots; their count is the
+        # ball-restricted degree the label order sorts by (the sort is
+        # stable over ascending ids, which breaks the ties).
+        slots = []
         for base in base_rows:
-            count = 0
-            for slot in range(offsets[base], offsets[base + 1]):
-                target = targets[slot]
-                if target != base and (in_ball is None or target in in_ball):
-                    count += 1
-            degrees.append(count)
-
-        order = sorted(
-            range(len(ball_ids)), key=lambda p: (degrees[p], ball_ids[p])
-        )
+            low, high = offsets[base], offsets[base + 1]
+            slots.append([
+                (position_of[target], kind)
+                for target, kind in zip(targets[low:high], kinds[low:high])
+                if target in position_of and target != base
+            ])
+        n = len(ball_ids)
+        order = sorted(range(n), key=[len(row) for row in slots].__getitem__)
         ids = [ball_ids[p] for p in order]
-        base_rows = list(base_rows)
-        label_of_base = {
-            base_rows[p]: label for label, p in enumerate(order)
-        }
-
-        n = len(ids)
-        adj = [0] * n
-        link_out = [0] * n
-        mutual = [0] * n
-        belongs = [0] * n
-        inside = [0] * n
-        articles = 0
-        both_links = _LINK_OUT | _LINK_IN
+        label_at = [0] * n
+        for label, p in enumerate(order):
+            label_at[p] = label
 
         # Pass 2: bitset rows in final label order.
+        adj = [0] * n
+        mutual = [0] * n
+        articles = 0
+        both_links = _LINK_OUT | _LINK_IN
         for label, p in enumerate(order):
-            base = base_rows[p]
-            if flags[base] & _FLAG_ARTICLE:
+            if flags[base_rows[p]] & _FLAG_ARTICLE:
                 articles |= 1 << label
-            adj_bits = out_bits = mutual_bits = belongs_bits = inside_bits = 0
-            for slot in range(offsets[base], offsets[base + 1]):
-                target = targets[slot]
-                if target == base:
-                    continue
-                neighbor = label_of_base.get(target)
-                if neighbor is None:
-                    continue
-                bit = 1 << neighbor
+            adj_bits = mutual_bits = 0
+            for q, kind in slots[p]:
+                bit = 1 << label_at[q]
                 adj_bits |= bit
-                kind = kinds[slot]
-                if kind & _LINK_OUT:
-                    out_bits |= bit
-                    if kind & _LINK_IN:
-                        mutual_bits |= bit
-                if kind & _BELONGS:
-                    belongs_bits |= bit
-                if kind & _INSIDE:
-                    inside_bits |= bit
+                if kind & both_links == both_links:
+                    mutual_bits |= bit
             adj[label] = adj_bits
-            link_out[label] = out_bits
             mutual[label] = mutual_bits
-            belongs[label] = belongs_bits
-            inside[label] = inside_bits
-
-        return cls(ids, adj, link_out, mutual, belongs, inside, articles)
+        return cls(ids, adj, mutual, articles)
 
     @classmethod
     def _from_api(cls, graph) -> "KernelBall":
@@ -241,10 +250,7 @@ class KernelBall:
         adj = [0] * n
         link_out = [0] * n
         link_in = [0] * n
-        belongs = [0] * n
-        inside = [0] * n
         articles = 0
-
         for label, p in enumerate(order):
             node_id = ids[label]
             bits = 0
@@ -255,51 +261,94 @@ class KernelBall:
             adj[label] = bits
             if graph.is_article(node_id):
                 articles |= 1 << label
-                out_bits = 0
                 for target_id in graph.links_from(node_id):
                     target = label_of.get(target_id)
                     if target is not None and target != label:
-                        bit = 1 << target
-                        out_bits |= bit
+                        link_out[label] |= 1 << target
                         link_in[target] |= 1 << label
-                link_out[label] = out_bits
-                belongs_bits = 0
-                for category_id in graph.categories_of(node_id):
-                    category = label_of.get(category_id)
-                    if category is not None:
-                        belongs_bits |= 1 << category
-                belongs[label] = belongs_bits
-            else:
-                inside_bits = 0
-                for other_id in graph.parents_of(node_id):
-                    other = label_of.get(other_id)
-                    if other is not None:
-                        inside_bits |= 1 << other
-                for other_id in graph.children_of(node_id):
-                    other = label_of.get(other_id)
-                    if other is not None:
-                        inside_bits |= 1 << other
-                inside[label] = inside_bits
-
-        mutual = [out & link_in[label] for label, out in enumerate(link_out)]
-        return cls(ids, adj, link_out, mutual, belongs, inside, articles)
+        mutual = [out & back for out, back in zip(link_out, link_in)]
+        return cls(ids, adj, mutual, articles)
 
     # ------------------------------------------------------------------
-    # Shared plumbing
+    # The one enumeration
     # ------------------------------------------------------------------
 
-    def anchors_mask(self, anchors: Iterable[int] | None) -> int | None:
-        """Anchor set as a label bitset (ids outside the ball drop out);
-        ``None`` means no filtering, 0 means nothing can qualify."""
+    def _open_paths(
+        self, min_length: int, max_length: int, anchors: Iterable[int] | None
+    ) -> Iterator[tuple[tuple[int, ...], int, int]]:
+        """Yield ``(path, path_bits, closing)``: a label path leaving a
+        root, the same labels as a bitset, and the non-empty row of
+        labels ``x`` that each close it into the cycle ``path + (x,)``.
+        Every cycle of the window holding an anchor (every cycle when
+        ``anchors`` is ``None``) comes out exactly once — module
+        docstring, "Kernels" and "Canonical-order proof sketch"."""
+        adj = self.adj
+        mutual = self.mutual
         if anchors is None:
-            return None
-        label_of = self._label_of
-        mask = 0
-        for node_id in anchors:
-            label = label_of.get(node_id)
-            if label is not None:
-                mask |= 1 << label
-        return mask
+            roots = range(self.n)
+        else:  # ids outside the ball drop out
+            label_of = self._label_of
+            roots = sorted({label_of[a] for a in anchors if a in label_of})
+        want = [
+            min_length <= length <= max_length
+            for length in range(KERNEL_MAX_LENGTH + 1)
+        ]
+        alive = (1 << self.n) - 1
+        for r in roots:
+            bit_r = 1 << r
+            alive ^= bit_r  # dead for good: later roots never revisit r
+            if want[2]:
+                closing = mutual[r] & alive
+                if closing:
+                    yield (r,), bit_r, closing
+            if max_length < 3:
+                continue
+            closers = adj[r] & alive
+            while closers:
+                low_a = closers & -closers
+                a = low_a.bit_length() - 1
+                # Orientation: a cycle leaving through ``a`` comes back
+                # through a neighbour of the root above ``a``.
+                closers ^= low_a
+                if not closers:
+                    break
+                row_a = adj[a] & alive
+                if want[3]:
+                    closing = row_a & closers
+                    if closing:
+                        yield (r, a), bit_r | low_a, closing
+                if max_length < 4:
+                    continue
+                alive_a = alive ^ low_a
+                m_b = row_a
+                while m_b:
+                    low_b = m_b & -m_b
+                    b = low_b.bit_length() - 1
+                    m_b ^= low_b
+                    row_b = adj[b] & alive_a
+                    if want[4]:
+                        closing = row_b & closers
+                        if closing:
+                            yield (r, a, b), bit_r | low_a | low_b, closing
+                    if max_length < 5:
+                        continue
+                    closers_b = closers & ~low_b
+                    m_c = row_b
+                    while m_c:
+                        low_c = m_c & -m_c
+                        m_c ^= low_c
+                        c = low_c.bit_length() - 1
+                        closing = adj[c] & closers_b
+                        if closing:
+                            yield (
+                                (r, a, b, c),
+                                bit_r | low_a | low_b | low_c,
+                                closing,
+                            )
+
+    # ------------------------------------------------------------------
+    # Mining entry points
+    # ------------------------------------------------------------------
 
     @staticmethod
     def _overflow(max_cycles: int) -> AnalysisError:
@@ -307,66 +356,6 @@ class KernelBall:
             f"more than {max_cycles} cycles; "
             "pass a smaller graph or raise max_cycles"
         )
-
-    # ------------------------------------------------------------------
-    # Per-length kernels (label-tuple generators)
-    # ------------------------------------------------------------------
-
-    def _pairs(self) -> Iterator[tuple[int, int]]:
-        mutual = self.mutual
-        for u in _iter_bits(self.articles):
-            for v in _iter_bits(mutual[u] & (-1 << (u + 1))):
-                yield (u, v)
-
-    def _triangles(self) -> Iterator[tuple[int, int, int]]:
-        adj = self.adj
-        for r in range(self.n):
-            row = adj[r]
-            for a in _iter_bits(row & (-1 << (r + 1))):
-                for b in _iter_bits(row & adj[a] & (-1 << (a + 1))):
-                    yield (r, a, b)
-
-    def _quads(self) -> Iterator[tuple[int, int, int, int]]:
-        adj = self.adj
-        for r in range(self.n):
-            above_root = -1 << (r + 1)
-            row = adj[r] & above_root
-            for a in _iter_bits(row):
-                row_a = adj[a] & above_root
-                for c in _iter_bits(row & (-1 << (a + 1))):
-                    candidates = row_a & adj[c] & ~(1 << c)
-                    for b in _iter_bits(candidates):
-                        yield (r, a, b, c)
-
-    def _pentas(self) -> Iterator[tuple[int, int, int, int, int]]:
-        adj = self.adj
-        for r in range(self.n):
-            above_root = -1 << (r + 1)
-            row = adj[r] & above_root
-            for a in _iter_bits(row):
-                not_a = ~(1 << a)
-                row_a = adj[a] & above_root
-                for d in _iter_bits(row & (-1 << (a + 1))):
-                    row_d = adj[d] & above_root & not_a
-                    for b in _iter_bits(row_a & ~(1 << d)):
-                        for c in _iter_bits(adj[b] & row_d):
-                            yield (r, a, b, c, d)
-
-    def _kernels(
-        self, min_length: int, max_length: int
-    ) -> Iterator[Iterator[tuple[int, ...]]]:
-        if min_length <= 2 <= max_length:
-            yield self._pairs()
-        if min_length <= 3 <= max_length:
-            yield self._triangles()
-        if min_length <= 4 <= max_length:
-            yield self._quads()
-        if min_length <= 5 <= max_length:
-            yield self._pentas()
-
-    # ------------------------------------------------------------------
-    # Mining entry points
-    # ------------------------------------------------------------------
 
     def find(
         self,
@@ -376,28 +365,18 @@ class KernelBall:
         max_cycles: int,
     ) -> list[tuple[int, ...]]:
         """Canonical node-id tuples of every (anchored) cycle, unsorted."""
-        anchor_bits = self.anchors_mask(anchors)
         ids = self.ids
         out: list[tuple[int, ...]] = []
         emitted = 0
-        for kernel in self._kernels(min_length, max_length):
-            for labels in kernel:
-                if anchor_bits is not None:
-                    mask = 0
-                    for label in labels:
-                        mask |= 1 << label
-                    if not mask & anchor_bits:
-                        continue
-                emitted += 1
-                if emitted > max_cycles:
-                    raise self._overflow(max_cycles)
-                if len(labels) == 2:
-                    u, v = ids[labels[0]], ids[labels[1]]
-                    out.append((u, v) if u < v else (v, u))
-                else:
-                    out.append(
-                        _canonical_nodes(tuple(ids[label] for label in labels))
-                    )
+        for path, _, closing in self._open_paths(
+            min_length, max_length, anchors
+        ):
+            emitted += closing.bit_count()
+            if emitted > max_cycles:
+                raise self._overflow(max_cycles)
+            head = tuple(map(ids.__getitem__, path))
+            for x in _iter_bits(closing):
+                out.append(_canonical_nodes(head + (ids[x],)))
         return out
 
     def count_by_length(
@@ -407,85 +386,20 @@ class KernelBall:
         anchors: Iterable[int] | None,
         max_cycles: int,
     ) -> dict[int, int]:
-        """The cycle census without materialising a single tuple.
-
-        The innermost kernel level is replaced by a popcount of the
-        candidate row; when no node of the partial path is an anchor,
-        the row is masked by the anchor bitset first (exactly the
-        "cycle contains >= 1 anchor" rule, because only the last node
-        is still free)."""
-        anchor_bits = self.anchors_mask(anchors)
+        """The cycle census without materialising a single tuple: each
+        open path contributes the popcount of its closing row."""
         census = {
             length: 0 for length in range(min_length, max_length + 1)
         }
-        total = 0
-        adj = self.adj
-        no_filter = anchor_bits is None
-
-        if min_length <= 2 <= max_length:
-            mutual = self.mutual
-            count = 0
-            for u in _iter_bits(self.articles):
-                row = mutual[u] & (-1 << (u + 1))
-                if not no_filter and not (anchor_bits >> u) & 1:
-                    row &= anchor_bits
-                count += row.bit_count()
-            census[2] = count
-            total += count
-
-        if min_length <= 3 <= max_length:
-            count = 0
-            for r in range(self.n):
-                row = adj[r]
-                r_anchored = no_filter or (anchor_bits >> r) & 1
-                for a in _iter_bits(row & (-1 << (r + 1))):
-                    closing = row & adj[a] & (-1 << (a + 1))
-                    if not (r_anchored or (anchor_bits >> a) & 1):
-                        closing &= anchor_bits
-                    count += closing.bit_count()
-            census[3] = count
-            total += count
-
-        if min_length <= 4 <= max_length:
-            count = 0
-            for r in range(self.n):
-                above_root = -1 << (r + 1)
-                row = adj[r] & above_root
-                r_anchored = no_filter or (anchor_bits >> r) & 1
-                for a in _iter_bits(row):
-                    row_a = adj[a] & above_root
-                    a_anchored = r_anchored or (anchor_bits >> a) & 1
-                    for c in _iter_bits(row & (-1 << (a + 1))):
-                        candidates = row_a & adj[c] & ~(1 << c)
-                        if not (a_anchored or (anchor_bits >> c) & 1):
-                            candidates &= anchor_bits
-                        count += candidates.bit_count()
-            census[4] = count
-            total += count
-
-        if min_length <= 5 <= max_length:
-            count = 0
-            for r in range(self.n):
-                above_root = -1 << (r + 1)
-                row = adj[r] & above_root
-                r_anchored = no_filter or (anchor_bits >> r) & 1
-                for a in _iter_bits(row):
-                    not_a = ~(1 << a)
-                    row_a = adj[a] & above_root
-                    a_anchored = r_anchored or (anchor_bits >> a) & 1
-                    for d in _iter_bits(row & (-1 << (a + 1))):
-                        row_d = adj[d] & above_root & not_a
-                        d_anchored = a_anchored or (anchor_bits >> d) & 1
-                        for b in _iter_bits(row_a & ~(1 << d)):
-                            closing = adj[b] & row_d
-                            if not (d_anchored or (anchor_bits >> b) & 1):
-                                closing &= anchor_bits
-                            count += closing.bit_count()
-            census[5] = count
-            total += count
-
-        if total > max_cycles:
-            raise self._overflow(max_cycles)
+        emitted = 0
+        for path, _, closing in self._open_paths(
+            min_length, max_length, anchors
+        ):
+            count = closing.bit_count()
+            census[len(path) + 1] += count
+            emitted += count
+            if emitted > max_cycles:
+                raise self._overflow(max_cycles)
         return census
 
     def find_features(
@@ -494,234 +408,76 @@ class KernelBall:
         max_length: int,
         anchors: Iterable[int] | None,
         max_cycles: int,
-        accept=None,
-    ) -> list[tuple[tuple[int, ...], int, int]]:
-        """``(canonical_nodes, num_articles, num_edges)`` per cycle.
+        table: AcceptTable,
+    ) -> tuple[list[tuple[tuple[int, ...], int, int]], int]:
+        """``(canonical_nodes, num_articles, num_edges)`` of every cycle
+        ``table`` accepts, plus the number of cycles enumerated.
 
-        Edge counting follows the paper's ``M``-conventions exactly as
-        :func:`repro.core.features.count_edges` does — directed article
-        links individually, BELONGS once per pair, INSIDE once per
-        unordered category pair — each reduced to popcounts over one
-        merged edge row per node (article rows = LINK_OUT | BELONGS;
-        category rows = the symmetric INSIDE row, whose popcount sum
-        double-counts each pair and is halved at the end).
+        This is the hottest loop of a cold expansion, and the filters
+        typically reject most of what the anchors emit, so rejection is
+        wholesale: a closing row is first cut to the labels whose article
+        count has any accepted edge count at all (one AND), and only the
+        survivors have their edges counted and looked up.  ``E(C)`` is
+        the number of adjacent pairs plus the number of antiparallel
+        pairs among the cycle's nodes — the paper's ``M``-conventions of
+        :func:`repro.core.features.count_edges`, since a node pair
+        carries one relation and only links come in both directions —
+        split into the path's own pairs (once per path) and the closing
+        node's pairs with the path (two popcounts per cycle).
 
-        ``accept`` is an optional ``(length, num_articles, num_edges) ->
-        bool`` predicate; rejected cycles are dropped *before* the id
-        mapping and canonicalisation — the expander's filters typically
-        reject most of the ball's cycles, so this is where the cold path
-        stops paying for tuples nobody keeps.  The ``max_cycles``
-        tripwire counts every anchored cycle regardless of ``accept``,
-        so both engines fire it at the identical total.
-
-        This is the hottest loop of a cold expansion; the per-length
-        kernels are inlined (no generators) with the anchor row folded
-        into the innermost candidate mask whenever no prefix node is
-        anchored.
+        The second value is the ``max_cycles`` tripwire's count: every
+        anchored cycle, accepted or not, so both engines fire it at the
+        identical total.
         """
-        anchor_bits = self.anchors_mask(anchors)
-        no_anchor = anchor_bits is None
         ids = self.ids
         adj = self.adj
+        mutual = self.mutual
         articles = self.articles
-        # Merged per-node edge rows (see docstring).
-        link_out = self.link_out
-        belongs = self.belongs
-        inside = self.inside
-        erow = [
-            (link_out[u] | belongs[u]) if (articles >> u) & 1 else inside[u]
-            for u in range(self.n)
-        ]
+        cells = table.cells
+        # gate[L][p]: the closing labels still acceptable on a path of a
+        # length-L cycle that already holds p articles — the articles if
+        # (L, p + 1) accepts any edge count, the categories if (L, p) does.
+        gate = {
+            length: [
+                (articles if cells[length][p + 1] else 0)
+                | (~articles if cells[length][p] else 0)
+                for p in range(length)
+            ]
+            for length in range(min_length, max_length + 1)
+        }
         out: list[tuple[tuple[int, ...], int, int]] = []
         emitted = 0
-
-        if min_length <= 2 <= max_length:
-            mutual = self.mutual
-            m_u = articles
-            while m_u:
-                low_u = m_u & -m_u
-                u = low_u.bit_length() - 1
-                m_u ^= low_u
-                candidates = mutual[u] & (-1 << (u + 1))
-                if not (no_anchor or (anchor_bits >> u) & 1):
-                    candidates &= anchor_bits
-                while candidates:
-                    low_v = candidates & -candidates
-                    v = low_v.bit_length() - 1
-                    candidates ^= low_v
-                    emitted += 1
-                    if emitted > max_cycles:
-                        raise self._overflow(max_cycles)
-                    mask = low_u | low_v
-                    edges = (erow[u] & mask).bit_count() + (
-                        erow[v] & mask
-                    ).bit_count()
-                    if accept is None or accept(2, 2, edges):
-                        iu, iv = ids[u], ids[v]
-                        out.append(
-                            ((iu, iv) if iu < iv else (iv, iu), 2, edges)
-                        )
-
-        if min_length <= 3 <= max_length:
-            for r in range(self.n):
-                row_r = adj[r]
-                m_a = row_r & (-1 << (r + 1))
-                if not m_a:
-                    continue
-                bit_r = 1 << r
-                r_anch = no_anchor or anchor_bits & bit_r
-                while m_a:
-                    low_a = m_a & -m_a
-                    a = low_a.bit_length() - 1
-                    m_a ^= low_a
-                    closing = row_r & adj[a] & (-1 << (a + 1))
-                    if not (r_anch or anchor_bits & low_a):
-                        closing &= anchor_bits
-                    prefix = bit_r | low_a
-                    while closing:
-                        low_b = closing & -closing
-                        b = low_b.bit_length() - 1
-                        closing ^= low_b
-                        emitted += 1
-                        if emitted > max_cycles:
-                            raise self._overflow(max_cycles)
-                        mask = prefix | low_b
-                        art_e = cat_e = 0
-                        for label in (r, a, b):
-                            if (articles >> label) & 1:
-                                art_e += (erow[label] & mask).bit_count()
-                            else:
-                                cat_e += (erow[label] & mask).bit_count()
-                        edges = art_e + cat_e // 2
-                        num_art = (mask & articles).bit_count()
-                        if accept is None or accept(3, num_art, edges):
-                            out.append(
-                                (
-                                    _canonical_nodes((ids[r], ids[a], ids[b])),
-                                    num_art,
-                                    edges,
-                                )
-                            )
-
-        if min_length <= 4 <= max_length:
-            for r in range(self.n):
-                above_root = -1 << (r + 1)
-                row = adj[r] & above_root
-                if not row:
-                    continue
-                bit_r = 1 << r
-                r_anch = no_anchor or anchor_bits & bit_r
-                m_a = row
-                while m_a:
-                    low_a = m_a & -m_a
-                    a = low_a.bit_length() - 1
-                    m_a ^= low_a
-                    row_a = adj[a] & above_root
-                    a_anch = r_anch or anchor_bits & low_a
-                    prefix_a = bit_r | low_a
-                    m_c = row & (-1 << (a + 1))
-                    while m_c:
-                        low_c = m_c & -m_c
-                        c = low_c.bit_length() - 1
-                        m_c ^= low_c
-                        candidates = row_a & adj[c] & ~low_c
-                        if not (a_anch or anchor_bits & low_c):
-                            candidates &= anchor_bits
-                        prefix = prefix_a | low_c
-                        while candidates:
-                            low_b = candidates & -candidates
-                            b = low_b.bit_length() - 1
-                            candidates ^= low_b
-                            emitted += 1
-                            if emitted > max_cycles:
-                                raise self._overflow(max_cycles)
-                            mask = prefix | low_b
-                            art_e = cat_e = 0
-                            for label in (r, a, b, c):
-                                if (articles >> label) & 1:
-                                    art_e += (erow[label] & mask).bit_count()
-                                else:
-                                    cat_e += (erow[label] & mask).bit_count()
-                            edges = art_e + cat_e // 2
-                            num_art = (mask & articles).bit_count()
-                            if accept is None or accept(4, num_art, edges):
-                                out.append(
-                                    (
-                                        _canonical_nodes(
-                                            (ids[r], ids[a], ids[b], ids[c])
-                                        ),
-                                        num_art,
-                                        edges,
-                                    )
-                                )
-
-        if min_length <= 5 <= max_length:
-            for r in range(self.n):
-                above_root = -1 << (r + 1)
-                row = adj[r] & above_root
-                if not row:
-                    continue
-                bit_r = 1 << r
-                r_anch = no_anchor or anchor_bits & bit_r
-                m_a = row
-                while m_a:
-                    low_a = m_a & -m_a
-                    a = low_a.bit_length() - 1
-                    m_a ^= low_a
-                    row_a = adj[a] & above_root
-                    a_anch = r_anch or anchor_bits & low_a
-                    prefix_a = bit_r | low_a
-                    m_d = row & (-1 << (a + 1))
-                    while m_d:
-                        low_d = m_d & -m_d
-                        d = low_d.bit_length() - 1
-                        m_d ^= low_d
-                        row_d = adj[d] & above_root & ~low_a
-                        d_anch = a_anch or anchor_bits & low_d
-                        prefix_d = prefix_a | low_d
-                        m_b = row_a & ~low_d
-                        while m_b:
-                            low_b = m_b & -m_b
-                            b = low_b.bit_length() - 1
-                            m_b ^= low_b
-                            closing = adj[b] & row_d
-                            if not (d_anch or anchor_bits & low_b):
-                                closing &= anchor_bits
-                            prefix = prefix_d | low_b
-                            while closing:
-                                low_c = closing & -closing
-                                c = low_c.bit_length() - 1
-                                closing ^= low_c
-                                emitted += 1
-                                if emitted > max_cycles:
-                                    raise self._overflow(max_cycles)
-                                mask = prefix | low_c
-                                art_e = cat_e = 0
-                                for label in (r, a, b, c, d):
-                                    if (articles >> label) & 1:
-                                        art_e += (
-                                            erow[label] & mask
-                                        ).bit_count()
-                                    else:
-                                        cat_e += (
-                                            erow[label] & mask
-                                        ).bit_count()
-                                edges = art_e + cat_e // 2
-                                num_art = (mask & articles).bit_count()
-                                if accept is None or accept(5, num_art, edges):
-                                    out.append(
-                                        (
-                                            _canonical_nodes(
-                                                (
-                                                    ids[r],
-                                                    ids[a],
-                                                    ids[b],
-                                                    ids[c],
-                                                    ids[d],
-                                                )
-                                            ),
-                                            num_art,
-                                            edges,
-                                        )
-                                    )
-        return out
+        for path, path_bits, closing in self._open_paths(
+            min_length, max_length, anchors
+        ):
+            emitted += closing.bit_count()
+            if emitted > max_cycles:
+                raise self._overflow(max_cycles)
+            length = len(path) + 1
+            path_articles = (path_bits & articles).bit_count()
+            closing &= gate[length][path_articles]
+            if not closing:
+                continue
+            twice = 0  # every pair inside the path is seen from both ends
+            for u in path:
+                twice += (adj[u] & path_bits).bit_count() + (
+                    mutual[u] & path_bits
+                ).bit_count()
+            path_edges = twice >> 1
+            accepted = cells[length]
+            while closing:
+                low = closing & -closing
+                x = low.bit_length() - 1
+                closing ^= low
+                num_articles = path_articles + ((articles >> x) & 1)
+                num_edges = (
+                    path_edges
+                    + (adj[x] & path_bits).bit_count()
+                    + (mutual[x] & path_bits).bit_count()
+                )
+                if num_edges in accepted[num_articles]:
+                    nodes = (*map(ids.__getitem__, path), ids[x])
+                    out.append(
+                        (_canonical_nodes(nodes), num_articles, num_edges)
+                    )
+        return out, emitted

@@ -30,8 +30,9 @@ Two engines implement the same contract:
 
 * ``"kernels"`` (default) — the bitset hot path of
   :mod:`repro.core.cycle_kernels`: the ball is frozen into degree-ordered
-  bitset rows and each length in 2..5 is mined by a closed-form kernel.
-  Used whenever ``max_length <= 5`` (the paper's range).
+  bitset rows and the lengths 2..5 are mined by one enumeration rooted
+  at the anchors, every level a bitwise AND.  Used whenever
+  ``max_length <= 5`` (the paper's range).
 * ``"dfs"`` — the general recursive enumerator below, kept as the
   equivalence oracle and for ``max_length > 5``.
 
@@ -48,8 +49,14 @@ import os
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from repro.core.cycle_kernels import KERNEL_MAX_LENGTH, KernelBall
+from repro.core.cycle_kernels import (
+    ACCEPT_ALL,
+    KERNEL_MAX_LENGTH,
+    AcceptTable,
+    KernelBall,
+)
 from repro.errors import AnalysisError
+from repro.obs import trace as tracing
 from repro.wiki.graph import WikiGraph
 
 __all__ = ["Cycle", "CycleFinder", "find_cycles", "resolve_engine"]
@@ -180,7 +187,7 @@ class CycleFinder:
         """Cycle census: ``{length: count}`` with zeros for empty lengths.
 
         Never materialises :class:`Cycle` objects; the kernel engine
-        reduces the innermost level of each kernel to a popcount.
+        reduces the innermost level of its enumeration to a popcount.
         """
         anchor_set = None if anchors is None else frozenset(anchors)
         if self._engine == "kernels":
@@ -206,43 +213,66 @@ class CycleFinder:
 
         ``accept`` is an optional ``(length, num_articles, num_edges) ->
         bool`` prefilter; cycles it rejects are dropped before any
-        object is built (inside the kernel's innermost loop on the
-        kernel engine).  It sees identical values on both engines and
-        never affects the ``max_cycles`` tripwire.
+        object is built.  The DFS engine calls it per cycle; the kernel
+        engine reads it as an :class:`~repro.core.cycle_kernels.AcceptTable`
+        (pass one built ahead to skip the tabulation, as
+        :class:`~repro.core.expansion.CycleExpander` does) and never
+        calls Python per cycle.  It sees identical values on both
+        engines and never affects the ``max_cycles`` tripwire.
+
+        Reports ``roots`` (anchors inside the graph; every node without
+        an anchor set), ``emitted`` (the tripwire's count: anchored
+        cycles enumerated) and ``kept`` onto the open trace span, if any.
         """
         # Deferred: features imports Cycle from this module.
         from repro.core.features import CycleFeatures, compute_features, max_edges
 
         anchor_set = None if anchors is None else frozenset(anchors)
         if self._engine != "kernels":
+            cycles = self.find(anchor_set)
+            emitted = len(cycles)
             out = []
-            for cycle in self.find(anchor_set):
+            for cycle in cycles:
                 features = compute_features(self._graph, cycle)
                 if accept is None or accept(
                     features.length, features.num_articles, features.num_edges
                 ):
                     out.append(features)
-            return out
-        rows = self._ball().find_features(
-            self._min_length,
-            self._max_length,
-            anchor_set,
-            self._max_cycles,
-            accept=accept,
-        )
-        rows.sort(key=lambda row: (len(row[0]), row[0]))
-        out = []
-        for nodes, num_articles, num_edges in rows:
-            num_categories = len(nodes) - num_articles
-            out.append(
-                CycleFeatures(
-                    cycle=Cycle(nodes),
-                    num_articles=num_articles,
-                    num_categories=num_categories,
-                    num_edges=num_edges,
-                    max_possible_edges=max_edges(num_articles, num_categories),
-                )
+        else:
+            if accept is None:
+                accept = ACCEPT_ALL
+            elif not isinstance(accept, AcceptTable):
+                accept = AcceptTable(accept)
+            rows, emitted = self._ball().find_features(
+                self._min_length,
+                self._max_length,
+                anchor_set,
+                self._max_cycles,
+                accept,
             )
+            rows.sort(key=lambda row: (len(row[0]), row[0]))
+            out = []
+            for nodes, num_articles, num_edges in rows:
+                num_categories = len(nodes) - num_articles
+                out.append(
+                    CycleFeatures(
+                        cycle=Cycle(nodes),
+                        num_articles=num_articles,
+                        num_categories=num_categories,
+                        num_edges=num_edges,
+                        max_possible_edges=max_edges(
+                            num_articles, num_categories
+                        ),
+                    )
+                )
+        graph = self._graph
+        tracing.add_counts(
+            roots=len(graph)
+            if anchor_set is None
+            else sum(1 for node_id in anchor_set if node_id in graph),
+            emitted=emitted,
+            kept=len(out),
+        )
         return out
 
     # ------------------------------------------------------------------

@@ -27,6 +27,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.errors import AnalysisError
+from repro.core.cycle_kernels import AcceptTable
 from repro.core.cycles import Cycle, CycleFinder, resolve_engine
 from repro.core.features import CycleFeatures, compute_features
 from repro.wiki.graph import WikiGraph
@@ -208,6 +209,13 @@ class CycleExpander(Expander):
         self._max_cycles = max_cycles
         # Validate eagerly (and pin the DFS fallback for lengths > 5).
         self._engine = resolve_engine(engine, max(self._lengths))
+        # accepts() tabulated once for the kernels' inner loop; subclasses
+        # that override accepts() filter materialised features instead.
+        self._accept = (
+            AcceptTable(self._prefilter())
+            if type(self).accepts is CycleExpander.accepts
+            else None
+        )
 
     @property
     def engine(self) -> str:
@@ -243,10 +251,12 @@ class CycleExpander(Expander):
     def _prefilter(self):
         """:meth:`accepts` as a raw ``(length, A(C), E(C))`` predicate.
 
-        Handed to :meth:`CycleFinder.find_with_features` so the kernel
-        engine drops rejected cycles inside its innermost loop, before
-        canonicalisation or any object build.  Only valid when
-        :meth:`accepts` is not overridden — the caller checks.
+        A function of the constructor arguments alone, so it is
+        tabulated once per expander (``self._accept``) and handed to
+        :meth:`CycleFinder.find_with_features`: the kernel engine reads
+        the table, the DFS engine calls the predicate, and both drop
+        rejected cycles before canonicalisation or any object build.
+        Only valid when :meth:`accepts` is not overridden.
         """
         lengths = self._lengths
         min_ratio = self._min_category_ratio
@@ -294,18 +304,10 @@ class CycleExpander(Expander):
             max_cycles=self._max_cycles,
             engine=self._engine,
         )
-        # The in-kernel prefilter mirrors accepts(); subclasses that
-        # override accepts() fall back to filtering materialised features.
-        accept = (
-            self._prefilter()
-            if type(self).accepts is CycleExpander.accepts
-            else None
-        )
-        return [
-            features
-            for features in finder.find_with_features(anchors=seeds, accept=accept)
-            if self.accepts(features)
-        ]
+        features = finder.find_with_features(anchors=seeds, accept=self._accept)
+        if self._accept is None:
+            features = [f for f in features if self.accepts(f)]
+        return features
 
     def expand(self, graph: WikiGraph, seed_articles: Iterable[int]) -> ExpansionResult:
         seeds = frozenset(seed_articles)

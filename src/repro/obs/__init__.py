@@ -35,6 +35,7 @@ from repro.obs.serving import ServingMetrics
 from repro.obs.trace import (
     Span,
     Trace,
+    add_counts,
     annotate,
     carry_context,
     current_trace,
@@ -46,6 +47,7 @@ __all__ = [
     "Span",
     "Trace",
     "annotate",
+    "add_counts",
     "carry_context",
     "current_trace",
     "span",

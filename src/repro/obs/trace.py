@@ -48,11 +48,16 @@ __all__ = [
     "start_trace",
     "span",
     "annotate",
+    "add_counts",
     "carry_context",
 ]
 
 _current_trace: ContextVar["Trace | None"] = ContextVar(
     "repro_current_trace", default=None
+)
+# Label dict of the innermost span open in this context (add_counts).
+_open_span: ContextVar["dict | None"] = ContextVar(
+    "repro_open_span", default=None
 )
 _trace_ids = itertools.count(1)
 
@@ -110,9 +115,11 @@ class Trace:
         placed in that dict overrides the ``shard`` argument."""
         started = time.perf_counter()
         mutable: dict = dict(labels)
+        token = _open_span.set(mutable)
         try:
             yield mutable
         finally:
+            _open_span.reset(token)
             ended = time.perf_counter()
             self.add(
                 stage,
@@ -218,6 +225,21 @@ def annotate(**labels) -> None:
     trace = _current_trace.get()
     if trace is not None:
         trace.annotate(**labels)
+
+
+def add_counts(**counts) -> None:
+    """Add ``counts`` onto the labels of the innermost span open in this
+    context; a no-op without one.
+
+    This is how code *below* an instrumentation site reports how much
+    work it did (``cycle_mine``: ``roots``, ``emitted``, ``kept``)
+    without taking a span parameter.  Values accumulate, so a span over
+    a batch carries the batch's totals.
+    """
+    labels = _open_span.get()
+    if labels is not None:
+        for name, value in counts.items():
+            labels[name] = labels.get(name, 0) + value
 
 
 def carry_context(fn):

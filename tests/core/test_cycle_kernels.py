@@ -296,9 +296,6 @@ def test_kernel_ball_builds_from_both_protocols():
     assert from_api.ids == from_csr.ids
     assert from_api.adj == from_csr.adj
     assert from_api.mutual == from_csr.mutual
-    assert from_api.link_out == from_csr.link_out
-    assert from_api.belongs == from_csr.belongs
-    assert from_api.inside == from_csr.inside
     assert from_api.articles == from_csr.articles
 
 
@@ -311,8 +308,6 @@ def test_kind_constants_stay_in_sync_with_compact():
 
     assert cycle_kernels._LINK_OUT == compact.LINK_OUT
     assert cycle_kernels._LINK_IN == compact.LINK_IN
-    assert cycle_kernels._BELONGS == compact.BELONGS
-    assert cycle_kernels._INSIDE == compact.INSIDE_PARENT | compact.INSIDE_CHILD
     assert cycle_kernels._FLAG_ARTICLE == compact._FLAG_ARTICLE
 
 

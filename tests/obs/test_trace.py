@@ -87,6 +87,23 @@ class TestContextScoping:
         assert trace.labels == {"batch": 3}
 
 
+    def test_add_counts_accumulates_on_the_innermost_open_span(self):
+        tracing.add_counts(emitted=1)  # no open span: no-op
+        with start_trace() as trace:
+            tracing.add_counts(emitted=1)  # a trace but no span: no-op
+            with tracing.span("expand", shard=0):
+                with tracing.span("cycle_mine", shard=0, batch=2):
+                    tracing.add_counts(roots=2, emitted=10, kept=3)
+                    tracing.add_counts(roots=1, emitted=5, kept=0)
+                tracing.add_counts(kept=7)  # back on the outer span
+        by_stage = {s.stage: s.labels for s in trace.spans}
+        assert by_stage["cycle_mine"] == {
+            "batch": 2, "roots": 3, "emitted": 15, "kept": 3,
+        }
+        assert by_stage["expand"] == {"kept": 7}
+        assert trace.labels == {}
+
+
 class TestThreadCarry:
     def test_plain_submit_does_not_see_the_trace(self):
         """The control: without carry_context the worker thread is blind."""

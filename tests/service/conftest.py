@@ -1,5 +1,8 @@
 """Shared fixtures for service-layer tests: one small benchmark + snapshot."""
 
+import os
+import subprocess
+
 import pytest
 
 from repro.collection import Benchmark, SyntheticCollectionConfig
@@ -26,3 +29,24 @@ def snapshot_dir(snapshot, tmp_path_factory):
     directory = tmp_path_factory.mktemp("snapshot")
     snapshot.save(directory)
     return directory
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_shard_worker_outlives_the_session():
+    """Fail the run if a ``repro.cli shard-worker`` child is still alive
+    when the session ends.
+
+    Under ``REPRO_SHARD_ADAPTER=socket`` every ``AsyncShardRouter``
+    spawns its own workers and only ``close()`` stops them, so a suite
+    that forgets to close one leaks processes past pytest's exit (CI's
+    socket leg and ``tools/http_smoke.py`` users found four).
+    """
+    yield
+    leaked = subprocess.run(
+        ["pgrep", "-P", str(os.getpid()), "-f", "repro.cli shard-worker"],
+        capture_output=True, text=True, check=False,
+    ).stdout.split()
+    assert not leaked, (
+        f"shard-worker processes {leaked} outlived the test session: "
+        "some fixture never closed its AsyncShardRouter"
+    )

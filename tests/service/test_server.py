@@ -250,3 +250,65 @@ class TestStats:
         service.clear_caches()
         response = service.expand_query(keywords)
         assert not response.expansion_cached
+
+
+class TestCycleMineSpan:
+    @pytest.mark.parametrize("engine", ["kernels", "dfs"])
+    def test_span_says_how_selective_anchors_and_filters_were(
+        self, small_benchmark, snapshot, engine
+    ):
+        """``roots`` / ``emitted`` / ``kept`` ride the cycle_mine span —
+        identical on both engines — and stay out of the metric labels."""
+        from repro.obs import ServingMetrics
+        from repro.obs import trace as tracing
+
+        service = ExpansionService.from_snapshot(
+            snapshot, expander=NeighborhoodCycleExpander(engine=engine)
+        )
+        keywords = small_benchmark.topics[0].keywords
+        with tracing.start_trace() as trace:
+            response = service.expand_query(keywords)
+        (span,) = [s for s in trace.spans if s.stage == "cycle_mine"]
+        assert span.labels["engine"] == engine
+        assert span.labels["roots"] == len(response.link.article_ids) > 0
+        assert span.labels["kept"] == len(response.expansion.cycles) > 0
+        assert span.labels["emitted"] >= span.labels["kept"]
+        reference = CycleExpander(engine="dfs").qualifying_cycles(
+            service._graph.induced_subgraph(
+                NeighborhoodCycleExpander().neighborhood(
+                    service._graph, frozenset(response.link.article_ids)
+                )
+            ),
+            frozenset(response.link.article_ids),
+        )
+        assert span.labels["emitted"] == len(reference)  # no filters: all
+
+        metrics = ServingMetrics()
+        metrics.observe_request("/expand", trace, 0.001)
+        exposition = metrics.render()
+        assert f'repro_cycle_mine_total{{engine="{engine}"}} 1' in exposition
+        for name in ("roots", "emitted", "kept"):
+            assert name not in exposition
+
+        # A cached repeat mines nothing, so it reports nothing.
+        with tracing.start_trace() as cached:
+            service.expand_query(keywords)
+        assert not [s for s in cached.spans if s.stage == "cycle_mine"]
+
+    def test_prefill_span_carries_the_batch_totals(self, small_benchmark, snapshot):
+        from repro.obs import trace as tracing
+
+        topics = [t.keywords for t in small_benchmark.topics[:3]]
+        singles = []
+        for keywords in topics:
+            service = ExpansionService.from_snapshot(snapshot)
+            with tracing.start_trace() as trace:
+                service.expand_query(keywords)
+            singles += [s for s in trace.spans if s.stage == "cycle_mine"]
+        service = ExpansionService.from_snapshot(snapshot)
+        with tracing.start_trace() as trace:
+            service.batch_expand(topics)
+        (span,) = [s for s in trace.spans if s.stage == "cycle_mine"]
+        assert span.labels["batch"] == len(singles) == 3
+        for name in ("roots", "emitted", "kept"):
+            assert span.labels[name] == sum(s.labels[name] for s in singles)

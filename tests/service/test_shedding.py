@@ -231,6 +231,9 @@ class ShedServer:
         ).result(timeout=30)
         self.loop.call_soon_threadsafe(self.loop.stop)
         self.thread.join(timeout=30)
+        # The async router owns its adapters: under
+        # REPRO_SHARD_ADAPTER=socket those are worker processes.
+        self.gated.close()
         self.router.close()
 
 
