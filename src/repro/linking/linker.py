@@ -16,6 +16,7 @@ its main article by resolving redirects.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 from repro.errors import LinkingError
@@ -105,26 +106,70 @@ class EntityLinker:
         self._tokenizer = tokenizer or Tokenizer()
         self._use_synonyms = use_synonyms
         self._resolve_redirects = resolve_redirects
+        self._max_title_tokens = max_title_tokens
         self._synonyms = SynonymProvider(graph, self._tokenizer) if use_synonyms else None
 
         # Map of tokenised title -> article id.  When two articles tokenise
         # identically (e.g. "color" vs "Color!"), the lowest id wins, making
         # linking deterministic.
         self._title_index: dict[tuple[str, ...], int] = {}
-        self._max_len = 1
         if title_index is not None:
             if not title_index:
                 raise LinkingError("prebuilt title_index must be non-empty")
-            for tokens, article_id in title_index.items():
-                self._title_index[tuple(tokens)] = article_id
-                self._max_len = max(self._max_len, len(tokens))
+            self._title_index = {tuple(t): a for t, a in title_index.items()}
         else:
             for article in sorted(graph.articles(), key=lambda a: a.node_id):
-                tokens = self._tokenizer.tokenize_phrase(article.title)
-                if not tokens or len(tokens) > max_title_tokens:
-                    continue
-                self._title_index.setdefault(tokens, article.node_id)
-                self._max_len = max(self._max_len, len(tokens))
+                tokens = self._title_key(article.title)
+                if tokens:
+                    self._title_index.setdefault(tokens, article.node_id)
+        self._max_len = max(map(len, self._title_index), default=1)
+
+    def _title_key(self, title: str) -> tuple[str, ...]:
+        """The vocabulary key of ``title``; empty when it cannot have one."""
+        tokens = self._tokenizer.tokenize_phrase(title)
+        return tokens if len(tokens) <= self._max_title_tokens else ()
+
+    def rebuilt(self, graph) -> "EntityLinker":
+        """A linker with these settings from a rescan of ``graph``'s titles."""
+        return EntityLinker(
+            graph, self._tokenizer, use_synonyms=self._use_synonyms,
+            resolve_redirects=self._resolve_redirects,
+            max_title_tokens=self._max_title_tokens,
+        )
+
+    def patched(self, graph, applied, before) -> "EntityLinker | None":
+        """:meth:`rebuilt` over ``graph`` (``before`` plus the ``applied``
+        deltas) at the cost of the batch: the vocabulary is copied (only
+        shared when no article came or went) and only the batch's titles
+        are tokenised; the synonym cache starts empty, ``self`` is left
+        as published.  ``None`` when the batch removes the owner of a
+        vocabulary key — a twin it shadowed may have to take the key
+        over, and only the rescan can name it.
+        """
+        index = self._title_index
+        if any(delta.op in ("add_article", "remove_article") for delta in applied):
+            index = dict(index)
+        max_len = self._max_len
+        added: dict[int, str] = {}  # titles this batch gave, by node
+        for delta in applied:
+            node = delta.node_id
+            if delta.op == "add_article":
+                added[node] = delta.title
+                tokens = self._title_key(delta.title)
+                if tokens and index.get(tokens, node) >= node:
+                    index[tokens] = node
+                    max_len = max(max_len, len(tokens))
+            elif delta.op == "remove_article":
+                tokens = self._title_key(added.pop(node, None) or before.title(node))
+                if tokens and index.get(tokens) == node:
+                    return None
+        successor = copy.copy(self)
+        successor._graph = graph
+        successor._title_index = index
+        successor._max_len = max_len
+        if self._use_synonyms:
+            successor._synonyms = SynonymProvider(graph, self._tokenizer)
+        return successor
 
     @property
     def num_titles(self) -> int:

@@ -28,6 +28,9 @@ Families (all prefixed ``repro_``):
 * ``repro_delta_invalidations_total{cache}`` — cache entries evicted by
   applied graph deltas (live updates, ``docs/live_updates.md``),
   incremented by the :class:`~repro.updates.UpdateCoordinator`;
+* ``repro_apply_stage_seconds{stage}`` — time one applied delta batch
+  spent per write stage (``validate``, ``log``, ``linker``, ``ball``,
+  ``publish``, ``evict``, ``fanout``), from the coordinator's spans;
 * ``repro_inflight_requests`` / ``repro_shard_inflight{shard}`` /
   ``repro_uptime_seconds`` / ``repro_snapshot_generation`` /
   ``repro_delta_seq`` — gauges refreshed from
@@ -101,6 +104,11 @@ class ServingMetrics:
             "repro_delta_invalidations_total",
             "Cache entries evicted by applied graph deltas, by cache tier.",
             ("cache",),
+        )
+        self.apply_stage_latency = self.registry.histogram(
+            "repro_apply_stage_seconds",
+            "Time of one applied delta batch per write stage, in seconds.",
+            ("stage",),
         )
         self.snapshot_generation = self.registry.gauge(
             "repro_snapshot_generation",

@@ -561,26 +561,13 @@ class ShardedSnapshot:
         """Shard a monolithic snapshot (the migration path for v1 dirs)."""
         if num_shards < 1:
             raise SnapshotError("num_shards must be >= 1")
-        if num_shards == 1:
-            # Single shard IS the monolithic snapshot: reuse its graph and
-            # index directly instead of re-partitioning and round-tripping
-            # every posting — v1 cold starts must cost what they used to.
-            graph = snapshot.graph
-            partition = GraphPartition(
-                shard_id=0,
-                num_shards=1,
-                graph=graph,
-                core_articles=frozenset(a.node_id for a in graph.articles()),
-                core_categories=frozenset(c.node_id for c in graph.categories()),
-            )
-            partitions: tuple[GraphPartition, ...] = (partition,)
-            segments: tuple[PositionalIndex, ...] = (snapshot.index,)
-        else:
-            partitions = tuple(partition_graph(snapshot.graph, num_shards))
-            segments = tuple(_split_index(snapshot.index, num_shards))
+        # Single shard IS the monolithic snapshot: partition_graph hands
+        # its graph back and the index is reused, not round-tripped
+        # posting by posting — v1 cold starts cost what they used to.
         return cls(
-            partitions=partitions,
-            segments=segments,
+            partitions=tuple(partition_graph(snapshot.graph, num_shards)),
+            segments=(snapshot.index,) if num_shards == 1
+            else tuple(_split_index(snapshot.index, num_shards)),
             title_index=dict(snapshot.title_index),
             doc_names=dict(snapshot.doc_names),
             mu=snapshot.mu,

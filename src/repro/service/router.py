@@ -442,11 +442,6 @@ class ShardRouter:
     def linker(self):
         return self._linker
 
-    @property
-    def linker_tokenizer(self):
-        """The tokenizer linker rebuilds must use (vocabulary alignment)."""
-        return self._tokenizer
-
     def apply_overlay(
         self, router_view, worker_graph, *, linker=None, delta_seq: int = 0
     ) -> None:

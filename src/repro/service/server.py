@@ -290,6 +290,10 @@ class ExpansionService:
     def engine(self) -> SearchEngine:
         return self._engine
 
+    @property
+    def linker(self) -> EntityLinker:
+        return self._linker
+
     def normalize(self, text: str) -> str:
         """Canonical form of a query: the tokenised text re-joined."""
         return " ".join(self._engine.tokenizer.tokenize_phrase(text))

@@ -17,7 +17,7 @@ to every layer in one reference swap
 ``apply`` is the write path: validate the batch against the serving
 generation (:class:`~repro.errors.StaleGenerationError` on mismatch),
 fold it into a copy-on-write successor state, durably append it to the
-:class:`~repro.updates.log.DeltaLog` *before* publishing, rebuild the
+:class:`~repro.updates.log.DeltaLog` *before* publishing, patch the
 entity linker only when the title surface changed, evict exactly the
 expansion-cache entries whose seeds fall inside the delta ball
 (:mod:`repro.updates.invalidation`), publish, and fan the batch out to
@@ -45,7 +45,7 @@ import threading
 from pathlib import Path
 
 from repro.errors import DeltaError, StaleGenerationError
-from repro.linking.linker import EntityLinker
+from repro.obs.trace import Trace, current_trace, span, start_trace
 from repro.service import wire
 from repro.service.artifacts import (
     ShardedSnapshot,
@@ -67,15 +67,50 @@ from repro.updates.overlay import (
     apply_deltas,
     materialize_graph,
 )
-from repro.wiki.partition import GraphPartition, partition_graph
+from repro.wiki.partition import partition_graph
 
-__all__ = ["UpdateCoordinator", "ShardWorkerUpdater"]
+__all__ = ["UpdateCoordinator", "ShardWorkerUpdater", "fold_batch"]
 
 # Sockets used for the worker fan-out are short-lived and blocking; a
 # worker that cannot take a delta within this window is left to catch
 # up from the log on its next restart.
 _FANOUT_TIMEOUT_S = 10.0
 _FANOUT_ATTEMPTS = 3
+
+
+def fold_batch(base, compact, state: OverlayState, deltas, linker, generation=None):
+    """The pure half of a write, shared by coordinator and workers.
+
+    Validates ``deltas`` against ``base`` + ``state`` (and ``generation``,
+    the one the client validated against, against the state's:
+    :class:`StaleGenerationError`) and folds them into a copy-on-write
+    successor; publishes nothing.  Returns ``(new_state,
+    applied, linker, ball)``: the successor of the serving ``linker``
+    when the title surface changed (patched — a rescan only when a key's
+    owner was removed), else ``None``; and the delta ball, walked over
+    ``compact``, the CSR twin of ``base`` (``base`` itself in a worker).
+    Work follows the batch and its ball, not the graph.
+    """
+    if generation is not None and int(generation) != state.generation:
+        raise StaleGenerationError(state.generation, generation)
+    with span("validate"):
+        new_state, applied = apply_deltas(base, state, deltas)
+    new_linker, ball = None, frozenset()
+    if applied:
+        before = OverlayGraphView(base, state)
+        after = OverlayGraphView(base, new_state)
+        with span("linker") as labels:
+            if deltas_touch_titles(applied):
+                new_linker = linker.patched(after, applied, before)
+                labels["patched"] = new_linker is not None
+                if new_linker is None:
+                    new_linker = linker.rebuilt(after)
+        with span("ball") as labels:
+            ball = delta_ball(
+                changed_nodes(applied), before=before, after=after, compact=compact
+            )
+            labels.update(size=len(ball), touched=len(new_state.touched))
+    return new_state, applied, new_linker, ball
 
 
 class UpdateCoordinator:
@@ -164,70 +199,58 @@ class UpdateCoordinator:
         (idempotent by sequence number).
         """
         deltas = decode_deltas(payloads)
-        with self._lock:
-            current = self._state.generation
-            if generation is not None and int(generation) != current:
-                raise StaleGenerationError(current, generation)
-            return self._apply_locked(deltas)
+        trace = current_trace() or Trace()
+        mark = len(trace.spans)
+        with self._lock, start_trace(trace):
+            summary = self._apply_locked(deltas, generation)
+        stages = summary["stages_ms"] = {}
+        for entry in trace.spans[mark:]:  # one span per write stage
+            stages[entry.stage] = round(entry.duration_ms, 3)
+            self._metrics.apply_stage_latency.observe(
+                entry.duration_ms / 1000.0, stage=entry.stage
+            )
+        return summary
 
-    def _apply_locked(self, deltas: list[Delta]) -> dict:
+    def _apply_locked(self, deltas: list[Delta], generation) -> dict:
         router = self._router
-        state = self._state
-        base_router = router.snapshot.view()
-        base_worker = router.snapshot.compact_graph
-        before_view = OverlayGraphView(base_router, state)
-
-        new_state, applied = apply_deltas(base_router, state, deltas)
-        if not applied:
-            return {
-                "generation": state.generation,
-                "applied": 0,
-                "skipped": len(deltas),
-                "last_seq": state.last_seq,
-                "invalidated": {"expansion": 0, "link": 0},
-            }
-
-        # Durability before visibility: once a batch is published, a
-        # restarted worker must be able to replay it.
-        if self._log is not None:
-            self._log.append(state.generation, applied)
-
-        after_view = OverlayGraphView(base_router, new_state)
-        worker_view = OverlayGraphView(base_worker, new_state)
-
-        linker = None
-        if deltas_touch_titles(applied):
-            linker = EntityLinker(after_view, router.linker_tokenizer)
-
-        ball = delta_ball(
-            changed_nodes(applied), before=before_view, after=after_view
+        base = router.snapshot.view()
+        compact = router.snapshot.compact_graph
+        new_state, applied, linker, ball = fold_batch(
+            base, compact, self._state, deltas, router.linker, generation
         )
-
-        router.apply_overlay(
-            after_view, worker_view, linker=linker, delta_seq=new_state.last_seq
-        )
-        self._state = new_state
-
-        evicted_expansions = router.evict_expansions(
-            expansion_eviction_predicate(ball)
-        )
-        evicted_links = router.evict_links() if linker is not None else 0
-        metrics = self._metrics
-        if metrics is not None:
-            metrics.delta_invalidations.inc(evicted_expansions, cache="expansion")
-            metrics.delta_invalidations.inc(evicted_links, cache="link")
-
-        stale_workers = self._fan_out(applied, new_state.generation)
+        evicted = {"expansion": 0, "link": 0}
+        stale_workers: list[int] = []
+        if applied:
+            # Durability before visibility: once a batch is published, a
+            # restarted worker must be able to replay it.
+            with span("log"):
+                if self._log is not None:
+                    self._log.append(new_state.generation, applied)
+            with span("publish"):
+                router.apply_overlay(
+                    OverlayGraphView(base, new_state),
+                    OverlayGraphView(compact, new_state),
+                    linker=linker, delta_seq=new_state.last_seq,
+                )
+                self._state = new_state
+            with span("evict"):
+                evicted["expansion"] = router.evict_expansions(
+                    expansion_eviction_predicate(ball)
+                )
+                if linker is not None:
+                    evicted["link"] = router.evict_links()
+                for cache, count in evicted.items():
+                    self._metrics.delta_invalidations.inc(count, cache=cache)
+            with span("fanout"):
+                stale_workers = self._fan_out(applied, new_state.generation)
+        # One shape, applied or replayed (all-skipped: empty ball).
         return {
             "generation": new_state.generation,
             "applied": len(applied),
             "skipped": len(deltas) - len(applied),
             "last_seq": new_state.last_seq,
             "ball_size": len(ball),
-            "invalidated": {
-                "expansion": evicted_expansions,
-                "link": evicted_links,
-            },
+            "invalidated": evicted,
             "stale_workers": stale_workers,
         }
 
@@ -254,25 +277,9 @@ class UpdateCoordinator:
 
             overlay = OverlayGraphView(router.snapshot.view(), state)
             new_graph = materialize_graph(overlay)
-            num_shards = router.num_shards
-            if num_shards == 1:
-                # Mirror ShardedSnapshot.from_snapshot's single-shard
-                # path: the partition IS the whole graph, no halo math.
-                partitions: tuple[GraphPartition, ...] = (GraphPartition(
-                    shard_id=0,
-                    num_shards=1,
-                    graph=new_graph,
-                    core_articles=frozenset(
-                        a.node_id for a in new_graph.articles()
-                    ),
-                    core_categories=frozenset(
-                        c.node_id for c in new_graph.categories()
-                    ),
-                ),)
-            else:
-                partitions = tuple(partition_graph(new_graph, num_shards))
+            partitions = tuple(partition_graph(new_graph, router.num_shards))
 
-            linker = EntityLinker(new_graph, router.linker_tokenizer)
+            linker = router.linker.rebuilt(new_graph)
             old_snapshot = router.snapshot
             new_snapshot = ShardedSnapshot(
                 partitions=partitions,
@@ -330,11 +337,10 @@ class UpdateCoordinator:
         if self._supervisor is None:
             return []
         payloads = [delta.to_payload() for delta in deltas]
-        stale = []
-        for shard_id in range(self._supervisor.num_shards):
-            if not self._push_to_worker(shard_id, payloads, generation):
-                stale.append(shard_id)
-        return stale
+        return [
+            shard_id for shard_id in range(self._supervisor.num_shards)
+            if not self._push_to_worker(shard_id, payloads, generation)
+        ]
 
     def _push_to_worker(
         self, shard_id: int, payloads: list[dict], generation: int
@@ -393,11 +399,10 @@ class ShardWorkerUpdater:
 
     A :class:`~repro.service.shard_worker.ShardWorkerServer` holds one
     of these over its :class:`~repro.service.server.ExpansionService`
-    and the snapshot's frozen compact graph.  ``apply`` mirrors the
-    coordinator's publish path at single-worker scale: same validation,
-    same overlay semantics, same targeted eviction — so a worker that
-    applied batches live answers bit-identically to one that replayed
-    them from the log after a restart.
+    and the snapshot's frozen compact graph.  ``apply`` runs the
+    coordinator's :func:`fold_batch` and the same targeted eviction, so
+    a worker that applied batches live answers bit-identically to one
+    that replayed them from the log after a restart.
     """
 
     def __init__(self, worker, base_graph, *, generation: int = 1) -> None:
@@ -421,42 +426,28 @@ class ShardWorkerUpdater:
             raise DeltaError("'deltas' must be a list of delta objects")
         return self.apply(decode_deltas(payloads), generation=generation)
 
-    def apply(
-        self, deltas: list[Delta], *, generation: int | None = None
-    ) -> dict:
+    def apply(self, deltas: list[Delta], *, generation: int | None = None) -> dict:
         with self._lock:
-            current = self._state.generation
-            if generation is not None and int(generation) != current:
-                raise StaleGenerationError(current, generation)
-            state = self._state
-            before_view = OverlayGraphView(self._base, state)
-            new_state, applied = apply_deltas(self._base, state, deltas)
-            if not applied:
-                return {
-                    "generation": current,
-                    "applied": 0,
-                    "last_seq": state.last_seq,
-                    "invalidated": 0,
-                }
-            after_view = OverlayGraphView(self._base, new_state)
-            linker = None
-            if deltas_touch_titles(applied):
-                linker = EntityLinker(
-                    after_view, self._worker.engine.tokenizer
+            worker = self._worker
+            new_state, applied, linker, ball = fold_batch(
+                self._base, self._base, self._state, deltas, worker.linker,
+                generation,
+            )
+            evicted = 0
+            if applied:
+                worker.set_graph(
+                    OverlayGraphView(self._base, new_state), linker=linker
                 )
-            ball = delta_ball(
-                changed_nodes(applied), before=before_view, after=after_view
-            )
-            self._worker.set_graph(after_view, linker=linker)
-            self._state = new_state
-            evicted = self._worker.evict_expansions(
-                expansion_eviction_predicate(ball)
-            )
-            if linker is not None:
-                evicted += self._worker.evict_links()
+                self._state = new_state
+                evicted = worker.evict_expansions(
+                    expansion_eviction_predicate(ball)
+                )
+                if linker is not None:
+                    evicted += worker.evict_links()
             return {
-                "generation": current,
+                "generation": new_state.generation,
                 "applied": len(applied),
                 "last_seq": new_state.last_seq,
+                "ball_size": len(ball),
                 "invalidated": evicted,
             }

@@ -18,7 +18,7 @@ stays warm — the ``delta_overlay`` bench regime asserts unrelated
 topics keep their cache hits across an applied delta.
 
 The link cache is keyed by normalised query *text*, which has no
-locality in node-id space; it is dropped (and the linker rebuilt) only
+locality in node-id space; it is dropped (and the linker patched) only
 when a delta changes the title/redirect surface — ``add_article``,
 ``remove_article``, ``set_redirect`` — and left alone for pure edge
 deltas (:func:`deltas_touch_titles`).
@@ -48,17 +48,16 @@ _TITLE_OPS = frozenset({"add_article", "remove_article", "set_redirect"})
 
 def changed_nodes(deltas: Iterable[Delta]) -> frozenset[int]:
     """Nodes a batch names directly (BFS sources of the delta ball)."""
-    nodes: set[int] = set()
-    for delta in deltas:
-        for field in (delta.node_id, delta.source, delta.target):
-            if field is not None:
-                nodes.add(field)
-    return frozenset(nodes)
+    return frozenset(
+        node for delta in deltas
+        for node in (delta.node_id, delta.source, delta.target)
+        if node is not None
+    )
 
 
 def deltas_touch_titles(deltas: Iterable[Delta]) -> bool:
     """True when the batch changes the title/redirect surface linking
-    depends on (so the linker must be rebuilt and the link cache shed)."""
+    depends on (so the linker must be patched and the link cache shed)."""
     return any(delta.op in _TITLE_OPS for delta in deltas)
 
 
@@ -73,6 +72,7 @@ def delta_ball(
     *,
     before,
     after,
+    compact=None,
     radius: int = INVALIDATION_RADIUS,
 ) -> frozenset[int]:
     """BFS ball around ``sources`` over the union adjacency of both views.
@@ -81,16 +81,33 @@ def delta_ball(
     ``after`` the view with the batch folded in; a node absent from one
     side contributes no neighbours there (removed and added nodes are
     handled uniformly).
+
+    With ``compact``, the frozen CSR twin of the overlays' base, a node
+    neither overlay touched is read once, as a slice of its
+    ``kernel_csr()`` row in index space, and only touched nodes are asked
+    of the views.  Rows are sliced, not read through
+    ``compact.undirected_neighbors``: that fills the base's decode cache
+    with seven frozensets per node, and a ball can be the whole graph.
     """
     ball = set(sources)
     frontier = set(sources)
+    node_ids, index_of, offsets, targets = (
+        compact.kernel_csr()[:4] if compact is not None else ((), {}, (), ())
+    )
+    # ``touched`` only grows, and holds every added or removed node.
+    overlaid = after.state.touched if compact is not None else None
     for _ in range(radius):
         if not frontier:
             break
         next_frontier: set[int] = set()
+        rows: set[int] = set()
         for node in frontier:
-            next_frontier |= _neighbors(before, node)
-            next_frontier |= _neighbors(after, node)
+            if overlaid is None or node in overlaid:
+                next_frontier |= _neighbors(before, node)
+                next_frontier |= _neighbors(after, node)
+            elif (idx := index_of.get(node)) is not None:
+                rows.update(targets[offsets[idx]:offsets[idx + 1]])
+        next_frontier.update(map(node_ids.__getitem__, rows))
         next_frontier -= ball
         ball |= next_frontier
         frontier = next_frontier

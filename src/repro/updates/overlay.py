@@ -238,13 +238,11 @@ class OverlayGraphView:
     untouched fast path, or a materialised dict subgraph).
     """
 
-    __slots__ = ("_base", "_state", "_base_title_map", "_base_category_map")
+    __slots__ = ("_base", "_state")
 
     def __init__(self, base, state: OverlayState) -> None:
         self._base = base
         self._state = state
-        self._base_title_map: dict[str, int] | None = None
-        self._base_category_map: dict[str, int] | None = None
 
     @property
     def base(self):
@@ -361,46 +359,16 @@ class OverlayGraphView:
     # Title lookup (entity linking / synonym support)
     # ------------------------------------------------------------------
 
-    def _base_article_by_title(self, norm: str) -> Article | None:
-        base = self._base
-        lookup = getattr(base, "article_by_title", None)
-        if lookup is not None:
-            return lookup(norm)
-        # CompactGraphView has no title map; build one lazily (base is
-        # immutable, so the map never goes stale).
-        if self._base_title_map is None:
-            mapping: dict[str, int] = {}
-            for article in base.articles():
-                mapping.setdefault(article.norm_title, article.node_id)
-            self._base_title_map = mapping
-        node_id = self._base_title_map.get(norm)
-        return None if node_id is None else base.article(node_id)
-
     def article_by_title(self, title: str) -> Article | None:
         norm = normalize_title(title)
         state = self._state
         for article in state.articles_override.values():
             if article.norm_title == norm and article.node_id not in state.removed:
                 return article
-        found = self._base_article_by_title(norm)
+        found = self._base.article_by_title(norm)
         if found is None or found.node_id in state.removed:
             return None
         return state.articles_override.get(found.node_id, found)
-
-    def category_by_name(self, name: str) -> Category | None:
-        base = self._base
-        lookup = getattr(base, "category_by_name", None)
-        if lookup is not None:
-            return lookup(name)
-        if self._base_category_map is None:
-            self._base_category_map = {
-                c.norm_title: c.node_id for c in base.categories()
-            }
-        node_id = self._base_category_map.get(normalize_title(name))
-        return None if node_id is None else base.category(node_id)
-
-    def titles(self) -> Iterator[str]:
-        return (a.norm_title for a in self.articles())
 
     # ------------------------------------------------------------------
     # Typed adjacency
@@ -410,13 +378,18 @@ class OverlayGraphView:
 
     def _slot(self, slot: str, node_id: int, base_set) -> frozenset[int]:
         state = self._state
-        if node_id in state.removed:
+        return self._merged(
+            node_id, base_set,
+            state._add[slot].get(node_id), state._rem[slot].get(node_id),
+        )
+
+    def _merged(self, node_id: int, base_set, add, rem) -> frozenset[int]:
+        """``(base_set - rem) | add``; empty for a removed node."""
+        if node_id in self._state.removed:
             return self._EMPTY
-        add = state._add[slot].get(node_id)
-        rem = state._rem[slot].get(node_id)
         if not add and not rem:
-            return frozenset(base_set) if not isinstance(base_set, frozenset) \
-                else base_set
+            return base_set if isinstance(base_set, frozenset) \
+                else frozenset(base_set)
         merged = set(base_set)
         if rem:
             merged -= rem
@@ -424,38 +397,25 @@ class OverlayGraphView:
             merged |= add
         return frozenset(merged)
 
-    def _base_has(self, node_id: int) -> bool:
-        return node_id in self._base
+    # Every base answers an id it does not hold with the empty set.
 
     def links_from(self, article_id: int) -> frozenset[int]:
-        base = self._base.links_from(article_id) if self._base_has(article_id) \
-            else self._EMPTY
-        return self._slot("links_out", article_id, base)
+        return self._slot("links_out", article_id, self._base.links_from(article_id))
 
     def links_to(self, article_id: int) -> frozenset[int]:
-        base = self._base.links_to(article_id) if self._base_has(article_id) \
-            else self._EMPTY
-        return self._slot("links_in", article_id, base)
+        return self._slot("links_in", article_id, self._base.links_to(article_id))
 
     def categories_of(self, article_id: int) -> frozenset[int]:
-        base = self._base.categories_of(article_id) if self._base_has(article_id) \
-            else self._EMPTY
-        return self._slot("belongs", article_id, base)
+        return self._slot("belongs", article_id, self._base.categories_of(article_id))
 
     def members_of(self, category_id: int) -> frozenset[int]:
-        base = self._base.members_of(category_id) if self._base_has(category_id) \
-            else self._EMPTY
-        return self._slot("members", category_id, base)
+        return self._slot("members", category_id, self._base.members_of(category_id))
 
     def parents_of(self, category_id: int) -> frozenset[int]:
-        base = self._base.parents_of(category_id) if self._base_has(category_id) \
-            else self._EMPTY
-        return self._slot("parents", category_id, base)
+        return self._slot("parents", category_id, self._base.parents_of(category_id))
 
     def children_of(self, category_id: int) -> frozenset[int]:
-        base = self._base.children_of(category_id) if self._base_has(category_id) \
-            else self._EMPTY
-        return self._slot("children", category_id, base)
+        return self._slot("children", category_id, self._base.children_of(category_id))
 
     def redirect_target(self, article_id: int) -> int | None:
         state = self._state
@@ -465,26 +425,15 @@ class OverlayGraphView:
             return state.redirect_add[article_id]
         if article_id in state.redirect_rem:
             return None
-        if article_id not in self._base:
-            return None
         return self._base.redirect_target(article_id)
 
     def redirects_of(self, article_id: int) -> frozenset[int]:
         state = self._state
-        if article_id in state.removed:
-            return self._EMPTY
-        base = self._base.redirects_of(article_id) \
-            if article_id in self._base else self._EMPTY
-        add = state.redirects_of_add.get(article_id)
-        rem = state.redirects_of_rem.get(article_id)
-        if not add and not rem:
-            return base
-        merged = set(base)
-        if rem:
-            merged -= rem
-        if add:
-            merged |= add
-        return frozenset(merged)
+        return self._merged(
+            article_id, self._base.redirects_of(article_id),
+            state.redirects_of_add.get(article_id),
+            state.redirects_of_rem.get(article_id),
+        )
 
     def resolve(self, article_id: int) -> int:
         seen = {article_id}
@@ -512,12 +461,6 @@ class OverlayGraphView:
         merged |= self.parents_of(node_id)
         merged |= self.children_of(node_id)
         return frozenset(merged)
-
-    def degree(self, node_id: int) -> int:
-        return len(self.undirected_neighbors(node_id))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.undirected_neighbors(u)
 
     # ------------------------------------------------------------------
     # Subgraphs
@@ -584,11 +527,7 @@ class OverlayGraphView:
 # ----------------------------------------------------------------------
 
 def apply_deltas(
-    base,
-    state: OverlayState,
-    deltas: Iterable[Delta],
-    *,
-    validate: bool = True,
+    base, state: OverlayState, deltas: Iterable[Delta]
 ) -> tuple[OverlayState, list[Delta]]:
     """Copy-on-write batch apply; returns ``(new_state, applied)``.
 
@@ -603,8 +542,7 @@ def apply_deltas(
     for delta in deltas:
         if delta.seq <= new_state.last_seq:
             continue
-        if validate:
-            validate_delta(view, delta)
+        validate_delta(view, delta)
         new_state.apply_delta(view, delta)
         applied.append(delta)
     return new_state, applied

@@ -40,7 +40,7 @@ from pathlib import Path
 
 from repro.blobio import map_blob, pack_blob, unpack_blob
 from repro.errors import AnalysisError, UnknownNodeError
-from repro.wiki.schema import Article, Category
+from repro.wiki.schema import Article, Category, normalize_title
 
 __all__ = ["CompactGraphView"]
 
@@ -64,7 +64,7 @@ class CompactGraphView:
     __slots__ = (
         "_node_ids", "_index_of", "_flags", "_titles",
         "_adj_offsets", "_adj_targets", "_adj_kinds",
-        "_redirect_to", "_redirects_of", "_article_ids", "_decoded",
+        "_redirect_to", "_redirects_of", "_article_ids", "_decoded", "_by_title",
         "_num_articles", "_num_categories", "_num_edges", "_handle",
     )
 
@@ -108,6 +108,7 @@ class CompactGraphView:
         # heap toward a full materialised adjacency — hot (early-touched)
         # nodes stay cached, the cold tail pays the decode.
         self._decoded: dict[int, tuple[frozenset, ...]] = {}
+        self._by_title: dict[str, int] | None = None  # see article_by_title
         self._num_articles = len(self._article_ids)
         self._num_categories = len(node_ids) - self._num_articles
         if num_edges is None:
@@ -266,6 +267,14 @@ class CompactGraphView:
 
     def title(self, node_id: int) -> str:
         return self._titles[self._index(node_id)]
+
+    def article_by_title(self, title: str) -> Article | None:
+        """Case-insensitive title lookup (the live-update path validates
+        and links against it); the map is built on first use, once."""
+        if self._by_title is None:
+            self._by_title = {a.norm_title: a.node_id for a in self.articles()}
+        node_id = self._by_title.get(normalize_title(title))
+        return None if node_id is None else self.article(node_id)
 
     def node_ids(self) -> Iterator[int]:
         return iter(self._node_ids)

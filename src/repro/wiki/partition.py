@@ -196,9 +196,15 @@ def partition_graph(graph: WikiGraph, num_shards: int) -> list[GraphPartition]:
 
     Every edge is placed into the shard(s) of both endpoints; node records
     referenced by a shard's edges are copied in as halo entries.  With
-    ``num_shards=1`` the single partition is the whole graph and the halo
-    is empty.
+    ``num_shards=1`` the single partition is ``graph`` itself, not a
+    copy, and the halo is empty.
     """
+    if num_shards == 1:
+        return [GraphPartition(
+            shard_id=0, num_shards=1, graph=graph,
+            core_articles=frozenset(a.node_id for a in graph.articles()),
+            core_categories=frozenset(c.node_id for c in graph.categories()),
+        )]
     owner = assign_shards(graph, num_shards)
     shard_articles: list[dict[int, Article]] = [{} for _ in range(num_shards)]
     shard_categories: list[dict[int, Category]] = [{} for _ in range(num_shards)]

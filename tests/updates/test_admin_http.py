@@ -126,6 +126,27 @@ class TestApplyDelta:
                [r.doc_id for r in expected.results]
         reference.close()
 
+    def test_replayed_batch_answers_the_same_shape(self, stack):
+        """A client that reads ``summary["stale_workers"]`` on a retry
+        must not get a KeyError: applied and all-skipped 200s carry the
+        same keys (docs/http_api.md)."""
+        handle, _, _ = stack
+        body = {"deltas": _payloads(), "generation": 1}
+        status, first = handle.request("POST", "/admin/apply_delta", body)
+        assert status == 200 and first["applied"] == 3
+        status, replay = handle.request("POST", "/admin/apply_delta", body)
+        assert status == 200
+        assert replay["applied"] == 0 and replay["skipped"] == 3
+        assert set(replay) == set(first)
+        assert replay["ball_size"] == 0
+        assert replay["stale_workers"] == []
+        assert replay["invalidated"] == {"expansion": 0, "link": 0}
+        stages = first["stages_ms"]
+        assert set(stages) == {
+            "validate", "log", "linker", "ball", "publish", "evict", "fanout",
+        }
+        assert all(ms >= 0 for ms in stages.values())
+
     def test_stale_generation_is_409_with_expected_and_got(self, stack):
         handle, _, _ = stack
         status, body = handle.request(
@@ -179,3 +200,22 @@ class TestApplyDelta:
         assert "repro_snapshot_generation 1" in text
         assert "repro_delta_seq 3" in text
         assert 'repro_delta_invalidations_total{cache="link"}' in text
+        for stage in ("validate", "log", "linker", "ball", "publish",
+                      "evict", "fanout"):
+            assert f'repro_apply_stage_seconds_count{{stage="{stage}"}} 1' \
+                in text, stage
+
+    def test_apply_stage_family_is_registered_before_the_first_write(
+        self, stack
+    ):
+        from repro.obs import parse_prometheus_text
+
+        handle, _, _ = stack
+        conn = http.client.HTTPConnection("127.0.0.1", handle.port, timeout=60)
+        try:
+            conn.request("GET", "/metrics")
+            text = conn.getresponse().read().decode()
+        finally:
+            conn.close()
+        parse_prometheus_text(text)  # a family with no series still parses
+        assert "# TYPE repro_apply_stage_seconds histogram" in text

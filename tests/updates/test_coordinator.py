@@ -185,6 +185,21 @@ class TestIdempotencyAndStaleness:
                 router.expand_query(query, top_k=10), before, label=query
             )
 
+    def test_replay_summary_has_the_applied_summary_shape(
+        self, small_benchmark, router
+    ):
+        """Every 200 of ``/admin/apply_delta`` carries the documented
+        keys: a retried (all-skipped) batch used to drop ``ball_size``
+        and ``stale_workers``."""
+        payloads = [d.to_payload() for d in _batch(small_benchmark)]
+        coordinator = UpdateCoordinator(router)
+        first = coordinator.apply(payloads)
+        replay = coordinator.apply(payloads)
+        assert set(replay) == set(first)
+        assert replay["ball_size"] == 0
+        assert replay["stale_workers"] == []
+        assert set(replay["stages_ms"]) == {"validate"}
+
     def test_stale_generation_is_rejected_without_side_effects(
         self, small_benchmark, router
     ):

@@ -96,6 +96,21 @@ class TestShardWorkerUpdater:
             updater.apply_payloads(_payloads(anchor), generation=3)
 
 
+    def test_replay_summary_has_the_applied_summary_shape(
+        self, small_benchmark, sharded1
+    ):
+        worker = make_shard_worker(sharded1, 0)
+        updater = ShardWorkerUpdater(worker, sharded1.compact_graph)
+        first = updater.apply_payloads(_payloads(_anchor(small_benchmark)))
+        replay = updater.apply_payloads(_payloads(_anchor(small_benchmark)))
+        assert set(replay) == set(first) == {
+            "generation", "applied", "last_seq", "ball_size", "invalidated",
+        }
+        assert first["ball_size"] > 1
+        assert (replay["applied"], replay["ball_size"]) == (0, 0)
+        assert replay["last_seq"] == first["last_seq"] == 2
+
+
 def _wire_call(port, frame):
     with socketlib.create_connection(("127.0.0.1", port), timeout=30) as sock:
         sock.settimeout(30)

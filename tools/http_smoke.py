@@ -17,8 +17,9 @@ End to end, as a real deployment would run it:
 6. render one ``repro top --once`` dashboard frame against the live
    server (the scriptable mode operators pipe to files);
 7. exercise the live-update plane: ``POST /admin/apply_delta`` with a
-   small island batch, assert ``delta_seq`` advances and the new page
-   answers ``/expand``, then ``POST /admin/compact`` and assert the
+   small island batch, assert ``delta_seq`` advances, the summary names
+   the write's stages (``stages_ms``, ``repro_apply_stage_seconds``) and
+   the new page answers ``/expand``, then ``POST /admin/compact`` and assert the
    generation hot-swaps (``snapshot_generation`` advances, ``delta_seq``
    resets) with answers unchanged across the swap;
 8. assert the recency set was persisted on shutdown
@@ -187,6 +188,11 @@ def check_top_once(base: str, failures: list[str]) -> None:
     print("top: one-shot dashboard frame rendered")
 
 
+APPLY_STAGES = (
+    "validate", "log", "linker", "ball", "publish", "evict", "fanout",
+)
+
+
 def check_live_updates(
     base: str, query: str, ref_results: list, failures: list[str],
     *, id_base: int, tag: str,
@@ -224,6 +230,21 @@ def check_live_updates(
         failures.append(
             f"{tag}: an island delta must evict no expansions: {summary}"
         )
+    # The write names its milliseconds: stages_ms in the response, and
+    # one repro_apply_stage_seconds{stage} observation per stage.
+    stages = summary.get("stages_ms")
+    if not isinstance(stages, dict) or set(stages) != set(APPLY_STAGES):
+        failures.append(f"{tag}: apply summary stages_ms wrong: {summary}")
+    from repro.obs import parse_prometheus_text
+
+    samples = parse_prometheus_text(get_text(f"{base}/metrics")[0])["samples"]
+    for stage in APPLY_STAGES:
+        key = ("repro_apply_stage_seconds_count", frozenset({("stage", stage)}))
+        if samples.get(key, 0) < 1:
+            failures.append(
+                f"{tag}: repro_apply_stage_seconds{{stage={stage}}} not "
+                "observed after an applied batch"
+            )
     health = get_json(f"{base}/healthz")
     if health.get("delta_seq") != 3:
         failures.append(f"{tag}: delta_seq not 3 after apply: {health}")
