@@ -24,19 +24,21 @@ a :class:`~repro.service.artifacts.ShardedSnapshot`:
   score-preserving k-way merge.  Scores and top-k order are bit-identical
   to a single engine over the whole collection.  The summed counts are
   functions of the index segments alone, which no delta or compaction
-  touches, so the router keeps them (:meth:`ShardRouter.background_exchange`)
-  and only *probes* the segments for leaves it has not seen: a query whose
+  touches, so the router keeps them and only *probes* the segments for
+  leaves it has not seen (:meth:`ShardRouter.rank_plan`): a query whose
   leaves are all known ranks in one fan-out round instead of two.
 
-Thread pool: shard fan-out (batch expansion pre-fill, both ranking phases)
-runs on one pool sized to the shard count.
-
-The asyncio front end (:mod:`repro.service.async_router` /
-:mod:`repro.service.http`) serves the same results over HTTP by driving
-the building blocks exposed here (``link_text`` / ``owner_shard`` /
-``build_query`` / ``global_background``) through per-shard adapters.
-See ``docs/architecture.md`` for the layer map and
-``docs/shard_protocol.md`` for the five shard calls as a wire protocol.
+That pipeline is written once, as a **sans-IO plan**:
+:meth:`ShardRouter.query_plan` is a generator that *yields* the shard
+calls it needs, one fan-out per step, and is sent their results; it
+records the router-side spans (``link``, ``merge``), observes the
+request and assembles the responses, and never touches a worker.  Two
+thin drivers execute it: :meth:`ShardRouter._run` on the in-process
+workers (one call direct, a fan-out over a pool sized to the shard
+count) and :class:`~repro.service.async_router.AsyncShardRouter` over
+per-shard adapters with ``asyncio.gather`` — the same five
+:class:`ExpansionService` calls either way (``docs/shard_protocol.md``;
+``docs/architecture.md`` has the layer map).
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,7 +56,6 @@ from repro.linking.linker import LinkResult
 from repro.obs import trace as tracing
 from repro.obs.serving import ServingMetrics
 from repro.retrieval.engine import (
-    SearchResult,
     background_from_counts,
     collect_leaves,
     merge_ranked_lists,
@@ -62,6 +64,7 @@ from repro.retrieval.qlang import CombineNode, QueryNode, TermNode, build_phrase
 from repro.service.artifacts import ShardedSnapshot
 from repro.service.cache import CacheStats, LRUCache
 from repro.service.server import ExpansionService, ServiceResponse, ServiceStats
+from repro.service.wire import SearchRequest
 
 __all__ = ["ShardRouter", "RouterStats"]
 
@@ -215,10 +218,12 @@ class ShardRouter:
         ]
         self._tokenizer = self._workers[0].engine.tokenizer
         self._link_cache = LRUCache(link_cache_size)
-        # leaf -> collection count summed over every segment.  Valid for
-        # as long as the engines are: deltas and compaction only replace
-        # graph artefacts (see swap_snapshot).
+        # leaf -> collection count summed over every segment, and the
+        # token total beside it.  Valid for as long as the engines are:
+        # deltas and compaction only replace graph artefacts (see
+        # swap_snapshot).
         self._collection_stats = LRUCache(_COLLECTION_STATS_ENTRIES)
+        self._total_tokens = sum(w.engine.index.total_tokens for w in self._workers)
         self._pool = ThreadPoolExecutor(
             max_workers=len(self._workers), thread_name_prefix="shard-router"
         )
@@ -284,42 +289,9 @@ class ShardRouter:
     def expand_query(self, text: str, top_k: int = 10) -> ServiceResponse:
         """Answer one query: link at the router, expand on the owning
         shard, rank across all segments."""
-        started = time.perf_counter()
-        self._account(requests=1)
-        trace = tracing.current_trace() or tracing.Trace()
-        error = False
-        try:
-            with tracing.start_trace(trace):
-                normalized = self.normalize(text)
-                with tracing.span("link") as span:
-                    link, link_cached = self._link(normalized)
-                    span["cached"] = link_cached
-                worker = self._workers[self.owner_shard(link.article_ids)]
-                expansion, expansion_cached = worker.expand_seeds(link.article_ids)
-                results = self._rank(normalized, expansion, top_k)
-        except Exception:
-            error = True
-            self._account(errors=1)
-            raise
-        finally:
-            self.metrics.observe_request(
-                "expand_query",
-                trace,
-                time.perf_counter() - started,
-                error=error,
-            )
-        self._account(queries=1, unlinked=0 if link.article_ids else 1)
-        return ServiceResponse(
-            query=text,
-            normalized_query=normalized,
-            link=link,
-            expansion=expansion,
-            results=results,
-            link_cached=link_cached,
-            expansion_cached=expansion_cached,
-            latency_ms=(time.perf_counter() - started) * 1000.0,
-            trace=trace,
-        )
+        with self.accounting(1) as served:
+            served += self._run(self.query_plan("expand_query", [text], top_k))
+        return served[0]
 
     def batch_expand(self, texts: list[str], top_k: int = 10) -> list[ServiceResponse]:
         """Answer a batch, fanning expansion work out across shards.
@@ -330,80 +302,9 @@ class ShardRouter:
         """
         if not texts:
             return []
-        batch_started = time.perf_counter()
-        self._account(requests=len(texts))
-        trace = tracing.current_trace() or tracing.Trace()
-        trace.annotate(batch=len(texts))
-        error = False
-        try:
-            with tracing.start_trace(trace):
-                norm_by_text = {
-                    text: self.normalize(text) for text in dict.fromkeys(texts)
-                }
-                normalized = [norm_by_text[text] for text in texts]
-                unique_norms = list(dict.fromkeys(normalized))
-
-                with tracing.span("link", queries=len(unique_norms)):
-                    links: dict[str, tuple[LinkResult, bool]] = {
-                        norm: self._link(norm) for norm in unique_norms
-                    }
-
-                by_shard: dict[int, set[frozenset[int]]] = {}
-                for norm in unique_norms:
-                    seeds = links[norm][0].article_ids
-                    by_shard.setdefault(self.owner_shard(seeds), set()).add(seeds)
-                prefills = list(self._pool.map(
-                    tracing.carry_context(
-                        lambda item: self._workers[item[0]].prefill_expansions(item[1])
-                    ),
-                    by_shard.items(),
-                ))
-                computed_here: set[frozenset[int]] = \
-                    set().union(*prefills) if prefills else set()
-
-                by_norm: dict[str, ServiceResponse] = {}
-                for text, norm in zip(texts, normalized):
-                    if norm in by_norm:
-                        continue
-                    started = time.perf_counter()
-                    link, link_cached = links[norm]
-                    worker = self._workers[self.owner_shard(link.article_ids)]
-                    expansion, expansion_cached = worker.expand_seeds(
-                        link.article_ids
-                    )
-                    # The batch itself paid for pre-filled expansions: report cold.
-                    if link.article_ids in computed_here:
-                        expansion_cached = False
-                    results = self._rank(norm, expansion, top_k)
-                    by_norm[norm] = ServiceResponse(
-                        query=text,
-                        normalized_query=norm,
-                        link=link,
-                        expansion=expansion,
-                        results=results,
-                        link_cached=link_cached,
-                        expansion_cached=expansion_cached,
-                        latency_ms=(time.perf_counter() - started) * 1000.0,
-                    )
-        except Exception:
-            error = True
-            self._account(errors=len(texts))
-            raise
-        finally:
-            self.metrics.observe_request(
-                "batch_expand",
-                trace,
-                time.perf_counter() - batch_started,
-                error=error,
-            )
-        self._account(
-            batches=1,
-            queries=len(normalized),
-            unlinked=sum(
-                1 for norm in normalized if not by_norm[norm].link.article_ids
-            ),
-        )
-        return [by_norm[norm] for norm in normalized]
+        with self.accounting(len(texts), batches=1) as served:
+            served += self._run(self.query_plan("batch_expand", texts, top_k))
+        return served
 
     def stats(self) -> RouterStats:
         with self._lock:
@@ -517,12 +418,188 @@ class ShardRouter:
         self._pool.shutdown(wait=True)
 
     # ------------------------------------------------------------------
-    # Building blocks (shared with the asyncio front end)
+    # The query plan (sans-IO; executed by _run and by AsyncShardRouter)
+    # ------------------------------------------------------------------
+
+    def query_plan(self, path: str, texts: list[str], top_k: int):
+        """One request — a query, or a batch — as a sans-IO generator.
+
+        Yields steps ``(call, [(shard, argument), ...])``: each item is
+        one of the five shard calls on that shard's worker (``shard`` is
+        None for the router's own ``link_text``), each step is one
+        fan-out, and the driver sends back the results in item order —
+        or throws the failure in, so the request is observed as an error.
+        Returns one :class:`ServiceResponse` per input text; texts that
+        normalise identically share one.  The steps, over the distinct
+        normalised texts:
+
+        1. ``link_text`` each at the router (the ``link`` span);
+        2. ``prefill_expansions`` once per owner shard with its distinct
+           seed sets — ``batch_expand`` only; what this step computed is
+           reported as not cached, because the batch paid for it;
+        3. ``expand_seeds`` on the shard owning each seed set;
+        4. the steps of :meth:`rank_plan` for what there is to rank.
+
+        The request runs in the ambient trace (or a new one) and is
+        observed once, as ``path``; batch members carry no trace.
+        """
+        started = time.perf_counter()
+        batch = path == "batch_expand"
+        trace = tracing.current_trace() or tracing.Trace()
+        error = False
+        try:
+            with tracing.start_trace(trace):
+                if batch:
+                    trace.annotate(batch=len(texts))
+                normalized = {
+                    text: self.normalize(text) for text in dict.fromkeys(texts)
+                }
+                queries: dict[str, str] = {}  # distinct query -> its first text
+                for text, query in normalized.items():
+                    queries.setdefault(query, text)
+
+                with tracing.span("link") as span:
+                    links = yield "link_text", [(None, query) for query in queries]
+                    if batch:
+                        span["queries"] = len(queries)
+                    else:
+                        span["cached"] = links[0][1]
+                seed_sets = [link.article_ids for link, _ in links]
+                owners = [self.owner_shard(seeds) for seeds in seed_sets]
+                computed_here: set[frozenset[int]] = set()
+                if batch:
+                    by_owner: dict[int, set[frozenset[int]]] = {}
+                    for owner, seeds in zip(owners, seed_sets):
+                        by_owner.setdefault(owner, set()).add(seeds)
+                    computed_here.update(*(
+                        yield "prefill_expansions", list(by_owner.items())
+                    ))
+                expansions = yield "expand_seeds", list(zip(owners, seed_sets))
+                roots = [
+                    self.build_query(query, expansion)
+                    for query, (expansion, _) in zip(queries, expansions)
+                ]
+                ranked = iter((yield from self.rank_plan(
+                    [root for root in roots if root is not None], top_k
+                )))
+                results = [() if root is None else next(ranked) for root in roots]
+        except Exception:
+            error = True
+            raise
+        finally:
+            self.metrics.observe_request(
+                path, trace, time.perf_counter() - started, error=error
+            )
+        latency_ms = (time.perf_counter() - started) * 1000.0
+        by_query = {
+            query: ServiceResponse(
+                query=queries[query],
+                normalized_query=query,
+                link=link,
+                expansion=expansion,
+                results=result,
+                link_cached=link_cached,
+                expansion_cached=(
+                    expansion_cached and link.article_ids not in computed_here
+                ),
+                latency_ms=latency_ms,
+                trace=None if batch else trace,
+            )
+            for query, (link, link_cached), (expansion, expansion_cached), result
+            in zip(queries, links, expansions, results)
+        }
+        return [by_query[normalized[text]] for text in texts]
+
+    def rank_plan(self, roots: list[QueryNode], top_k: int):
+        """The rank steps: each root ranked over every segment under
+        exact global statistics; returns one merged top-k per root.
+
+        1. ``leaf_collection_counts`` on every shard for each root with
+           leaves whose global count is not cached, carrying only those
+           leaves (counts are per leaf, so a sub-query probes the same
+           numbers as the full exchange) — usually none, and no step.
+        2. The sums are cached and become the global background, keyed
+           in ``collect_leaves(root)`` order and equal to
+           :meth:`global_background` over the full exchange (the
+           ``merge`` span of the background phase; ``cached``: no probe).
+        3. ``search_with_background`` on every shard for each root, then
+           the k-way merge that keeps scores and global tie-breaks (the
+           ``merge`` span of the topk phase).
+
+        Cached counts are captured in the same pass that finds the
+        missing leaves and never re-read, so an LRU eviction between
+        probe and use cannot lose a leaf.
+        """
+        shards = range(self.num_shards)
+        stats = self._collection_stats
+        totals = [
+            {leaf: stats.get(leaf) for leaf in collect_leaves(root)}
+            for root in roots
+        ]
+        missing = [
+            [leaf for leaf, count in known.items() if count is None]
+            for known in totals
+        ]
+        probes = [
+            (shard, CombineNode(tuple(leaves)))
+            for leaves in missing if leaves for shard in shards
+        ]
+        counts = iter((yield "leaf_collection_counts", probes) if probes else ())
+        requests = []
+        for root, known, leaves in zip(roots, totals, missing):
+            per_segment = [next(counts) for _ in shards] if leaves else ()
+            with tracing.span(
+                "merge", phase="background", cached=not leaves,
+                probed=len(leaves),
+            ):
+                for leaf in leaves:
+                    known[leaf] = sum(segment[leaf] for segment in per_segment)
+                    stats.put(leaf, known[leaf])
+                background = background_from_counts(known, self._total_tokens)
+            requests.append(SearchRequest(root, background, top_k))
+        ranked_lists = iter((yield "search_with_background", [
+            (shard, request) for request in requests for shard in shards
+        ]) if requests else ())
+        merged = []
+        for _ in requests:
+            per_segment = [next(ranked_lists) for _ in shards]
+            with tracing.span("merge", phase="topk"):
+                merged.append(tuple(merge_ranked_lists(per_segment, top_k)))
+        return merged
+
+    @contextmanager
+    def accounting(self, requests: int, *, batches: int = 0):
+        """Offered-load accounting around one request of ``requests``
+        texts (the async front end included): counted as offered before
+        any work happens, then — the caller having put the responses
+        into the yielded list — as served, or as errors if it raised."""
+        with self._lock:
+            self._requests += requests
+        served: list[ServiceResponse] = []
+        try:
+            yield served
+        except Exception:
+            with self._lock:
+                self._errors += requests
+            raise
+        with self._lock:
+            self._batches += batches
+            self._queries += len(served)
+            self._unlinked += sum(1 for r in served if not r.linked)
+
+    # ------------------------------------------------------------------
+    # Building blocks (the plan's, and the bench ladder's)
     # ------------------------------------------------------------------
 
     def link_text(self, normalized: str) -> tuple[LinkResult, bool]:
         """Entity-link one normalised query through the router link cache."""
-        return self._link(normalized)
+        cached = self._link_cache.get(normalized)
+        if cached is not None:
+            return cached, True
+        epoch = self._link_cache.epoch  # before the linker read
+        result = self._linker.link(normalized)
+        self._link_cache.put(normalized, result, epoch=epoch)
+        return result, False
 
     def build_query(
         self, normalized: str, expansion: ExpansionResult
@@ -531,8 +608,7 @@ class ShardRouter:
 
         Expanded queries rank the seed titles plus the expansion titles
         as exact phrases; unlinked queries fall back to the raw keyword
-        bag.  Shared by the blocking and the asyncio ranking paths so
-        both score the exact same AST.
+        bag.
         """
         if expansion.seed_articles:
             phrases = expansion.all_titles(self._view)
@@ -546,7 +622,7 @@ class ShardRouter:
         """Global background model from every segment's local counts.
 
         ``per_segment_counts`` holds one ``leaf -> count`` mapping per
-        shard (phase 1 of the scatter-gather); the sums plus the global
+        shard (the full statistics exchange); the sums plus the global
         token total reproduce the monolithic collection statistics
         exactly, which is what keeps sharded scores bit-identical.
         """
@@ -554,123 +630,39 @@ class ShardRouter:
         for counts in per_segment_counts:
             for leaf, count in counts.items():
                 totals[leaf] += count
-        return background_from_counts(totals, self._total_tokens())
-
-    def background_exchange(self, root: QueryNode):
-        """The statistics exchange of one rank, as a two-step generator.
-
-        The blocking and the asyncio rank paths differ only in how they
-        reach the shards, so the exchange itself lives here and the
-        caller does the fan-out in between::
-
-            exchange = router.background_exchange(root)
-            probe = next(exchange)        # None: every leaf is known
-            background = exchange.send(per_shard_counts_of(probe))
-
-        ``probe`` is a ``#combine`` of exactly the leaves whose global
-        count is not cached; the caller sends back one
-        ``leaf_collection_counts(probe)`` mapping per shard (anything
-        when ``probe`` is None).  Counts are per leaf and independent of
-        the rest of the tree, so probing a sub-query yields the same
-        numbers as the full exchange — which is simply the case where
-        every leaf is missing.  The returned background is keyed in
-        ``collect_leaves(root)`` order and equals
-        :meth:`global_background` over the full exchange.
-
-        Cached counts are captured in the same pass that finds the
-        missing leaves and never re-read, so an LRU eviction between
-        probe and use cannot lose a leaf.  Records the ``merge`` span of
-        the background phase (``cached``: no probe was needed).
-        """
-        stats = self._collection_stats
-        totals = {leaf: stats.get(leaf) for leaf in collect_leaves(root)}
-        missing = [leaf for leaf, count in totals.items() if count is None]
-        per_segment_counts = yield (
-            CombineNode(tuple(missing)) if missing else None
-        )
-        with tracing.span(
-            "merge", phase="background", cached=not missing,
-            probed=len(missing),
-        ):
-            for leaf in missing:
-                count = sum(counts[leaf] for counts in per_segment_counts)
-                stats.put(leaf, count)
-                totals[leaf] = count
-            background = background_from_counts(totals, self._total_tokens())
-        yield background
+        return background_from_counts(totals, self._total_tokens)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
 
-    def _account(
-        self, *, requests: int = 0, queries: int = 0, batches: int = 0,
-        unlinked: int = 0, errors: int = 0,
-    ) -> None:
-        """Bump serving counters under the lock (async front end included)."""
-        with self._lock:
-            self._requests += requests
-            self._queries += queries
-            self._batches += batches
-            self._unlinked += unlinked
-            self._errors += errors
+    def _run(self, plan):
+        """Execute a plan against the in-process workers, throwing a
+        failed step into it so its open spans close."""
+        resume, value = plan.send, None
+        try:
+            while True:
+                call, items = resume(value)
+                try:
+                    resume, value = plan.send, self._execute(call, items)
+                except BaseException as exc:  # the plan re-raises it
+                    resume, value = plan.throw, exc
+        except StopIteration as done:
+            return done.value
 
-    def _total_tokens(self) -> int:
-        return sum(worker.engine.index.total_tokens for worker in self._workers)
+    def _execute(self, call: str, items: list) -> list:
+        """One step: a single call (and the router's own linking) runs
+        here, a fan-out on the pool — trace context is carried onto its
+        threads explicitly."""
 
-    def _link(self, normalized: str) -> tuple[LinkResult, bool]:
-        cached = self._link_cache.get(normalized)
-        if cached is not None:
-            return cached, True
-        epoch = self._link_cache.epoch  # before the linker read
-        result = self._linker.link(normalized)
-        self._link_cache.put(normalized, result, epoch=epoch)
-        return result, False
+        def one(item):
+            shard, argument = item
+            target = self if shard is None else self._workers[shard]
+            return getattr(target, call)(argument)
 
-    def _rank(
-        self, normalized: str, expansion: ExpansionResult, top_k: int
-    ) -> tuple[SearchResult, ...]:
-        root = self.build_query(normalized, expansion)
-        if root is None:
-            return ()
-        return tuple(self._scatter_search(root, top_k))
-
-    def _scatter_search(self, root: QueryNode, top_k: int) -> list[SearchResult]:
-        """Distributed ranking with exact global statistics: probe the
-        segments for the leaves whose counts are not cached, then score.
-
-        Each fan-out call records a shard-labelled ``rank`` span
-        (``phase`` distinguishes the counts and score phases); the two
-        reduce steps record ``merge`` spans.  Trace context is carried
-        onto the pool threads explicitly.
-        """
-
-        def _counts(item):
-            shard_id, engine = item
-            with tracing.span("rank", shard=shard_id, phase="counts"):
-                return engine.leaf_collection_counts(probe)
-
-        def _score(item):
-            shard_id, engine = item
-            with tracing.span("rank", shard=shard_id, phase="score"):
-                return engine.search_with_background(root, background, top_k)
-
-        engines = [worker.engine for worker in self._workers]
-        # Phase 1: local collection counts of the leaves the router has
-        # no global count for yet, in parallel; usually there are none.
-        exchange = self.background_exchange(root)
-        probe = next(exchange)
-        per_segment = () if probe is None else list(self._pool.map(
-            tracing.carry_context(_counts), enumerate(engines)
-        ))
-        background = exchange.send(per_segment)
-        # Phase 2: every segment ranks its own documents under the shared
-        # background; the merge preserves scores and global tie-breaks.
-        ranked_lists = list(self._pool.map(
-            tracing.carry_context(_score), enumerate(engines)
-        ))
-        with tracing.span("merge", phase="topk"):
-            return merge_ranked_lists(ranked_lists, top_k)
+        if len(items) == 1 or items[0][0] is None:
+            return [one(item) for item in items]
+        return list(self._pool.map(tracing.carry_context(one), items))
 
     def __repr__(self) -> str:
         stats = self.stats()

@@ -40,10 +40,11 @@ from repro.linking.linker import EntityLinker, LinkResult
 from repro.obs import trace as tracing
 from repro.retrieval.compact import CompactIndex
 from repro.retrieval.engine import SearchEngine, SearchResult
-from repro.retrieval.qlang import CombineNode, TermNode
+from repro.retrieval.qlang import CombineNode, QueryNode, TermNode
 from repro.retrieval.scoring import DirichletSmoothing
 from repro.service.artifacts import Snapshot
 from repro.service.cache import CacheStats, LRUCache
+from repro.service.wire import SearchRequest
 from repro.wiki.compact import CompactGraphView
 
 __all__ = ["ExpansionService", "ServiceResponse", "ServiceStats"]
@@ -316,9 +317,7 @@ class ExpansionService:
     ) -> ServiceResponse:
         started = time.perf_counter()
         normalized = self.normalize(text)
-        with tracing.span("link", shard=self._shard_id) as span:
-            link, link_cached = self._link(normalized)
-            span["cached"] = link_cached
+        link, link_cached = self.link_text(normalized)
         expansion, expansion_cached = self._expand_seeds(link.article_ids)
         with tracing.span("rank", shard=self._shard_id):
             results = self._rank(normalized, expansion, top_k)
@@ -483,20 +482,42 @@ class ExpansionService:
         return count
 
     # ------------------------------------------------------------------
-    # Shard-worker API (used by the router; also the batch building block)
+    # The shard protocol (docs/shard_protocol.md): the five calls a router
+    # makes on a worker — direct, via an adapter or over the wire.
     # ------------------------------------------------------------------
 
     def link_text(self, normalized: str) -> tuple[LinkResult, bool]:
         """Entity-link one normalised query through the link cache."""
-        return self._link(normalized)
+        with tracing.span("link", shard=self._shard_id) as span:
+            link, cached = self._link(normalized)
+            span["cached"] = cached
+        return link, cached
 
     def expand_seeds(self, seeds: frozenset[int]) -> tuple[ExpansionResult, bool]:
         """Expansion for one entity set (cached, in-flight deduplicated).
 
         Returns ``(result, was_cached)``.  This is the unit of work a
-        router fans out to the shard owning ``seeds``.
+        router fans out to the shard owning ``seeds``, so an answer counts
+        as one query served here (``expand_query`` counts its own).
         """
-        return self._expand_seeds(frozenset(seeds))
+        answer = self._expand_seeds(frozenset(seeds))
+        with self._lock:
+            self._queries += 1
+        return answer
+
+    def leaf_collection_counts(self, root: QueryNode) -> dict:
+        """This segment's collection count of every leaf of ``root``
+        (the probe phase of a distributed rank)."""
+        with tracing.span("rank", shard=self._shard_id, phase="counts"):
+            return self._engine.leaf_collection_counts(root)
+
+    def search_with_background(self, request: SearchRequest) -> list[SearchResult]:
+        """This segment's top-k under the global background model (the
+        score phase of a distributed rank)."""
+        with tracing.span("rank", shard=self._shard_id, phase="score"):
+            return self._engine.search_with_background(
+                request.root, request.background, request.top_k
+            )
 
     def prefill_expansions(self, seed_sets) -> set[frozenset[int]]:
         """Amortised pre-fill of the expansion cache for a batch.

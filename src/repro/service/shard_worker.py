@@ -283,9 +283,7 @@ class ShardWorkerServer:
     def _dispatch(self, call: str, request: dict) -> dict:
         worker = self._worker
         if call == "link_text":
-            with tracing.span("link", shard=self._shard_id) as span:
-                link, cached = worker.link_text(str(request["normalized"]))
-                span["cached"] = cached
+            link, cached = worker.link_text(str(request["normalized"]))
             return {"link": wire.encode_link_result(link), "cached": cached}
         if call == "expand_seeds":
             seeds = frozenset(int(s) for s in request["seeds"])
@@ -307,17 +305,14 @@ class ShardWorkerServer:
             return {"computed": [sorted(seeds) for seeds in computed]}
         if call == "leaf_collection_counts":
             root = wire.decode_query(request["root"])
-            with tracing.span("rank", shard=self._shard_id, phase="counts"):
-                counts = worker.engine.leaf_collection_counts(root)
+            counts = worker.leaf_collection_counts(root)
             return {"counts": wire.encode_counts(counts)}
         if call == "search_with_background":
-            root = wire.decode_query(request["root"])
-            background = wire.decode_background(request["background"])
-            top_k = int(request["top_k"])
-            with tracing.span("rank", shard=self._shard_id, phase="score"):
-                results = worker.engine.search_with_background(
-                    root, background, top_k
-                )
+            results = worker.search_with_background(wire.SearchRequest(
+                wire.decode_query(request["root"]),
+                wire.decode_background(request["background"]),
+                int(request["top_k"]),
+            ))
             return {"results": wire.encode_results(results)}
         if call == "apply_delta":
             if self._updater is None:

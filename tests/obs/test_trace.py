@@ -165,35 +165,30 @@ class TestThreadCarry:
             assert spans[0].labels == {"req": request_id}
 
 
-class _FakeEngine:
-    def leaf_collection_counts(self, root):
-        return {"root": root}
-
-    def search_with_background(self, root, background, top_k):
-        return []
-
-
 class _FakeWorker:
-    """Just enough of ExpansionService for the adapter's five calls."""
+    """Just enough of ExpansionService for the adapter's calls,
+    instrumented exactly like the real worker: each call records into
+    whatever trace the submitting request carried over, labelled with
+    the worker's own shard id (the adapter has none)."""
 
-    def __init__(self):
-        self.engine = _FakeEngine()
+    def __init__(self, shard_id=0):
+        self._shard_id = shard_id
 
     def expand_seeds(self, seeds):
-        # Instrumented exactly like the real worker: records into
-        # whatever trace the submitting request carried over.
-        with tracing.span("expand", shard=0) as labels:
+        with tracing.span("expand", shard=self._shard_id) as labels:
             labels["cached"] = False
         return (frozenset(seeds), False)
+
+    def leaf_collection_counts(self, root):
+        with tracing.span("rank", shard=self._shard_id, phase="counts"):
+            return {"root": root}
 
 
 class TestExecutorShardAdapterBoundary:
     def test_spans_cross_the_run_in_executor_boundary(self):
         async def scenario():
             with ThreadPoolExecutor(max_workers=2) as executor:
-                adapter = ExecutorShardAdapter(
-                    _FakeWorker(), executor, shard_id=5
-                )
+                adapter = ExecutorShardAdapter(_FakeWorker(5), executor)
                 with start_trace() as trace:
                     await adapter.expand_seeds(frozenset({1}))
                     await adapter.leaf_collection_counts("root")
@@ -201,7 +196,7 @@ class TestExecutorShardAdapterBoundary:
 
         trace = asyncio.run(scenario())
         stages = [(s.stage, s.shard) for s in trace.spans]
-        assert ("expand", 0) in stages
+        assert ("expand", 5) in stages
         assert ("rank", 5) in stages
         rank = next(s for s in trace.spans if s.stage == "rank")
         assert rank.labels == {"phase": "counts"}
@@ -210,7 +205,7 @@ class TestExecutorShardAdapterBoundary:
         async def scenario():
             with ThreadPoolExecutor(max_workers=4) as executor:
                 adapters = [
-                    ExecutorShardAdapter(_FakeWorker(), executor, shard_id=i)
+                    ExecutorShardAdapter(_FakeWorker(i), executor)
                     for i in range(2)
                 ]
 

@@ -168,3 +168,46 @@ class TestAccounting:
         assert stats.errors == 1
         assert stats.queries == 0
         async_router.close()
+
+
+class TestBatchIsObservedOnce:
+    def test_sync_and_async_batch_leave_the_same_metrics(
+        self, small_benchmark, sharded_snapshot, monkeypatch
+    ):
+        """One plan, so one accounting: the batch is observed once, as
+        ``batch_expand``, on both routers (the async one used to add an
+        ``expand_query`` observation and a phantom link hit per member).
+        Compared on the executor adapters; worker spans replay the same
+        over sockets, but ``wire`` adds families of its own."""
+        monkeypatch.delenv("REPRO_SHARD_ADAPTER", raising=False)
+        topics = [topic.keywords for topic in small_benchmark.topics[:3]]
+        batch = topics + [topics[0], "completely unknowable gibberish"]
+        families = (
+            "repro_requests_total", "repro_errors_total",
+            "repro_request_seconds_count", "repro_cache_lookups_total",
+        )
+
+        def samples(router):
+            return sorted(
+                line for line in router.metrics.render().splitlines()
+                if line.startswith(families)
+            )
+
+        sync_router = ShardRouter(sharded_snapshot)
+        sync_router.batch_expand(batch)
+        wrapped = ShardRouter(sharded_snapshot)
+        async_router = AsyncShardRouter(wrapped)
+        run(async_router.batch_expand(batch))
+        async_router.close()
+
+        mine, reference = samples(wrapped), samples(sync_router)
+        assert mine == reference
+        assert 'repro_requests_total{path="batch_expand"} 1' in mine
+        assert 'repro_request_seconds_count{path="batch_expand"} 1' in mine
+        assert not [line for line in mine if 'path="expand_query"' in line]
+        assert not [line for line in mine if 'cache="link"' in line]
+        for name in ("requests_total", "queries", "batches", "unlinked_queries"):
+            assert getattr(wrapped.stats(), name) == \
+                getattr(sync_router.stats(), name), name
+        assert wrapped.stats().queries == len(batch)
+        assert wrapped.stats().unlinked_queries == 1

@@ -1,12 +1,13 @@
 """The fused rank exchange: probe the missing leaves, then score.
 
-``ShardRouter.background_exchange`` keeps ``leaf -> global count`` and
-asks the segments only about leaves it has not seen.  The property below
-pins what makes that safe: for any query tree and any subset of its
-leaves already cached — including a cache so small it evicts between the
-probe and the use — the background equals ``global_background`` over the
-full exchange *key for key, in the same order*, and the merged top-k is
-repr-exact, on the blocking and the asyncio paths (the latter over real
+The rank steps of the query plan (``ShardRouter.rank_plan``) keep
+``leaf -> global count`` and ask the segments only about leaves the
+router has not seen.  The property below pins what makes that safe: for
+any query tree and any subset of its leaves already cached — including a
+cache so small it evicts between the probe and the use — the background
+equals ``global_background`` over the full exchange *key for key, in the
+same order*, and the merged top-k is repr-exact, with the steps executed
+on the in-process workers and through the async router's adapters (real
 worker processes in the ``REPRO_SHARD_ADAPTER=socket`` CI leg).
 """
 
@@ -64,15 +65,57 @@ def _roots(pool):
     )
 
 
-def _fused_background(router, root):
-    """Drive the helper the way both rank paths do, fan-out inline."""
-    engines = [worker.engine for worker in router.workers]
-    exchange = router.background_exchange(root)
-    probe = next(exchange)
-    per_segment = () if probe is None else [
-        engine.leaf_collection_counts(probe) for engine in engines
+def _on_workers(router):
+    """Execute a plan step on the router's in-process workers."""
+    return lambda call, items: [
+        getattr(router.workers[shard], call)(argument)
+        for shard, argument in items
     ]
-    return probe, exchange.send(per_segment)
+
+
+def _on_adapters(async_router):
+    """Execute a plan step through the async router's shard adapters."""
+    async def fan_out(call, items):
+        return await asyncio.gather(*(
+            getattr(async_router.adapters[shard], call)(argument)
+            for shard, argument in items
+        ))
+
+    return lambda call, items: asyncio.run(fan_out(call, items))
+
+
+def _drive(plan, execute, steps=None):
+    """Run a plan to its result, recording each ``(call, items)`` step."""
+    value = None
+    try:
+        while True:
+            call, items = plan.send(value)
+            if steps is not None:
+                steps.append((call, items))
+            value = execute(call, items)
+    except StopIteration as done:
+        return done.value
+
+
+def _fused_background(router, root):
+    """The rank steps of one root on the workers: ``(probe, background)``
+    — the sub-query the shards were asked to count (None: every leaf was
+    known) and the background every shard was asked to score under."""
+    steps = []
+    _drive(router.rank_plan([root], 1), _on_workers(router), steps)
+    shards = list(range(router.num_shards))
+    *probes, (call, scores) = steps
+    assert call == "search_with_background"
+    assert [shard for shard, _ in scores] == shards
+    assert len({id(request) for _, request in scores}) == 1
+    probe = None
+    if probes:
+        ((call, items),) = probes
+        assert call == "leaf_collection_counts"
+        assert [shard for shard, _ in items] == shards
+        probe = items[0][1]
+        assert all(argument == probe for _, argument in items)
+    return probe, scores[0][1].background
 
 
 def _reference(router, root, top_k):
@@ -128,13 +171,11 @@ class TestFusedExchangeProperty:
                 assert _fused_background(router, root) == \
                     (None, expected_background)
 
-            fresh_cache()
-            ranked = router._scatter_search(root, top_k)
-            assert [repr(r) for r in ranked] == [repr(r) for r in expected_ranked]
-
-            fresh_cache()
-            ranked = asyncio.run(async_router._scatter_search(root, top_k))
-            assert [repr(r) for r in ranked] == [repr(r) for r in expected_ranked]
+            for execute in (_on_workers(router), _on_adapters(async_router)):
+                fresh_cache()
+                (ranked,) = _drive(router.rank_plan([root], top_k), execute)
+                assert [repr(r) for r in ranked] == \
+                    [repr(r) for r in expected_ranked]
         finally:
             router._collection_stats = original
 
@@ -153,8 +194,8 @@ class TestExchangeBookkeeping:
         router.clear_caches()
         root = CombineNode((TermNode("qzxunseen"), TermNode("qzxnever")))
         with tracing.start_trace() as trace:
-            router._scatter_search(root, 3)
-            router._scatter_search(root, 3)
+            _drive(router.rank_plan([root], 3), _on_workers(router))
+            _drive(router.rank_plan([root], 3), _on_workers(router))
         background = [
             s.labels for s in trace.spans
             if s.stage == "merge" and s.labels.get("phase") == "background"

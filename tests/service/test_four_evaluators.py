@@ -1,0 +1,182 @@
+"""Four evaluators, one answer.
+
+The same generated batches go through the single-shard
+``ExpansionService`` (the oracle), the ``ShardRouter``, an
+``AsyncShardRouter`` over executor adapters and an ``AsyncShardRouter``
+over socket adapters (real worker processes).  Every member must come
+back identical — doc ids, repr-exact scores, expansion, cycles and the
+``link_cached`` / ``expansion_cached`` flags — on a cold pass, on a
+repeated pass and one query at a time; and the three routed evaluators,
+which execute one plan, must record the same stages: ``link``,
+``expand`` on the owner, ``rank`` per shard per phase that ran and two
+``merge`` per ranked query, with ``wire`` on the socket run only.
+
+Fixed-seed (``derandomize``): tier-1 draws the same batches every run.
+Every example starts cold, which for the worker processes means a
+rolling reload — hence the small example count.
+"""
+
+import asyncio
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.obs import trace as tracing
+from repro.service import (
+    SHARD_ADAPTER_ENV,
+    AsyncShardRouter,
+    ExpansionService,
+    ShardedSnapshot,
+    ShardRouter,
+    ShardSupervisor,
+)
+
+SHARDS = 2
+UNLINKED = ["qzxunseen gibberish", "completely unknowable", "of the"]
+EMPTY = ["?!", " ... ", ""]
+
+
+class _Evaluator:
+    """One way of answering: ``batch(texts, top_k)`` and
+    ``single(text, top_k)``, each returning ``(responses, trace)``."""
+
+    def __init__(self, name, service, *, reset, is_async=False):
+        self.name = name
+        self.service = service
+        self._is_async = is_async
+        self.reset = reset
+
+    def _traced(self, method, *args):
+        with tracing.start_trace() as trace:
+            answer = getattr(self.service, method)(*args)
+            if self._is_async:
+                answer = asyncio.run(answer)
+        return answer, trace
+
+    def batch(self, texts, top_k):
+        return self._traced("batch_expand", list(texts), top_k)
+
+    def single(self, text, top_k):
+        response, trace = self._traced("expand_query", text, top_k)
+        return [response], trace
+
+
+@pytest.fixture(scope="module")
+def evaluators(snapshot, tmp_path_factory):
+    sharded = ShardedSnapshot.from_snapshot(snapshot, num_shards=SHARDS)
+    directory = tmp_path_factory.mktemp("four-evaluators")
+    sharded.save(directory)
+    oracle = ExpansionService.from_snapshot(snapshot)
+    sync_router = ShardRouter(sharded)
+    executor_base, socket_base = ShardRouter(sharded), ShardRouter(sharded)
+    with pytest.MonkeyPatch.context() as patch:
+        # The CI socket leg sets this; this evaluator is the in-process one.
+        patch.delenv(SHARD_ADAPTER_ENV, raising=False)
+        executor_router = AsyncShardRouter(executor_base)
+    supervisor = ShardSupervisor(str(directory), SHARDS)
+    supervisor.start()
+    socket_router = AsyncShardRouter(socket_base, supervisor=supervisor)
+
+    def reset_socket():
+        socket_base.clear_caches()
+        supervisor.reload()  # fresh worker processes: cold caches
+
+    yield [
+        _Evaluator("service", oracle, reset=oracle.clear_caches),
+        _Evaluator("router", sync_router, reset=sync_router.clear_caches),
+        _Evaluator("async/executor", executor_router,
+                   reset=executor_base.clear_caches, is_async=True),
+        _Evaluator("async/socket", socket_router,
+                   reset=reset_socket, is_async=True),
+    ]
+    socket_router.close()
+    supervisor.stop()
+    executor_router.close()
+    for router in (sync_router, executor_base, socket_base):
+        router.close()
+
+
+def _batches(topics):
+    def variants(text):
+        return st.sampled_from([
+            text, text.upper(), f"  {text}!", f"{text} qzxunseen",
+        ])
+
+    member = st.one_of(
+        st.sampled_from(topics).flatmap(variants),
+        st.sampled_from(UNLINKED + EMPTY),
+    )
+    return st.lists(member, min_size=1, max_size=7)
+
+
+def _answer(response):
+    return (
+        response.query,
+        response.normalized_query,
+        sorted(response.link.article_ids),
+        response.expansion,
+        response.expansion.cycles,
+        [(r.doc_id, repr(r.score), r.rank) for r in response.results],
+        response.link_cached,
+        response.expansion_cached,
+    )
+
+
+def _stages(trace):
+    return sorted(
+        (span.stage, -1 if span.shard is None else span.shard,
+         span.labels.get("phase", ""))
+        for span in trace.spans if span.stage != "wire"
+    )
+
+
+@settings(
+    max_examples=8, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_every_evaluator_gives_the_oracles_answer(
+    small_benchmark, evaluators, data
+):
+    topics = [topic.keywords for topic in small_benchmark.topics]
+    texts = data.draw(_batches(topics), label="batch")
+    top_k = data.draw(st.sampled_from([1, 3, 10]), label="top_k")
+    for evaluator in evaluators:
+        evaluator.reset()
+
+    passes = [
+        ("cold batch", lambda e: e.batch(texts, top_k)),
+        ("repeated batch", lambda e: e.batch(texts, top_k)),
+    ] + [
+        (f"single {text!r}", lambda e, text=text: e.single(text, top_k))
+        for text in dict.fromkeys(texts)
+    ]
+    for label, run in passes:
+        outcomes = [run(evaluator) for evaluator in evaluators]
+        (expected, _), *routed = outcomes
+        for evaluator, (responses, _) in zip(evaluators[1:], routed):
+            assert [_answer(r) for r in responses] == \
+                [_answer(r) for r in expected], (label, evaluator.name)
+        (_, reference), *others = routed
+        for evaluator, (_, trace) in zip(evaluators[2:], others):
+            assert _stages(trace) == _stages(reference), (label, evaluator.name)
+        wire = [
+            any(span.stage == "wire" for span in trace.spans)
+            for _, trace in routed
+        ]
+        assert wire == [False, False, True], label
+
+
+def test_a_ranked_query_records_the_stages_of_the_plan(small_benchmark, evaluators):
+    """The stage list of one cold linked query, spelled out."""
+    evaluator = evaluators[1]
+    evaluator.reset()
+    (response,), trace = evaluator.single(small_benchmark.topics[0].keywords, 5)
+    owner = evaluator.service.owner_shard(response.link.article_ids)
+    assert [s for s in _stages(trace) if s[0] != "cycle_mine"] == sorted(
+        [("link", -1, ""), ("expand", owner, ""),
+         ("merge", -1, "background"), ("merge", -1, "topk")]
+        + [("rank", shard, phase)
+           for shard in range(SHARDS) for phase in ("counts", "score")]
+    )

@@ -152,6 +152,28 @@ class TestEndpoints:
         assert [r["query"] for r in responses] == queries
         assert responses[0]["results"] == responses[2]["results"]
 
+    def test_per_shard_queries_add_up_to_the_router_queries(
+        self, small_benchmark, server
+    ):
+        """A shard's ``queries`` counts the ``expand_seeds`` calls it
+        answered, so single queries sum to the router's own counter —
+        in /stats and /healthz, with workers in or out of process."""
+        def counters():
+            _, stats = server.request("GET", "/stats")
+            _, health = server.request("GET", "/healthz")
+            per_shard = [shard["queries"] for shard in stats["per_shard"]]
+            assert per_shard == [s["queries"] for s in health["per_shard"]]
+            return stats["queries"], per_shard
+
+        before, shards_before = counters()
+        texts = [t.keywords for t in small_benchmark.topics] + ["qzxunseen"]
+        for text in texts:
+            assert server.request("POST", "/expand", {"query": text})[0] == 200
+        after, shards_after = counters()
+        assert after - before == len(texts)
+        assert sum(shards_after) - sum(shards_before) == len(texts)
+        assert all(b <= a for b, a in zip(shards_before, shards_after))
+
     def test_stats_reports_router_and_http_counters(self, server):
         status, payload = server.request("GET", "/stats")
         assert status == 200

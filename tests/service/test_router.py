@@ -149,7 +149,7 @@ class TestStats:
         def boom(normalized):
             raise RuntimeError("linker down")
 
-        monkeypatch.setattr(router, "_link", boom)
+        monkeypatch.setattr(router, "link_text", boom)
         with pytest.raises(RuntimeError):
             router.expand_query(small_benchmark.topics[0].keywords)
         with pytest.raises(RuntimeError):
@@ -158,6 +158,22 @@ class TestStats:
         assert stats.requests_total == 2  # offered load, failures included
         assert stats.errors == 2
         assert stats.queries == 0
+
+    def test_per_shard_queries_add_up_to_the_router_queries(
+        self, small_benchmark, router
+    ):
+        """Each single query is served by exactly one shard — the owner
+        of its seed set, shard 0 for an unlinked one — and is counted
+        there (``per_shard[i].queries`` used to stay 0 behind a router)."""
+        texts = [t.keywords for t in small_benchmark.topics] + ["qzxunseen", "?!"]
+        expected = [0] * router.num_shards
+        for text in texts:
+            response = router.expand_query(text)
+            expected[router.owner_shard(response.link.article_ids)] += 1
+        stats = router.stats()
+        assert [shard.queries for shard in stats.shard_stats] == expected
+        assert sum(expected) == stats.queries == len(texts)
+        assert [s["queries"] for s in stats.as_dict()["per_shard"]] == expected
 
     def test_per_shard_hit_rates_guard_zero_lookups(self, small_benchmark, router):
         """Shards that never saw a lookup report 0.0, not a ZeroDivisionError,

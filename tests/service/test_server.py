@@ -312,3 +312,55 @@ class TestCycleMineSpan:
         assert span.labels["batch"] == len(singles) == 3
         for name in ("roots", "emitted", "kept"):
             assert span.labels[name] == sum(s.labels[name] for s in singles)
+
+
+class TestShardProtocolCalls:
+    """The five calls a router makes on a worker record their own spans,
+    labelled with the worker's shard id — the in-process driver, the
+    executor adapter and the worker process all call exactly these."""
+
+    def test_each_call_records_its_shard_labelled_span(
+        self, small_benchmark, snapshot
+    ):
+        from repro.obs import trace as tracing
+        from repro.retrieval.engine import background_from_counts
+        from repro.retrieval.qlang import CombineNode, TermNode
+        from repro.service.wire import SearchRequest
+
+        worker = ExpansionService.from_snapshot(snapshot, shard_id=3)
+        normalized = worker.normalize(small_benchmark.topics[0].keywords)
+        root = CombineNode(tuple(TermNode(t) for t in normalized.split()))
+        with tracing.start_trace() as trace:
+            link, cached = worker.link_text(normalized)
+            assert worker.link_text(normalized) == (link, True) and not cached
+            worker.expand_seeds(link.article_ids)
+            counts = worker.leaf_collection_counts(root)
+            assert counts == worker.engine.leaf_collection_counts(root)
+            background = background_from_counts(
+                counts, worker.engine.index.total_tokens
+            )
+            ranked = worker.search_with_background(
+                SearchRequest(root, background, 4)
+            )
+            assert ranked == worker.engine.search_with_background(
+                root, background, 4
+            )
+        assert {span.shard for span in trace.spans} == {3}
+        assert [
+            (span.stage, span.labels.get("cached"), span.labels.get("phase"))
+            for span in trace.spans if span.stage != "cycle_mine"
+        ] == [
+            ("link", False, None), ("link", True, None),
+            ("expand", False, None),
+            ("rank", None, "counts"), ("rank", None, "score"),
+        ]
+
+    def test_expand_seeds_counts_a_shard_query_and_expand_query_counts_once(
+        self, small_benchmark, service
+    ):
+        keywords = small_benchmark.topics[0].keywords
+        response = service.expand_query(keywords)
+        assert service.stats().queries == 1  # not 2: its own path is private
+        service.expand_seeds(response.link.article_ids)
+        service.expand_seeds(frozenset())
+        assert service.stats().queries == 3

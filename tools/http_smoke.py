@@ -16,13 +16,18 @@ End to end, as a real deployment would run it:
    the HTTP request counter must be non-zero after the ``/expand``;
 6. render one ``repro top --once`` dashboard frame against the live
    server (the scriptable mode operators pipe to files);
-7. exercise the live-update plane: ``POST /admin/apply_delta`` with a
+7. ``POST /batch_expand``: input order kept, duplicates share a
+   payload, each member equals its ``/expand`` answer, the batch is
+   observed once (``repro_requests_total{path="batch_expand"}`` +1,
+   ``{path="expand_query"}`` unmoved), and the single queries around it
+   add up per shard (``Σ per_shard[].queries`` moves with ``queries``);
+8. exercise the live-update plane: ``POST /admin/apply_delta`` with a
    small island batch, assert ``delta_seq`` advances, the summary names
    the write's stages (``stages_ms``, ``repro_apply_stage_seconds``) and
    the new page answers ``/expand``, then ``POST /admin/compact`` and assert the
    generation hot-swaps (``snapshot_generation`` advances, ``delta_seq``
    resets) with answers unchanged across the swap;
-8. assert the recency set was persisted on shutdown
+9. assert the recency set was persisted on shutdown
    (``recent_queries.json`` next to the snapshot manifest), then
    relaunch with admission control (``--queue-limit``/``--client-rate``)
    and drive a real overload→shed→recover cycle: a greedy client is
@@ -31,15 +36,15 @@ End to end, as a real deployment would run it:
    ``/metrics``, and once the flood stops the greedy client serves
    again with the queue drained — and the relaunch must warm-start
    from the persisted recency set;
-9. relaunch with ``--workers 2`` (out-of-process shard workers behind
+10. relaunch with ``--workers 2`` (out-of-process shard workers behind
    the socket adapter), diff ``/expand`` against the same in-process
-   reference, then SIGKILL one worker process mid-run and assert the
+   reference, repeat the batch phase, then SIGKILL one worker process mid-run and assert the
    supervisor restarts it (``/healthz`` workers back to ``up``, the
    ``repro_shard_worker_restarts_total`` counter advanced) and that
    post-restart answers are still identical;
-10. repeat the live-update phase in worker mode (delta fan-out over the
+11. repeat the live-update phase in worker mode (delta fan-out over the
     wire, compaction driving a rolling worker reload);
-11. shut the servers down and fail loudly if anything differed.
+12. shut the servers down and fail loudly if anything differed.
 
 Run from the repo root with ``PYTHONPATH=src`` (CI does).
 """
@@ -186,6 +191,68 @@ def check_top_once(base: str, failures: list[str]) -> None:
         if needle not in frame:
             failures.append(f"top frame is missing {needle!r}:\n{frame}")
     print("top: one-shot dashboard frame rendered")
+
+
+def check_batch_expand(
+    base: str, queries: list[str], failures: list[str], *, tag: str
+) -> None:
+    """Single queries add up per shard; a batch equals them, observed once."""
+    from repro.obs import parse_prometheus_text
+
+    def offered(path: str) -> float:
+        samples = parse_prometheus_text(get_text(f"{base}/metrics")[0])["samples"]
+        return samples.get(
+            ("repro_requests_total", frozenset({("path", path)})), 0
+        )
+
+    def answer(payload: dict) -> tuple:
+        return (
+            payload["normalized_query"], payload["linked"],
+            payload["expansion"]["article_ids"], payload["expansion"]["titles"],
+            [(r["doc_id"], r["score"]) for r in payload["results"]],
+        )
+
+    before = get_json(f"{base}/stats")
+    singles = {q: get_json(f"{base}/expand", {"query": q}) for q in queries}
+    after = get_json(f"{base}/stats")
+    served = after["queries"] - before["queries"]
+    per_shard = sum(s["queries"] for s in after["per_shard"]) \
+        - sum(s["queries"] for s in before["per_shard"])
+    if not served == per_shard == len(queries):
+        failures.append(
+            f"{tag}: {len(queries)} single queries moved queries by {served} "
+            f"and the per_shard queries by {per_shard}"
+        )
+    health = get_json(f"{base}/healthz")["per_shard"]
+    if [s["queries"] for s in health] != \
+            [s["queries"] for s in after["per_shard"]]:
+        failures.append(f"{tag}: /healthz and /stats per_shard queries differ")
+
+    batch = [*queries, queries[0], queries[-1]]
+    singles_offered, batches_offered = \
+        offered("expand_query"), offered("batch_expand")
+    responses = get_json(
+        f"{base}/batch_expand", {"queries": batch}
+    )["responses"]
+    if [r["query"] for r in responses] != batch:
+        failures.append(f"{tag}: /batch_expand did not keep the input order")
+        return
+    if responses[0] != responses[-2] or responses[len(queries) - 1] != responses[-1]:
+        failures.append(f"{tag}: batch duplicates do not share a payload")
+    for text, member in zip(batch, responses):
+        if answer(member) != answer(singles[text]):
+            failures.append(
+                f"{tag}: batch member {text!r} differs from its /expand answer"
+            )
+    if offered("batch_expand") != batches_offered + 1 or \
+            offered("expand_query") != singles_offered:
+        failures.append(
+            f"{tag}: a batch must be observed once, as batch_expand: "
+            f"batch_expand {batches_offered} -> {offered('batch_expand')}, "
+            f"expand_query {singles_offered} -> {offered('expand_query')}"
+        )
+    print(f"{tag}: /batch_expand of {len(batch)} matches /expand member by "
+          "member, observed once; per-shard queries add up")
 
 
 APPLY_STAGES = (
@@ -407,7 +474,8 @@ def check_shedding(snap_dir: Path, query: str, failures: list[str]) -> None:
 
 
 def check_worker_serving(
-    snap_dir: Path, query: str, ref_results: list, failures: list[str]
+    snap_dir: Path, query: str, ref_results: list, failures: list[str],
+    topics: list[str],
 ) -> None:
     """Serve with out-of-process shard workers; kill one mid-run."""
     from repro.obs import parse_prometheus_text
@@ -463,6 +531,8 @@ def check_worker_serving(
         if not failures:
             print("workers: repeat served not_modified + one rank round; "
                   f"healthz expansion hit rate {hit_rate}")
+
+        check_batch_expand(base, topics, failures, tag="batch-workers")
 
         victim = workers[0].get("pid")
         if not victim:
@@ -525,6 +595,7 @@ def main() -> int:
         snap_dir = Path(tmp) / "snap"
         benchmark = build_snapshot(snap_dir)
         query = benchmark.topics[0].keywords
+        topics = [topic.keywords for topic in benchmark.topics[:3]] + ["qzxunseen"]
         print(f"snapshot built at {snap_dir}; query: {query!r}")
 
         proc = subprocess.Popen(
@@ -586,6 +657,7 @@ def main() -> int:
                 failures.append(f"healthz per_shard breakdown missing: {after}")
             check_metrics(base, failures)
             check_top_once(base, failures)
+            check_batch_expand(base, topics, failures, tag="batch")
             check_live_updates(base, query, ref_results, failures,
                                id_base=9_600_000, tag="live")
             router.close()
@@ -614,15 +686,15 @@ def main() -> int:
                       f"{len(persisted['queries'])} recent quer(y/ies)")
 
         check_shedding(snap_dir, query, failures)
-        check_worker_serving(snap_dir, query, ref_results, failures)
+        check_worker_serving(snap_dir, query, ref_results, failures, topics)
 
     if failures:
         print("HTTP smoke FAILED:")
         for failure in failures:
             print(f"  {failure}")
         return 1
-    print("HTTP smoke ok: /healthz, /expand, /metrics, repro top, "
-          "live updates (apply/compact hot swap, in both modes), "
+    print("HTTP smoke ok: /healthz, /expand, /batch_expand, /metrics, "
+          "repro top, live updates (apply/compact hot swap, in both modes), "
           "warm-start persistence, overload shedding (429 -> recover) and "
           "worker-mode serving (with a mid-run kill) agree with the "
           "synchronous path")
