@@ -23,13 +23,13 @@ never close a cycle, so the cycle analysis alone never surfaces them.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Iterable
+from collections.abc import Collection, Iterable
 from dataclasses import dataclass, field
 
 from repro.errors import AnalysisError
 from repro.core.cycle_kernels import AcceptTable
 from repro.core.cycles import Cycle, CycleFinder, resolve_engine
-from repro.core.features import CycleFeatures, compute_features
+from repro.core.features import CycleFeatures
 from repro.wiki.graph import WikiGraph
 
 __all__ = [
@@ -312,11 +312,8 @@ class CycleExpander(Expander):
     def expand(self, graph: WikiGraph, seed_articles: Iterable[int]) -> ExpansionResult:
         seeds = frozenset(seed_articles)
         qualifying = self.qualifying_cycles(graph, seeds)
-        selected: set[int] = set()
-        for features in qualifying:
-            for node in features.cycle.nodes:
-                if graph.is_article(node):
-                    selected.add(node)
+        is_article = graph.is_article
+        selected = {n for f in qualifying for n in f.cycle.nodes if is_article(n)}
         return self._result(graph, seeds, selected, cycles=tuple(qualifying))
 
 
@@ -385,42 +382,71 @@ class NeighborhoodCycleExpander(Expander):
             frontier = next_frontier
         return nodes
 
-    def expand(self, graph: WikiGraph, seed_articles: Iterable[int]) -> ExpansionResult:
+    def _seeds(self, graph: WikiGraph, seed_articles: Iterable[int]) -> frozenset[int]:
         seeds = frozenset(seed_articles)
         missing = [s for s in seeds if s not in graph]
         if missing:
             raise AnalysisError(f"seed articles not in graph: {missing[:3]}")
-        ball = self.neighborhood(graph, seeds)
-        subgraph = graph.induced_subgraph(ball)
-        return self._expander.expand(subgraph, seeds)
+        return seeds
+
+    def expand(self, graph: WikiGraph, seed_articles: Iterable[int]) -> ExpansionResult:
+        seeds = self._seeds(graph, seed_articles)
+        return self.mine(graph, seeds, self.neighborhood(graph, seeds))
+
+    def mine(self, graph: WikiGraph, seeds: frozenset[int], ball) -> ExpansionResult:
+        """:meth:`expand` inside the seeds' ball, already walked."""
+        return self._expander.expand(graph.induced_subgraph(ball), seeds)
+
+    def exact_ball(self, graph: WikiGraph, seed_articles: Iterable[int]) -> set[int] | None:
+        """The seeds' ball when their expansion is exactly the
+        :meth:`compose` of each seed's own: a cycle of length <= 2·radius
+        + 1 through a seed stays within ``radius`` hops of it, so in an
+        uncut ball it is the same cycle whatever was mined beside it.
+        ``None`` otherwise, for the DFS oracle engine and for subclasses
+        with an ``expand`` of their own."""
+        inner = self._expander
+        exact = inner.engine != "dfs" and max(inner._lengths) <= 2 * self._radius + 1
+        if not exact or type(self).expand is not NeighborhoodCycleExpander.expand:
+            return None
+        ball = self.neighborhood(graph, self._seeds(graph, seed_articles))
+        return ball if len(ball) < self._max_nodes else None
+
+    def split(self, graph: WikiGraph, mined: ExpansionResult, anchor: int) -> ExpansionResult:
+        """``expand(graph, {anchor})``, cut from a result whose seeds hold
+        ``anchor`` and had an :meth:`exact_ball`."""
+        cycles = tuple(f for f in mined.cycles if anchor in f.cycle.nodes)
+        nodes = set().union(*(f.cycle.nodes for f in cycles))
+        selected = nodes & (mined.article_ids | mined.seed_articles)
+        return self._result(graph, frozenset((anchor,)), selected, cycles)
+
+    def compose(self, graph: WikiGraph, parts: Collection[ExpansionResult]) -> ExpansionResult:
+        """The parts' seeds expanded together: their cycles united by
+        node tuple (objects shared), in ``find_with_features`` order."""
+        merged = {f.cycle.nodes: f for part in parts for f in part.cycles}
+        return self._result(
+            graph,
+            frozenset().union(*(part.seed_articles for part in parts)),
+            set().union(*(part.article_ids for part in parts)),
+            tuple(merged[n] for n in sorted(merged, key=lambda n: (len(n), n))),
+        )
 
     def expand_batch(
         self, graph: WikiGraph, seed_sets: Iterable[Iterable[int]]
     ) -> list[ExpansionResult]:
-        """Expand several seed sets, amortising the full-graph edge scan.
+        """Expand several seed sets over one shared subgraph.
 
-        :meth:`expand` pays one pass over *every* edge of ``graph`` per
-        query (``induced_subgraph`` filters the global edge list).  Here the
-        balls of all seed sets are united first, the full graph is scanned
-        once for the union subgraph, and each query's ball is then carved
-        out of that much smaller graph.  Results are identical to calling
-        :meth:`expand` per seed set: a ball's induced subgraph taken from
-        the union subgraph contains exactly the edges it would get from the
-        full graph, because the union is a superset of every ball.
+        The balls are united, the union subgraph taken once and each ball
+        carved out of it — a superset of every ball, so the same edges and
+        the same results as :meth:`expand` per seed set.  That amortises
+        the dict :class:`WikiGraph`'s pass over every edge per
+        ``induced_subgraph``; on ``CompactGraphView`` a subgraph is a
+        zero-copy keep-set and there is no per-query scan left to amortise.
         """
-        resolved = [frozenset(seeds) for seeds in seed_sets]
-        for seeds in resolved:
-            missing = [s for s in seeds if s not in graph]
-            if missing:
-                raise AnalysisError(f"seed articles not in graph: {missing[:3]}")
+        resolved = [self._seeds(graph, seeds) for seeds in seed_sets]
         balls = [self.neighborhood(graph, seeds) for seeds in resolved]
-        union: set[int] = set()
-        for ball in balls:
-            union |= ball
-        shared = graph.induced_subgraph(union)
+        shared = graph.induced_subgraph(set().union(*balls))
         return [
-            self._expander.expand(shared.induced_subgraph(ball), seeds)
-            for seeds, ball in zip(resolved, balls)
+            self.mine(shared, seeds, ball) for seeds, ball in zip(resolved, balls)
         ]
 
 

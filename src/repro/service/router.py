@@ -297,8 +297,8 @@ class ShardRouter:
         """Answer a batch, fanning expansion work out across shards.
 
         Raw duplicates are answered once.  Distinct seed sets are grouped
-        by owning shard and pre-filled in parallel — each shard pays its
-        amortised edge scan once, concurrently with the other shards.
+        by owning shard and pre-filled in parallel — one ``expand_batch``
+        pass per shard, concurrently with the other shards.
         """
         if not texts:
             return []

@@ -18,9 +18,8 @@ Concurrency: the service is thread-safe.  An in-flight table deduplicates
 identical expansions across threads — when two requests race on the same
 entity set, one mines cycles and the other waits for the result instead of
 mining twice.  :meth:`ExpansionService.batch_expand` additionally
-deduplicates identical queries *within* a batch and amortises the
-full-graph edge scan across the batch's distinct entity sets (see
-:meth:`repro.core.expansion.NeighborhoodCycleExpander.expand_batch`).
+deduplicates identical queries *within* a batch and mines its distinct
+entity sets in one ``expand_batch`` pass.
 """
 
 from __future__ import annotations
@@ -215,9 +214,6 @@ class ExpansionService:
         self._engine = engine
         self._linker = linker
         self._expander = expander or NeighborhoodCycleExpander()
-        # Cycle-mining engine, for the cycle_mine span label (None for
-        # duck-typed expanders that don't expose one).
-        self._cycle_engine = getattr(self._expander, "engine", None)
         self.doc_names = dict(doc_names or {})
         self._link_cache = LRUCache(link_cache_size)
         self._expansion_cache = LRUCache(expansion_cache_size)
@@ -345,9 +341,8 @@ class ExpansionService:
         one expansion, not N cache probes racing the in-flight table), and
         identical queries after normalisation are answered once with the
         response object reused.  All uncached expansions of the batch run
-        through :meth:`NeighborhoodCycleExpander.expand_batch` when the
-        configured expander provides it, so the full-graph edge scan is
-        paid once per batch instead of once per query.
+        through one :meth:`NeighborhoodCycleExpander.expand_batch` call
+        when the configured expander provides it.
         """
         if not texts:
             return []
@@ -537,11 +532,7 @@ class ExpansionService:
         if pending:
             try:
                 epoch = self._expansion_cache.epoch  # before the graph read
-                with tracing.span(
-                    "cycle_mine", shard=self._shard_id, batch=len(pending)
-                ) as span:
-                    if self._cycle_engine is not None:
-                        span["engine"] = self._cycle_engine
+                with self._mine_span(sum(map(len, pending)), batch=len(pending)):
                     expansions = list(batch_expand(self._graph, pending))
                 for seeds, result in zip(pending, expansions):
                     self._expansion_cache.put(seeds, result, epoch=epoch)
@@ -609,16 +600,47 @@ class ExpansionService:
             event.wait()
         try:
             epoch = self._expansion_cache.epoch  # before the graph read
-            with tracing.span("cycle_mine", shard=self._shard_id) as span:
-                if self._cycle_engine is not None:
-                    span["engine"] = self._cycle_engine
-                result = self._expander.expand(self._graph, seeds)
+            result = self._mine_seeds(seeds, epoch)
             self._expansion_cache.put(seeds, result, epoch=epoch)
             return result, False
         finally:
             with self._lock:
                 self._inflight.pop(seeds, None)
             event.set()
+
+    def _mine_span(self, anchors: int, reused: int = 0, **labels):
+        """``cycle_mine``: ``reused`` of the ``anchors`` asked for came from
+        the cache (``engine`` is None for duck-typed expanders)."""
+        return tracing.span(
+            "cycle_mine", shard=self._shard_id, anchors=anchors, reused=reused,
+            engine=getattr(self._expander, "engine", None), **labels,
+        )
+
+    def _mine_seeds(self, seeds: frozenset[int], epoch: int) -> ExpansionResult:
+        """A seed-set miss, composed from its anchors' own cache entries
+        (``frozenset({a})``, where a one-entity query lives anyway): the
+        missing ones are mined in one joint call, split and published, the
+        rest refreshed.  ``seeds`` are mined jointly when that is not
+        exact, or an invalidation landed since ``epoch`` and the entries
+        may be newer than the graph view read here."""
+        graph, expander, cache = self._graph, self._expander, self._expansion_cache
+        exact_ball = getattr(expander, "exact_ball", None)
+        ball = exact_ball(graph, seeds) if exact_ball and len(seeds) > 1 else None
+        parts = {a: cache.peek(frozenset((a,))) for a in seeds} if ball else {}
+        if not parts or cache.epoch != epoch:
+            with self._mine_span(len(seeds)):
+                return expander.expand(graph, seeds)
+        missing = frozenset(a for a in seeds if parts[a] is None)
+        if missing:
+            with self._mine_span(len(seeds), len(seeds) - len(missing)):
+                mined = (
+                    expander.mine(graph, seeds, ball) if missing == seeds
+                    else expander.expand(graph, missing)
+                )
+            parts.update((a, expander.split(graph, mined, a)) for a in missing)
+        for a, part in parts.items():  # unrecorded: publish or refresh
+            cache.put(frozenset((a,)), part, epoch=epoch)
+        return mined if missing == seeds else expander.compose(graph, parts.values())
 
     def _claim_pending(self, seed_sets: set[frozenset[int]]) -> list[frozenset[int]]:
         """Mark uncached entity sets as in-flight for a batch pre-fill."""

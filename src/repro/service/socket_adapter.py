@@ -149,14 +149,6 @@ class SocketShardAdapter:
         self.expansion_hits = 0
         self.expansion_misses = 0
 
-    @property
-    def shard_id(self) -> int:
-        return self._shard_id
-
-    @property
-    def policy(self) -> ShardCallPolicy:
-        return self._policy
-
     # ------------------------------------------------------------------
     # The five protocol calls
     # ------------------------------------------------------------------
@@ -230,9 +222,6 @@ class SocketShardAdapter:
         while self._pool:
             _, _, writer = self._pool.pop()
             self._safe_close(writer)
-
-    async def aclose(self) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # Call machinery: retries around hedged, deadline-bounded attempts

@@ -11,6 +11,11 @@ every length window x random expander thresholds, and requires ``find``,
 ``count_by_length`` and ``find_with_features(anchors, accept=...)`` to
 agree with the DFS engine *together*, node for node, on the dict graph
 and on its CSR twin.
+
+The same generator drives the decomposition the serving path relies on:
+with ``lengths <= 2·radius + 1`` and an uncapped ball, an expansion is
+the ``compose`` of each anchor's own, whichever supersets those were
+``split`` from.
 """
 
 import random
@@ -79,9 +84,9 @@ def anchor_sets(draw, node_ids):
 
 
 @st.composite
-def expanders(draw, hi):
+def expanders(draw, hi, engine=None):
     """A ``CycleExpander`` with random thresholds for lengths up to ``hi``
-    (engine-free: only its filters are used)."""
+    (engine-free unless asked: only its filters are used)."""
     low, high = sorted(draw(st.tuples(
         st.sampled_from([0.0, 0.2, 0.25, 0.34, 0.5]),
         st.sampled_from([0.25, 0.4, 0.5, 0.75, 1.0]),
@@ -94,6 +99,7 @@ def expanders(draw, hi):
         max_category_ratio=high,
         min_extra_edge_density=draw(st.sampled_from([0.0, 0.1, 0.3, 0.6, 1.0])),
         exclude_category_free=draw(st.booleans()),
+        engine=engine,
     )
 
 
@@ -250,3 +256,85 @@ def test_cold_tail_shaped_seed_sets_expand_identically_on_both_engines():
         assert kernels.expand(view, seeds) == expected
         mined += len(expected.cycles)
     assert mined > 0
+
+
+@st.composite
+def anchored_cases(draw):
+    """``(graph, radius, inner, [(anchor, superset), ...])``: 1-4 seed
+    articles, each with a superset of articles to be split out of."""
+    graph, node_ids = draw(typed_graphs())
+    articles = [n for n in node_ids if graph.is_article(n)]
+    radius = draw(st.sampled_from([1, 2, 2]))
+    inner = draw(expanders(2 * radius + 1, engine="kernels"))
+    seeds = draw(st.sets(st.sampled_from(articles), min_size=1, max_size=4))
+    return graph, radius, inner, [
+        (anchor, frozenset(
+            draw(st.sets(st.sampled_from(articles), max_size=3)) | {anchor}
+        ))
+        for anchor in sorted(seeds)
+    ]
+
+
+@settings(
+    max_examples=150, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(anchored_cases())
+def test_an_expansion_is_the_compose_of_its_anchors_own(case):
+    graph, radius, inner, anchored = case
+    seeds = frozenset(anchor for anchor, _ in anchored)
+    expander = NeighborhoodCycleExpander(inner, radius=radius, max_nodes=10**4)
+    for form in (graph, CompactGraphView.from_graph(graph)):
+        ball = expander.neighborhood(form, seeds)
+        assert expander.exact_ball(form, seeds) == ball
+        joint = expander.expand(form, seeds)
+        assert expander.mine(form, seeds, ball) == joint
+        parts = []
+        for anchor, superset in anchored:
+            assert expander.exact_ball(form, superset) is not None
+            part = expander.split(form, expander.expand(form, superset), anchor)
+            assert part == expander.expand(form, [anchor]), (anchor, superset)
+            parts.append(part)
+        composed = expander.compose(form, parts)
+        assert composed == joint  # seeds, ids, titles, every CycleFeatures
+        # Shared, not copied: every cycle object comes from a part.
+        owned = {id(f) for part in parts for f in part.cycles}
+        assert all(id(f) in owned for f in composed.cycles)
+
+        # The cap: a ball that reached max_nodes may have been cut.
+        if len(ball) >= 2:
+            capped = NeighborhoodCycleExpander(
+                inner, radius=radius, max_nodes=len(ball)
+            )
+            assert capped.exact_ball(form, seeds) is None
+        roomy = NeighborhoodCycleExpander(
+            inner, radius=radius, max_nodes=len(ball) + 1
+        )
+        assert roomy.exact_ball(form, seeds) == ball
+
+
+def test_who_never_composes(venice_world):
+    graph, ids = venice_world
+    seeds = frozenset([ids["venice"]])
+
+    def exact(*args, **kwargs):
+        return NeighborhoodCycleExpander(*args, **kwargs).exact_ball(graph, seeds)
+
+    assert exact(engine="kernels") is not None
+    assert exact(engine="dfs") is None  # the oracle always mines jointly
+    for longest in (6, 7, 8):  # a cycle that long can leave a radius-2 ball
+        assert exact(CycleExpander(lengths=(2, longest))) is None
+    for radius, longest in ((1, 3), (2, 5)):
+        inner = CycleExpander(lengths=(2, longest), engine="kernels")
+        assert exact(inner, radius=radius) is not None
+    assert exact(
+        CycleExpander(lengths=(2, 4), engine="kernels"), radius=1
+    ) is None
+
+    class Redefined(NeighborhoodCycleExpander):
+        def expand(self, graph, seed_articles):
+            return super().expand(graph, seed_articles)
+
+    assert Redefined(engine="kernels").exact_ball(graph, seeds) is None
+    with pytest.raises(AnalysisError, match="not in graph"):  # as expand()
+        NeighborhoodCycleExpander(engine="kernels").exact_ball(graph, OUTSIDE_IDS)

@@ -11,6 +11,11 @@ which execute one plan, must record the same stages: ``link``,
 ``expand`` on the owner, ``rank`` per shard per phase that ran and two
 ``merge`` per ranked query, with ``wire`` on the socket run only.
 
+A second property sends ``cold_tail``-shaped sequences — a head, then
+that head ``compared with`` a tail title — so every evaluator answers
+seed-set misses composed from anchor entries an earlier query left in
+the owner's cache, and the four still agree.
+
 Fixed-seed (``derandomize``): tier-1 draws the same batches every run.
 Every example starts cold, which for the worker processes means a
 rolling reload — hence the small example count.
@@ -22,6 +27,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core import NeighborhoodCycleExpander
 from repro.obs import trace as tracing
 from repro.service import (
     SHARD_ADAPTER_ENV,
@@ -166,6 +172,53 @@ def test_every_evaluator_gives_the_oracles_answer(
             for _, trace in routed
         ]
         assert wire == [False, False, True], label
+
+
+@settings(
+    max_examples=4, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_cold_tail_sequences_compose_and_still_agree(
+    small_benchmark, snapshot, evaluators, data
+):
+    topics = [topic.keywords for topic in small_benchmark.topics]
+    tails = [" ".join(tokens) for tokens in sorted(snapshot.title_index)]
+    pairs = data.draw(st.lists(
+        st.tuples(st.sampled_from(topics), st.sampled_from(tails)),
+        min_size=1, max_size=3,
+    ), label="head, tail")
+    texts = []
+    for head, tail in pairs:
+        # Head first, then head + tail (twice: the composite is cached).
+        texts += [head, f"{head} compared with {tail}"] * 2
+    for evaluator in evaluators:
+        evaluator.reset()
+
+    oracle_graph = evaluators[0].service.graph
+    heads: dict[str, frozenset] = {}
+    for text in texts:
+        outcomes = [evaluator.single(text, 5) for evaluator in evaluators]
+        ((expected,), oracle_trace), *routed = outcomes
+        for evaluator, ((response,), _) in zip(evaluators[1:], routed):
+            assert _answer(response) == _answer(expected), (text, evaluator.name)
+        (_, reference), *others = routed
+        for evaluator, (_, trace) in zip(evaluators[2:], others):
+            assert _stages(trace) == _stages(reference), (text, evaluator.name)
+
+        # The single-shard oracle composed what it could: a new seed set
+        # over a known head mines the tail alone, and reports uncached.
+        seeds = expected.link.article_ids
+        head = heads.get(text.split(" compared with ")[0])
+        heads.setdefault(text, seeds)
+        mined = [s for s in oracle_trace.spans if s.stage == "cycle_mine"]
+        assert bool(mined) <= (not expected.expansion_cached)
+        if (
+            mined and head is not None and head < seeds
+            and NeighborhoodCycleExpander().exact_ball(oracle_graph, seeds)
+        ):
+            assert mined[0].labels["reused"] >= len(head), text
+            assert mined[0].labels["roots"] <= len(seeds - head), text
 
 
 def test_a_ranked_query_records_the_stages_of_the_plan(small_benchmark, evaluators):

@@ -237,12 +237,18 @@ class TestStats:
         service = ExpansionService.from_snapshot(
             snapshot, link_cache_size=17, expansion_cache_size=9
         )
-        service.expand_query(small_benchmark.topics[0].keywords)
+        response = service.expand_query(small_benchmark.topics[0].keywords)
         payload = service.stats().as_dict()
         assert payload["link_cache"]["capacity"] == 17
         assert payload["expansion_cache"]["capacity"] == 9
         assert payload["link_cache"]["size"] == 1
-        assert payload["expansion_cache"]["size"] == 1
+        # The seed set and, beside it, one entry per anchor it was
+        # composed from; hits / misses still count seed-set lookups only.
+        anchors = len(response.link.article_ids)
+        assert anchors > 1
+        assert payload["expansion_cache"]["size"] == 1 + anchors
+        assert payload["expansion_cache"]["misses"] == 1
+        assert payload["expansion_cache"]["hits"] == 0
 
     def test_clear_caches_forces_recompute(self, small_benchmark, service):
         keywords = small_benchmark.topics[0].keywords
@@ -312,6 +318,131 @@ class TestCycleMineSpan:
         assert span.labels["batch"] == len(singles) == 3
         for name in ("roots", "emitted", "kept"):
             assert span.labels[name] == sum(s.labels[name] for s in singles)
+
+
+class TestAnchorComposition:
+    """A seed-set miss is composed from its anchors' own cache entries
+    (``frozenset({a})``): only the anchors nobody asked about are mined."""
+
+    @pytest.fixture()
+    def head_and_tail(self, small_benchmark, service):
+        head = service.link_text(
+            service.normalize(small_benchmark.topics[0].keywords)
+        )[0].article_ids
+        assert len(head) > 1
+        tail = next(
+            a.node_id for a in small_benchmark.graph.main_articles()
+            if a.node_id not in head
+            and small_benchmark.graph.undirected_neighbors(a.node_id)
+        )
+        return frozenset(head), tail
+
+    @staticmethod
+    def _traced(service, seeds):
+        from repro.obs import trace as tracing
+
+        with tracing.start_trace() as trace:
+            result, cached = service.expand_seeds(frozenset(seeds))
+        return result, cached, [
+            s.labels for s in trace.spans if s.stage == "cycle_mine"
+        ]
+
+    def test_cold_tail_shape_mines_only_the_tail(
+        self, small_benchmark, service, head_and_tail
+    ):
+        head, tail = head_and_tail
+        oracle = NeighborhoodCycleExpander(engine="dfs")
+        graph = small_benchmark.graph  # the dict path; the service's is CSR
+
+        warm, cached, (span,) = self._traced(service, head)
+        assert not cached and warm == oracle.expand(graph, head)
+        assert (span["anchors"], span["reused"], span["roots"]) == \
+            (len(head), 0, len(head))
+        size = service.stats().expansion_cache.size
+        assert size == 1 + len(head)
+
+        composed, cached, (span,) = self._traced(service, head | {tail})
+        assert not cached, "the seed set was never cached: a miss"
+        assert composed == oracle.expand(graph, head | {tail})
+        assert composed == NeighborhoodCycleExpander().expand(
+            service.graph, head | {tail}
+        )
+        assert (span["anchors"], span["reused"], span["roots"]) == \
+            (len(head) + 1, len(head), 1)
+        assert span["kept"] <= len(composed.cycles)
+        assert service.stats().expansion_cache.size == size + 2
+        # Composites share their anchors' cycle objects.
+        shared = {id(f) for f in warm.cycles}
+        assert any(id(f) in shared for f in composed.cycles)
+
+        # The singletons stay behind: a one-entity query is now a hit ...
+        for anchor in head | {tail}:
+            single, cached, spans = self._traced(service, {anchor})
+            assert cached and not spans
+            assert single == oracle.expand(graph, {anchor})
+        # ... and a seed set whose anchors are all known mines nothing.
+        pair = frozenset({min(head), tail})
+        result, cached, spans = self._traced(service, pair)
+        assert not cached and not spans
+        assert result == oracle.expand(graph, pair)
+        assert self._traced(service, pair)[1:] == (True, [])
+
+        # hits / misses keep meaning seed-set lookups.
+        stats = service.stats().expansion_cache
+        assert (stats.misses, stats.hits) == (3, len(head) + 2)
+
+    def test_reused_anchors_are_refreshed_in_the_lru(
+        self, snapshot, head_and_tail
+    ):
+        head, tail = head_and_tail
+        service = ExpansionService.from_snapshot(
+            snapshot, expansion_cache_size=2 * len(head) + 2
+        )
+        service.expand_seeds(head)
+        filler = [
+            a.node_id for a in service.graph.main_articles()
+            if a.node_id not in head and a.node_id != tail
+        ]
+        for node in filler[:len(head)]:
+            service.expand_seeds(frozenset({node}))  # head entries now oldest
+        service.expand_seeds(head | {tail})  # refreshes them, evicts fillers
+        for anchor in head:
+            assert service.expand_seeds(frozenset({anchor}))[1]
+
+    def test_who_mines_jointly(self, small_benchmark, snapshot, head_and_tail):
+        """DFS, ``RedirectExpander`` and duck-typed expanders never compose:
+        no anchor entries, one joint ``cycle_mine`` per miss."""
+        from repro.core.expansion import RedirectExpander
+
+        head, tail = head_and_tail
+
+        class Duck:
+            def expand(self, graph, seeds):
+                return NeighborhoodCycleExpander().expand(graph, seeds)
+
+        for expander in (
+            NeighborhoodCycleExpander(engine="dfs"),
+            RedirectExpander(NeighborhoodCycleExpander()),
+            Duck(),
+        ):
+            service = ExpansionService.from_snapshot(snapshot, expander=expander)
+            service.expand_seeds(head)
+            result, cached, (span,) = self._traced(service, head | {tail})
+            assert not cached and span["reused"] == 0
+            assert result == expander.expand(service.graph, head | {tail})
+            assert service.stats().expansion_cache.size == 2
+
+    def test_a_capped_ball_takes_the_joint_path(self, snapshot, head_and_tail):
+        head, tail = head_and_tail
+        ball = NeighborhoodCycleExpander().neighborhood(
+            ExpansionService.from_snapshot(snapshot).graph, head | {tail}
+        )
+        expander = NeighborhoodCycleExpander(max_nodes=len(ball))
+        service = ExpansionService.from_snapshot(snapshot, expander=expander)
+        result, cached, (span,) = self._traced(service, head | {tail})
+        assert span["reused"] == 0 and not cached
+        assert result == expander.expand(service.graph, head | {tail})
+        assert service.stats().expansion_cache.size == 1
 
 
 class TestShardProtocolCalls:

@@ -21,6 +21,11 @@ A second property drives a real router + coordinator and a standalone
 worker + ``ShardWorkerUpdater`` through the same generated log and
 requires the same ``(last_seq, ball, evicted keys)`` from both.
 
+A third states what eviction is *for* (ROADMAP item 4's soundness
+property): over an archipelago of clusters, after every generated batch
+each expansion-cache entry the delta ball let survive — anchor entry or
+composite — equals a fresh DFS expansion on the post-delta graph.
+
 Fixed-seed (``derandomize``): tier-1 draws the same cases every run.
 """
 
@@ -30,10 +35,12 @@ from unittest import mock
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core import NeighborhoodCycleExpander
 from repro.errors import DeltaError
 from repro.linking import EntityLinker
+from repro.retrieval import SearchEngine
 from repro.retrieval.tokenizer import Tokenizer
-from repro.service import ShardRouter, make_shard_worker
+from repro.service import ExpansionService, ShardRouter, make_shard_worker
 from repro.service.cache import LRUCache
 from repro.updates import (
     INVALIDATION_RADIUS,
@@ -306,3 +313,71 @@ def test_coordinator_and_worker_updater_agree_on_one_log(sharded2, seed):
                 assert outcomes[0][1] == len(outcomes[0][2])
     finally:
         router.close()
+
+
+@st.composite
+def archipelagos(draw):
+    """Dense little clusters with no edge between them: a radius-5 ball
+    swallows the cluster a delta touches and leaves the others alone
+    (until generated edges bridge them)."""
+    rng = random.Random(draw(st.integers(0, 2**20)))
+    builder = WikiGraphBuilder(strict=False)
+    for island in range(draw(st.integers(2, 4))):
+        articles = [
+            builder.add_article(f"isle{island} page{i}", node_id=1000 * island + 100 + i)
+            for i in range(draw(st.integers(3, 5)))
+        ]
+        categories = [
+            builder.add_category(f"isle{island} cat{i}", node_id=1000 * island + 200 + i)
+            for i in range(2)
+        ]
+        for article in articles:
+            for category in categories:
+                if rng.random() < 0.7:
+                    builder.add_belongs(article, category)
+            for target in articles:
+                if target != article and rng.random() < 0.5:
+                    builder.add_link(article, target)
+        builder.add_inside(categories[0], categories[1])
+    return builder.build()
+
+
+@settings(
+    max_examples=40, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(graph=archipelagos(), seed=st.integers(0, 2**20))
+def test_every_surviving_expansion_equals_a_fresh_one_after_the_delta(graph, seed):
+    rng = random.Random(seed)
+    tokenizer = Tokenizer()
+    compact = CompactGraphView.from_graph(graph)
+    oracle = NeighborhoodCycleExpander(engine="dfs")
+    for base in (PartitionedGraphView(partition_graph(graph, 2)), compact):
+        state = OverlayState()
+        view = OverlayGraphView(base, state)
+        linker = EntityLinker(view, tokenizer)
+        service = ExpansionService(
+            view, SearchEngine(tokenizer), linker, allow_empty_index=True
+        )
+        for batch in plan_batches(rng, base, rng.randint(2, 5)):
+            # Seed sets of 1-3 anchors: the later ones are composed from
+            # the anchor entries the earlier ones left behind.
+            mains = sorted(a.node_id for a in view.main_articles())
+            for _ in range(10):
+                service.expand_seeds(frozenset(
+                    rng.sample(mains, rng.randint(1, min(3, len(mains))))
+                ))
+            state, _, new_linker, ball = fold_batch(
+                base, compact, state, batch, linker
+            )
+            view, linker = OverlayGraphView(base, state), new_linker or linker
+            service.set_graph(view, linker=new_linker)
+            service.evict_expansions(expansion_eviction_predicate(ball))
+
+            survivors: set = set()
+            service.evict_expansions(lambda key: survivors.add(key) or False)
+            for key in survivors:
+                assert ball.isdisjoint(key)
+                cached, hit = service.expand_seeds(key)
+                assert hit and cached == oracle.expand(view, key), \
+                    (batch, sorted(key))

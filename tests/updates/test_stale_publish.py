@@ -9,6 +9,11 @@ mid-mining (an expander gated on an ``Event``), apply a delta that
 changes the answer, release it, and require the *next* request to equal
 a from-scratch rebuild — on the blocking router, the asyncio router and
 a socket worker, plus the same race for the router's link cache.
+
+A miss composed from per-anchor cache entries has a second window: it
+reads its graph view, a delta lands, and the anchors' entries it then
+finds were re-published from the view after.  The same epoch closes it —
+the request answers from the one view it read and publishes nothing.
 """
 
 import asyncio
@@ -229,6 +234,73 @@ class TestExpansionMinedAcrossADelta:
         assert expected != stale, "the delta must change this expansion"
         assert second == expected
         assert not cached, "a pre-delta result was published"
+
+
+class GatedAnchors(NeighborhoodCycleExpander):
+    """Parks the next ``exact_ball``: the service has read its graph view
+    and the cache epoch, but not yet its anchors' entries."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.armed = False
+
+    def exact_ball(self, graph, seeds):
+        if self.armed:
+            self.armed = False
+            self.entered.set()
+            assert self.release.wait(_WAIT_S), "gated request never released"
+        return super().exact_ball(graph, seeds)
+
+
+class TestComposedAcrossADelta:
+    def test_parts_from_after_a_delta_are_not_composed_with_the_view_before(
+        self, small_benchmark, sharded1, topic
+    ):
+        """A request reads the pre-delta view; the delta lands and another
+        request re-publishes the head's anchors from the post-delta view;
+        the first request then finds those entries.  Composing them with a
+        tail mined from its own view would be an answer no graph ever had:
+        it must answer from its one view and publish nothing."""
+        _query, seeds, payloads = topic
+        gated = GatedAnchors()
+        worker = make_shard_worker(sharded1, 0, expander=gated)
+        updater = ShardWorkerUpdater(worker, sharded1.compact_graph)
+        rebuilt = make_shard_worker(
+            _rebuilt(small_benchmark, sharded1, payloads), 0
+        )
+        seeds = frozenset(seeds)
+        tail = next(
+            a.node_id for a in sharded1.compact_graph.main_articles()
+            if a.node_id not in seeds
+        )
+        target = seeds | {tail}
+        before = NeighborhoodCycleExpander().expand(worker.graph, target)
+        expected = rebuilt.expand_seeds(target)[0]
+        assert expected != before, "the delta must change this expansion"
+
+        gated.armed = True
+        parked: list = []
+        thread = threading.Thread(
+            target=lambda: parked.append(worker.expand_seeds(target))
+        )
+        thread.start()
+        assert gated.entered.wait(_WAIT_S)
+        assert updater.apply(decode_deltas(payloads))["applied"] == 3
+        fresh_head = worker.expand_seeds(seeds)[0]  # anchors, post-delta
+        assert fresh_head == rebuilt.expand_seeds(seeds)[0]
+        gated.release.set()
+        thread.join(_WAIT_S)
+        assert not thread.is_alive()
+
+        assert parked == [(before, False)]  # one view, the one it read
+        held: set = set()
+        worker.evict_expansions(lambda key: held.add(key) or False)
+        assert target not in held and frozenset({tail}) not in held
+        assert worker.expand_seeds(target) == (expected, False)
+        for key in (seeds, frozenset({min(seeds)}), frozenset({tail})):
+            assert worker.expand_seeds(key)[0] == rebuilt.expand_seeds(key)[0]
 
 
 class TestLinkComputedAcrossADelta:
