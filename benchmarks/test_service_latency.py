@@ -15,7 +15,7 @@ the standard 50-topic benchmark, in several regimes:
 * **batched cold** — a fresh compact service answering everything
   through ``batch_expand``, which amortises neighbourhood work;
 * **sharded cold / sharded cached** — the same traffic through a
-  4-shard :class:`ShardRouter` (partitioned graph + compact index
+  4-shard :class:`ShardRouter` (one shared graph + compact index
   segments with scatter-gather ranking), results asserted identical to
   the single-shard path;
 * **prefilled** — a cold-started 4-shard router over a snapshot built

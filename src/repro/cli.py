@@ -9,16 +9,16 @@ Entry points (also importable as functions):
   and figure side by side with the paper's values;
 * ``repro-expand``         — expand an ad-hoc query against a benchmark's
   knowledge graph using the cycle method (no ground truth required);
-* ``repro-snapshot``       — build and save a service snapshot; with
-  ``--shards N`` the snapshot is written as N graph partitions + index
-  segments served by the shard router, and with ``--prefill [topics]``
-  each shard additionally ships the expansions of its owned benchmark
-  topics, precomputed at build time (warm-cache cold starts);
+* ``repro-snapshot``       — build and save a service snapshot: one
+  graph blob every process maps plus ``--shards N`` index segments
+  served by the shard router; with ``--prefill [topics]`` each shard
+  additionally ships the expansions of its owned benchmark topics,
+  precomputed at build time (warm-cache cold starts);
 * ``repro-serve``          — answer queries online from a saved service
   snapshot (build one with ``--build``), printing linked entities,
-  expansion features and ranked documents per query.  Single-shard and
-  sharded snapshots are detected automatically, and the resolved
-  layout (v1/v2/v3, shard count) is printed at startup.  With
+  expansion features and ranked documents per query.  The shard count
+  is the snapshot's own, and the resolved layout is printed at
+  startup.  With
   ``--http PORT`` the process instead serves the HTTP/JSON API
   (``/expand``, ``/search``, ``/batch_expand``, ``/stats``,
   ``/healthz``, ``/metrics`` — see ``docs/http_api.md`` and
@@ -290,22 +290,15 @@ def report_main(argv: list[str] | None = None) -> int:
 
 
 def _build_snapshot(args: argparse.Namespace):
-    """Build a v1 snapshot (--shards 1) or a sharded snapshot (N > 1).
-
-    ``--shards 1`` deliberately writes the classic single-shard format so
-    snapshots built by default stay readable by older builds; both formats
-    load through :class:`ShardedSnapshot` and serve identically.
-    ``--prefill`` forces the sharded (version-3) format even for one
-    shard, because only it can carry the precomputed expansions.
-    """
+    """Build the ``--shards``-way snapshot of the benchmark, prefilled
+    with the ``--prefill`` topics' expansions when asked."""
     from repro.collection.topics import TopicSet
-    from repro.service import ShardedSnapshot, Snapshot
+    from repro.service import ShardedSnapshot
 
     benchmark = _benchmark_from_args(args)
     prefill = getattr(args, "prefill", None)
-    if args.shards == 1 and prefill is None:
-        return Snapshot.build(benchmark)
-    snapshot = ShardedSnapshot.build(benchmark, num_shards=args.shards)
+    # Frozen once, here: save() and the router both want the compact form.
+    snapshot = ShardedSnapshot.build(benchmark, num_shards=args.shards).frozen()
     if prefill is not None:
         topics = TopicSet.load(prefill) if prefill else benchmark.topics
         snapshot = snapshot.with_prefill([topic.keywords for topic in topics])
@@ -323,15 +316,15 @@ def snapshot_main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--shards", type=int, default=1,
-        help="number of physical shards (1 writes the classic single-shard "
-             "format; N>1 writes per-shard graph partitions + index segments)",
+        help="number of physical shards: index segments and expansion "
+             "caches over the one shared graph blob (default 1)",
     )
     parser.add_argument(
         "--prefill", nargs="?", const="", default=None, metavar="TOPICS_JSON",
         help="precompute expansions for these topics (a topics.json file; "
              "with no value, the benchmark's own topics) and ship them "
              "inside each owning shard, so a cold-started service answers "
-             "them at cached latency; forces the sharded snapshot format",
+             "them at cached latency",
     )
     args = parser.parse_args(argv)
     if args.shards < 1:
@@ -360,9 +353,9 @@ def _serve_http(
 ) -> int:
     """Run the asyncio HTTP front end over a ShardRouter until interrupted.
 
-    Single-shard and sharded snapshots both go through the router here
-    (a one-shard router serves identically to the plain service), so the
-    HTTP surface is uniform across layouts.  Slow requests (>=
+    Every shard count goes through the router (a one-shard router serves
+    identically to the plain service), so the HTTP surface is uniform
+    across layouts.  Slow requests (>=
     ``slow_ms``) are logged as JSON lines on stderr and sampled into the
     reservoir ``/stats`` exposes.
 
@@ -491,15 +484,9 @@ def _serve_http(
 def serve_main(argv: list[str] | None = None) -> int:
     """Serve online query expansion from a persistent snapshot."""
     import json
-    from dataclasses import replace
 
     from repro.errors import SnapshotError
-    from repro.service import (
-        SNAPSHOT_VERSION,
-        ExpansionService,
-        ShardRouter,
-        ShardedSnapshot,
-    )
+    from repro.service import ShardRouter, ShardedSnapshot
 
     parser = argparse.ArgumentParser(
         prog="repro-serve", description=serve_main.__doc__
@@ -507,8 +494,8 @@ def serve_main(argv: list[str] | None = None) -> int:
     _add_common(parser)
     parser.add_argument(
         "--snapshot", default="snapshot",
-        help="snapshot directory to serve from (default ./snapshot); "
-             "single-shard and sharded layouts are detected automatically",
+        help="snapshot directory to serve from (default ./snapshot); the "
+             "shard count is the snapshot's own",
     )
     parser.add_argument(
         "--build", action="store_true",
@@ -623,15 +610,12 @@ def serve_main(argv: list[str] | None = None) -> int:
             print(f"error: {error}")
             print("hint: pass --build to create the snapshot from a benchmark")
             return 2
-        built = _build_snapshot(args)
-        built.save(snapshot_dir)
-        print(f"built and saved {built!r} to {snapshot_dir}/")
-        snapshot = built if isinstance(built, ShardedSnapshot) \
-            else replace(ShardedSnapshot.from_snapshot(built, num_shards=1),
-                         source_version=SNAPSHOT_VERSION)
+        snapshot = _build_snapshot(args)
+        snapshot.save(snapshot_dir)
+        print(f"built and saved {snapshot!r} to {snapshot_dir}/")
 
-    # Operators must be able to tell which on-disk format (v1/v2/v3) and
-    # shard layout this process resolved — print it before serving.
+    # Operators must be able to tell which on-disk format and shard
+    # layout this process resolved — print it before serving.
     print(f"snapshot layout: {snapshot.layout_description()}")
 
     if args.http is not None:
@@ -654,28 +638,7 @@ def serve_main(argv: list[str] | None = None) -> int:
             client_burst=args.client_burst,
         )
 
-    # One worker serves a single shard directly; N shards go through the
-    # router.  Both expose the same expand_query/batch_expand/stats API
-    # and both serve from the frozen (compact) read path.
-    if snapshot.num_shards == 1:
-        snapshot = snapshot.frozen()
-        partition = snapshot.partitions[0]
-        expander = NeighborhoodCycleExpander()
-        # prefill_for applies the expander-fingerprint guard and the
-        # cache-must-hold-the-prefill sizing rule (same as ShardRouter).
-        prefill = snapshot.prefill_for(0, expander)
-        service = ExpansionService(
-            snapshot.compact_graph,
-            snapshot.make_segment_engine(0),
-            snapshot.make_linker(partition.graph),
-            expander,
-            doc_names=snapshot.doc_names,
-            expansion_cache_size=max(1024, len(prefill)),
-        )
-        if prefill:
-            service.warm_expansions(prefill)
-    else:
-        service = ShardRouter(snapshot)
+    service = ShardRouter(snapshot)
 
     def answer(response) -> None:
         print(f"query: {response.query!r}")

@@ -312,8 +312,7 @@ class CompactIndex:
     def to_payload(self) -> dict:
         """JSON-ready dump in the :class:`PositionalIndex` payload shape.
 
-        Exists so a compact index can be written back into the legacy
-        (v1/v2) snapshot formats; round-tripping through
+        An equality witness: round-tripping through
         :meth:`PositionalIndex.from_payload` reproduces the original
         dict-backed index exactly.
         """

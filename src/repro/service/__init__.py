@@ -4,10 +4,10 @@ The batch harness (:mod:`repro.harness`) proves the paper's method on a
 benchmark; this package turns the same components into a system that
 answers ad-hoc queries online:
 
-* :mod:`repro.service.artifacts` — versioned on-disk snapshots of the
+* :mod:`repro.service.artifacts` — the versioned on-disk snapshot of the
   graph, index and linker vocabulary (cold-start from disk); one logical
-  snapshot may be stored as N physical shards (:class:`ShardedSnapshot`:
-  graph partitions + index segments + checksummed manifest);
+  snapshot is stored as N physical shards (:class:`ShardedSnapshot`: one
+  shared graph blob + per-shard index segments + checksummed manifest);
 * :mod:`repro.service.cache` — bounded LRU caching with hit/miss counters;
 * :mod:`repro.service.server` — the thread-safe :class:`ExpansionService`
   with single-query and deduplicating batch APIs;
@@ -37,9 +37,7 @@ from repro.service.admission import AdmissionController, AdmissionPolicy
 from repro.service.artifacts import (
     COMPACT_SNAPSHOT_VERSION,
     MANIFEST_NAME,
-    SHARDED_SNAPSHOT_VERSION,
     SNAPSHOT_FORMAT,
-    SNAPSHOT_VERSION,
     ShardedSnapshot,
     Snapshot,
 )
@@ -64,8 +62,6 @@ __all__ = [
     "Snapshot",
     "ShardedSnapshot",
     "SNAPSHOT_FORMAT",
-    "SNAPSHOT_VERSION",
-    "SHARDED_SNAPSHOT_VERSION",
     "COMPACT_SNAPSHOT_VERSION",
     "MANIFEST_NAME",
     "CacheStats",

@@ -1,30 +1,15 @@
-"""Persistent service artifacts: versioned on-disk snapshots.
+"""Persistent service artifacts: the versioned on-disk snapshot.
 
-A :class:`Snapshot` bundles everything the online service needs to answer
-queries — the knowledge graph, the positional index, the entity-linker
-vocabulary, and the document display names — so a service process
-cold-starts by reading files instead of regenerating the synthetic
-benchmark and re-indexing the collection.  Layout::
+A :class:`Snapshot` is the in-memory build product: everything the
+online service needs to answer queries — the knowledge graph, the
+positional index, the entity-linker vocabulary, and the document display
+names — derived from a benchmark.  It is what the dict-path oracles and
+the bench serve from directly; it is never written to disk.
 
-    snapshot/
-      manifest.json     # format name, version, engine mu, artefact counts
-      wiki.jsonl.gz     # WikiGraph (repro.wiki.dump format)
-      index.json.gz     # PositionalIndex payload
-      linker.json.gz    # entity-linker vocabulary (tokenised title -> id)
-      documents.json.gz # doc_id -> display name
-
-The manifest is read first and gates everything else: a missing manifest,
-an unknown format name, or a version other than :data:`SNAPSHOT_VERSION`
-raises :class:`~repro.errors.SnapshotError` with a message naming the
-problem, *before* any of the heavier artefacts are parsed.  Counts in the
-manifest are cross-checked after loading so silently truncated files are
-caught instead of serving wrong results.
-
-:class:`ShardedSnapshot` is the partitioned evolution of the format: one
-logical snapshot stored as N physical shards (graph partitions + index
-segments) behind one manifest.  Version 3 — the current write format —
-additionally stores the *compact* read-path artefacts as binary blobs
-that load through ``mmap`` instead of being parsed posting by posting.
+:class:`ShardedSnapshot` is what is stored and served: one logical
+snapshot as N physical shards behind one manifest.  A shard is an index
+segment plus an expansion cache (optionally prefilled); the graph is
+held and stored *once*, as the compact blob every process maps.
 Layout::
 
     snapshot/
@@ -33,21 +18,23 @@ Layout::
       documents.json.gz   # shared doc_id -> display name
       graph.bin           # CompactGraphView blob (CSR typed adjacency)
       shard-0000/
-        partition.json.gz # GraphPartition payload (core + halo + edges)
         index.bin         # CompactIndex blob (interned CSR postings)
         prefill.json.gz   # precomputed expansions (only when prefilled)
       shard-0001/ ...
 
-The manifest records a sha256 checksum for every shard artefact and
-shared file; load verifies them before parsing, so a bit-rotted shard
-can never serve silently wrong results.  The manifest is still written
-last.  Older directories remain loadable: version-1 snapshots read as a
-single shard and version-2 snapshots parse their JSON segments, and both
-are *frozen on load* into the compact read path, so every loaded
-snapshot serves from the same array-backed structures.
+The manifest is read first and gates everything else: a missing
+manifest, an unknown format name, or a version other than
+:data:`COMPACT_SNAPSHOT_VERSION` raises
+:class:`~repro.errors.SnapshotError` with a message naming the problem,
+*before* any artefact is opened.  It records a sha256 checksum for every
+shard artefact and shared file; load verifies them before parsing, so a
+bit-rotted shard can never serve silently wrong results, and cross-checks
+its counts against what the artefacts hold.  The manifest is written
+last.  Directories written by earlier builds of this version carry a
+``partition.json.gz`` per shard; it is ignored.
 
-All three on-disk versions, the blob container and the migration rules
-are documented in ``docs/architecture.md`` ("On-disk snapshot formats").
+The layout, the blob container and the upgrade rules are documented in
+``docs/architecture.md`` ("On-disk snapshot format").
 """
 
 from __future__ import annotations
@@ -69,21 +56,15 @@ from repro.core.expansion import (
     expander_fingerprint,
 )
 from repro.core.features import CycleFeatures
-from repro.errors import DumpFormatError, ReproError, SnapshotError
+from repro.errors import ReproError, SnapshotError
 from repro.linking.linker import EntityLinker
 from repro.retrieval.compact import CompactIndex
 from repro.retrieval.engine import SearchEngine
 from repro.retrieval.index import PositionalIndex
 from repro.retrieval.scoring import DirichletSmoothing, Smoothing
 from repro.wiki.compact import CompactGraphView
-from repro.wiki.dump import read_graph, write_graph
 from repro.wiki.graph import WikiGraph
-from repro.wiki.partition import (
-    GraphPartition,
-    PartitionedGraphView,
-    partition_graph,
-    shard_of_document,
-)
+from repro.wiki.partition import shard_of_document, shard_of_node
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.collection.benchmark import Benchmark
@@ -92,8 +73,6 @@ __all__ = [
     "Snapshot",
     "ShardedSnapshot",
     "SNAPSHOT_FORMAT",
-    "SNAPSHOT_VERSION",
-    "SHARDED_SNAPSHOT_VERSION",
     "COMPACT_SNAPSHOT_VERSION",
     "MANIFEST_NAME",
     "CURRENT_POINTER_NAME",
@@ -103,16 +82,11 @@ __all__ = [
 ]
 
 SNAPSHOT_FORMAT = "repro-expansion-snapshot"
-SNAPSHOT_VERSION = 1
-SHARDED_SNAPSHOT_VERSION = 2
 COMPACT_SNAPSHOT_VERSION = 3
 MANIFEST_NAME = "manifest.json"
 
-_GRAPH_NAME = "wiki.jsonl.gz"
-_INDEX_NAME = "index.json.gz"
 _LINKER_NAME = "linker.json.gz"
 _DOCUMENTS_NAME = "documents.json.gz"
-_PARTITION_NAME = "partition.json.gz"
 _INDEX_BLOB_NAME = "index.bin"
 _GRAPH_BLOB_NAME = "graph.bin"
 _PREFILL_NAME = "prefill.json.gz"
@@ -216,11 +190,12 @@ def _parse_prefill_payload(payload: dict) -> PrefillEntries:
 
 @dataclass(slots=True)
 class Snapshot:
-    """All artefacts of one servable expansion system.
+    """All artefacts of one servable expansion system, in memory.
 
-    ``mu`` records the Dirichlet prior the index was intended to be served
-    with, so a reloaded engine ranks identically to the one used when the
-    snapshot was built.
+    The build product :class:`ShardedSnapshot` shards and persists, and
+    what the dict-path oracles serve from directly.  ``mu`` records the
+    Dirichlet prior the index was intended to be served with, so every
+    engine made from it ranks identically.
     """
 
     graph: WikiGraph
@@ -251,121 +226,6 @@ class Snapshot:
             },
             mu=resolved_mu,
         )
-
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-
-    def save(self, directory: str | Path) -> Path:
-        """Write all artefacts into ``directory`` (created if needed)."""
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        # Invalidate any existing snapshot before touching its artefacts:
-        # combined with writing the manifest last, a crash mid-save always
-        # leaves a directory load() rejects as "missing manifest" instead
-        # of a torn mix of old and new artefacts that parses.
-        (directory / MANIFEST_NAME).unlink(missing_ok=True)
-        write_graph(self.graph, directory / _GRAPH_NAME)
-        _write_json_gz(directory / _INDEX_NAME, self.index.to_payload())
-        _write_json_gz(directory / _LINKER_NAME, _linker_payload(self.title_index))
-        _write_json_gz(directory / _DOCUMENTS_NAME, dict(sorted(self.doc_names.items())))
-        manifest = {
-            "format": SNAPSHOT_FORMAT,
-            "version": SNAPSHOT_VERSION,
-            "mu": self.mu,
-            "counts": {
-                "articles": self.graph.num_articles,
-                "categories": self.graph.num_categories,
-                "edges": self.graph.num_edges,
-                "documents": self.index.num_documents,
-                "titles": len(self.title_index),
-            },
-        }
-        # The manifest is written last: a crash mid-save leaves a directory
-        # that load() rejects as "missing manifest" rather than a torn
-        # snapshot that parses.
-        (directory / MANIFEST_NAME).write_text(
-            json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
-        )
-        return directory
-
-    @classmethod
-    def load(cls, directory: str | Path) -> "Snapshot":
-        """Load a snapshot written by :meth:`save`.
-
-        Raises :class:`SnapshotError` on a missing/foreign/mismatched
-        manifest, missing artefact files, or count mismatches.
-        """
-        directory = Path(directory)
-        manifest_path = directory / MANIFEST_NAME
-        if not manifest_path.exists():
-            raise SnapshotError(
-                f"{directory} is not a snapshot directory (missing {MANIFEST_NAME})"
-            )
-        try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise SnapshotError(f"snapshot manifest is not valid JSON: {exc}") from exc
-        if manifest.get("format") != SNAPSHOT_FORMAT:
-            raise SnapshotError(
-                f"unknown snapshot format {manifest.get('format')!r} "
-                f"(expected {SNAPSHOT_FORMAT!r})"
-            )
-        found_version = manifest.get("version")
-        if found_version in (SHARDED_SNAPSHOT_VERSION, COMPACT_SNAPSHOT_VERSION) \
-                and "shards" in manifest:
-            raise SnapshotError(
-                f"snapshot at {directory} is a sharded snapshot "
-                f"({manifest['shards']} shards); load it with ShardedSnapshot.load "
-                f"or serve it with `repro serve`"
-            )
-        if found_version != SNAPSHOT_VERSION:
-            raise SnapshotError(
-                f"snapshot at {directory} has version {found_version!r}; this build "
-                f"reads version {SNAPSHOT_VERSION} — rebuild the snapshot with "
-                f"`repro serve --build`"
-            )
-        mu = float(manifest.get("mu", 0.0))
-        if mu <= 0:
-            raise SnapshotError(f"snapshot manifest has invalid mu: {manifest.get('mu')!r}")
-
-        graph_path = directory / _GRAPH_NAME
-        if not graph_path.exists():
-            raise SnapshotError(f"snapshot is missing {_GRAPH_NAME}")
-        try:
-            graph = read_graph(graph_path)
-        except (DumpFormatError, OSError, EOFError) as exc:
-            raise SnapshotError(
-                f"snapshot file {_GRAPH_NAME} is corrupt: {exc}"
-            ) from exc
-        index = PositionalIndex.from_payload(_read_json_gz(directory / _INDEX_NAME))
-        title_index = _parse_linker_payload(_read_json_gz(directory / _LINKER_NAME))
-        doc_names = {
-            str(doc_id): str(name)
-            for doc_id, name in _read_json_gz(directory / _DOCUMENTS_NAME).items()
-        }
-
-        snapshot = cls(
-            graph=graph, index=index, title_index=title_index,
-            doc_names=doc_names, mu=mu,
-        )
-        snapshot._check_counts(manifest.get("counts", {}), directory)
-        return snapshot
-
-    def _check_counts(self, counts: dict, directory: Path) -> None:
-        actual = {
-            "articles": self.graph.num_articles,
-            "categories": self.graph.num_categories,
-            "edges": self.graph.num_edges,
-            "documents": self.index.num_documents,
-            "titles": len(self.title_index),
-        }
-        for key, expected in counts.items():
-            if key in actual and actual[key] != expected:
-                raise SnapshotError(
-                    f"snapshot at {directory} is inconsistent: manifest declares "
-                    f"{expected} {key}, artefacts contain {actual[key]}"
-                )
 
     # ------------------------------------------------------------------
     # Materialisation
@@ -479,23 +339,37 @@ def _split_index(index: PositionalIndex, num_shards: int) -> list[PositionalInde
     ]
 
 
+def _check_counts(declared: dict, actual: dict[str, int], where: str) -> None:
+    """Refuse artefacts that hold something other than the manifest
+    declares (a silently truncated or swapped file).  Counts this build
+    does not know — earlier builds wrote per-partition ones — are
+    ignored."""
+    for key, expected in declared.items():
+        if key in actual and actual[key] != expected:
+            raise SnapshotError(
+                f"{where} is inconsistent: manifest declares "
+                f"{expected} {key}, artefacts contain {actual[key]}"
+            )
+
+
 @dataclass(slots=True)
 class ShardedSnapshot:
     """One logical snapshot stored and served as N physical shards.
 
-    Each shard pairs a :class:`GraphPartition` (core nodes + halo + every
-    incident edge) with the index segment of the documents hashed to it —
-    a :class:`PositionalIndex` on the build path, a :class:`CompactIndex`
-    once frozen (``frozen()``, or any load).  The linker vocabulary and
-    document names are shared across shards.  ``view()`` reassembles the
-    exact logical graph; ``compact_graph`` is its frozen CSR adjacency;
-    ``prefills`` optionally carries expansions precomputed per owner
-    shard (``with_prefill``).  The router in :mod:`repro.service.router`
-    serves queries over the shards without ever materialising the
-    monolithic index.
+    A shard is the index segment of the documents hashed to it — a
+    :class:`PositionalIndex` on the build path, a :class:`CompactIndex`
+    once frozen (``frozen()``, or any load) — and, when prefilled
+    (``with_prefill``), the expansions precomputed for the seed sets it
+    owns.  The graph is held once for all shards: the
+    :class:`WikiGraph` the snapshot was built from until ``frozen()``,
+    its :class:`CompactGraphView` after a freeze or a load; both answer
+    the same read API with the same sets.  The linker vocabulary and
+    document names are shared across shards as well.  The router in
+    :mod:`repro.service.router` serves queries over the shards without
+    ever materialising the monolithic index.
     """
 
-    partitions: tuple[GraphPartition, ...]
+    graph: WikiGraph | CompactGraphView
     segments: tuple[PositionalIndex | CompactIndex, ...]
     title_index: dict[tuple[str, ...], int]
     doc_names: dict[str, str]
@@ -509,13 +383,10 @@ class ShardedSnapshot:
     # re-parameterised default ever silently serves another strategy's
     # cached results ("" = no prefill recorded).
     prefill_expander: str = ""
-    # Frozen CSR adjacency of the whole logical graph; populated by
-    # ``frozen()`` and by the version-3 loader.
-    compact_graph: CompactGraphView | None = field(default=None, compare=False)
-    # On-disk format this snapshot came from (1/2/3), set by load() and
-    # save(); None = built in memory and never persisted.  Serving layers
+    # On-disk format this snapshot came from, set by load() and save();
+    # None = built in memory and never persisted.  Serving layers
     # surface it (`serve` startup line, /healthz) so operators can tell
-    # which layout a live process actually loaded.
+    # what a live process actually loaded.
     source_version: int | None = field(default=None, compare=False)
     # Live-update generation (docs/live_updates.md): 1 for a freshly
     # built snapshot, incremented each time a delta overlay is compacted
@@ -524,17 +395,12 @@ class ShardedSnapshot:
     generation: int = field(default=1, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.partitions) != len(self.segments):
-            raise SnapshotError(
-                f"shard mismatch: {len(self.partitions)} graph partitions vs "
-                f"{len(self.segments)} index segments"
-            )
-        if not self.partitions:
+        if not self.segments:
             raise SnapshotError("a sharded snapshot needs >= 1 shard")
-        if self.prefills and len(self.prefills) != len(self.partitions):
+        if self.prefills and len(self.prefills) != len(self.segments):
             raise SnapshotError(
                 f"shard mismatch: {len(self.prefills)} prefill entries vs "
-                f"{len(self.partitions)} shards"
+                f"{len(self.segments)} shards"
             )
 
     # ------------------------------------------------------------------
@@ -543,7 +409,7 @@ class ShardedSnapshot:
 
     @property
     def num_shards(self) -> int:
-        return len(self.partitions)
+        return len(self.segments)
 
     @property
     def num_documents(self) -> int:
@@ -553,19 +419,18 @@ class ShardedSnapshot:
     def build(
         cls, benchmark: "Benchmark", *, num_shards: int, mu: float | None = None
     ) -> "ShardedSnapshot":
-        """Partition a benchmark into ``num_shards`` servable shards."""
+        """Shard a benchmark into ``num_shards`` servable shards."""
         return cls.from_snapshot(Snapshot.build(benchmark, mu=mu), num_shards)
 
     @classmethod
     def from_snapshot(cls, snapshot: Snapshot, num_shards: int) -> "ShardedSnapshot":
-        """Shard a monolithic snapshot (the migration path for v1 dirs)."""
+        """Shard an in-memory snapshot: split the index, share the rest."""
         if num_shards < 1:
             raise SnapshotError("num_shards must be >= 1")
-        # Single shard IS the monolithic snapshot: partition_graph hands
-        # its graph back and the index is reused, not round-tripped
-        # posting by posting — v1 cold starts cost what they used to.
+        # Single shard IS the monolithic snapshot: the index is reused,
+        # not round-tripped posting by posting.
         return cls(
-            partitions=tuple(partition_graph(snapshot.graph, num_shards)),
+            graph=snapshot.graph,
             segments=(snapshot.index,) if num_shards == 1
             else tuple(_split_index(snapshot.index, num_shards)),
             title_index=dict(snapshot.title_index),
@@ -581,22 +446,20 @@ class ShardedSnapshot:
         """This snapshot with every read-path artefact in compact form.
 
         Index segments are interned into :class:`CompactIndex` and the
-        logical graph's adjacency into one :class:`CompactGraphView`.
-        Idempotent and cheap when already frozen (version-3 loads are);
-        the partitions (the write path and the linker's graph) are kept
-        as they are.
+        graph's adjacency into one :class:`CompactGraphView`.
+        Idempotent and cheap when already frozen (loads are).
         """
         segments_frozen = all(
             isinstance(segment, CompactIndex) for segment in self.segments
         )
-        if segments_frozen and self.compact_graph is not None:
+        if segments_frozen and isinstance(self.graph, CompactGraphView):
             return self
         return replace(
             self,
             segments=tuple(
                 CompactIndex.from_index(segment) for segment in self.segments
             ),
-            compact_graph=self.compact_graph or CompactGraphView.from_graph(self.view()),
+            graph=CompactGraphView.from_graph(self.graph),
         )
 
     def with_prefill(
@@ -622,16 +485,16 @@ class ShardedSnapshot:
         never mines cycles, so there is nothing to precompute).
         """
         frozen = self.frozen()
-        view = frozen.view()
-        linker = frozen.make_linker(view)
+        linker = frozen.make_linker()
         resolved_expander = expander or NeighborhoodCycleExpander()
         seed_sets = [linker.link_keywords(text) for text in queries]
         unique = [seeds for seeds in dict.fromkeys(seed_sets) if seeds]
         by_shard: dict[int, list[frozenset[int]]] = {}
         for seeds in unique:
-            by_shard.setdefault(view.owner_shard(min(seeds)), []).append(seeds)
+            owner = shard_of_node(min(seeds), frozen.num_shards)
+            by_shard.setdefault(owner, []).append(seeds)
 
-        graph = frozen.compact_graph
+        graph = frozen.graph
         expand_batch = getattr(resolved_expander, "expand_batch", None)
         prefills: list[PrefillEntries] = []
         for shard_id in range(frozen.num_shards):
@@ -676,110 +539,84 @@ class ShardedSnapshot:
     # Persistence
     # ------------------------------------------------------------------
 
-    def save(
-        self, directory: str | Path, *, version: int = COMPACT_SNAPSHOT_VERSION
-    ) -> Path:
+    def save(self, directory: str | Path) -> Path:
         """Write all shards; the checksummed manifest is written last.
 
-        ``version`` selects the on-disk format: 3 (default) stores index
-        segments and the graph adjacency as compact binary blobs that
-        load via ``mmap``; 2 writes the legacy JSON segments for
-        consumers pinned to the old format.  Prefilled expansions
-        require version 3.
+        Index segments and the graph adjacency are stored as compact
+        binary blobs that load via ``mmap``.
         """
-        if version not in (SHARDED_SNAPSHOT_VERSION, COMPACT_SNAPSHOT_VERSION):
-            raise SnapshotError(
-                f"cannot write snapshot version {version!r}; supported write "
-                f"versions are {SHARDED_SNAPSHOT_VERSION} and "
-                f"{COMPACT_SNAPSHOT_VERSION}"
-            )
-        compact = version == COMPACT_SNAPSHOT_VERSION
-        if self.prefills and not compact:
-            raise SnapshotError(
-                "prefilled expansions require the version-3 snapshot format"
-            )
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
+        # Invalidate any existing snapshot before touching its artefacts:
+        # combined with writing the manifest last, a crash mid-save always
+        # leaves a directory load() rejects as "missing manifest" instead
+        # of a torn mix of old and new artefacts that parses.
         (directory / MANIFEST_NAME).unlink(missing_ok=True)
 
-        source = self.frozen() if compact else self
+        source = self.frozen()
         shard_entries = []
-        for shard_id, (partition, segment) in enumerate(
-            zip(source.partitions, source.segments)
-        ):
-            shard_dir = directory / _shard_dir_name(partition.shard_id)
+        for shard_id, segment in enumerate(source.segments):
+            shard_dir = directory / _shard_dir_name(shard_id)
             shard_dir.mkdir(exist_ok=True)
-            _write_json_gz(shard_dir / _PARTITION_NAME, partition.to_payload())
-            checksums = {_PARTITION_NAME: _sha256(shard_dir / _PARTITION_NAME)}
-            if compact:
-                (shard_dir / _INDEX_BLOB_NAME).write_bytes(segment.to_blob())
-                checksums[_INDEX_BLOB_NAME] = _sha256(shard_dir / _INDEX_BLOB_NAME)
-                if source.prefills:
-                    _write_json_gz(
-                        shard_dir / _PREFILL_NAME,
-                        _prefill_payload(
-                            source.prefills[shard_id], source.prefill_expander
-                        ),
-                    )
-                    checksums[_PREFILL_NAME] = _sha256(shard_dir / _PREFILL_NAME)
-            else:
-                _write_json_gz(shard_dir / _INDEX_NAME, segment.to_payload())
-                checksums[_INDEX_NAME] = _sha256(shard_dir / _INDEX_NAME)
+            (shard_dir / _INDEX_BLOB_NAME).write_bytes(segment.to_blob())
+            checksums = {_INDEX_BLOB_NAME: _sha256(shard_dir / _INDEX_BLOB_NAME)}
+            if source.prefills:
+                _write_json_gz(
+                    shard_dir / _PREFILL_NAME,
+                    _prefill_payload(
+                        source.prefills[shard_id], source.prefill_expander
+                    ),
+                )
+                checksums[_PREFILL_NAME] = _sha256(shard_dir / _PREFILL_NAME)
             shard_entries.append({
                 "dir": shard_dir.name,
                 "checksums": checksums,
-                "counts": {
-                    "core_articles": len(partition.core_articles),
-                    "core_categories": len(partition.core_categories),
-                    "owned_edges": partition.num_owned_edges,
-                    "documents": segment.num_documents,
-                },
+                "counts": {"documents": segment.num_documents},
             })
         _write_json_gz(directory / _LINKER_NAME, _linker_payload(self.title_index))
         _write_json_gz(directory / _DOCUMENTS_NAME, dict(sorted(self.doc_names.items())))
+        (directory / _GRAPH_BLOB_NAME).write_bytes(source.graph.to_blob())
         shared_checksums = {
-            _LINKER_NAME: _sha256(directory / _LINKER_NAME),
-            _DOCUMENTS_NAME: _sha256(directory / _DOCUMENTS_NAME),
+            name: _sha256(directory / name)
+            for name in (_LINKER_NAME, _DOCUMENTS_NAME, _GRAPH_BLOB_NAME)
         }
-        if compact:
-            (directory / _GRAPH_BLOB_NAME).write_bytes(source.compact_graph.to_blob())
-            shared_checksums[_GRAPH_BLOB_NAME] = _sha256(directory / _GRAPH_BLOB_NAME)
 
         manifest = {
             "format": SNAPSHOT_FORMAT,
-            "version": version,
+            "version": COMPACT_SNAPSHOT_VERSION,
             "mu": self.mu,
             "generation": self.generation,
             "shards": self.num_shards,
-            "counts": {
-                "articles": sum(len(p.core_articles) for p in self.partitions),
-                "categories": sum(len(p.core_categories) for p in self.partitions),
-                "edges": sum(p.num_owned_edges for p in self.partitions),
-                "documents": self.num_documents,
-                "titles": len(self.title_index),
-                "prefill_entries": source.num_prefilled,
-            },
+            "counts": source._global_counts(),
             "shard_artifacts": shard_entries,
             "shared_checksums": shared_checksums,
         }
-        # Written last, like Snapshot.save: a crash mid-save leaves a
-        # directory load() rejects instead of a torn shard mix.
         (directory / MANIFEST_NAME).write_text(
             json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
         )
-        self.source_version = version
+        self.source_version = COMPACT_SNAPSHOT_VERSION
         return directory
+
+    def _global_counts(self) -> dict[str, int]:
+        """What the manifest declares and load() checks the artefacts for."""
+        return {
+            "articles": self.graph.num_articles,
+            "categories": self.graph.num_categories,
+            "edges": self.graph.num_edges,
+            "documents": self.num_documents,
+            "titles": len(self.title_index),
+            "prefill_entries": self.num_prefilled,
+        }
 
     @classmethod
     def load(cls, directory: str | Path) -> "ShardedSnapshot":
-        """Load a sharded snapshot; v1 directories load as one shard.
+        """Load a snapshot directory (following its ``CURRENT`` pointer).
 
         Every artefact's sha256 is verified against the manifest before
-        parsing.  Version-3 directories map their compact blobs with
-        ``mmap``; version-1/2 directories are parsed the old way and
-        then frozen on load, so callers always receive the compact read
-        path.  Raises :class:`SnapshotError` on checksum mismatches,
-        missing shards, or count inconsistencies.
+        parsing; the compact blobs are mapped with ``mmap``, so callers
+        always receive the compact read path.  Raises
+        :class:`SnapshotError` on a version this build does not read, on
+        checksum mismatches, missing shards, or count inconsistencies.
         """
         directory = resolve_snapshot_dir(directory)
         manifest_path = directory / MANIFEST_NAME
@@ -797,21 +634,14 @@ class ShardedSnapshot:
                 f"(expected {SNAPSHOT_FORMAT!r})"
             )
         version = manifest.get("version")
-        if version == SNAPSHOT_VERSION:
-            # Pre-shard snapshot: serve it unchanged as a single shard
-            # (frozen on load so serving runs the compact path).
-            return replace(
-                cls.from_snapshot(Snapshot.load(directory), num_shards=1),
-                source_version=SNAPSHOT_VERSION,
-            ).frozen()
-        if version not in (SHARDED_SNAPSHOT_VERSION, COMPACT_SNAPSHOT_VERSION):
+        if version != COMPACT_SNAPSHOT_VERSION:
+            # Versions 1 and 2 (JSON graph / JSON index segments) hold
+            # nothing a rebuild from their benchmark does not reproduce.
             raise SnapshotError(
-                f"snapshot at {directory} has version {version!r}; this build reads "
-                f"versions {SNAPSHOT_VERSION}, {SHARDED_SNAPSHOT_VERSION} and "
-                f"{COMPACT_SNAPSHOT_VERSION} — rebuild the snapshot with "
-                f"`repro snapshot`"
+                f"snapshot at {directory} has version {version!r}; this build "
+                f"reads version {COMPACT_SNAPSHOT_VERSION} — rebuild the "
+                f"snapshot with `repro snapshot`"
             )
-        compact = version == COMPACT_SNAPSHOT_VERSION
         mu = float(manifest.get("mu", 0.0))
         if mu <= 0:
             raise SnapshotError(f"snapshot manifest has invalid mu: {manifest.get('mu')!r}")
@@ -827,7 +657,7 @@ class ShardedSnapshot:
         def verified(path: Path, expected: str | None) -> Path:
             if not path.exists():
                 raise SnapshotError(f"snapshot is missing {path.name}")
-            # A v2 manifest must checksum every artefact it references —
+            # The manifest must checksum every artefact that is read —
             # a deleted checksum entry would otherwise disable integrity
             # checking exactly when tampering is most likely.
             if expected is None:
@@ -862,56 +692,35 @@ class ShardedSnapshot:
                 verified(directory / _DOCUMENTS_NAME, shared.get(_DOCUMENTS_NAME))
             ).items()
         }
-        compact_graph = None
-        if compact:
-            compact_graph = load_blob(CompactGraphView.load, verified(
-                directory / _GRAPH_BLOB_NAME, shared.get(_GRAPH_BLOB_NAME)
-            ))
+        graph = load_blob(CompactGraphView.load, verified(
+            directory / _GRAPH_BLOB_NAME, shared.get(_GRAPH_BLOB_NAME)
+        ))
 
-        partitions: list[GraphPartition] = []
-        segments: list[PositionalIndex | CompactIndex] = []
+        segments: list[CompactIndex] = []
         prefills: list[PrefillEntries] = []
         prefill_expanders: set[str] = set()
         for entry in shard_entries:
             shard_dir = directory / str(entry.get("dir", ""))
             checksums = entry.get("checksums", {})
-            partition = GraphPartition.from_payload(_read_json_gz(
-                verified(shard_dir / _PARTITION_NAME, checksums.get(_PARTITION_NAME))
+            segment = load_blob(CompactIndex.load, verified(
+                shard_dir / _INDEX_BLOB_NAME, checksums.get(_INDEX_BLOB_NAME)
             ))
-            if compact:
-                segment = load_blob(CompactIndex.load, verified(
-                    shard_dir / _INDEX_BLOB_NAME, checksums.get(_INDEX_BLOB_NAME)
-                ))
-                if _PREFILL_NAME in checksums:
-                    prefill_payload = _read_json_gz(
-                        verified(shard_dir / _PREFILL_NAME, checksums[_PREFILL_NAME])
-                    )
-                    prefills.append(_parse_prefill_payload(prefill_payload))
-                    prefill_expanders.add(str(prefill_payload.get("expander", "")))
-            else:
-                segment = PositionalIndex.from_payload(_read_json_gz(
-                    verified(shard_dir / _INDEX_NAME, checksums.get(_INDEX_NAME))
-                ))
-            counts = entry.get("counts", {})
-            actual = {
-                "core_articles": len(partition.core_articles),
-                "core_categories": len(partition.core_categories),
-                "owned_edges": partition.num_owned_edges,
-                "documents": segment.num_documents,
-            }
-            for key, expected in counts.items():
-                if key in actual and actual[key] != expected:
-                    raise SnapshotError(
-                        f"snapshot shard {shard_dir.name} is inconsistent: manifest "
-                        f"declares {expected} {key}, artefacts contain {actual[key]}"
-                    )
-            partitions.append(partition)
+            if _PREFILL_NAME in checksums:
+                prefill_payload = _read_json_gz(
+                    verified(shard_dir / _PREFILL_NAME, checksums[_PREFILL_NAME])
+                )
+                prefills.append(_parse_prefill_payload(prefill_payload))
+                prefill_expanders.add(str(prefill_payload.get("expander", "")))
+            _check_counts(
+                entry.get("counts", {}), {"documents": segment.num_documents},
+                f"snapshot shard {shard_dir.name}",
+            )
             segments.append(segment)
 
-        if prefills and len(prefills) != len(partitions):
+        if prefills and len(prefills) != len(segments):
             raise SnapshotError(
                 f"snapshot at {directory} is inconsistent: {len(prefills)} shards "
-                f"carry prefill artefacts but {len(partitions)} shards exist"
+                f"carry prefill artefacts but {len(segments)} shards exist"
             )
         if len(prefill_expanders) > 1:
             raise SnapshotError(
@@ -919,29 +728,18 @@ class ShardedSnapshot:
                 f"the prefill expander ({sorted(prefill_expanders)})"
             )
         snapshot = cls(
-            partitions=tuple(partitions), segments=tuple(segments),
+            graph=graph, segments=tuple(segments),
             title_index=title_index, doc_names=doc_names, mu=mu,
-            prefills=tuple(prefills), compact_graph=compact_graph,
+            prefills=tuple(prefills),
             prefill_expander=next(iter(prefill_expanders), ""),
             source_version=version,
             generation=int(manifest.get("generation", 1)),
         )
-        counts = manifest.get("counts", {})
-        actual_global = {
-            "articles": sum(len(p.core_articles) for p in partitions),
-            "categories": sum(len(p.core_categories) for p in partitions),
-            "edges": sum(p.num_owned_edges for p in partitions),
-            "documents": snapshot.num_documents,
-            "titles": len(title_index),
-            "prefill_entries": snapshot.num_prefilled,
-        }
-        for key, expected in counts.items():
-            if key in actual_global and actual_global[key] != expected:
-                raise SnapshotError(
-                    f"snapshot at {directory} is inconsistent: manifest declares "
-                    f"{expected} {key}, artefacts contain {actual_global[key]}"
-                )
-        return snapshot if compact else snapshot.frozen()
+        _check_counts(
+            manifest.get("counts", {}), snapshot._global_counts(),
+            f"snapshot at {directory}",
+        )
+        return snapshot
 
     # ------------------------------------------------------------------
     # Materialisation
@@ -952,26 +750,17 @@ class ShardedSnapshot:
 
         Printed by ``repro serve`` at startup and echoed by ``/healthz``
         so a running process can always be matched to the snapshot
-        format it loaded (see ``docs/architecture.md`` for the formats).
+        it loaded (see ``docs/architecture.md`` for the format).
         """
-        layouts = {
-            SNAPSHOT_VERSION: "v1 single-dir (JSON graph + index)",
-            SHARDED_SNAPSHOT_VERSION: "v2 sharded (JSON index segments)",
-            COMPACT_SNAPSHOT_VERSION:
-                "v3 sharded (compact binary blobs, mmap-loaded)",
-        }
-        layout = layouts.get(
-            self.source_version, "in-memory build (not loaded from disk)"
+        layout = (
+            "in-memory build (not loaded from disk)" if self.source_version is None
+            else "v3 sharded (compact binary blobs, mmap-loaded)"
         )
         return (
             f"{layout}; shards={self.num_shards}, "
             f"documents={self.num_documents}, titles={len(self.title_index)}, "
             f"prefilled={self.num_prefilled}"
         )
-
-    def view(self) -> PartitionedGraphView:
-        """The exact logical graph reassembled over the partitions."""
-        return PartitionedGraphView(self.partitions)
 
     def make_segment_engine(
         self, shard_id: int, smoothing: Smoothing | None = None
@@ -982,12 +771,9 @@ class ShardedSnapshot:
             index=self.segments[shard_id],
         )
 
-    def make_linker(self, graph=None, **kwargs) -> EntityLinker:
-        """A ready linker from the shared vocabulary (defaults to the view)."""
-        return EntityLinker(
-            graph if graph is not None else self.view(),
-            title_index=self.title_index, **kwargs,
-        )
+    def make_linker(self, **kwargs) -> EntityLinker:
+        """A ready linker from the shared vocabulary (no title rescan)."""
+        return EntityLinker(self.graph, title_index=self.title_index, **kwargs)
 
     def __repr__(self) -> str:
         return (

@@ -12,11 +12,11 @@ a :class:`~repro.service.artifacts.ShardedSnapshot`:
   :class:`ExpansionService` instances: per-shard LRU caches, in-flight
   dedup, and the amortised ``expand_batch`` pre-fill all apply per shard.
   Cycle mining runs on the snapshot's frozen
-  :class:`~repro.wiki.compact.CompactGraphView` (built from the
-  :class:`PartitionedGraphView`, whose per-node halo answers are exact),
-  so the mined cycles are identical to the monolithic graph's while the
-  neighbourhood/subgraph work stays on CSR arrays.  Snapshots built with
-  ``--prefill`` warm each worker's expansion cache at construction.
+  :class:`~repro.wiki.compact.CompactGraphView` — the one graph the
+  router links against too — so the mined cycles are the dict graph's
+  while the neighbourhood/subgraph work stays on CSR arrays.  Snapshots
+  built with ``--prefill`` warm each worker's expansion cache at
+  construction.
 * **Ranking** is a scatter-gather over every shard's index segment with a
   global statistics exchange (each segment reports local collection counts
   per query leaf, the router sums them into the global background model,
@@ -65,6 +65,7 @@ from repro.service.artifacts import ShardedSnapshot
 from repro.service.cache import CacheStats, LRUCache
 from repro.service.server import ExpansionService, ServiceResponse, ServiceStats
 from repro.service.wire import SearchRequest
+from repro.wiki.partition import shard_of_node
 
 __all__ = ["ShardRouter", "RouterStats"]
 
@@ -173,8 +174,7 @@ class ShardRouter:
     Parameters
     ----------
     snapshot:
-        The sharded snapshot to serve (or a snapshot directory path, v1
-        single-shard directories included).
+        The sharded snapshot to serve.
     expander:
         Expansion strategy shared by all workers; defaults to the
         paper-tuned :class:`NeighborhoodCycleExpander` (stateless, so one
@@ -193,14 +193,14 @@ class ShardRouter:
     ) -> None:
         # Serve from the compact read path: CSR adjacency for expansion,
         # interned CSR postings for ranking.  frozen() is a no-op for
-        # snapshots loaded from the version-3 format.
+        # snapshots loaded from disk.
         from repro.service.shard_worker import make_shard_worker
 
         snapshot = snapshot.frozen()
         self.snapshot = snapshot
-        self._view = snapshot.view()
+        self._view = snapshot.graph
         self.doc_names = dict(snapshot.doc_names)
-        self._linker = snapshot.make_linker(self._view)
+        self._linker = snapshot.make_linker()
         shared_expander = expander or NeighborhoodCycleExpander()
         # Worker construction (cache sizing, warm-cache prefill) is
         # shared with the out-of-process worker entry point
@@ -249,7 +249,7 @@ class ShardRouter:
         cls, snapshot: ShardedSnapshot | str | Path,
         expander: Expander | None = None, **kwargs,
     ) -> "ShardRouter":
-        """Cold-start a router from a (sharded or v1) snapshot directory."""
+        """Cold-start a router from a snapshot (or a snapshot directory)."""
         if not isinstance(snapshot, ShardedSnapshot):
             snapshot = ShardedSnapshot.load(snapshot)
         return cls(snapshot, expander, **kwargs)
@@ -260,7 +260,8 @@ class ShardRouter:
 
     @property
     def graph(self):
-        """The exact logical graph (a :class:`PartitionedGraphView`)."""
+        """The effective logical graph: the snapshot's, or the overlay
+        view an applied delta batch published over it."""
         return self._view
 
     @property
@@ -278,13 +279,14 @@ class ShardRouter:
     def owner_shard(self, seeds: frozenset[int]) -> int:
         """Shard whose worker owns this seed set's expansion.
 
-        The shard of the smallest seed id: deterministic, so repeats of a
-        query always hit the same worker's expansion cache.  Empty seed
-        sets (keyword fallback) go to shard 0; they never mine cycles.
+        The placement hash of the smallest seed id: deterministic, so
+        repeats of a query always hit the same worker's expansion cache
+        (and ``with_prefill`` stored it there).  Empty seed sets (keyword
+        fallback) go to shard 0; they never mine cycles.
         """
         if not seeds:
             return 0
-        return self._view.owner_shard(min(seeds))
+        return shard_of_node(min(seeds), self.num_shards)
 
     def expand_query(self, text: str, top_k: int = 10) -> ServiceResponse:
         """Answer one query: link at the router, expand on the owning
@@ -343,26 +345,24 @@ class ShardRouter:
     def linker(self):
         return self._linker
 
-    def apply_overlay(
-        self, router_view, worker_graph, *, linker=None, delta_seq: int = 0
-    ) -> None:
-        """Publish new effective graph views after an applied delta batch.
+    def apply_overlay(self, view, *, linker=None, delta_seq: int = 0) -> None:
+        """Publish the effective graph view after an applied delta batch.
 
-        ``router_view`` replaces the router's logical view (linking,
-        ``build_query`` titles, owner routing); ``worker_graph`` is
-        pushed into every in-process worker's expansion path.  Both are
-        reference swaps — requests in flight finish on the view they
-        started with, and what they compute from it is not cached (the
+        ``view`` replaces the router's logical view (linking,
+        ``build_query`` titles) and is pushed into every in-process
+        worker's expansion path.  Both are reference swaps — requests
+        in flight finish on the view they started with, and what they
+        compute from it is not cached (the
         link cache's invalidation epoch moves on, as the workers' do in
         ``set_graph``).  The caller evicts invalidated cache entries
         separately (:meth:`evict_expansions` / :meth:`evict_links`).
         """
-        self._view = router_view
+        self._view = view
         if linker is not None:
             self._linker = linker
             self._link_cache.invalidate()
         for worker in self._workers:
-            worker.set_graph(worker_graph, linker=linker)
+            worker.set_graph(view, linker=linker)
         if delta_seq:
             with self._lock:
                 self._delta_seq = max(self._delta_seq, delta_seq)
@@ -372,8 +372,8 @@ class ShardRouter:
 
         Compaction only folds *graph* deltas in — index segments and
         document names are unchanged by construction — so the swap
-        replaces the graph artefacts (snapshot, view, linker, worker
-        graphs) and deliberately keeps engines and caches: the overlay
+        replaces the graph artefacts (snapshot, graph, linker)
+        and deliberately keeps engines and caches: the overlay
         the workers were serving is bit-identical to the new base, so
         every cached expansion stays valid across the swap, and the
         collection-statistics cache stays valid because the engines do
@@ -386,10 +386,10 @@ class ShardRouter:
                 f"this router serves {self.num_shards} shard(s)"
             )
         self.snapshot = snapshot
-        self._view = snapshot.view()
-        self._linker = snapshot.make_linker(self._view)
+        self._view = snapshot.graph
+        self._linker = snapshot.make_linker()
         for worker in self._workers:
-            worker.set_graph(snapshot.compact_graph, linker=self._linker)
+            worker.set_graph(snapshot.graph, linker=self._linker)
         with self._lock:
             self._delta_seq = 0
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.core.expansion import (
     Expander,
@@ -233,13 +232,13 @@ class ExpansionService:
     @classmethod
     def from_snapshot(
         cls,
-        snapshot: Snapshot | str | Path,
+        snapshot: Snapshot,
         expander: Expander | None = None,
         *,
         compact: bool = True,
         **kwargs,
     ) -> "ExpansionService":
-        """Cold-start a service from a snapshot (or a snapshot directory).
+        """A service over an in-memory snapshot.
 
         With ``compact`` (the default) the hot read path is frozen into
         the array-backed structures — :class:`CompactGraphView` for
@@ -248,8 +247,6 @@ class ExpansionService:
         faster.  ``compact=False`` keeps the dict path; the latency
         benchmark uses it to measure the speedup in one process.
         """
-        if not isinstance(snapshot, Snapshot):
-            snapshot = Snapshot.load(snapshot)
         if compact:
             graph = CompactGraphView.from_graph(snapshot.graph)
             engine = SearchEngine(

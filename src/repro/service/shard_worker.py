@@ -99,9 +99,9 @@ def make_shard_worker(
     expander = expander or NeighborhoodCycleExpander()
     prefill = snapshot.prefill_for(shard_id, expander)
     worker = ExpansionService(
-        snapshot.compact_graph,
+        snapshot.graph,
         snapshot.make_segment_engine(shard_id),
-        linker if linker is not None else snapshot.make_linker(snapshot.view()),
+        linker if linker is not None else snapshot.make_linker(),
         expander,
         doc_names=snapshot.doc_names,
         # Linking happens once at the router (owner routing needs the
@@ -377,7 +377,7 @@ def run_worker(
         else FaultPlan.from_env()
     worker = make_shard_worker(snapshot, shard_id)
     updater = ShardWorkerUpdater(
-        worker, snapshot.compact_graph, generation=snapshot.generation
+        worker, snapshot.graph, generation=snapshot.generation
     )
     pending = DeltaLog(snapshot_dir).replay(snapshot.generation)
     if pending:

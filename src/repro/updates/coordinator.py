@@ -2,17 +2,12 @@
 
 :class:`UpdateCoordinator` owns the mutable half of a serving stack
 built from frozen artefacts.  It keeps one :class:`OverlayState` and
-publishes it through two :class:`OverlayGraphView` facades over the two
-immutable bases the stack actually reads:
-
-* the router's :class:`~repro.wiki.partition.PartitionedGraphView`
-  (linking, ``build_query`` titles, owner-shard routing), and
-* the workers' :class:`~repro.wiki.compact.CompactGraphView` (cycle
-  mining and expansion titles).
-
-Both views consult the *same* state object, so a batch becomes visible
-to every layer in one reference swap
-(:meth:`~repro.service.router.ShardRouter.apply_overlay`).
+publishes it through one :class:`OverlayGraphView` over the one
+immutable base the stack reads, the snapshot's
+:class:`~repro.wiki.compact.CompactGraphView` — linking and
+``build_query`` titles at the router, cycle mining and expansion titles
+in the workers — so a batch becomes visible to every layer in one
+reference swap (:meth:`~repro.service.router.ShardRouter.apply_overlay`).
 
 ``apply`` is the write path: validate the batch against the serving
 generation (:class:`~repro.errors.StaleGenerationError` on mismatch),
@@ -25,7 +20,7 @@ supervised socket workers (which apply it idempotently by sequence
 number; a worker that misses it replays the log on its next restart).
 
 ``compact`` is the fold: materialise base+overlay into a plain
-:class:`~repro.wiki.graph.WikiGraph`, re-partition it, rebuild the
+:class:`~repro.wiki.graph.WikiGraph`, freeze it, rebuild the
 linker vocabulary, and save the result as generation N+1 under
 ``gen-NNNN/`` with the ``CURRENT`` pointer flipped atomically
 (:func:`~repro.service.artifacts.write_current_pointer`).  The router
@@ -67,7 +62,6 @@ from repro.updates.overlay import (
     apply_deltas,
     materialize_graph,
 )
-from repro.wiki.partition import partition_graph
 
 __all__ = ["UpdateCoordinator", "ShardWorkerUpdater", "fold_batch"]
 
@@ -78,7 +72,7 @@ _FANOUT_TIMEOUT_S = 10.0
 _FANOUT_ATTEMPTS = 3
 
 
-def fold_batch(base, compact, state: OverlayState, deltas, linker, generation=None):
+def fold_batch(base, state: OverlayState, deltas, linker, generation=None):
     """The pure half of a write, shared by coordinator and workers.
 
     Validates ``deltas`` against ``base`` + ``state`` (and ``generation``,
@@ -88,8 +82,8 @@ def fold_batch(base, compact, state: OverlayState, deltas, linker, generation=No
     applied, linker, ball)``: the successor of the serving ``linker``
     when the title surface changed (patched — a rescan only when a key's
     owner was removed), else ``None``; and the delta ball, walked over
-    ``compact``, the CSR twin of ``base`` (``base`` itself in a worker).
-    Work follows the batch and its ball, not the graph.
+    ``base``'s CSR rows when it is a frozen graph.  Work follows the
+    batch and its ball, not the graph.
     """
     if generation is not None and int(generation) != state.generation:
         raise StaleGenerationError(state.generation, generation)
@@ -106,9 +100,7 @@ def fold_batch(base, compact, state: OverlayState, deltas, linker, generation=No
                 if new_linker is None:
                     new_linker = linker.rebuilt(after)
         with span("ball") as labels:
-            ball = delta_ball(
-                changed_nodes(applied), before=before, after=after, compact=compact
-            )
+            ball = delta_ball(changed_nodes(applied), before=before, after=after)
             labels.update(size=len(ball), touched=len(new_state.touched))
     return new_state, applied, new_linker, ball
 
@@ -213,10 +205,9 @@ class UpdateCoordinator:
 
     def _apply_locked(self, deltas: list[Delta], generation) -> dict:
         router = self._router
-        base = router.snapshot.view()
-        compact = router.snapshot.compact_graph
+        base = router.snapshot.graph
         new_state, applied, linker, ball = fold_batch(
-            base, compact, self._state, deltas, router.linker, generation
+            base, self._state, deltas, router.linker, generation
         )
         evicted = {"expansion": 0, "link": 0}
         stale_workers: list[int] = []
@@ -229,7 +220,6 @@ class UpdateCoordinator:
             with span("publish"):
                 router.apply_overlay(
                     OverlayGraphView(base, new_state),
-                    OverlayGraphView(compact, new_state),
                     linker=linker, delta_seq=new_state.last_seq,
                 )
                 self._state = new_state
@@ -275,14 +265,13 @@ class UpdateCoordinator:
             new_generation = old_generation + 1
             folded_seq = state.last_seq
 
-            overlay = OverlayGraphView(router.snapshot.view(), state)
+            overlay = OverlayGraphView(router.snapshot.graph, state)
             new_graph = materialize_graph(overlay)
-            partitions = tuple(partition_graph(new_graph, router.num_shards))
 
             linker = router.linker.rebuilt(new_graph)
             old_snapshot = router.snapshot
             new_snapshot = ShardedSnapshot(
-                partitions=partitions,
+                graph=new_graph,
                 segments=old_snapshot.segments,
                 title_index=linker.vocabulary(),
                 doc_names=dict(old_snapshot.doc_names),
@@ -430,8 +419,7 @@ class ShardWorkerUpdater:
         with self._lock:
             worker = self._worker
             new_state, applied, linker, ball = fold_batch(
-                self._base, self._base, self._state, deltas, worker.linker,
-                generation,
+                self._base, self._state, deltas, worker.linker, generation
             )
             evicted = 0
             if applied:

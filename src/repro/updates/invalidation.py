@@ -72,7 +72,6 @@ def delta_ball(
     *,
     before,
     after,
-    compact=None,
     radius: int = INVALIDATION_RADIUS,
 ) -> frozenset[int]:
     """BFS ball around ``sources`` over the union adjacency of both views.
@@ -82,20 +81,22 @@ def delta_ball(
     side contributes no neighbours there (removed and added nodes are
     handled uniformly).
 
-    With ``compact``, the frozen CSR twin of the overlays' base, a node
-    neither overlay touched is read once, as a slice of its
-    ``kernel_csr()`` row in index space, and only touched nodes are asked
-    of the views.  Rows are sliced, not read through
-    ``compact.undirected_neighbors``: that fills the base's decode cache
-    with seven frozensets per node, and a ball can be the whole graph.
+    When ``after`` overlays a frozen CSR base (one with
+    ``kernel_csr()``; ``before`` is an earlier overlay of the same base),
+    a node neither overlay touched is read once, as a slice of its row
+    in index space, and only touched nodes are asked of the views.  Rows
+    are sliced, not read through ``base.undirected_neighbors``: that
+    fills the base's decode cache with seven frozensets per node, and a
+    ball can be the whole graph.
     """
     ball = set(sources)
     frontier = set(sources)
+    csr = getattr(getattr(after, "base", None), "kernel_csr", None)
     node_ids, index_of, offsets, targets = (
-        compact.kernel_csr()[:4] if compact is not None else ((), {}, (), ())
+        csr()[:4] if csr is not None else ((), {}, (), ())
     )
     # ``touched`` only grows, and holds every added or removed node.
-    overlaid = after.state.touched if compact is not None else None
+    overlaid = after.state.touched if csr is not None else None
     for _ in range(radius):
         if not frontier:
             break

@@ -230,12 +230,12 @@ class OverlayState:
 class OverlayGraphView:
     """The WikiGraph read API over ``base`` merged with an overlay state.
 
-    ``base`` is any frozen graph view (:class:`CompactGraphView`,
-    :class:`PartitionedGraphView`, or a plain :class:`WikiGraph`); the
-    surface is explicit — no ``__getattr__`` and deliberately no
-    ``kernel_csr``, so the cycle kernels can never read stale CSR arrays
-    through an overlay (they either get the base's subgraph view on the
-    untouched fast path, or a materialised dict subgraph).
+    ``base`` is any frozen graph view (:class:`CompactGraphView` or a
+    plain :class:`WikiGraph`); the surface is explicit — no
+    ``__getattr__`` and deliberately no ``kernel_csr``, so the cycle
+    kernels can never read stale CSR arrays through an overlay (they
+    either get the base's subgraph view on the untouched fast path, or a
+    materialised dict subgraph).
     """
 
     __slots__ = ("_base", "_state")
@@ -496,23 +496,6 @@ class OverlayGraphView:
                 for parent in sorted(self.parents_of(node_id) & keep):
                     edges.append(Edge(node_id, parent, EdgeKind.INSIDE))
         return WikiGraph(articles, categories, edges)
-
-    # ------------------------------------------------------------------
-    # Shard placement (router-side base views only)
-    # ------------------------------------------------------------------
-
-    def owner_shard(self, node_id: int) -> int:
-        state = self._state
-        if node_id in state.removed:
-            raise UnknownNodeError(node_id)
-        if node_id in state.articles_override and node_id not in self._base:
-            from repro.wiki.partition import shard_of_node
-            return shard_of_node(node_id, self._base.num_shards)
-        return self._base.owner_shard(node_id)
-
-    @property
-    def num_shards(self) -> int:
-        return self._base.num_shards
 
     def __repr__(self) -> str:
         state = self._state

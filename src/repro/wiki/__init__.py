@@ -9,13 +9,7 @@ from repro.wiki.builder import WikiGraphBuilder
 from repro.wiki.compact import CompactGraphView
 from repro.wiki.dump import dumps_graph, loads_graph, read_graph, write_graph
 from repro.wiki.graph import WikiGraph
-from repro.wiki.partition import (
-    GraphPartition,
-    PartitionedGraphView,
-    partition_graph,
-    shard_of_document,
-    shard_of_node,
-)
+from repro.wiki.partition import shard_of_document, shard_of_node
 from repro.wiki.paths import bfs_distances, distance_histogram, eccentricity
 from repro.wiki.schema import Article, Category, Edge, EdgeKind, NodeKind, normalize_title
 from repro.wiki.stats import (
@@ -39,9 +33,6 @@ __all__ = [
     "WikiGraph",
     "WikiGraphBuilder",
     "CompactGraphView",
-    "GraphPartition",
-    "PartitionedGraphView",
-    "partition_graph",
     "shard_of_node",
     "shard_of_document",
     "write_graph",

@@ -1,12 +1,11 @@
 """Frozen CSR adjacency for the serving-side graph read path.
 
 :class:`CompactGraphView` freezes the redirect-free undirected adjacency
-of a :class:`~repro.wiki.graph.WikiGraph` (or a
-:class:`~repro.wiki.partition.PartitionedGraphView`) into flat integer
-arrays: node ids are interned into dense indices, each node's neighbours
-occupy one CSR slice, and a parallel byte array carries a *typed
-edge-kind mask* per (node, neighbour) pair — which directed relations
-(link out/in, belongs, member, inside parent/child) connect them.  The
+of a :class:`~repro.wiki.graph.WikiGraph` into flat integer arrays:
+node ids are interned into dense indices, each node's neighbours occupy
+one CSR slice, and a parallel byte array carries a *typed edge-kind
+mask* per (node, neighbour) pair — which directed relations (link
+out/in, belongs, member, inside parent/child) connect them.  The
 typed sets the expansion pipeline asks for (``links_from``,
 ``categories_of``, ...) are therefore mask filters over one contiguous
 slice instead of six dict probes.
@@ -134,11 +133,8 @@ class CompactGraphView:
 
     @classmethod
     def from_graph(cls, graph) -> "CompactGraphView":
-        """Freeze any WikiGraph-shaped object (graph, partition view).
-
-        ``graph`` must answer the typed adjacency API exactly (a
-        :class:`WikiGraph`, or a :class:`PartitionedGraphView` whose
-        per-node answers are exact); the frozen view then answers every
+        """Freeze a :class:`WikiGraph` (or anything answering its typed
+        adjacency API exactly); the frozen view then answers every
         adjacency query with the same sets.
         """
         if isinstance(graph, cls):

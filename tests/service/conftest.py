@@ -6,7 +6,7 @@ import subprocess
 import pytest
 
 from repro.collection import Benchmark, SyntheticCollectionConfig
-from repro.service import Snapshot
+from repro.service import ShardedSnapshot, Snapshot
 from repro.wiki import SyntheticWikiConfig
 
 
@@ -26,8 +26,9 @@ def snapshot(small_benchmark) -> Snapshot:
 
 @pytest.fixture(scope="module")
 def snapshot_dir(snapshot, tmp_path_factory):
+    """What ``repro snapshot`` writes by default: one shard."""
     directory = tmp_path_factory.mktemp("snapshot")
-    snapshot.save(directory)
+    ShardedSnapshot.from_snapshot(snapshot, num_shards=1).save(directory)
     return directory
 
 

@@ -1,4 +1,8 @@
-"""Snapshot round-trip and version-gate tests (single-shard and sharded)."""
+"""Snapshot round-trip and version-gate tests (single-shard and sharded).
+
+``snapshot_dir`` is the directory ``repro snapshot`` writes by default
+(one shard); ``sharded_dir`` holds four.  One format, one loader.
+"""
 
 import json
 
@@ -7,27 +11,27 @@ import pytest
 from repro.errors import SnapshotError
 from repro.linking.linker import EntityLinker
 from repro.service import (
+    COMPACT_SNAPSHOT_VERSION,
     MANIFEST_NAME,
-    SNAPSHOT_VERSION,
     ShardedSnapshot,
-    Snapshot,
 )
 
 
 class TestRoundTrip:
     def test_save_load_preserves_counts(self, snapshot, snapshot_dir):
-        loaded = Snapshot.load(snapshot_dir)
+        loaded = ShardedSnapshot.load(snapshot_dir)
+        (index,) = loaded.segments
         assert loaded.graph.num_articles == snapshot.graph.num_articles
         assert loaded.graph.num_edges == snapshot.graph.num_edges
-        assert loaded.index.num_documents == snapshot.index.num_documents
-        assert loaded.index.vocabulary_size == snapshot.index.vocabulary_size
-        assert loaded.index.total_tokens == snapshot.index.total_tokens
+        assert index.num_documents == snapshot.index.num_documents
+        assert index.vocabulary_size == snapshot.index.vocabulary_size
+        assert index.total_tokens == snapshot.index.total_tokens
         assert loaded.title_index == snapshot.title_index
         assert loaded.doc_names == snapshot.doc_names
         assert loaded.mu == snapshot.mu
 
     def test_identical_linking_after_reload(self, small_benchmark, snapshot_dir):
-        loaded = Snapshot.load(snapshot_dir)
+        loaded = ShardedSnapshot.load(snapshot_dir)
         fresh_linker = EntityLinker(small_benchmark.graph)
         reloaded_linker = loaded.make_linker()
         assert reloaded_linker.num_titles == fresh_linker.num_titles
@@ -38,9 +42,9 @@ class TestRoundTrip:
             assert reloaded.matches == fresh.matches
 
     def test_identical_ranking_after_reload(self, small_benchmark, snapshot_dir):
-        loaded = Snapshot.load(snapshot_dir)
+        loaded = ShardedSnapshot.load(snapshot_dir)
         fresh_engine = small_benchmark.build_engine()
-        reloaded_engine = loaded.make_engine()
+        reloaded_engine = loaded.make_segment_engine(0)
         for topic in small_benchmark.topics:
             fresh = fresh_engine.search(topic.keywords, top_k=10)
             reloaded = reloaded_engine.search(topic.keywords, top_k=10)
@@ -63,45 +67,45 @@ class TestVersionGate:
 
     def test_wrong_version_raises_clear_error(self, snapshot_dir, tmp_path):
         bad = self._corrupt_manifest(snapshot_dir, tmp_path,
-                                     version=SNAPSHOT_VERSION + 1)
+                                     version=COMPACT_SNAPSHOT_VERSION + 1)
         with pytest.raises(SnapshotError, match="version"):
-            Snapshot.load(bad)
+            ShardedSnapshot.load(bad)
         try:
-            Snapshot.load(bad)
+            ShardedSnapshot.load(bad)
         except SnapshotError as error:
             message = str(error)
-            assert str(SNAPSHOT_VERSION + 1) in message  # found version
-            assert str(SNAPSHOT_VERSION) in message      # supported version
+            assert str(COMPACT_SNAPSHOT_VERSION + 1) in message  # found version
+            assert str(COMPACT_SNAPSHOT_VERSION) in message      # supported version
 
     def test_foreign_format_rejected(self, snapshot_dir, tmp_path):
         bad = self._corrupt_manifest(snapshot_dir, tmp_path, format="not-a-snapshot")
         with pytest.raises(SnapshotError, match="format"):
-            Snapshot.load(bad)
+            ShardedSnapshot.load(bad)
 
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(SnapshotError, match=MANIFEST_NAME):
-            Snapshot.load(tmp_path)
+            ShardedSnapshot.load(tmp_path)
 
     def test_missing_artifact_file_rejected(self, snapshot_dir, tmp_path):
         import shutil
 
         copy = tmp_path / "snap"
         shutil.copytree(snapshot_dir, copy)
-        (copy / "index.json.gz").unlink()
-        with pytest.raises(SnapshotError, match="index.json.gz"):
-            Snapshot.load(copy)
+        (copy / "shard-0000" / "index.bin").unlink()
+        with pytest.raises(SnapshotError, match="index.bin"):
+            ShardedSnapshot.load(copy)
 
-    @pytest.mark.parametrize("victim", ["wiki.jsonl.gz", "index.json.gz",
+    @pytest.mark.parametrize("victim", ["graph.bin", "shard-0000/index.bin",
                                         "linker.json.gz", "documents.json.gz"])
     def test_truncated_artifact_rejected(self, snapshot_dir, tmp_path, victim):
         import shutil
 
         copy = tmp_path / "snap"
         shutil.copytree(snapshot_dir, copy)
-        # Keep a valid gzip header but cut the stream short.
+        # Keep a valid header but cut the stream short.
         (copy / victim).write_bytes((snapshot_dir / victim).read_bytes()[:60])
         with pytest.raises(SnapshotError, match="corrupt"):
-            Snapshot.load(copy)
+            ShardedSnapshot.load(copy)
 
     def test_count_mismatch_rejected(self, snapshot_dir, tmp_path):
         import shutil
@@ -112,7 +116,7 @@ class TestVersionGate:
         manifest["counts"]["documents"] += 1
         (copy / MANIFEST_NAME).write_text(json.dumps(manifest))
         with pytest.raises(SnapshotError, match="inconsistent"):
-            Snapshot.load(copy)
+            ShardedSnapshot.load(copy)
 
 
 @pytest.fixture(scope="module")
@@ -135,17 +139,16 @@ class TestShardedRoundTrip:
         assert loaded.title_index == sharded.title_index
         assert loaded.doc_names == sharded.doc_names
         assert loaded.mu == sharded.mu
-        for mine, original in zip(loaded.partitions, sharded.partitions):
-            assert mine.core_articles == original.core_articles
-            assert mine.core_categories == original.core_categories
-            assert mine.graph.num_edges == original.graph.num_edges
+        assert loaded.graph.num_articles == sharded.graph.num_articles
+        assert loaded.graph.num_categories == sharded.graph.num_categories
+        assert loaded.graph.num_edges == sharded.graph.num_edges
         for mine, original in zip(loaded.segments, sharded.segments):
             assert mine.num_documents == original.num_documents
             assert mine.total_tokens == original.total_tokens
             assert mine.vocabulary_size == original.vocabulary_size
 
     def test_view_equals_original_graph(self, snapshot, sharded_dir):
-        view = ShardedSnapshot.load(sharded_dir).view()
+        view = ShardedSnapshot.load(sharded_dir).graph
         graph = snapshot.graph
         assert view.num_articles == graph.num_articles
         assert view.num_edges == graph.num_edges
@@ -163,13 +166,13 @@ class TestShardedRoundTrip:
         assert sum(s.total_tokens for s in sharded.segments) == \
             snapshot.index.total_tokens
 
-    def test_v1_directory_loads_as_single_shard(self, snapshot, snapshot_dir):
-        before = sorted(p.name for p in snapshot_dir.iterdir())
-        loaded = ShardedSnapshot.load(snapshot_dir)
-        assert loaded.num_shards == 1
-        assert loaded.num_documents == snapshot.index.num_documents
-        # Loading must not rewrite or migrate the directory in place.
-        assert sorted(p.name for p in snapshot_dir.iterdir()) == before
+    def test_single_shard_is_the_monolithic_snapshot(self, snapshot):
+        """One shard reuses the graph and the index as they are: nothing
+        is copied or split posting by posting."""
+        single = ShardedSnapshot.from_snapshot(snapshot, num_shards=1)
+        assert single.graph is snapshot.graph
+        assert single.segments == (snapshot.index,)
+        assert single.segments[0] is snapshot.index
 
     def test_mu_round_trips(self, small_benchmark, tmp_path):
         built = ShardedSnapshot.build(small_benchmark, num_shards=2, mu=123.0)
@@ -184,10 +187,6 @@ class TestShardedGate:
         copy = tmp_path / "snap"
         shutil.copytree(sharded_dir, copy)
         return copy
-
-    def test_v1_loader_names_the_sharded_format(self, sharded_dir):
-        with pytest.raises(SnapshotError, match="sharded"):
-            Snapshot.load(sharded_dir)
 
     def test_checksum_mismatch_rejected(self, sharded_dir, tmp_path):
         copy = self._copy(sharded_dir, tmp_path)
@@ -234,6 +233,15 @@ class TestShardedGate:
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(SnapshotError, match=MANIFEST_NAME):
             ShardedSnapshot.load(tmp_path)
+
+    def test_incomplete_shard_set_rejected(self, sharded):
+        """No shard at all, or prefills for fewer shards than exist."""
+        from dataclasses import replace
+
+        with pytest.raises(SnapshotError, match=">= 1 shard"):
+            replace(sharded, segments=())
+        with pytest.raises(SnapshotError, match="shard mismatch"):
+            replace(sharded, prefills=((),) * (sharded.num_shards - 1))
 
     def test_invalid_shard_count_for_build(self, snapshot):
         with pytest.raises(SnapshotError):

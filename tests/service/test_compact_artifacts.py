@@ -1,6 +1,9 @@
-"""Snapshot v3 (compact blobs + prefill): round trips and failure modes."""
+"""Snapshot v3 (compact blobs + prefill): round trips, upgrades from
+directories earlier builds wrote, refusals and failure modes."""
 
+import gzip
 import json
+import shutil
 
 import pytest
 
@@ -13,6 +16,9 @@ from repro.service import (
     ShardRouter,
     ShardedSnapshot,
 )
+from repro.service.artifacts import generation_dir_name, write_current_pointer
+from repro.wiki import CompactGraphView
+from repro.wiki.partition import shard_of_node
 
 
 @pytest.fixture(scope="module")
@@ -39,13 +45,19 @@ class TestV3RoundTrip:
         assert manifest["version"] == COMPACT_SNAPSHOT_VERSION
         assert (v3_dir / "graph.bin").exists()
         assert (v3_dir / "shard-0000" / "index.bin").exists()
-        assert not (v3_dir / "shard-0000" / "index.json.gz").exists()
         assert "graph.bin" in manifest["shared_checksums"]
         assert "index.bin" in manifest["shard_artifacts"][0]["checksums"]
 
+    def test_fresh_save_holds_only_the_v3_artefacts(self, v3_dir):
+        names = {path.name for path in v3_dir.rglob("*") if path.is_file()}
+        assert names == {
+            MANIFEST_NAME, "graph.bin", "linker.json.gz", "documents.json.gz",
+            "index.bin",
+        }
+
     def test_load_is_frozen_and_equivalent(self, sharded, v3_dir):
         loaded = ShardedSnapshot.load(v3_dir)
-        assert loaded.compact_graph is not None
+        assert isinstance(loaded.graph, CompactGraphView)
         assert all(isinstance(s, CompactIndex) for s in loaded.segments)
         assert loaded.num_documents == sharded.num_documents
         assert loaded.title_index == sharded.title_index
@@ -53,9 +65,9 @@ class TestV3RoundTrip:
             assert mine.num_documents == original.num_documents
             assert mine.total_tokens == original.total_tokens
             assert list(mine.terms()) == list(original.terms())
-        graph = sharded.view()
+        graph = sharded.graph
         for node_id in list(graph.node_ids())[:50]:
-            assert loaded.compact_graph.undirected_neighbors(node_id) == \
+            assert loaded.graph.undirected_neighbors(node_id) == \
                 graph.undirected_neighbors(node_id)
 
     def test_served_answers_match_in_memory_snapshot(
@@ -81,36 +93,102 @@ class TestV3RoundTrip:
                [(r.doc_id, r.score) for r in b.results]
 
 
-class TestFreezeOnLoad:
-    def test_v2_directory_loads_frozen_and_equivalent(
-        self, small_benchmark, sharded, tmp_path
+def _as_333e913_wrote_it(directory):
+    """Add what the previous build stored per shard and this one does
+    not: ``partition.json.gz`` (checksummed in the manifest) and the
+    ``core_*`` / ``owned_edges`` counts.  Neither is read any more, so
+    the payload only has to be what its checksum says and the counts
+    can be anything."""
+    manifest = json.loads((directory / MANIFEST_NAME).read_text())
+    for shard, entry in enumerate(manifest["shard_artifacts"]):
+        path = directory / entry["dir"] / "partition.json.gz"
+        with gzip.open(path, "wt", encoding="utf-8") as out:
+            json.dump({"shard": shard, "num_shards": manifest["shards"]}, out)
+        entry["checksums"]["partition.json.gz"] = _sha256_of(path)
+        entry["counts"].update(
+            core_articles=7, core_categories=3, owned_edges=11
+        )
+    (directory / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2) + "\n")
+
+
+def _answers(router, small_benchmark):
+    queries = [topic.keywords for topic in small_benchmark.topics]
+    queries += [a.title for a in list(small_benchmark.graph.main_articles())[:20]]
+    return [
+        (sorted(response.link.article_ids),
+         sorted(response.expansion.article_ids),
+         [(r.doc_id, repr(r.score)) for r in response.results])
+        for response in (router.expand_query(q, top_k=10) for q in queries)
+    ]
+
+
+class TestUpgrade:
+    """Old v3 loads; v1/v2 are refused at the gate (docs/architecture.md,
+    "Upgrading")."""
+
+    def test_previous_build_directory_serves_identically(
+        self, small_benchmark, v3_dir, tmp_path
     ):
-        """A legacy v2 directory freezes on load: compact structures,
-        identical answers."""
-        v2_dir = tmp_path / "v2"
-        sharded.save(v2_dir, version=2)
-        manifest = json.loads((v2_dir / MANIFEST_NAME).read_text())
-        assert manifest["version"] == 2
-        assert (v2_dir / "shard-0000" / "index.json.gz").exists()
-        assert not (v2_dir / "graph.bin").exists()
+        old = tmp_path / "old"
+        shutil.copytree(v3_dir, old)
+        _as_333e913_wrote_it(old)
+        before = {p: _sha256_of(p) for p in old.rglob("*") if p.is_file()}
+        assert sum(p.name == "partition.json.gz" for p in before) == 3
+        mine = ShardRouter(ShardedSnapshot.load(old))
+        reference = ShardRouter(ShardedSnapshot.load(v3_dir))
+        try:
+            # Loading must not rewrite or migrate the directory in place.
+            assert before == \
+                {p: _sha256_of(p) for p in old.rglob("*") if p.is_file()}
+            assert mine.snapshot.source_version == COMPACT_SNAPSHOT_VERSION
+            assert mine.snapshot.layout_description() == \
+                reference.snapshot.layout_description()
+            assert _answers(mine, small_benchmark) == \
+                _answers(reference, small_benchmark)
+        finally:
+            mine.close()
+            reference.close()
 
-        loaded = ShardedSnapshot.load(v2_dir)
-        assert loaded.compact_graph is not None
-        assert all(isinstance(s, CompactIndex) for s in loaded.segments)
+    def test_previous_build_generation_serves_identically(
+        self, small_benchmark, v3_dir, tmp_path
+    ):
+        """The same behind a ``CURRENT`` -> ``gen-0002/`` pointer, the one
+        snapshot state a rebuild cannot re-derive."""
+        root = tmp_path / "root"
+        shutil.copytree(v3_dir, root)
+        generation = root / generation_dir_name(2)
+        shutil.copytree(v3_dir, generation)
+        _as_333e913_wrote_it(root)
+        _as_333e913_wrote_it(generation)
+        manifest = json.loads((generation / MANIFEST_NAME).read_text())
+        manifest["generation"] = 2
+        (generation / MANIFEST_NAME).write_text(json.dumps(manifest))
+        write_current_pointer(root, 2)
+        loaded = ShardedSnapshot.load(root)
+        assert loaded.generation == 2
         mine = ShardRouter(loaded)
-        reference = ShardRouter(sharded)
-        for topic in small_benchmark.topics:
-            a = mine.expand_query(topic.keywords, top_k=10)
-            b = reference.expand_query(topic.keywords, top_k=10)
-            assert a.expansion.article_ids == b.expansion.article_ids
-            assert [(r.doc_id, r.score) for r in a.results] == \
-                   [(r.doc_id, r.score) for r in b.results]
+        reference = ShardRouter(ShardedSnapshot.load(v3_dir))
+        try:
+            assert _answers(mine, small_benchmark) == \
+                _answers(reference, small_benchmark)
+        finally:
+            mine.close()
+            reference.close()
 
-    def test_v1_directory_loads_frozen(self, snapshot_dir):
-        loaded = ShardedSnapshot.load(snapshot_dir)
-        assert loaded.num_shards == 1
-        assert loaded.compact_graph is not None
-        assert isinstance(loaded.segments[0], CompactIndex)
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_legacy_version_refused_at_the_gate(
+        self, v3_dir, tmp_path, version
+    ):
+        """Only the manifest is left in the directory: the error must
+        still be the version one, and name the way out."""
+        bare = tmp_path / "bare"
+        bare.mkdir()
+        manifest = json.loads((v3_dir / MANIFEST_NAME).read_text())
+        manifest["version"] = version
+        (bare / MANIFEST_NAME).write_text(json.dumps(manifest))
+        with pytest.raises(SnapshotError, match="repro snapshot") as raised:
+            ShardedSnapshot.load(bare)
+        assert f"version {version}" in str(raised.value)
 
 
 class TestFailureModes:
@@ -160,16 +238,18 @@ class TestFailureModes:
         with pytest.raises(SnapshotError, match="missing"):
             ShardedSnapshot.load(copy)
 
-    def test_unknown_write_version_rejected(self, sharded, tmp_path):
-        with pytest.raises(SnapshotError, match="version"):
-            sharded.save(tmp_path / "snap", version=4)
-
-    def test_prefill_requires_v3(self, sharded, small_benchmark, tmp_path):
-        prefilled = sharded.with_prefill(
-            [t.keywords for t in small_benchmark.topics]
-        )
-        with pytest.raises(SnapshotError, match="version-3"):
-            prefilled.save(tmp_path / "snap", version=2)
+    @pytest.mark.parametrize("count", ["articles", "categories", "edges"])
+    def test_graph_count_mismatch_refused(
+        self, v3_dir, tmp_path, count
+    ):
+        """The manifest's global graph counts are checked against what
+        ``graph.bin`` itself holds."""
+        copy = self._copy(v3_dir, tmp_path)
+        manifest = json.loads((copy / MANIFEST_NAME).read_text())
+        manifest["counts"][count] += 1
+        (copy / MANIFEST_NAME).write_text(json.dumps(manifest))
+        with pytest.raises(SnapshotError, match=f"inconsistent.*{count}"):
+            ShardedSnapshot.load(copy)
 
 
 class TestPrefill:
@@ -181,12 +261,11 @@ class TestPrefill:
 
     def test_prefill_counts_and_owner_locality(self, prefilled):
         assert prefilled.num_prefilled > 0
-        view = prefilled.view()
         for shard, entries in enumerate(prefilled.prefills):
             for seeds, result in entries:
                 assert result.seed_articles == seeds
                 # Every entry sits on the shard the router would pick.
-                assert view.owner_shard(min(seeds)) == shard
+                assert shard_of_node(min(seeds), prefilled.num_shards) == shard
 
     def test_prefill_round_trips_through_disk(self, prefilled, tmp_path):
         directory = tmp_path / "snap"
@@ -280,9 +359,9 @@ class TestPrefill:
         single = ShardedSnapshot.from_snapshot(snapshot, num_shards=1) \
             .with_prefill([t.keywords for t in small_benchmark.topics])
         service = ExpansionService(
-            single.compact_graph,
+            single.graph,
             single.make_segment_engine(0),
-            single.make_linker(single.partitions[0].graph),
+            single.make_linker(),
             doc_names=single.doc_names,
         )
         service.warm_expansions(single.prefills[0])

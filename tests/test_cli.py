@@ -161,7 +161,9 @@ class TestServe:
         assert "snapshot layout: v3 sharded (compact binary blobs, mmap-loaded)" \
             in out
 
-    def test_serve_v1_snapshot_layout_names_v1(self, bench_dir, tmp_path, capsys):
+    def test_serve_default_snapshot_layout_names_v3(self, bench_dir, tmp_path, capsys):
+        """The default ``--build`` (one shard) writes what the server
+        maps: the next start loads it as v3, not as a legacy layout."""
         snap = tmp_path / "snap1"
         benchmark = Benchmark.load(bench_dir)
         keywords = benchmark.topics[0].keywords
@@ -174,8 +176,10 @@ class TestServe:
             "--snapshot", str(snap), "--benchmark-dir", str(tmp_path / "nope"),
             "--query", keywords,
         ]) == 0
-        assert "snapshot layout: v1 single-dir (JSON graph + index)" \
-            in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "snapshot layout: v3 sharded (compact binary blobs, mmap-loaded)" \
+            in out
+        assert "shards=1" in out
 
     def test_bad_http_port_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -238,9 +242,11 @@ class TestSnapshotCommand:
         code = main(["snapshot", "--out", str(out_dir),
                      "--benchmark-dir", bench_dir])
         assert code == 0
-        assert "saved Snapshot" in capsys.readouterr().out
+        assert "saved ShardedSnapshot(shards=1" in capsys.readouterr().out
         assert (out_dir / "manifest.json").exists()
-        assert (out_dir / "wiki.jsonl.gz").exists()
+        assert (out_dir / "graph.bin").exists()
+        assert (out_dir / "shard-0000" / "index.bin").exists()
+        assert not (out_dir / "wiki.jsonl.gz").exists()
 
     def test_writes_sharded_snapshot(self, bench_dir, tmp_path, capsys):
         out_dir = tmp_path / "snap"
@@ -249,7 +255,7 @@ class TestSnapshotCommand:
         assert code == 0
         assert "saved ShardedSnapshot" in capsys.readouterr().out
         assert (out_dir / "graph.bin").exists()
-        assert (out_dir / "shard-0000" / "partition.json.gz").exists()
+        assert not (out_dir / "shard-0000" / "partition.json.gz").exists()
         assert (out_dir / "shard-0001" / "index.bin").exists()
 
     def test_prefill_ships_expansions_per_shard(self, bench_dir, tmp_path, capsys):

@@ -20,9 +20,12 @@ from repro.updates import (
     apply_deltas_to_graph,
 )
 
+from repro.wiki.partition import shard_of_node
+
 from update_helpers import (
     assert_router_matches_oracle,
     assert_same_answers,
+    cached_expansion_keys,
     rebuild_snapshot,
 )
 
@@ -134,33 +137,40 @@ class TestBitIdentity:
         finally:
             async_router.close()
 
-    def test_delta_on_halo_only_node_stays_consistent(
-        self, small_benchmark, router, sharded2
+    def test_delta_on_another_shards_node_evicts_the_entry(
+        self, small_benchmark, router
     ):
-        """Target a node that some shard only sees as halo: the overlay
-        must update core and halo copies alike."""
-        halo_only = None
-        for partition in sharded2.partitions:
-            candidates = [
-                node for node in partition.graph.node_ids()
-                if partition.graph.is_article(node)
-                and node not in partition.core_articles
-                and not partition.graph.article(node).is_redirect
-            ]
-            if candidates:
-                halo_only = sorted(candidates)[0]
-                break
-        assert halo_only is not None, "partitioning produced no halo"
+        """An expansion cached on its owner shard A is evicted by a delta
+        naming only nodes the hash places on shard B: every worker mines
+        the one whole graph, so placement never shelters a cache entry."""
+        graph = small_benchmark.graph
+        query, seeds, owner, neighbour = next(
+            (topic.keywords, seeds, router.owner_shard(seeds), node)
+            for topic in small_benchmark.topics
+            for seeds in [router.linker.link_keywords(topic.keywords)] if seeds
+            for node in sorted(graph.links_from(min(seeds)))
+            if not graph.article(node).is_redirect
+            and shard_of_node(node, 2) != router.owner_shard(seeds)
+        )
+        newcomer = next(
+            _NEW + offset for offset in range(7, 64)
+            if shard_of_node(_NEW + offset, 2) != owner
+        )
+        assert router.expand_query(query, top_k=10).expansion_cached is False
+        assert router.expand_query(query, top_k=10).expansion_cached is True
         deltas = [
-            Delta(op="add_article", seq=1, node_id=_NEW + 7,
+            Delta(op="add_article", seq=1, node_id=newcomer,
                   title="Halo Companion"),
-            Delta(op="add_edge", seq=2, source=_NEW + 7, target=halo_only,
+            Delta(op="add_edge", seq=2, source=newcomer, target=neighbour,
                   kind="link"),
         ]
-        UpdateCoordinator(router).apply([d.to_payload() for d in deltas])
+        summary = UpdateCoordinator(router).apply([d.to_payload() for d in deltas])
+        assert summary["invalidated"]["expansion"] >= 1
+        assert seeds not in cached_expansion_keys(router.workers[owner])
+        assert router.expand_query(query, top_k=10).expansion_cached is False
         oracle = apply_deltas_to_graph(small_benchmark.graph, deltas)
         queries = _queries(small_benchmark) + [
-            small_benchmark.graph.title(halo_only).lower(), "halo companion",
+            small_benchmark.graph.title(neighbour).lower(), "halo companion",
         ]
         assert_router_matches_oracle(router, oracle, queries)
 

@@ -13,8 +13,9 @@ empty-token titles — and after every batch requires
 * the successor linker's ``vocabulary()`` and ``link()`` over a query
   pool to equal ``EntityLinker(after_view, tokenizer)`` built from
   scratch;
-* the ball to equal the view-walking ball this PR replaced (kept below
-  as the oracle), over the partitioned and over the compact base;
+* the ball to equal the view-walking ball PR 14 replaced (kept below
+  as the oracle), over the dict ``WikiGraph`` (the oracle form: the
+  ball's view path) and over the compact base (its CSR path);
 * the expansion keys that ball evicts from a cache to be the same keys.
 
 A second property drives a real router + coordinator and a standalone
@@ -58,7 +59,8 @@ from repro.updates import coordinator as coordinator_module
 from repro.updates.coordinator import fold_batch
 from repro.wiki import WikiGraphBuilder
 from repro.wiki.compact import CompactGraphView
-from repro.wiki.partition import PartitionedGraphView, partition_graph
+
+from update_helpers import cached_expansion_keys
 
 # Titles grouped by what they tokenise to.  Within a group every title
 # normalises differently (so validation admits them side by side) but
@@ -201,8 +203,7 @@ def evicted_keys(ball, keys):
 def test_successor_linker_and_ball_equal_the_rebuilds(graph, seed):
     rng = random.Random(seed)
     tokenizer = Tokenizer()
-    compact = CompactGraphView.from_graph(graph)
-    bases = (PartitionedGraphView(partition_graph(graph, 2)), compact)
+    bases = (graph, CompactGraphView.from_graph(graph))
     node_ids = sorted(graph.node_ids()) + list(NEW_IDS)
     keys = [frozenset(rng.sample(node_ids, rng.randint(1, 3)))
             for _ in range(12)]
@@ -216,7 +217,7 @@ def test_successor_linker_and_ball_equal_the_rebuilds(graph, seed):
         )
         for batch in plan_batches(rng, base, rng.randint(1, 5)):
             new_state, applied, new_linker, ball = fold_batch(
-                base, compact, state, batch, linker
+                base, state, batch, linker
             )
             assert applied == batch
             before = OverlayGraphView(base, state)
@@ -263,21 +264,21 @@ def _benchmark_candidate(new_base):
 @given(seed=st.integers(0, 2**20))
 def test_coordinator_and_worker_updater_agree_on_one_log(sharded2, seed):
     """Same log in, same ``(last_seq, ball, evicted keys)`` out — the
-    router's coordinator over the partitioned base and a worker
-    process's updater over the compact base run the one fold."""
+    router's coordinator and a worker process's updater run the one
+    fold over the one compact base."""
     rng = random.Random(seed)
     sharded = sharded2.frozen()
-    mains = [a.node_id for a in sharded.view().main_articles()]
+    mains = [a.node_id for a in sharded.graph.main_articles()]
     keys = [frozenset(rng.sample(mains, 2)) for _ in range(6)]
     batches = plan_batches(
-        rng, sharded.view(), 3, candidate=_benchmark_candidate(9_500_000)
+        rng, sharded.graph, 3, candidate=_benchmark_candidate(9_500_000)
     )
 
     router = ShardRouter(sharded)
     worker = make_shard_worker(sharded, 0)
     sides = (
         (UpdateCoordinator(router), router.workers[0]),
-        (ShardWorkerUpdater(worker, sharded.compact_graph), worker),
+        (ShardWorkerUpdater(worker, sharded.graph), worker),
     )
     balls = []
 
@@ -285,11 +286,6 @@ def test_coordinator_and_worker_updater_agree_on_one_log(sharded2, seed):
         folded = fold_batch(*args)
         balls.append(folded[3])
         return folded
-
-    def cached_keys(service):
-        seen = set()
-        service.evict_expansions(lambda key: seen.add(key) or False)
-        return seen
 
     try:
         with mock.patch.object(coordinator_module, "fold_batch", recording):
@@ -306,7 +302,7 @@ def test_coordinator_and_worker_updater_agree_on_one_log(sharded2, seed):
                         summary = updater.apply(batch)
                     outcomes.append((
                         summary["last_seq"], summary["ball_size"], balls[-1],
-                        set(live) - cached_keys(service),
+                        set(live) - cached_expansion_keys(service),
                     ))
                 assert outcomes[0] == outcomes[1], batch
                 assert outcomes[0][0] == batch[-1].seq
@@ -350,9 +346,8 @@ def archipelagos(draw):
 def test_every_surviving_expansion_equals_a_fresh_one_after_the_delta(graph, seed):
     rng = random.Random(seed)
     tokenizer = Tokenizer()
-    compact = CompactGraphView.from_graph(graph)
     oracle = NeighborhoodCycleExpander(engine="dfs")
-    for base in (PartitionedGraphView(partition_graph(graph, 2)), compact):
+    for base in (graph, CompactGraphView.from_graph(graph)):
         state = OverlayState()
         view = OverlayGraphView(base, state)
         linker = EntityLinker(view, tokenizer)
@@ -368,7 +363,7 @@ def test_every_surviving_expansion_equals_a_fresh_one_after_the_delta(graph, see
                     rng.sample(mains, rng.randint(1, min(3, len(mains))))
                 ))
             state, _, new_linker, ball = fold_batch(
-                base, compact, state, batch, linker
+                base, state, batch, linker
             )
             view, linker = OverlayGraphView(base, state), new_linker or linker
             service.set_graph(view, linker=new_linker)

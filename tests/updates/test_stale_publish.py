@@ -202,7 +202,7 @@ class TestExpansionMinedAcrossADelta:
         _query, seeds, payloads = topic
         gated = GatedExpander()
         worker = make_shard_worker(sharded1, 0, expander=gated)
-        updater = ShardWorkerUpdater(worker, sharded1.compact_graph)
+        updater = ShardWorkerUpdater(worker, sharded1.graph)
         rebuilt = make_shard_worker(
             _rebuilt(small_benchmark, sharded1, payloads), 0
         )
@@ -266,13 +266,13 @@ class TestComposedAcrossADelta:
         _query, seeds, payloads = topic
         gated = GatedAnchors()
         worker = make_shard_worker(sharded1, 0, expander=gated)
-        updater = ShardWorkerUpdater(worker, sharded1.compact_graph)
+        updater = ShardWorkerUpdater(worker, sharded1.graph)
         rebuilt = make_shard_worker(
             _rebuilt(small_benchmark, sharded1, payloads), 0
         )
         seeds = frozenset(seeds)
         tail = next(
-            a.node_id for a in sharded1.compact_graph.main_articles()
+            a.node_id for a in sharded1.graph.main_articles()
             if a.node_id not in seeds
         )
         target = seeds | {tail}

@@ -68,7 +68,7 @@ class TestShardWorkerUpdater:
         coordinator published the same batch."""
         anchor = _anchor(small_benchmark)
         worker = make_shard_worker(sharded1, 0)
-        updater = ShardWorkerUpdater(worker, sharded1.compact_graph)
+        updater = ShardWorkerUpdater(worker, sharded1.graph)
         summary = updater.apply_payloads(_payloads(anchor))
         assert summary["applied"] == 2
         assert updater.last_seq == 2
@@ -87,7 +87,7 @@ class TestShardWorkerUpdater:
     ):
         anchor = _anchor(small_benchmark)
         worker = make_shard_worker(sharded1, 0)
-        updater = ShardWorkerUpdater(worker, sharded1.compact_graph)
+        updater = ShardWorkerUpdater(worker, sharded1.graph)
         assert updater.apply_payloads(_payloads(anchor))["applied"] == 2
         again = updater.apply_payloads(_payloads(anchor))
         assert again["applied"] == 0
@@ -100,7 +100,7 @@ class TestShardWorkerUpdater:
         self, small_benchmark, sharded1
     ):
         worker = make_shard_worker(sharded1, 0)
-        updater = ShardWorkerUpdater(worker, sharded1.compact_graph)
+        updater = ShardWorkerUpdater(worker, sharded1.graph)
         first = updater.apply_payloads(_payloads(_anchor(small_benchmark)))
         replay = updater.apply_payloads(_payloads(_anchor(small_benchmark)))
         assert set(replay) == set(first) == {
@@ -125,7 +125,7 @@ def _wire_call(port, frame):
 class TestWireApplyDelta:
     def _serve(self, sharded1, fn):
         worker = make_shard_worker(sharded1, 0)
-        updater = ShardWorkerUpdater(worker, sharded1.compact_graph)
+        updater = ShardWorkerUpdater(worker, sharded1.graph)
 
         async def go():
             server = ShardWorkerServer(worker, 0, updater=updater)

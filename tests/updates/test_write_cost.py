@@ -20,7 +20,6 @@ from repro.updates import UpdateCoordinator
 from repro.wiki import SyntheticWikiConfig
 from repro.wiki.compact import CompactGraphView
 from repro.wiki.graph import WikiGraph
-from repro.wiki.partition import PartitionedGraphView
 
 _NEW = 9_600_000
 
@@ -56,7 +55,7 @@ def _apply_counts(scale: int, monkeypatch) -> dict:
         coordinator = UpdateCoordinator(router)
         with monkeypatch.context() as patch, start_trace() as trace:
             _counted(patch, Tokenizer, "tokenize_phrase", counts)
-            for base in (PartitionedGraphView, CompactGraphView, WikiGraph):
+            for base in (CompactGraphView, WikiGraph):
                 _counted(patch, base, "undirected_neighbors", counts)
             summary = coordinator.apply([
                 {"op": "add_article", "seq": 1, "node_id": _NEW,

@@ -9,7 +9,6 @@ and perform the deep comparisons.
 
 from repro.linking.linker import EntityLinker
 from repro.service import ShardRouter, ShardedSnapshot
-from repro.wiki.partition import GraphPartition, partition_graph
 
 
 def assert_graph_equal(left, right) -> None:
@@ -44,30 +43,25 @@ def rebuild_snapshot(old: ShardedSnapshot, graph, generation: int = 1):
     """A from-scratch ShardedSnapshot over ``graph``: the oracle.
 
     Index segments, doc names and mu carry over untouched — deltas only
-    ever change the graph — while partitions and the linker vocabulary
-    are rebuilt exactly the way ``Snapshot.build`` + ``from_snapshot``
-    would have built them for ``graph``.
+    ever change the graph — while the linker vocabulary is rebuilt
+    exactly the way ``Snapshot.build`` would have built it for ``graph``.
     """
-    num_shards = old.num_shards
-    if num_shards == 1:
-        partitions = (GraphPartition(
-            shard_id=0,
-            num_shards=1,
-            graph=graph,
-            core_articles=frozenset(a.node_id for a in graph.articles()),
-            core_categories=frozenset(c.node_id for c in graph.categories()),
-        ),)
-    else:
-        partitions = tuple(partition_graph(graph, num_shards))
     linker = EntityLinker(graph)
     return ShardedSnapshot(
-        partitions=partitions,
+        graph=graph,
         segments=old.segments,
         title_index=linker.vocabulary(),
         doc_names=dict(old.doc_names),
         mu=old.mu,
         generation=generation,
     ).frozen()
+
+
+def cached_expansion_keys(worker) -> set:
+    """The seed sets (and anchors) in one worker's expansion cache."""
+    seen = set()
+    worker.evict_expansions(lambda key: seen.add(key) or False)
+    return seen
 
 
 def assert_same_answers(mine, reference, label="") -> None:

@@ -7,10 +7,8 @@ from repro.core.features import compute_features, count_edges
 from repro.errors import AnalysisError, UnknownNodeError
 from repro.wiki import (
     CompactGraphView,
-    PartitionedGraphView,
     SyntheticWikiConfig,
     generate_wiki,
-    partition_graph,
 )
 
 
@@ -61,14 +59,6 @@ class TestAdjacencyEquivalence:
         assert compact.links_from(10**9) == frozenset()
         with pytest.raises(UnknownNodeError):
             compact.title(10**9)
-
-    def test_partitioned_view_freezes_identically(self, graph, compact):
-        view = PartitionedGraphView(partition_graph(graph, 3))
-        from_view = CompactGraphView.from_graph(view)
-        assert from_view.num_edges == compact.num_edges
-        for node_id in graph.node_ids():
-            assert from_view.undirected_neighbors(node_id) == \
-                compact.undirected_neighbors(node_id)
 
     def test_freezing_a_compact_view_is_identity(self, compact):
         assert CompactGraphView.from_graph(compact) is compact

@@ -1,30 +1,90 @@
-"""Partition invariants: exact halos, co-location, view equivalence."""
+"""Shard placement is a contract, not an accident.
+
+A shard is an index segment and an expansion cache; the graph is one
+blob every process maps.  What is left of "partitioning" is two hashes —
+and they are load-bearing: prefilled snapshots written by older builds
+stay owner-local only if ``shard_of_node`` never drifts, and index
+segments only if ``shard_of_document`` does not.  So the hashes are
+pinned on literal values, the router is held to them at 1, 2 and 4
+shards (for every linkable title, for overlay-added articles and for
+seeds a delta turned into redirects), and the graph a directory of any
+shard count stores is shown to be the whole graph, node by node.
+"""
+
+import json
 
 import pytest
 
-from repro.errors import AnalysisError, UnknownNodeError
-from repro.wiki import (
-    GraphPartition,
-    PartitionedGraphView,
-    SyntheticWikiConfig,
-    generate_wiki,
-    partition_graph,
-    shard_of_document,
-    shard_of_node,
+from repro.collection import Benchmark, SyntheticCollectionConfig
+from repro.errors import SnapshotError, UnknownNodeError
+from repro.service import MANIFEST_NAME, ShardRouter, ShardedSnapshot, Snapshot
+from repro.updates import UpdateCoordinator, materialize_graph
+from repro.wiki import SyntheticWikiConfig, shard_of_document, shard_of_node
+
+SHARD_COUNTS = (1, 2, 3, 4, 8)
+# id -> its shard at each of SHARD_COUNTS.  Literal on purpose: a change
+# to either hash orphans every prefill entry and index segment on disk.
+NODE_PLACEMENT = (
+    (0, [0, 1, 1, 3, 7]),
+    (1, [0, 1, 2, 1, 1]),
+    (2, [0, 0, 1, 2, 6]),
+    (7, [0, 1, 0, 3, 7]),
+    (100, [0, 0, 2, 0, 4]),
+    (101, [0, 1, 0, 3, 7]),
+    (4096, [0, 1, 1, 3, 7]),
+    (65537, [0, 1, 0, 3, 7]),
+    (9_100_000, [0, 0, 2, 2, 6]),
+    (9_700_000, [0, 0, 2, 0, 4]),
+    (2**31 - 1, [0, 1, 1, 3, 7]),
+    (2**40 + 3, [0, 1, 2, 3, 3]),
 )
+DOCUMENT_PLACEMENT = (
+    ("", [0, 0, 0, 0, 4]),
+    ("doc-1", [0, 1, 1, 1, 1]),
+    ("doc-2", [0, 0, 2, 2, 2]),
+    ("img/302887", [0, 0, 1, 0, 0]),
+    ("d0", [0, 1, 0, 1, 1]),
+    ("d99", [0, 0, 1, 0, 0]),
+    ("wiki é", [0, 0, 2, 0, 4]),
+    ("trec-0001", [0, 1, 0, 1, 1]),
+)
+_NEW = 9_800_000
 
 
 @pytest.fixture(scope="module")
-def graph():
-    return generate_wiki(SyntheticWikiConfig(
-        seed=31, num_domains=4, background_articles=60, background_categories=8,
-    )).graph
+def small_benchmark() -> Benchmark:
+    return Benchmark.synthetic(
+        SyntheticWikiConfig(seed=61, num_domains=5, background_articles=80,
+                            background_categories=10),
+        SyntheticCollectionConfig(seed=62, background_docs=40),
+    )
+
+
+@pytest.fixture(scope="module")
+def graph(small_benchmark):
+    return small_benchmark.graph
+
+
+@pytest.fixture(scope="module")
+def snapshot(small_benchmark) -> Snapshot:
+    return Snapshot.build(small_benchmark)
 
 
 @pytest.fixture(scope="module", params=[1, 2, 4])
-def partitioned(request, graph):
-    partitions = partition_graph(graph, request.param)
-    return graph, partitions, PartitionedGraphView(partitions)
+def partitioned(request, graph, snapshot, tmp_path_factory):
+    """``(graph, directory, loaded)``: a snapshot of ``request.param``
+    shards, prefilled with every article title, through the disk."""
+    directory = tmp_path_factory.mktemp(f"placed{request.param}")
+    ShardedSnapshot.from_snapshot(snapshot, request.param).with_prefill(
+        [article.title for article in graph.articles()]
+    ).save(directory)
+    return graph, directory, ShardedSnapshot.load(directory)
+
+
+def _cached_keys(worker) -> set:
+    seen = set()
+    worker.evict_expansions(lambda key: seen.add(key) or False)
+    return seen
 
 
 class TestHashing:
@@ -46,81 +106,92 @@ class TestHashing:
         assert node_shards == {0, 1, 2, 3}
         assert doc_shards == {0, 1, 2, 3}
 
+    def test_placement_never_drifts(self):
+        for node_id, expected in NODE_PLACEMENT:
+            assert [shard_of_node(node_id, n) for n in SHARD_COUNTS] == \
+                expected, node_id
+        for doc_id, expected in DOCUMENT_PLACEMENT:
+            assert [shard_of_document(doc_id, n) for n in SHARD_COUNTS] == \
+                expected, doc_id
+
 
 class TestPartitioning:
+    """What placement still decides, at each shard count."""
+
     def test_core_sets_partition_the_nodes(self, partitioned):
-        graph, partitions, _ = partitioned
-        seen: set[int] = set()
-        for partition in partitions:
-            assert not (partition.core_ids & seen)
-            seen |= partition.core_ids
-        assert seen == set(graph.node_ids())
+        """The hash puts every node on exactly one shard, none out of
+        range and no shard idle."""
+        graph, _, loaded = partitioned
+        placed: dict[int, set[int]] = {}
+        for node_id in graph.node_ids():
+            placed.setdefault(
+                shard_of_node(node_id, loaded.num_shards), set()
+            ).add(node_id)
+        assert sorted(placed) == list(range(loaded.num_shards))
+        assert sum(map(len, placed.values())) == graph.num_nodes
 
     def test_owned_edges_cover_every_edge_once(self, partitioned):
-        graph, partitions, _ = partitioned
-        owned = [
-            (e.source, e.target, e.kind)
-            for p in partitions for e in p.owned_edges()
-        ]
-        assert len(owned) == len(set(owned)) == graph.num_edges
+        """Edges are stored and counted once per snapshot, not once per
+        shard that touches them: the manifest's global counts are the
+        graph's whatever the shard count."""
+        graph, directory, loaded = partitioned
+        counts = json.loads((directory / MANIFEST_NAME).read_text())["counts"]
+        assert counts["edges"] == loaded.graph.num_edges == graph.num_edges
+        assert counts["articles"] == graph.num_articles
+        assert counts["categories"] == graph.num_categories
+        assert len(list(directory.rglob("graph.bin"))) == 1
 
     def test_core_adjacency_is_exact(self, partitioned):
-        """Every core node's shard answers adjacency like the full graph."""
-        graph, partitions, _ = partitioned
-        for partition in partitions:
-            for node_id in partition.core_ids:
-                assert partition.graph.undirected_neighbors(node_id) == \
+        """Every shard's worker holds the one graph — the same object, not
+        a cut of it — so the worker a node is placed on answers that
+        node's adjacency like the full graph."""
+        graph, _, loaded = partitioned
+        router = ShardRouter(loaded)
+        try:
+            assert all(w.graph is router.graph for w in router.workers)
+            for node_id in graph.node_ids():
+                home = router.workers[
+                    shard_of_node(node_id, loaded.num_shards)
+                ].graph
+                assert home.undirected_neighbors(node_id) == \
                     graph.undirected_neighbors(node_id)
                 if graph.is_article(node_id):
-                    assert partition.graph.links_from(node_id) == \
-                        graph.links_from(node_id)
-                    assert partition.graph.categories_of(node_id) == \
+                    assert home.links_from(node_id) == graph.links_from(node_id)
+                    assert home.categories_of(node_id) == \
                         graph.categories_of(node_id)
-                    assert partition.graph.redirects_of(node_id) == \
+                    assert home.redirects_of(node_id) == \
                         graph.redirects_of(node_id)
+        finally:
+            router.close()
 
-    def test_redirects_colocated_with_target(self, graph):
-        partitions = partition_graph(graph, 4)
-        owner = {
-            node_id: p.shard_id for p in partitions for node_id in p.core_ids
-        }
-        redirects = [a for a in graph.articles() if a.is_redirect]
-        assert redirects, "fixture graph should contain redirects"
-        for article in redirects:
-            assert owner[article.node_id] == owner[graph.resolve(article.node_id)]
+    def test_redirects_colocated_with_target(self, graph, snapshot):
+        """A redirect's title routes where its target's does: the linker
+        resolves it, so no redirect id is ever hashed for routing."""
+        router = ShardRouter(ShardedSnapshot.from_snapshot(snapshot, 4))
+        try:
+            redirects = [a for a in graph.articles() if a.is_redirect]
+            assert redirects, "fixture graph should contain redirects"
+            for article in redirects:
+                target = graph.resolve(article.node_id)
+                seeds, _ = router.link_text(router.normalize(article.title))
+                assert seeds.article_ids == frozenset({target})
+                assert router.owner_shard(seeds.article_ids) == \
+                    shard_of_node(target, 4)
+        finally:
+            router.close()
 
-    def test_single_shard_has_no_halo(self, graph):
-        (partition,) = partition_graph(graph, 1)
-        assert partition.core_ids == set(graph.node_ids())
-        assert partition.graph.num_edges == graph.num_edges
-
-    def test_invalid_shard_count(self, graph):
-        with pytest.raises(AnalysisError):
-            partition_graph(graph, 0)
-
-
-class TestPayloadRoundTrip:
-    def test_round_trip_preserves_everything(self, graph):
-        for partition in partition_graph(graph, 3):
-            rebuilt = GraphPartition.from_payload(partition.to_payload())
-            assert rebuilt.shard_id == partition.shard_id
-            assert rebuilt.num_shards == partition.num_shards
-            assert rebuilt.core_articles == partition.core_articles
-            assert rebuilt.core_categories == partition.core_categories
-            assert rebuilt.graph.num_nodes == partition.graph.num_nodes
-            assert rebuilt.graph.num_edges == partition.graph.num_edges
-            for node_id in rebuilt.core_ids:
-                assert rebuilt.graph.undirected_neighbors(node_id) == \
-                    partition.graph.undirected_neighbors(node_id)
-
-    def test_malformed_payload_rejected(self):
-        with pytest.raises(AnalysisError):
-            GraphPartition.from_payload({"shard": 0})
+    def test_invalid_shard_count(self, small_benchmark):
+        for count in (0, -1):
+            with pytest.raises(SnapshotError):
+                ShardedSnapshot.build(small_benchmark, num_shards=count)
 
 
 class TestViewEquivalence:
+    """The graph a directory of N shards stores is the whole graph."""
+
     def test_counts_match(self, partitioned):
-        graph, _, view = partitioned
+        graph, _, loaded = partitioned
+        view = loaded.graph
         assert view.num_articles == graph.num_articles
         assert view.num_main_articles == graph.num_main_articles
         assert view.num_categories == graph.num_categories
@@ -129,13 +200,14 @@ class TestViewEquivalence:
         assert len(view) == len(graph)
 
     def test_adjacency_matches_everywhere(self, partitioned):
-        graph, _, view = partitioned
+        graph, _, loaded = partitioned
+        view = loaded.graph
         for node_id in graph.node_ids():
             assert view.undirected_neighbors(node_id) == \
                 graph.undirected_neighbors(node_id)
             assert view.degree(node_id) == graph.degree(node_id)
             assert view.title(node_id) == graph.title(node_id)
-            assert view.kind(node_id) == graph.kind(node_id)
+            assert view.node(node_id).kind == graph.kind(node_id)
         for article in graph.articles():
             node_id = article.node_id
             assert view.links_from(node_id) == graph.links_from(node_id)
@@ -150,20 +222,23 @@ class TestViewEquivalence:
             assert view.children_of(node_id) == graph.children_of(node_id)
 
     def test_node_iteration_and_title_lookup(self, partitioned):
-        graph, _, view = partitioned
-        assert {a.node_id for a in view.articles()} == \
-            {a.node_id for a in graph.articles()}
-        assert {c.node_id for c in view.categories()} == \
-            {c.node_id for c in graph.categories()}
+        graph, _, loaded = partitioned
+        view = loaded.graph
+        assert list(view.articles()) == \
+            sorted(graph.articles(), key=lambda a: a.node_id)
+        assert list(view.categories()) == \
+            sorted(graph.categories(), key=lambda c: c.node_id)
         assert set(view.node_ids()) == set(graph.node_ids())
-        assert set(view.titles()) == set(graph.titles())
         some = next(iter(graph.main_articles()))
         assert view.article_by_title(some.title) == some
 
     def test_edges_iterate_once_each(self, partitioned):
-        graph, _, view = partitioned
+        """Materialised the way compaction does it, the stored graph
+        yields every edge of the original exactly once."""
+        graph, _, loaded = partitioned
         mine = sorted(
-            (e.kind.value, e.source, e.target) for e in view.edges()
+            (e.kind.value, e.source, e.target)
+            for e in materialize_graph(loaded.graph).edges()
         )
         reference = sorted(
             (e.kind.value, e.source, e.target) for e in graph.edges()
@@ -171,7 +246,8 @@ class TestViewEquivalence:
         assert mine == reference
 
     def test_induced_subgraph_matches_monolithic(self, partitioned):
-        graph, _, view = partitioned
+        graph, _, loaded = partitioned
+        view = loaded.graph
         # A ball around an article plus an arbitrary slice of node ids.
         seed = next(iter(graph.main_articles())).node_id
         ball = {seed} | graph.undirected_neighbors(seed)
@@ -179,13 +255,13 @@ class TestViewEquivalence:
             mine = view.induced_subgraph(keep)
             reference = graph.induced_subgraph(keep)
             assert mine.num_nodes == reference.num_nodes
-            assert mine.num_edges == reference.num_edges
             for node_id in keep:
                 assert mine.undirected_neighbors(node_id) == \
                     reference.undirected_neighbors(node_id)
 
     def test_unknown_nodes(self, partitioned):
-        graph, _, view = partitioned
+        graph, _, loaded = partitioned
+        view = loaded.graph
         missing = max(graph.node_ids()) + 1000
         assert missing not in view
         assert view.undirected_neighbors(missing) == set()
@@ -193,12 +269,87 @@ class TestViewEquivalence:
             view.node(missing)
         with pytest.raises(UnknownNodeError):
             view.induced_subgraph({missing})
-        with pytest.raises(UnknownNodeError):
-            view.owner_shard(missing)
 
-    def test_incomplete_partition_set_rejected(self, graph):
-        partitions = partition_graph(graph, 3)
-        with pytest.raises(AnalysisError):
-            PartitionedGraphView(partitions[:2])
-        with pytest.raises(AnalysisError):
-            PartitionedGraphView([])
+
+class TestOwnerRouting:
+    def test_titles_route_to_the_shard_of_their_prefill(
+        self, partitioned
+    ):
+        """``router.owner_shard(link(title))`` is the shard ``with_prefill``
+        stored that seed set in, so the first request is a cache hit —
+        on that shard, and on no other."""
+        graph, _, loaded = partitioned
+        stored = [
+            {seeds for seeds, _ in entries} for entries in loaded.prefills
+        ]
+        router = ShardRouter(loaded)
+        try:
+            warmed = [_cached_keys(worker) for worker in router.workers]
+            assert warmed == stored
+            linked = 0
+            for article in graph.articles():
+                link, _ = router.link_text(router.normalize(article.title))
+                seeds = link.article_ids
+                if not seeds:
+                    continue
+                linked += 1
+                owner = router.owner_shard(seeds)
+                assert owner == shard_of_node(min(seeds), loaded.num_shards)
+                assert [seeds in shard for shard in stored] == \
+                    [shard == owner for shard in range(loaded.num_shards)]
+                hits = router.workers[owner].stats().expansion_cache.hits
+                response = router.expand_query(article.title, top_k=3)
+                assert response.expansion_cached is True, article.title
+                assert router.workers[owner].stats().expansion_cache.hits == \
+                    hits + 1
+            assert linked == graph.num_articles
+        finally:
+            router.close()
+
+    def test_overlay_added_article_routes_by_its_own_hash(self, snapshot):
+        router = ShardRouter(ShardedSnapshot.from_snapshot(snapshot, 2))
+        try:
+            for shard in (0, 1):  # one newcomer per shard
+                newcomer = next(
+                    _NEW + offset for offset in range(64)
+                    if shard_of_node(_NEW + offset, 2) == shard
+                )
+                UpdateCoordinator(router).apply([{
+                    "op": "add_article", "seq": shard + 1, "node_id": newcomer,
+                    "title": f"Placement Newcomer {shard}",
+                }])
+                seeds = frozenset({newcomer})
+                response = router.expand_query(f"placement newcomer {shard}")
+                assert response.link.article_ids == seeds
+                assert router.owner_shard(seeds) == shard
+                assert [seeds in _cached_keys(w) for w in router.workers] == \
+                    [other == shard for other in (0, 1)]
+        finally:
+            router.close()
+
+    def test_seed_turned_redirect_is_never_routed_on(
+        self, graph, snapshot
+    ):
+        mains = [a for a in graph.main_articles()
+                 if not graph.redirects_of(a.node_id)]
+        demoted, target = next(
+            (a, b) for a in mains for b in mains
+            if shard_of_node(a.node_id, 2) != shard_of_node(b.node_id, 2)
+        )
+        router = ShardRouter(ShardedSnapshot.from_snapshot(snapshot, 2))
+        try:
+            before = router.expand_query(demoted.title)
+            assert before.link.article_ids == frozenset({demoted.node_id})
+            UpdateCoordinator(router).apply([{
+                "op": "set_redirect", "seq": 1, "node_id": demoted.node_id,
+                "target": target.node_id,
+            }])
+            after = router.expand_query(demoted.title)
+            assert after.link.article_ids == frozenset({target.node_id})
+            assert router.owner_shard(after.link.article_ids) == \
+                shard_of_node(target.node_id, 2) != \
+                shard_of_node(demoted.node_id, 2)
+            for worker in router.workers:
+                assert frozenset({demoted.node_id}) not in _cached_keys(worker)
+        finally:
+            router.close()
