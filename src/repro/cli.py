@@ -336,44 +336,31 @@ def snapshot_main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def _serve_http(
-    snapshot,
-    host: str,
-    port: int,
-    slow_ms: float = 100.0,
-    *,
-    snapshot_dir=None,
-    workers: int = 0,
-    call_timeout_s: float = 30.0,
-    hedge_after_ms: float | None = None,
-    max_restarts: int = 5,
-    queue_limit: int | None = None,
-    client_rate: float | None = None,
-    client_burst: float = 8.0,
-) -> int:
-    """Run the asyncio HTTP front end over a ShardRouter until interrupted.
+def _serve_http(snapshot, snapshot_dir: Path, args: argparse.Namespace) -> int:
+    """Run the asyncio HTTP front end over a ShardRouter until interrupted
+    (``args``: the parsed ``serve`` options).
 
     Every shard count goes through the router (a one-shard router serves
     identically to the plain service), so the HTTP surface is uniform
-    across layouts.  Slow requests (>=
-    ``slow_ms``) are logged as JSON lines on stderr and sampled into the
-    reservoir ``/stats`` exposes.
+    across layouts.  Slow requests (>= ``--slow-ms``) are logged as JSON
+    lines on stderr and sampled into the reservoir ``/stats`` exposes.
 
-    With ``workers`` set (one per shard), shard calls run in supervised
+    With ``--workers`` (one per shard), shard calls run in supervised
     out-of-process workers behind socket adapters: crashed workers are
-    restarted with backoff, stalled calls hit ``call_timeout_s``, and
-    ``hedge_after_ms`` arms tail-latency hedging.  See
+    restarted with backoff, stalled calls hit ``--call-timeout-s``, and
+    ``--hedge-after-ms`` arms tail-latency hedging.  See
     ``docs/operations.md``.
 
-    ``queue_limit``/``client_rate`` attach load shedding: a bounded
+    ``--queue-limit``/``--client-rate`` attach load shedding: a bounded
     admission queue plus per-client token buckets, refusing excess
     sheddable traffic with structured 429s (``docs/loadgen.md`` shows
     how to prove the behaviour under real overload).
 
     A recency set persisted by a previous process (``recent_queries.json``
-    next to the snapshot manifest) is replayed at startup so the first
-    client hits of a restarted server land at cached latency; the set is
-    saved back on shutdown and at every compaction.
+    next to the snapshot manifest) is replayed at startup through the
+    stack that serves (worker processes included) so the first client
+    hits of a restarted server land at cached latency; the set is saved
+    back on shutdown and at every compaction.
     """
     import asyncio
 
@@ -384,10 +371,11 @@ def _serve_http(
         HttpFrontEnd,
         ShardRouter,
     )
+    from repro.updates import UpdateCoordinator
 
     router = ShardRouter(snapshot)
-    supervisor = None
-    if workers:
+    supervisor = policy = None
+    if args.workers:
         from repro.service.socket_adapter import ShardCallPolicy
         from repro.service.supervisor import ShardSupervisor
 
@@ -395,7 +383,7 @@ def _serve_http(
             str(snapshot_dir),
             router.num_shards,
             metrics=router.metrics,
-            max_restarts=max_restarts,
+            max_restarts=args.max_restarts,
         )
         print(f"workers: starting {router.num_shards} shard worker(s)",
               flush=True)
@@ -403,45 +391,29 @@ def _serve_http(
         for info in supervisor.describe():
             print(f"workers: shard {info['shard']} up "
                   f"(pid={info.get('pid')}, port={info.get('port')})")
+        hedge_ms = args.hedge_after_ms
         policy = ShardCallPolicy(
-            call_timeout_s=call_timeout_s,
-            hedge_after_s=(
-                hedge_after_ms / 1000.0 if hedge_after_ms else None
-            ),
+            call_timeout_s=args.call_timeout_s,
+            hedge_after_s=hedge_ms / 1000.0 if hedge_ms else None,
         )
-        service = AsyncShardRouter(router, supervisor=supervisor, policy=policy)
-    else:
-        service = AsyncShardRouter(router)
-    from repro.updates import UpdateCoordinator
-
-    request_log = RequestLog(slow_ms=slow_ms, sink=sys.stderr.write)
+    service = AsyncShardRouter(router, supervisor=supervisor, policy=policy)
+    request_log = RequestLog(slow_ms=args.slow_ms, sink=sys.stderr.write)
     coordinator = UpdateCoordinator(
         router,
         snapshot_dir=snapshot_dir,
         supervisor=supervisor,
         request_log=request_log,
     )
-    if snapshot_dir is not None:
-        restored = request_log.load_recent(snapshot_dir)
-        if restored:
-            warmed = 0
-            for query in request_log.recent_queries():
-                try:
-                    router.expand_query(query, top_k=1)
-                    warmed += 1
-                except Exception:  # noqa: BLE001 — warming must not block startup
-                    continue
-            print(f"warm start: replayed {warmed} persisted recent "
-                  f"quer{'y' if warmed == 1 else 'ies'}", flush=True)
     admission = None
-    if queue_limit is not None or client_rate is not None:
+    if args.queue_limit is not None or args.client_rate is not None:
         admission = AdmissionPolicy(
-            queue_limit=queue_limit,
-            client_rate=client_rate,
-            client_burst=client_burst,
+            queue_limit=args.queue_limit,
+            client_rate=args.client_rate,
+            client_burst=args.client_burst,
         )
-        print(f"admission: queue_limit={queue_limit} "
-              f"client_rate={client_rate}/s burst={client_burst}", flush=True)
+        print(f"admission: queue_limit={args.queue_limit} "
+              f"client_rate={args.client_rate}/s burst={args.client_burst}",
+              flush=True)
     format_version = snapshot.source_version
     front = HttpFrontEnd(
         service,
@@ -453,10 +425,20 @@ def _serve_http(
     )
 
     async def run() -> None:
-        server = await front.start(host, port)
+        if request_log.load_recent(snapshot_dir):
+            warmed = 0
+            for query in request_log.recent_queries():
+                try:
+                    await service.expand_query(query, top_k=1)
+                    warmed += 1
+                except Exception:  # noqa: BLE001 — warming must not block startup
+                    continue
+            print(f"warm start: replayed {warmed} persisted recent "
+                  f"quer{'y' if warmed == 1 else 'ies'}", flush=True)
+        server = await front.start(args.host, args.http)
         bound = server.sockets[0].getsockname()[1]
         print(
-            f"http: serving on http://{host}:{bound} "
+            f"http: serving on http://{args.host}:{bound} "
             f"(POST /expand /search /batch_expand "
             f"/admin/apply_delta /admin/compact, "
             f"GET /stats /healthz /metrics)",
@@ -470,11 +452,11 @@ def _serve_http(
     except KeyboardInterrupt:
         print("http: shut down")
     finally:
-        if snapshot_dir is not None:
-            try:
-                request_log.save_recent(snapshot_dir)
-            except OSError:
-                pass  # best-effort: shutdown must not fail on a full disk
+        try:
+            request_log.save_recent(snapshot_dir)
+        except OSError:
+            pass  # best-effort: shutdown must not fail on a full disk
+        service.close()  # pooled worker connections, the adapter executor
         if supervisor is not None:
             supervisor.stop()
         router.close()
@@ -626,17 +608,7 @@ def serve_main(argv: list[str] | None = None) -> int:
                 "serves exactly one shard"
             )
             return 2
-        return _serve_http(
-            snapshot, args.host, args.http, slow_ms=args.slow_ms,
-            snapshot_dir=snapshot_dir,
-            workers=args.workers,
-            call_timeout_s=args.call_timeout_s,
-            hedge_after_ms=args.hedge_after_ms,
-            max_restarts=args.max_restarts,
-            queue_limit=args.queue_limit,
-            client_rate=args.client_rate,
-            client_burst=args.client_burst,
-        )
+        return _serve_http(snapshot, snapshot_dir, args)
 
     service = ShardRouter(snapshot)
 
@@ -655,18 +627,20 @@ def serve_main(argv: list[str] | None = None) -> int:
         cached = "cached" if response.expansion_cached else "cold"
         print(f"  [{cached}, {response.latency_ms:.1f} ms]")
 
-    if args.query:
-        for response in service.batch_expand(args.query, top_k=args.top_k):
-            answer(response)
-    else:
-        print("reading queries from stdin (one per line, ^D to finish)")
-        for line in sys.stdin:
-            line = line.strip()
-            if line:
-                answer(service.expand_query(line, top_k=args.top_k))
-
-    if args.stats:
-        print(json.dumps(service.stats().as_dict(), indent=2))
+    try:
+        if args.query:
+            for response in service.batch_expand(args.query, top_k=args.top_k):
+                answer(response)
+        else:
+            print("reading queries from stdin (one per line, ^D to finish)")
+            for line in sys.stdin:
+                line = line.strip()
+                if line:
+                    answer(service.expand_query(line, top_k=args.top_k))
+        if args.stats:
+            print(json.dumps(service.stats().as_dict(), indent=2))
+    finally:
+        service.close()
     return 0
 
 

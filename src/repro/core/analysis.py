@@ -19,8 +19,6 @@ from collections import defaultdict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import AnalysisError
 from repro.core.features import CycleFeatures
 
@@ -63,6 +61,8 @@ class FivePointSummary:
 
 def five_point_summary(values: Iterable[float]) -> FivePointSummary:
     """Five-point summary of ``values`` (linear interpolation quartiles)."""
+    import numpy as np
+
     data = np.asarray(list(values), dtype=float)
     if data.size == 0:
         raise AnalysisError("cannot summarise an empty sequence")
@@ -103,6 +103,8 @@ def _group_by_length(records: Iterable[CycleRecord]) -> dict[int, list[CycleReco
 
 def average_contribution_by_length(records: Iterable[CycleRecord]) -> dict[int, float]:
     """Figure 5: mean contribution (%) per cycle length."""
+    import numpy as np
+
     return {
         length: float(np.mean([r.contribution for r in group]))
         for length, group in sorted(_group_by_length(records).items())
@@ -126,6 +128,8 @@ def average_category_ratio_by_length(
 ) -> dict[int, float]:
     """Figure 7a: mean category ratio per length (lengths < 3 cannot
     contain categories and are excluded, as in the paper)."""
+    import numpy as np
+
     grouped = _group_by_length(r for r in records if r.length >= min_length)
     return {
         length: float(np.mean([r.features.category_ratio for r in group]))
@@ -138,6 +142,8 @@ def average_density_by_length(
 ) -> dict[int, float]:
     """Figure 7b: mean density of extra edges per length (defined-density
     cycles only)."""
+    import numpy as np
+
     grouped = _group_by_length(r for r in records if r.length >= min_length)
     out: dict[int, float] = {}
     for length, group in sorted(grouped.items()):
@@ -175,6 +181,8 @@ def binned_density_trend(
     Empty bins are omitted.  This is the readable form of Figure 9's
     scatter-plus-trend.
     """
+    import numpy as np
+
     if num_bins < 1:
         raise AnalysisError("num_bins must be >= 1")
     if not points:
@@ -196,6 +204,8 @@ def linear_trend(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
     The paper's Figure 9 claim is a positive slope ("the denser the cycle,
     the better its contribution"); this provides the number to assert.
     """
+    import numpy as np
+
     if len(points) < 2:
         raise AnalysisError("need at least two points for a trend line")
     xs = np.array([p[0] for p in points], dtype=float)
@@ -262,6 +272,8 @@ def frequency_contribution_correlation(
     Raises :class:`AnalysisError` when fewer than two articles appear or
     variance vanishes.
     """
+    import numpy as np
+
     per_article: dict[int, list[float]] = defaultdict(list)
     for record in records:
         for node in record.features.cycle.nodes:

@@ -141,14 +141,12 @@ class AsyncShardRouter:
         self,
         router: ShardRouter,
         *,
-        executor: ThreadPoolExecutor | None = None,
         adapters=None,
         supervisor=None,
         policy=None,
     ) -> None:
         self._router = router
-        self._own_executor = executor is None
-        self._executor = executor or ThreadPoolExecutor(
+        self._executor = ThreadPoolExecutor(
             max_workers=max(2, router.num_shards),
             thread_name_prefix="async-shard",
         )
@@ -291,8 +289,7 @@ class AsyncShardRouter:
         if self._own_supervisor and self._supervisor is not None:
             self._supervisor.stop()
             self._supervisor = None
-        if self._own_executor:
-            self._executor.shutdown(wait=True)
+        self._executor.shutdown(wait=True)
 
     # ------------------------------------------------------------------
     # Socket-mode construction

@@ -497,6 +497,11 @@ class ExpansionService:
             self._queries += 1
         return answer
 
+    def has_expansion(self, seeds: frozenset[int]) -> bool:
+        """Whether :meth:`expand_seeds` would answer ``seeds`` from the
+        cache — an unrecorded peek: no hit or miss counted, recency kept."""
+        return not seeds or self._expansion_cache.peek(seeds) is not None
+
     def leaf_collection_counts(self, root: QueryNode) -> dict:
         """This segment's collection count of every leaf of ``root``
         (the probe phase of a distributed rank)."""

@@ -35,10 +35,13 @@ or a rolling reload each make the next answer a new object (or a new
 process), hence a new token and a full body; the router never has to
 invalidate anything itself.
 
-Execution model mirrors the in-process stack: the event loop frames and
-dispatches; the calls themselves (cycle mining is CPU-heavy and cache-
-stateful) run on a small thread pool, so a slow expansion does not stop
-the worker from answering rank calls on other connections.
+Execution model: a call hops to the small thread pool only when it can
+mine or write (``expand_seeds`` on a cache miss, ``prefill_expansions``,
+``apply_delta``), so a slow expansion does not stop the worker from
+answering rank calls on other connections.  Every other call is answered
+on the event loop, where its frame was read: short pure-Python work the
+GIL would serialise anyway, for which the hop — two thread wake-ups —
+costs more than the answer (``docs/shard_protocol.md``).
 
 Fault injection (:mod:`repro.service.faults`) hooks in *here*, at the
 frame layer — after a request is decoded, before it is dispatched — so
@@ -61,7 +64,6 @@ from repro.service.artifacts import ShardedSnapshot
 from repro.service.cache import LRUCache
 from repro.service.faults import FaultPlan
 from repro.service.server import ExpansionService
-
 from repro.service.wire import SHARD_PROTOCOL_VERSION
 
 __all__ = ["make_shard_worker", "ShardWorkerServer", "run_worker"]
@@ -126,8 +128,6 @@ class ShardWorkerServer:
         shard_id: int,
         *,
         faults: FaultPlan | None = None,
-        max_frame_bytes: int = wire.MAX_FRAME_BYTES,
-        executor: ThreadPoolExecutor | None = None,
         updater=None,
     ) -> None:
         self._worker = worker
@@ -136,9 +136,7 @@ class ShardWorkerServer:
         # Live-update receiver (repro.updates.ShardWorkerUpdater); a
         # server without one rejects apply_delta with an error frame.
         self._updater = updater
-        self._max_frame_bytes = max_frame_bytes
-        self._own_executor = executor is None
-        self._executor = executor or ThreadPoolExecutor(
+        self._executor = ThreadPoolExecutor(
             max_workers=4, thread_name_prefix=f"shard-{shard_id}"
         )
         self._server: asyncio.AbstractServer | None = None
@@ -160,8 +158,7 @@ class ShardWorkerServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        if self._own_executor:
-            self._executor.shutdown(wait=False)
+        self._executor.shutdown(wait=False)
 
     @property
     def port(self) -> int:
@@ -191,9 +188,7 @@ class ShardWorkerServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            hello = await wire.read_frame(
-                reader, max_frame_bytes=self._max_frame_bytes
-            )
+            hello = await wire.read_frame(reader)
             if hello is None:
                 return
             if hello.get("call") != "hello":
@@ -211,9 +206,7 @@ class ShardWorkerServer:
                 return
             await wire.write_frame(writer, self._hello_response())
             while True:
-                request = await wire.read_frame(
-                    reader, max_frame_bytes=self._max_frame_bytes
-                )
+                request = await wire.read_frame(reader)
                 if request is None:
                     return
                 if not await self._serve_call(request, writer):
@@ -259,9 +252,12 @@ class ShardWorkerServer:
                 return self._dispatch(call, request)
 
         try:
-            response = await asyncio.get_running_loop().run_in_executor(
-                self._executor, run
-            )
+            if self._may_block(call, request):
+                response = await asyncio.get_running_loop().run_in_executor(
+                    self._executor, run
+                )
+            else:
+                response = run()
         except Exception as exc:  # noqa: BLE001 — becomes an error frame
             response = _error_frame(type(exc).__name__, str(exc))
         else:
@@ -277,8 +273,16 @@ class ShardWorkerServer:
         return True
 
     # ------------------------------------------------------------------
-    # Call dispatch (runs on an executor thread, inside the call's trace)
+    # Call dispatch (inside the call's trace; on an executor thread when
+    # the call may block, else on the event loop)
     # ------------------------------------------------------------------
+
+    def _may_block(self, call: str, request: dict) -> bool:
+        """Whether the call can mine or write (a seed set evicted between
+        this peek and the call is mined on the loop: rare, still right)."""
+        if call == "expand_seeds":
+            return not self._worker.has_expansion(_seed_set(request["seeds"]))
+        return call in ("prefill_expansions", "apply_delta")
 
     def _dispatch(self, call: str, request: dict) -> dict:
         worker = self._worker
@@ -286,7 +290,7 @@ class ShardWorkerServer:
             link, cached = worker.link_text(str(request["normalized"]))
             return {"link": wire.encode_link_result(link), "cached": cached}
         if call == "expand_seeds":
-            seeds = frozenset(int(s) for s in request["seeds"])
+            seeds = _seed_set(request["seeds"])
             expansion, cached = worker.expand_seeds(seeds)
             etag = self._etag_of(seeds, expansion)
             if request.get("have") == etag:
@@ -297,10 +301,7 @@ class ShardWorkerServer:
                 "etag": etag,
             }
         if call == "prefill_expansions":
-            seed_sets = [
-                frozenset(int(s) for s in seeds)
-                for seeds in request["seed_sets"]
-            ]
+            seed_sets = [_seed_set(seeds) for seeds in request["seed_sets"]]
             computed = worker.prefill_expansions(seed_sets)
             return {"computed": [sorted(seeds) for seeds in computed]}
         if call == "leaf_collection_counts":
@@ -343,6 +344,10 @@ class ShardWorkerServer:
         etag = f"{self._etag_nonce}:{next(self._etag_counter)}"
         self._etags.put(seeds, (etag, expansion))
         return etag
+
+
+def _seed_set(values) -> frozenset[int]:
+    return frozenset(int(value) for value in values)
 
 
 def _error_frame(error_type: str, message: str) -> dict:

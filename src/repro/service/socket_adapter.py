@@ -42,8 +42,9 @@ per seed set with the ``etag`` the worker gave it, offers that token as
 ``have``, and skips the body and its decode when the worker answers
 ``not_modified`` (the worker alone decides — this memo is never
 invalidated from the router side).  And a ``search_with_background``
-fan-out shares one :class:`~repro.service.wire.SearchRequest`, so the
-query and background are encoded once per request, not once per shard.
+fan-out shares one :class:`~repro.service.wire.SearchRequest`, so its
+frame is encoded once per request, not once per shard; an un-hedged
+attempt runs in the caller's task, so a cached request creates none.
 
 Worker spans ride home in each response (``spans``) and are replayed
 into the active request trace, so one ``/metrics`` scrape still sees
@@ -117,25 +118,17 @@ class SocketShardAdapter:
         *,
         policy: ShardCallPolicy | None = None,
         fallback_engine=None,
-        max_frame_bytes: int = wire.MAX_FRAME_BYTES,
     ) -> None:
         self._endpoint = endpoint
         self._shard_id = shard_id
         self._policy = policy or ShardCallPolicy()
         self._fallback_engine = fallback_engine
-        self._max_frame_bytes = max_frame_bytes
         # A couple of idle connections; a restarted worker invalidates
         # them, which surfaces as a transport error → retry on fresh.
-        # Each entry remembers its owning loop: callers like asyncio.run
-        # give every call a fresh loop, and a stream must never be
-        # reused outside the loop that created it.
-        self._pool: list[
-            tuple[
-                asyncio.AbstractEventLoop,
-                asyncio.StreamReader,
-                asyncio.StreamWriter,
-            ]
-        ] = []
+        # Each (loop, reader, writer) entry remembers its owning loop:
+        # callers like asyncio.run give every call a fresh loop, and a
+        # stream must never be reused outside the loop that created it.
+        self._pool: list[tuple] = []
         self._pool_limit = 2
         self.retries_total = 0
         self.hedges_total = 0
@@ -205,9 +198,7 @@ class SocketShardAdapter:
 
     async def search_with_background(self, request: wire.SearchRequest):
         try:
-            response = await self._call(
-                "search_with_background", request.wire_payload()
-            )
+            response = await self._call("search_with_background", request)
         except ShardUnavailableError:
             return await self._fallback(
                 "score",
@@ -227,11 +218,16 @@ class SocketShardAdapter:
     # Call machinery: retries around hedged, deadline-bounded attempts
     # ------------------------------------------------------------------
 
-    async def _call(self, call: str, payload: dict) -> dict:
-        request = {"call": call, "protocol": SHARD_PROTOCOL_VERSION, **payload}
+    async def _call(self, call: str, payload) -> dict:
+        """``payload``: the call's fields, or the fan-out's shared
+        :class:`~repro.service.wire.SearchRequest` (one frame for all)."""
         trace = tracing.current_trace()
-        if trace is not None:
-            request["trace_id"] = trace.trace_id
+        trace_id = None if trace is None else trace.trace_id
+        frame = (
+            payload.call_frame(trace_id)
+            if isinstance(payload, wire.SearchRequest)
+            else wire.encode_call(call, payload, trace_id)
+        )
         policy = self._policy
         last_exc: Exception | None = None
         for attempt in range(policy.max_attempts):
@@ -239,7 +235,7 @@ class SocketShardAdapter:
                 self.retries_total += 1
                 await asyncio.sleep(policy.backoff_s(attempt))
             try:
-                response = await self._attempt_hedged(request)
+                response = await self._attempt_hedged(call, frame)
             except WorkerCallError:
                 raise  # the worker answered: deterministic, not transient
             except (
@@ -261,16 +257,16 @@ class SocketShardAdapter:
             f"{policy.max_attempts} attempt(s): {last_exc}",
         ) from last_exc
 
-    async def _attempt_hedged(self, request: dict) -> dict:
+    async def _attempt_hedged(self, call: str, frame: bytes) -> dict:
         policy = self._policy
-        primary = asyncio.ensure_future(self._attempt(request))
         if policy.hedge_after_s is None:
-            return await primary
+            return await self._attempt(call, frame)
+        primary = asyncio.ensure_future(self._attempt(call, frame))
         done, _ = await asyncio.wait({primary}, timeout=policy.hedge_after_s)
         if done:
             return primary.result()
         self.hedges_total += 1
-        hedge = asyncio.ensure_future(self._attempt(request))
+        hedge = asyncio.ensure_future(self._attempt(call, frame))
         pending: set[asyncio.Future] = {primary, hedge}
         last_exc: Exception | None = None
         try:
@@ -295,15 +291,13 @@ class SocketShardAdapter:
             if pending:
                 await asyncio.gather(*pending, return_exceptions=True)
 
-    async def _attempt(self, request: dict) -> dict:
-        return await asyncio.wait_for(
-            self._attempt_once(request), self._policy.call_timeout_s
-        )
+    async def _attempt(self, call: str, frame: bytes) -> dict:
+        async with asyncio.timeout(self._policy.call_timeout_s):
+            return await self._attempt_once(call, frame)
 
-    async def _attempt_once(self, request: dict) -> dict:
-        frame = wire.encode_frame(request)
+    async def _attempt_once(self, call: str, frame: bytes) -> dict:
         with tracing.span(
-            "wire", shard=self._shard_id, call=request["call"],
+            "wire", shard=self._shard_id, call=call,
             bytes_out=len(frame), bytes_in=0,
         ) as span:
             conn = self._pool_get() or await self._connect()
@@ -311,9 +305,7 @@ class SocketShardAdapter:
             try:
                 writer.write(frame)
                 await writer.drain()
-                body = await wire.read_frame_body(
-                    reader, max_frame_bytes=self._max_frame_bytes
-                )
+                body = await wire.read_frame_body(reader)
                 if body is None:
                     raise WireProtocolError(
                         f"shard {self._shard_id}: connection closed before "
@@ -324,17 +316,16 @@ class SocketShardAdapter:
             except BaseException:  # includes hedge-loser cancellation
                 writer.close()
                 raise
-            if request["call"] == "expand_seeds":
+            if call == "expand_seeds":
                 span["not_modified"] = bool(response.get("not_modified"))
+        self._pool_put(conn)  # an error frame still ends a clean exchange
         error = response.get("error")
         if error is not None:
-            self._pool_put(conn)
             raise WorkerCallError(
                 self._shard_id,
                 str(error.get("type")),
                 str(error.get("message")),
             )
-        self._pool_put(conn)
         return response
 
     async def _connect(self):
@@ -346,31 +337,26 @@ class SocketShardAdapter:
             await wire.write_frame(
                 writer, {"call": "hello", "protocol": SHARD_PROTOCOL_VERSION}
             )
-            hello = await wire.read_frame(
-                reader, max_frame_bytes=self._max_frame_bytes
-            )
-        except BaseException:
+            hello = await wire.read_frame(reader)
+            if hello is None:
+                raise WireProtocolError(
+                    f"shard {self._shard_id}: connection closed during handshake"
+                )
+            error = hello.get("error")
+            if error is not None:
+                raise WorkerCallError(
+                    self._shard_id, str(error.get("type")), str(error.get("message"))
+                )
+            if hello.get("protocol") != SHARD_PROTOCOL_VERSION:
+                raise WorkerCallError(
+                    self._shard_id,
+                    "protocol_mismatch",
+                    f"worker speaks shard protocol {hello.get('protocol')!r}, "
+                    f"this adapter speaks {SHARD_PROTOCOL_VERSION}",
+                )
+        except BaseException:  # no handshake, no connection
             writer.close()
             raise
-        if hello is None:
-            writer.close()
-            raise WireProtocolError(
-                f"shard {self._shard_id}: connection closed during handshake"
-            )
-        error = hello.get("error")
-        if error is not None:
-            writer.close()
-            raise WorkerCallError(
-                self._shard_id, str(error.get("type")), str(error.get("message"))
-            )
-        if hello.get("protocol") != SHARD_PROTOCOL_VERSION:
-            writer.close()
-            raise WorkerCallError(
-                self._shard_id,
-                "protocol_mismatch",
-                f"worker speaks shard protocol {hello.get('protocol')!r}, "
-                f"this adapter speaks {SHARD_PROTOCOL_VERSION}",
-            )
         return reader, writer
 
     def _pool_get(self):

@@ -56,6 +56,7 @@ __all__ = [
     "EXPANSION_ETAG_ENTRIES",
     "SearchRequest",
     "encode_frame",
+    "encode_call",
     "read_frame",
     "read_frame_body",
     "decode_frame_body",
@@ -112,6 +113,15 @@ def encode_frame(payload: dict) -> bytes:
     if len(body) > 0xFFFFFFFF:
         raise WireProtocolError(f"frame body of {len(body)} bytes overflows u32")
     return _LENGTH.pack(len(body)) + body
+
+
+def encode_call(call: str, payload: dict, trace_id: str | None) -> bytes:
+    """One call's request frame: ``call`` and ``protocol``, the call's own
+    fields, then the router's trace id when the request is traced."""
+    request = {"call": call, "protocol": SHARD_PROTOCOL_VERSION, **payload}
+    if trace_id is not None:
+        request["trace_id"] = trace_id
+    return encode_frame(request)
 
 
 def decode_frame_body(body: bytes) -> dict:
@@ -355,13 +365,13 @@ def decode_background(payload: list) -> dict[QueryNode, float]:
 class SearchRequest:
     """The arguments of one ``search_with_background`` fan-out.
 
-    Every shard is sent the same root, background and ``top_k``, so the
-    wire form is built once — by whichever socket adapter asks first —
-    and shared by the rest; in-process adapters never ask for it and
-    never pay for it.
+    Every shard is sent the same root, background and ``top_k`` under
+    the same trace id, so the wire form — the whole frame — is built
+    once, by whichever socket adapter asks first, and shared by the
+    rest; in-process adapters never ask for it and never pay for it.
     """
 
-    __slots__ = ("root", "background", "top_k", "_payload")
+    __slots__ = ("root", "background", "top_k", "_payload", "_frame")
 
     def __init__(
         self, root: QueryNode, background: dict[QueryNode, float], top_k: int
@@ -370,6 +380,7 @@ class SearchRequest:
         self.background = background
         self.top_k = top_k
         self._payload: dict | None = None
+        self._frame: tuple[str | None, bytes] | None = None
 
     def wire_payload(self) -> dict:
         """The call's frame fields; callers must not mutate the result."""
@@ -380,6 +391,15 @@ class SearchRequest:
                 "top_k": int(self.top_k),
             }
         return self._payload
+
+    def call_frame(self, trace_id: str | None) -> bytes:
+        """The call's request frame (:func:`encode_call`), encoded once
+        per trace id — i.e. once per fan-out."""
+        if self._frame is None or self._frame[0] != trace_id:
+            self._frame = trace_id, encode_call(
+                "search_with_background", self.wire_payload(), trace_id
+            )
+        return self._frame[1]
 
 
 def encode_results(results) -> list:

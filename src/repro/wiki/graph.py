@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
-import networkx as nx
-
 from repro.errors import UnknownNodeError
 from repro.wiki.schema import Article, Category, Edge, EdgeKind, NodeKind, normalize_title
 
@@ -307,6 +305,8 @@ class WikiGraph:
         Node attributes: ``kind`` ("article"/"category"), ``title``.
         Parallel typed edges collapse into one undirected edge.
         """
+        import networkx as nx  # analysis only: serving never loads it
+
         graph = nx.Graph()
         for node_id in self.node_ids():
             node = self.node(node_id)

@@ -15,8 +15,6 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro.wiki.graph import WikiGraph
 
 __all__ = [
@@ -36,6 +34,8 @@ def triangle_participation_ratio(graph: nx.Graph) -> float:
     Accepts an *undirected* networkx graph (use
     :meth:`WikiGraph.to_networkx`).  Returns 0.0 for the empty graph.
     """
+    import networkx as nx
+
     if graph.number_of_nodes() == 0:
         return 0.0
     triangle_counts = nx.triangles(graph)
@@ -71,8 +71,9 @@ def reciprocal_link_ratio(graph: WikiGraph) -> float:
 def connected_components(graph: WikiGraph) -> list[set[int]]:
     """Connected components of the undirected (redirect-free) view,
     largest first; ties broken by smallest member id for determinism."""
-    nx_graph = graph.to_networkx()
-    components = [set(c) for c in nx.connected_components(nx_graph)]
+    import networkx as nx
+
+    components = [set(c) for c in nx.connected_components(graph.to_networkx())]
     components.sort(key=lambda c: (-len(c), min(c)))
     return components
 

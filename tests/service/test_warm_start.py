@@ -9,6 +9,13 @@ from the expansion cache.
 """
 
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
+import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -182,3 +189,71 @@ class TestCompactionPersistsRecency:
             assert not (root / "gen-0002" / RECENT_QUERIES_FILENAME).exists()
         finally:
             router.close()
+
+
+class TestSupervisedWorkersWarmStart:
+    """``serve --workers``: the replay must go through the path that
+    serves — the async router over the socket adapters — or it warms
+    the router's idle in-process workers and the first client hit is
+    still a miss in the worker process that answers it."""
+
+    def test_first_client_hit_is_cached_in_the_worker_processes(
+        self, sharded, hot_queries, tmp_path
+    ):
+        root = tmp_path / "serving"
+        sharded.save(root)
+        log = RequestLog(slow_ms=100.0)
+        log.seed_recent(hot_queries)
+        log.save_recent(root)
+
+        src = Path(__file__).resolve().parents[2] / "src"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--snapshot",
+             str(root), "--http", "0", "--workers", "2"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        )
+        try:
+            banner, port = "", None
+            for line in proc.stdout:
+                if "warm start: replayed" in line:
+                    banner = line.strip()
+                match = re.search(r"http://[\d.]+:(\d+)", line)
+                if match:
+                    port = int(match.group(1))
+                    break
+            assert port is not None, "serve exited before binding"
+            assert banner == (
+                f"warm start: replayed {len(hot_queries)} persisted "
+                "recent queries"
+            )
+            for query in hot_queries:
+                request = urllib.request.Request(
+                    f"http://127.0.0.1:{port}/expand",
+                    data=json.dumps({"query": query}).encode("utf-8"),
+                    headers={"Content-Type": "application/json"},
+                )
+                with urllib.request.urlopen(request, timeout=30) as reply:
+                    payload = json.loads(reply.read())
+                assert payload["expansion_cached"] is True, (
+                    f"first hit of {query!r} missed the worker's cache "
+                    "after a warm start"
+                )
+            with urllib.request.urlopen(
+                f"http://127.0.0.1:{port}/stats", timeout=30
+            ) as reply:
+                stats = json.loads(reply.read())
+            # The replay and the client hits were all answered by the
+            # worker processes: one miss and one hit per query.
+            cache = stats["expansion_cache"]
+            assert (cache["misses"], cache["hits"]) == \
+                (len(hot_queries), len(hot_queries))
+        finally:
+            proc.send_signal(signal.SIGINT)
+            try:
+                proc.wait(timeout=30)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+        assert proc.returncode == 0

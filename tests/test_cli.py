@@ -181,6 +181,60 @@ class TestServe:
             in out
         assert "shards=1" in out
 
+    def test_serve_closes_what_it_opened(self, bench_dir, tmp_path, capsys,
+                                         monkeypatch):
+        """REPL mode closes its router (an error mid-batch included);
+        HTTP mode closes the async router — pooled worker connections,
+        the adapter executor — before it stops the supervisor, then the
+        router."""
+        from repro.service import (
+            AsyncShardRouter, HttpFrontEnd, ShardRouter, ShardSupervisor,
+        )
+
+        closed = []
+
+        def noting(cls, method, label):
+            inner = getattr(cls, method)
+
+            def wrapper(self, *args, **kwargs):
+                closed.append(label)
+                return inner(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, method, wrapper)
+
+        noting(ShardRouter, "close", "router")
+        noting(AsyncShardRouter, "close", "service")
+        noting(ShardSupervisor, "stop", "supervisor")
+        snap = tmp_path / "snap2"
+        keywords = Benchmark.load(bench_dir).topics[0].keywords
+        build = ["--snapshot", str(snap), "--build", "--shards", "2",
+                 "--benchmark-dir", bench_dir]
+        assert serve_main([*build, "--query", keywords]) == 0
+        assert closed == ["router"]
+
+        def failing(self, texts, top_k=10):
+            raise RuntimeError("mid-batch failure")
+
+        closed.clear()
+        monkeypatch.setattr(ShardRouter, "batch_expand", failing)
+        with pytest.raises(RuntimeError):
+            serve_main(["--snapshot", str(snap), "--query", keywords])
+        assert closed == ["router"]
+
+        async def interrupted(self, host, port):
+            raise KeyboardInterrupt
+
+        closed.clear()
+        monkeypatch.setattr(HttpFrontEnd, "start", interrupted)
+        assert serve_main(["--snapshot", str(snap), "--http", "0"]) == 0
+        assert closed == ["service", "router"]
+        closed.clear()
+        assert serve_main(
+            ["--snapshot", str(snap), "--http", "0", "--workers", "2"]
+        ) == 0
+        assert closed == ["service", "supervisor", "router"]
+        assert "http: shut down" in capsys.readouterr().out
+
     def test_bad_http_port_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             serve_main(["--snapshot", str(tmp_path / "s"), "--http", "70000"])
