@@ -25,6 +25,8 @@ Families (all prefixed ``repro_``):
   (``kernels`` bitset hot path / ``dfs`` oracle), derived from the
   ``engine`` label on ``cycle_mine`` spans — the switch that proves
   which enumerator served a cold request;
+* ``repro_rank_ahead_total{outcome}`` — rank fan-outs started beside
+  ``expand_seeds`` (``used`` / ``discarded``), from the trace label;
 * ``repro_delta_invalidations_total{cache}`` — cache entries evicted by
   applied graph deltas (live updates, ``docs/live_updates.md``),
   incremented by the :class:`~repro.updates.UpdateCoordinator`;
@@ -100,6 +102,11 @@ class ServingMetrics:
             "Cycle-mining runs by enumeration engine.",
             ("engine",),
         )
+        self.rank_ahead = self.registry.counter(
+            "repro_rank_ahead_total",
+            "Rank fan-outs started beside expand_seeds, by outcome.",
+            ("outcome",),
+        )
         self.delta_invalidations = self.registry.counter(
             "repro_delta_invalidations_total",
             "Cache entries evicted by applied graph deltas, by cache tier.",
@@ -143,6 +150,8 @@ class ServingMetrics:
         self.request_latency.observe(latency_s, path=path)
         if trace is None:
             return
+        if "rank_ahead" in trace.labels:
+            self.rank_ahead.inc(outcome=trace.labels["rank_ahead"])
         for span in trace.spans:
             seconds = span.duration_ms / 1000.0
             self.stage_latency.observe(seconds, stage=span.stage)

@@ -250,7 +250,7 @@ class AsyncShardRouter:
             future = self._inflight.get(key)
             if future is None:
                 future = asyncio.ensure_future(self._run(
-                    router.query_plan("expand_query", [normalized], top_k)
+                    router.query_plan("expand_query", [normalized], top_k), top_k
                 ))
                 self._inflight[key] = future
                 future.add_done_callback(lambda _: self._inflight.pop(key, None))
@@ -335,35 +335,69 @@ class AsyncShardRouter:
     # Internals
     # ------------------------------------------------------------------
 
-    async def _run(self, plan):
+    async def _run(self, plan, top_k: int | None = None):
         """Execute a plan over the adapters, throwing a failed step into
-        it so its open spans close (a cancelled one included)."""
+        it so its open spans close (a cancelled one included).  Given
+        ``top_k`` (one query) it ranks ahead: the fan-out that followed
+        this seed set last time starts beside ``expand_seeds`` and is
+        used iff the plan then yields an equal step — a segment ranks
+        equal requests equally, whatever changed since.  No task
+        outlives the request."""
+        memo = self._router.rank_ahead
         resume, value = plan.send, None
+        key = guess = early = None
         try:
             while True:
-                call, items = resume(value)
+                step = call, items = resume(value)
                 try:
-                    resume, value = plan.send, await self._execute(call, items)
+                    if call == "expand_seeds" and top_k is not None and items[0][1]:
+                        key = items[0][1], top_k
+                        guess = memo.get(key)
+                        if guess is not None:
+                            early = asyncio.ensure_future(self._execute(*guess))
+                        value = await self._execute(call, items)
+                        if guess is None and not value[0][1]:
+                            key = None  # learn from cached expansions only
+                    elif step == guess:
+                        tracing.annotate(rank_ahead="used")
+                        value = await early
+                    else:
+                        if call == "search_with_background" and key is not None:
+                            if early is not None:  # a wasted rank, not an error
+                                tracing.annotate(rank_ahead="discarded")
+                                await asyncio.gather(early, return_exceptions=True)
+                            memo.put(key, step)
+                        value = await self._execute(call, items)
+                    resume = plan.send
                 except BaseException as exc:  # the plan re-raises it
                     resume, value = plan.throw, exc
         except StopIteration as done:
             return done.value
+        finally:
+            if early is not None:
+                early.cancel()
+                await asyncio.gather(early, return_exceptions=True)
 
     async def _execute(self, call: str, items: list) -> list:
-        """One step: a single call is awaited here, a fan-out gathered.
-        Linking is the router's own, one executor hop per text (its link
-        cache is lock-guarded, so parallel passes are safe)."""
-        loop = asyncio.get_running_loop()
+        """One step: a single call is awaited here, a fan-out gathered."""
         calls = [
-            loop.run_in_executor(
-                self._executor, getattr(self._router, call), argument
-            ) if shard is None
+            self._link(argument) if shard is None
             else getattr(self._adapters[shard], call)(argument)
             for shard, argument in items
         ]
         if len(calls) == 1:
             return [await calls[0]]
         return await asyncio.gather(*calls)
+
+    async def _link(self, normalized: str):
+        """The router's own linking: a cached text is answered here, a
+        miss on the executor (lock-guarded cache: parallel passes are safe)."""
+        cached = self._router.link_cached(normalized)
+        if cached is not None:
+            return cached
+        return await asyncio.get_running_loop().run_in_executor(
+            self._executor, self._router.link_text, normalized
+        )
 
     def __repr__(self) -> str:
         return (

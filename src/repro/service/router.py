@@ -64,7 +64,7 @@ from repro.retrieval.qlang import CombineNode, QueryNode, TermNode, build_phrase
 from repro.service.artifacts import ShardedSnapshot
 from repro.service.cache import CacheStats, LRUCache
 from repro.service.server import ExpansionService, ServiceResponse, ServiceStats
-from repro.service.wire import SearchRequest
+from repro.service.wire import EXPANSION_ETAG_ENTRIES, SearchRequest
 from repro.wiki.partition import shard_of_node
 
 __all__ = ["ShardRouter", "RouterStats"]
@@ -223,6 +223,10 @@ class ShardRouter:
         # deltas and compaction only replace graph artefacts (see
         # swap_snapshot).
         self._collection_stats = LRUCache(_COLLECTION_STATS_ENTRIES)
+        # (seed set, top_k) -> the ``search_with_background`` step that
+        # followed it last time, which AsyncShardRouter starts early; it
+        # only pays while the adapters' etag memo holds the seed set too.
+        self.rank_ahead = LRUCache(EXPANSION_ETAG_ENTRIES)
         self._total_tokens = sum(w.engine.index.total_tokens for w in self._workers)
         self._pool = ThreadPoolExecutor(
             max_workers=len(self._workers), thread_name_prefix="shard-router"
@@ -329,6 +333,7 @@ class ShardRouter:
         """Drop the router's caches and every worker's caches."""
         self._link_cache.clear()
         self._collection_stats.clear()
+        self.rank_ahead.clear()
         for worker in self._workers:
             worker.clear_caches()
 
@@ -600,6 +605,13 @@ class ShardRouter:
         result = self._linker.link(normalized)
         self._link_cache.put(normalized, result, epoch=epoch)
         return result, False
+
+    def link_cached(self, normalized: str) -> tuple[LinkResult, bool] | None:
+        """:meth:`link_text` when it cannot block — an uncounted peek
+        finds the text cached — else None (an event loop's half of it)."""
+        if self._link_cache.peek(normalized) is None:
+            return None
+        return self.link_text(normalized)
 
     def build_query(
         self, normalized: str, expansion: ExpansionResult

@@ -55,9 +55,9 @@ of process.  Each attempt also records a ``wire`` span of its own
 included.
 
 Loop affinity matches the async router: one adapter belongs to one
-event loop; counters (``retries_total``, ``hedges_total``,
-``hedge_wins_total``, ``expansion_hits``, ``expansion_misses``) are
-mutated loop-side only, no locks.
+event loop; counters (``connects_total``, ``retries_total``,
+``hedges_total``, ``hedge_wins_total``, ``expansion_hits``,
+``expansion_misses``) are mutated loop-side only, no locks.
 """
 
 from __future__ import annotations
@@ -83,6 +83,10 @@ __all__ = ["ShardCallPolicy", "SocketShardAdapter"]
 # across restarts.  Raises ShardUnavailableError while the worker has
 # no serving address (restarting, or past its restart budget).
 Endpoint = Callable[[], tuple[str, int]]
+
+# Idle connections kept per adapter.  One is dialed only while every
+# other is in use, so the pool holds as many as were ever in use at once.
+_MAX_IDLE_CONNECTIONS = 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,13 +127,13 @@ class SocketShardAdapter:
         self._shard_id = shard_id
         self._policy = policy or ShardCallPolicy()
         self._fallback_engine = fallback_engine
-        # A couple of idle connections; a restarted worker invalidates
-        # them, which surfaces as a transport error → retry on fresh.
+        # Idle connections; a restarted worker invalidates them, which
+        # surfaces as a transport error → retry on fresh.
         # Each (loop, reader, writer) entry remembers its owning loop:
         # callers like asyncio.run give every call a fresh loop, and a
         # stream must never be reused outside the loop that created it.
         self._pool: list[tuple] = []
-        self._pool_limit = 2
+        self.connects_total = 0
         self.retries_total = 0
         self.hedges_total = 0
         self.hedge_wins_total = 0
@@ -330,6 +334,7 @@ class SocketShardAdapter:
 
     async def _connect(self):
         host, port = self._endpoint()
+        self.connects_total += 1
         reader, writer = await asyncio.wait_for(
             asyncio.open_connection(host, port), self._policy.connect_timeout_s
         )
@@ -369,7 +374,7 @@ class SocketShardAdapter:
         return None
 
     def _pool_put(self, conn) -> None:
-        if len(self._pool) < self._pool_limit:
+        if len(self._pool) < _MAX_IDLE_CONNECTIONS:
             self._pool.append((asyncio.get_running_loop(), *conn))
         else:
             conn[1].close()

@@ -382,6 +382,14 @@ class SearchRequest:
         self._payload: dict | None = None
         self._frame: tuple[str | None, bytes] | None = None
 
+    def __eq__(self, other) -> bool:
+        """By value: a segment ranks equal requests to equal results."""
+        if not isinstance(other, SearchRequest):
+            return NotImplemented
+        return (self.top_k, self.root, self.background) == (
+            other.top_k, other.root, other.background
+        )
+
     def wire_payload(self) -> dict:
         """The call's frame fields; callers must not mutate the result."""
         if self._payload is None:

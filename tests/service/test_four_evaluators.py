@@ -16,12 +16,22 @@ that head ``compared with`` a tail title — so every evaluator answers
 seed-set misses composed from anchor entries an earlier query left in
 the owner's cache, and the four still agree.
 
+A third lets the texts repeat *across* passes with live deltas between
+them — some only evict expansions, some change one — over the three
+routed evaluators, each with its own ``UpdateCoordinator``.  That is the
+regime in which the async driver ranks ahead (``docs/architecture.md``):
+a repeated seed set's rank fan-out is sent beside ``expand_seeds``, used
+when the plan asks for its equal and discarded when a delta changed the
+expansion.  Answers and stages must still be the synchronous router's;
+the one thing a wrong guess may add is its own wasted ``rank`` spans.
+
 Fixed-seed (``derandomize``): tier-1 draws the same batches every run.
 Every example starts cold, which for the worker processes means a
 rolling reload — hence the small example count.
 """
 
 import asyncio
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -37,6 +47,7 @@ from repro.service import (
     ShardRouter,
     ShardSupervisor,
 )
+from repro.updates import UpdateCoordinator
 
 SHARDS = 2
 UNLINKED = ["qzxunseen gibberish", "completely unknowable", "of the"]
@@ -130,11 +141,16 @@ def _answer(response):
 
 
 def _stages(trace):
-    return sorted(
+    stages = sorted(
         (span.stage, -1 if span.shard is None else span.shard,
          span.labels.get("phase", ""))
         for span in trace.spans if span.stage != "wire"
     )
+    if trace.labels.get("rank_ahead") == "discarded":
+        # All a wrong guess adds: one wasted score-phase rank per shard.
+        for shard in range(SHARDS):
+            stages.remove(("rank", shard, "score"))
+    return stages
 
 
 @settings(
@@ -219,6 +235,105 @@ def test_cold_tail_sequences_compose_and_still_agree(
         ):
             assert mined[0].labels["reused"] >= len(head), text
             assert mined[0].labels["roots"] <= len(seeds - head), text
+
+
+@contextmanager
+def _live_evaluators(sharded, directory):
+    """The three routed evaluators, fresh, with ``apply(payloads)``."""
+    sharded.save(directory)
+    bases = [ShardRouter(sharded) for _ in range(3)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delenv(SHARD_ADAPTER_ENV, raising=False)
+        executor_router = AsyncShardRouter(bases[1])
+    supervisor = ShardSupervisor(str(directory), SHARDS)
+    supervisor.start()
+    socket_router = AsyncShardRouter(bases[2], supervisor=supervisor)
+    coordinators = [
+        UpdateCoordinator(bases[0]), UpdateCoordinator(bases[1]),
+        UpdateCoordinator(bases[2], snapshot_dir=directory, supervisor=supervisor),
+    ]
+
+    def apply(payloads):
+        for coordinator in coordinators:
+            assert not coordinator.apply(payloads).get("stale_workers")
+
+    try:
+        yield [
+            _Evaluator("router", bases[0], reset=None),
+            _Evaluator("async/executor", executor_router, reset=None, is_async=True),
+            _Evaluator("async/socket", socket_router, reset=None, is_async=True),
+        ], apply
+    finally:
+        socket_router.close()
+        supervisor.stop()
+        executor_router.close()
+        for base in bases:
+            base.close()
+
+
+@settings(
+    max_examples=4, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_repeats_across_passes_with_deltas_between_them(
+    small_benchmark, snapshot, tmp_path_factory, data
+):
+    topics = [topic.keywords for topic in small_benchmark.topics[:3]]
+    texts = st.one_of(
+        st.sampled_from(topics).flatmap(lambda text: st.sampled_from(
+            [text, text.upper(), f"{text} qzxunseen"]
+        )),
+        st.sampled_from(UNLINKED[:1]),
+    )
+    asked = st.lists(
+        st.tuples(texts, st.sampled_from([3, 10])), min_size=2, max_size=5
+    )
+    deltas = st.one_of(st.none(), st.tuples(
+        st.sampled_from(topics), st.sampled_from(["evicts", "changes"])
+    ))
+    passes = data.draw(
+        st.lists(st.tuples(deltas, asked), min_size=2, max_size=4),
+        label="delta, then (text, top_k) ...",
+    )
+    sharded = ShardedSnapshot.from_snapshot(snapshot, num_shards=SHARDS)
+    directory = tmp_path_factory.mktemp("live-evaluators")
+    outcomes = []
+    with _live_evaluators(sharded, directory) as (live, apply):
+        reference = live[0].service
+        seq, page = 0, 9_500_000
+        for delta, queries in [(None, [(t, 10) for t in topics] * 2)] + passes:
+            if delta is not None:
+                topic, effect = delta
+                seed = min(reference.link_text(
+                    reference.normalize(topic)
+                )[0].article_ids)
+                page += 1
+                # A page linking to a seed evicts what is near it; the
+                # link back closes a 2-cycle and changes the expansion.
+                edges = [(page, seed)] + ([(seed, page)] * (effect == "changes"))
+                payloads = [{
+                    "op": "add_article", "seq": seq + 1, "node_id": page,
+                    "title": f"Evaluator Page {page}",
+                }] + [
+                    {"op": "add_edge", "seq": seq + 2 + i, "source": source,
+                     "target": target, "kind": "link"}
+                    for i, (source, target) in enumerate(edges)
+                ]
+                seq += len(payloads)
+                apply(payloads)
+            for text, top_k in queries:
+                ((expected,), reference_trace), *routed = [
+                    evaluator.single(text, top_k) for evaluator in live
+                ]
+                for evaluator, ((response,), trace) in zip(live[1:], routed):
+                    label = (delta, text, top_k, evaluator.name)
+                    assert _answer(response) == _answer(expected), label
+                    assert _stages(trace) == _stages(reference_trace), label
+                    outcomes.append(trace.labels.get("rank_ahead"))
+    # Both async evaluators guessed, and guessed alike.
+    assert outcomes[0::2] == outcomes[1::2]
+    assert "used" in outcomes
 
 
 def test_a_ranked_query_records_the_stages_of_the_plan(small_benchmark, evaluators):

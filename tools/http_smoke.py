@@ -41,9 +41,15 @@ End to end, as a real deployment would run it:
    reference, repeat the batch phase, then SIGKILL one worker process mid-run and assert the
    supervisor restarts it (``/healthz`` workers back to ``up``, the
    ``repro_shard_worker_restarts_total`` counter advanced) and that
-   post-restart answers are still identical;
+   post-restart answers are still identical — the repeat of a query
+   asked before the kill is *ranked ahead* (its rank fan-out goes out
+   beside ``expand_seeds``, ``repro_rank_ahead_total{outcome="used"}``
+   advances) into the restarted worker;
 11. repeat the live-update phase in worker mode (delta fan-out over the
-    wire, compaction driving a rolling worker reload);
+    wire, compaction driving a rolling worker reload), then apply a
+    delta next to the query's seed — evicting its expansion but not the
+    router's memoised rank step — and diff the ranked-ahead re-ask
+    against a synchronous router that applied the same delta;
 12. shut the servers down and fail loudly if anything differed.
 
 Run from the repo root with ``PYTHONPATH=src`` (CI does).
@@ -473,6 +479,69 @@ def check_shedding(snap_dir: Path, query: str, failures: list[str]) -> None:
             proc.kill()
 
 
+def rank_ahead_used(base: str) -> float:
+    """``repro_rank_ahead_total{outcome="used"}`` as /metrics reads now."""
+    from repro.obs import parse_prometheus_text
+
+    samples = parse_prometheus_text(get_text(f"{base}/metrics")[0])["samples"]
+    return samples.get(
+        ("repro_rank_ahead_total", frozenset({("outcome", "used")})), 0
+    )
+
+
+def check_rank_ahead_across_eviction(
+    base: str, snap_dir: Path, query: str, failures: list[str],
+) -> None:
+    """Re-ask a query whose rank step the router holds, right after a
+    delta evicted its expansion: the rank is sent while the owner
+    re-mines, and the answer must be the synchronous router's over the
+    same generation with the same delta applied."""
+    from repro.service import ShardRouter, ShardedSnapshot
+    from repro.updates import UpdateCoordinator
+
+    tag = "rank-ahead"
+    router = ShardRouter(ShardedSnapshot.load(snap_dir))
+    try:
+        seeds = router.link_text(router.normalize(query))[0].article_ids
+        payloads = [
+            {"op": "add_article", "seq": 1, "node_id": 9_620_000,
+             "title": "Smoke Near Page"},
+            {"op": "add_edge", "seq": 2, "source": 9_620_000,
+             "target": min(seeds), "kind": "link"},
+        ]
+        UpdateCoordinator(router).apply(payloads)
+        reference = router.expand_query(query)
+    finally:
+        router.close()
+    expected = [(r.doc_id, r.score) for r in reference.results]
+
+    # The rolling reload left the workers cold; two asks warm them again.
+    for _ in range(2):
+        get_json(f"{base}/expand", {"query": query})
+    generation = get_json(f"{base}/healthz")["snapshot_generation"]
+    summary = get_json(f"{base}/admin/apply_delta",
+                       {"deltas": payloads, "generation": generation})
+    if summary.get("applied") != 2 or summary.get("stale_workers") or \
+            summary.get("invalidated", {}).get("expansion", 0) < 1:
+        failures.append(f"{tag}: delta next to a seed evicted nothing: {summary}")
+        return
+    used = rank_ahead_used(base)
+    served = get_json(f"{base}/expand", {"query": query})
+    if served.get("expansion_cached"):
+        failures.append(f"{tag}: an evicted expansion was reported cached")
+    if rank_ahead_used(base) != used + 1:
+        failures.append(f"{tag}: the re-ask after the eviction did not rank ahead")
+    if [(r["doc_id"], r["score"]) for r in served["results"]] != expected or \
+            served["expansion"]["titles"] != list(reference.expansion.titles):
+        failures.append(
+            f"{tag}: ranked-ahead answer differs from the synchronous "
+            "router after the same delta"
+        )
+    else:
+        print(f"{tag}: predicted across a kill and across an eviction; "
+              "answers match the synchronous router")
+
+
 def check_worker_serving(
     snap_dir: Path, query: str, ref_results: list, failures: list[str],
     topics: list[str],
@@ -556,10 +625,19 @@ def check_worker_serving(
         print("workers: supervisor restarted the killed worker "
               f"(healthz: {health.get('worker_restarts')} restart(s))")
 
+        # `query` was asked before the kill, so the router holds its rank
+        # step and sends it beside expand_seeds: to a worker that is new.
+        used = rank_ahead_used(base)
         served = get_json(f"{base}/expand", {"query": query})
         if [(r["doc_id"], r["score"]) for r in served["results"]] != ref_results:
             failures.append(
                 "post-restart /expand differs from the in-process router"
+            )
+        if rank_ahead_used(base) != used + 1:
+            failures.append(
+                "the post-restart repeat did not rank ahead: "
+                f"repro_rank_ahead_total{{outcome=used}} {used} -> "
+                f"{rank_ahead_used(base)}"
             )
 
         text, _ = get_text(f"{base}/metrics")
@@ -579,6 +657,7 @@ def check_worker_serving(
 
         check_live_updates(base, query, ref_results, failures,
                            id_base=9_610_000, tag="live-workers")
+        check_rank_ahead_across_eviction(base, snap_dir, query, failures)
     finally:
         proc.send_signal(signal.SIGINT)
         try:
