@@ -363,9 +363,8 @@ class AsyncShardRouter:
                         value = await early
                     else:
                         if call == "search_with_background" and key is not None:
-                            if early is not None:  # a wasted rank, not an error
+                            if early is not None:  # a wasted rank, reaped below
                                 tracing.annotate(rank_ahead="discarded")
-                                await asyncio.gather(early, return_exceptions=True)
                             memo.put(key, step)
                         value = await self._execute(call, items)
                     resume = plan.send

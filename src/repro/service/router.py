@@ -607,8 +607,9 @@ class ShardRouter:
         return result, False
 
     def link_cached(self, normalized: str) -> tuple[LinkResult, bool] | None:
-        """:meth:`link_text` when it cannot block — an uncounted peek
-        finds the text cached — else None (an event loop's half of it)."""
+        """:meth:`link_text` when an uncounted peek finds the text cached,
+        else None (an event loop's half of it; an eviction between the two
+        looks costs the caller one link where it stands, counters exact)."""
         if self._link_cache.peek(normalized) is None:
             return None
         return self.link_text(normalized)

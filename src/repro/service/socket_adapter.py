@@ -127,8 +127,8 @@ class SocketShardAdapter:
         self._shard_id = shard_id
         self._policy = policy or ShardCallPolicy()
         self._fallback_engine = fallback_engine
-        # Idle connections; a restarted worker invalidates them, which
-        # surfaces as a transport error → retry on fresh.
+        # Idle connections; a restarted worker invalidates them all, which
+        # surfaces as one transport error → drop them, retry on fresh.
         # Each (loop, reader, writer) entry remembers its owning loop:
         # callers like asyncio.run give every call a fresh loop, and a
         # stream must never be reused outside the loop that created it.
@@ -250,6 +250,7 @@ class SocketShardAdapter:
                 OSError,
             ) as exc:
                 last_exc = exc
+                self.close()  # its idle siblings are as old: don't try each
                 continue
             self._replay_spans(trace, response)
             return response
@@ -368,9 +369,9 @@ class SocketShardAdapter:
         loop = asyncio.get_running_loop()
         while self._pool:
             conn_loop, reader, writer = self._pool.pop()
-            if conn_loop is loop:
+            if conn_loop is loop and not reader.at_eof():
                 return reader, writer
-            self._safe_close(writer)  # stream from an earlier, dead loop
+            self._safe_close(writer)  # an earlier, dead loop's, or hung up
         return None
 
     def _pool_put(self, conn) -> None:

@@ -147,9 +147,11 @@ def _stages(trace):
         for span in trace.spans if span.stage != "wire"
     )
     if trace.labels.get("rank_ahead") == "discarded":
-        # All a wrong guess adds: one wasted score-phase rank per shard.
+        # All a wrong guess adds: one wasted score-phase rank per shard
+        # (none for a call the request outran: it is cancelled, not awaited).
         for shard in range(SHARDS):
-            stages.remove(("rank", shard, "score"))
+            if stages.count(("rank", shard, "score")) > 1:
+                stages.remove(("rank", shard, "score"))
     return stages
 
 

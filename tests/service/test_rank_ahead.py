@@ -14,8 +14,11 @@ request fails, is cancelled or loses a worker mid-flight.
 
 import asyncio
 import gc
+import os
+import signal
 import sys
 import threading
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -754,5 +757,47 @@ def test_concurrent_cached_queries_never_re_dial(small_benchmark, sharded, tmp_p
                 response, stack.reference.expand_query(text, 10), label=text
             )
         assert stack.service.stats().worker_restarts == 0
+    finally:
+        stack.close()
+
+
+def test_a_restart_costs_one_attempt_however_many_connections_idle(
+    small_benchmark, sharded, tmp_path
+):
+    """A restarted worker strands every idle connection at once, and the
+    default policy has three attempts: with more than two stale ones in
+    the pool, spending an attempt on each would fail the call (a 503 or
+    a silent fallback) against a healthy worker."""
+    stack = _open_stack("socket", sharded, tmp_path, max_restarts=3)
+    try:
+        texts = [topic.keywords for topic in small_benchmark.topics[:4]]
+        adapters, supervisor = stack.service.adapters, stack.supervisor
+
+        async def scenario():
+            for text in texts:
+                assert (await _outcomes(stack, text, [10] * 3))[-1] == "used"
+            await asyncio.gather(*(
+                stack.service.expand_query(text, 10) for text in texts
+            ))
+            idle = [len(adapter._pool) for adapter in adapters]
+            for shard in range(SHARDS):
+                os.kill(supervisor.describe()[shard]["pid"], signal.SIGKILL)
+            deadline = time.monotonic() + 60.0
+            while supervisor.restarts_total < SHARDS or supervisor.degraded:
+                assert time.monotonic() < deadline, supervisor.describe()
+                time.sleep(0.05)  # blocking: this loop sees no EOF meanwhile
+            return idle, [await stack.service.expand_query(t, 10) for t in texts]
+
+        idle, responses = asyncio.run(scenario())
+        assert min(idle) >= ShardCallPolicy().max_attempts
+        for text, response in zip(texts, responses):
+            assert response.trace.labels["rank_ahead"] == "used"
+            assert_same_answers(
+                response, stack.reference.expand_query(text, 10), label=text
+            )
+        assert [a.fallback_calls_total for a in adapters] == [0] * SHARDS
+        assert sum(a.retries_total for a in adapters) >= 1
+        stats = stack.service.stats()
+        assert (stats.errors, stats.worker_restarts) == (0, SHARDS)
     finally:
         stack.close()
