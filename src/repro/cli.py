@@ -44,35 +44,13 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro.collection.benchmark import Benchmark
-from repro.collection.synthetic import SyntheticCollectionConfig
 from repro.core.expansion import CycleExpander, NeighborhoodCycleExpander
-from repro.harness import (
-    PAPER_FIG5,
-    PAPER_FIG6,
-    PAPER_FIG7A,
-    PAPER_FIG7B,
-    PAPER_TABLE2,
-    PAPER_TABLE3,
-    PAPER_TABLE4,
-    PipelineConfig,
-    fig5_contribution_by_length,
-    fig6_cycle_counts,
-    fig7a_category_ratio,
-    fig7b_density,
-    fig9_density_vs_contribution,
-    format_five_point_table,
-    format_series_comparison,
-    format_table4,
-    run_pipeline,
-    sec3_structural_stats,
-    table2_ground_truth_precision,
-    table3_largest_cc_stats,
-    table4_cycle_expansion_precision,
-)
 from repro.linking.linker import EntityLinker
-from repro.wiki.synthetic import SyntheticWikiConfig
+
+if TYPE_CHECKING:  # pragma: no cover - the generators load with their commands
+    from repro.collection.benchmark import Benchmark
 
 __all__ = [
     "build_benchmark_main",
@@ -89,13 +67,23 @@ __all__ = [
 ]
 
 
+def _synthetic_benchmark(seed: int, **wiki_options) -> Benchmark:
+    from repro.collection.benchmark import Benchmark
+    from repro.collection.synthetic import SyntheticCollectionConfig
+    from repro.wiki.synthetic import SyntheticWikiConfig
+
+    return Benchmark.synthetic(
+        SyntheticWikiConfig(seed=seed, **wiki_options),
+        SyntheticCollectionConfig(seed=seed + 6),
+    )
+
+
 def _benchmark_from_args(args: argparse.Namespace) -> Benchmark:
     if args.benchmark_dir and Path(args.benchmark_dir).exists():
+        from repro.collection.benchmark import Benchmark
+
         return Benchmark.load(args.benchmark_dir)
-    return Benchmark.synthetic(
-        SyntheticWikiConfig(seed=args.seed),
-        SyntheticCollectionConfig(seed=args.seed + 6),
-    )
+    return _synthetic_benchmark(args.seed)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -123,10 +111,7 @@ def build_benchmark_main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    benchmark = Benchmark.synthetic(
-        SyntheticWikiConfig(seed=args.seed, num_domains=args.domains),
-        SyntheticCollectionConfig(seed=args.seed + 6),
-    )
+    benchmark = _synthetic_benchmark(args.seed, num_domains=args.domains)
     benchmark.validate()
     benchmark.save(args.out)
     print(f"saved {benchmark!r} to {args.out}/")
@@ -135,6 +120,8 @@ def build_benchmark_main(argv: list[str] | None = None) -> int:
 
 def ground_truth_main(argv: list[str] | None = None) -> int:
     """Build X(q) for every topic and print the Table 2 summary."""
+    from repro import harness
+
     parser = argparse.ArgumentParser(
         prog="repro-ground-truth", description=ground_truth_main.__doc__
     )
@@ -143,7 +130,7 @@ def ground_truth_main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     benchmark = _benchmark_from_args(args)
-    result = run_pipeline(benchmark, PipelineConfig(seed=args.seed + 90))
+    result = harness.run_pipeline(benchmark, harness.PipelineConfig(seed=args.seed + 90))
     for outcome in result.outcomes:
         expansion = len(outcome.ground_truth.expansion_set)
         line = (
@@ -156,16 +143,18 @@ def ground_truth_main(argv: list[str] | None = None) -> int:
                       sorted(outcome.ground_truth.expansion_set)]
             print(f"    expansion features: {titles}")
     print()
-    print(format_five_point_table(
-        table2_ground_truth_precision(result),
+    print(harness.format_five_point_table(
+        harness.table2_ground_truth_precision(result),
         "Table 2 — ground truth precision",
-        paper=PAPER_TABLE2,
+        paper=harness.PAPER_TABLE2,
     ))
     return 0
 
 
 def analyze_main(argv: list[str] | None = None) -> int:
     """Run the full pipeline and print every table and figure."""
+    from repro import harness
+
     parser = argparse.ArgumentParser(
         prog="repro-analyze", description=analyze_main.__doc__
     )
@@ -173,48 +162,48 @@ def analyze_main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     benchmark = _benchmark_from_args(args)
-    result = run_pipeline(benchmark, PipelineConfig(seed=args.seed + 90))
+    result = harness.run_pipeline(benchmark, harness.PipelineConfig(seed=args.seed + 90))
 
-    print(format_five_point_table(
-        table2_ground_truth_precision(result),
+    print(harness.format_five_point_table(
+        harness.table2_ground_truth_precision(result),
         "Table 2 — ground truth precision",
-        paper=PAPER_TABLE2,
+        paper=harness.PAPER_TABLE2,
     ))
     print()
-    print(format_five_point_table(
-        table3_largest_cc_stats(result),
+    print(harness.format_five_point_table(
+        harness.table3_largest_cc_stats(result),
         "Table 3 — largest connected component",
-        paper=PAPER_TABLE3,
+        paper=harness.PAPER_TABLE3,
     ))
     print()
-    print(format_table4(
-        table4_cycle_expansion_precision(result), result.config.ranks, PAPER_TABLE4
+    print(harness.format_table4(
+        harness.table4_cycle_expansion_precision(result), result.config.ranks, harness.PAPER_TABLE4
     ))
     print()
-    print(format_series_comparison(
-        fig5_contribution_by_length(result), PAPER_FIG5,
+    print(harness.format_series_comparison(
+        harness.fig5_contribution_by_length(result), harness.PAPER_FIG5,
         "Figure 5 — average contribution (%) vs cycle length"))
     print()
-    print(format_series_comparison(
-        fig6_cycle_counts(result), PAPER_FIG6,
+    print(harness.format_series_comparison(
+        harness.fig6_cycle_counts(result), harness.PAPER_FIG6,
         "Figure 6 — average number of cycles vs cycle length"))
     print()
-    print(format_series_comparison(
-        fig7a_category_ratio(result), PAPER_FIG7A,
+    print(harness.format_series_comparison(
+        harness.fig7a_category_ratio(result), harness.PAPER_FIG7A,
         "Figure 7a — average category ratio vs cycle length"))
     print()
-    print(format_series_comparison(
-        fig7b_density(result), PAPER_FIG7B,
+    print(harness.format_series_comparison(
+        harness.fig7b_density(result), harness.PAPER_FIG7B,
         "Figure 7b — average density of extra edges vs cycle length"))
     print()
-    fig9 = fig9_density_vs_contribution(result)
+    fig9 = harness.fig9_density_vs_contribution(result)
     print("Figure 9 — density of extra edges vs contribution")
     print("--------------------------------------------------")
     print(f"least-squares slope: {fig9.slope:+.2f} (paper: positive trend)")
     for center, mean in fig9.trend:
         print(f"  density~{center:.2f}: avg contribution {mean:+.1f}%")
     print()
-    stats = sec3_structural_stats(result)
+    stats = harness.sec3_structural_stats(result)
     print("Section 3 structural statistics")
     print("-------------------------------")
     print(f"average TPR of LCC:        {stats.average_tpr:.3f} (paper ~0.3)")
@@ -273,7 +262,7 @@ def expand_main(argv: list[str] | None = None) -> int:
 
 def report_main(argv: list[str] | None = None) -> int:
     """Run the pipeline and write the full markdown report to a file."""
-    from repro.harness import save_report
+    from repro import harness
 
     parser = argparse.ArgumentParser(
         prog="repro-report", description=report_main.__doc__
@@ -283,8 +272,8 @@ def report_main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     benchmark = _benchmark_from_args(args)
-    result = run_pipeline(benchmark, PipelineConfig(seed=args.seed + 90))
-    path = save_report(result, args.out)
+    result = harness.run_pipeline(benchmark, harness.PipelineConfig(seed=args.seed + 90))
+    path = harness.save_report(result, args.out)
     print(f"wrote {path}")
     return 0
 

@@ -285,6 +285,53 @@ class CompactIndex:
         docs = self._docs
         return {docs[did] for did in result}
 
+    def phrase_counts(self, phrase: tuple[str, ...]) -> dict[str, int]:
+        """Exact occurrences of ``phrase`` per document that has any.
+
+        The phrase operator on ordinals: walk the rarest term's posting
+        range, bisect each other term's range for the same document
+        (rarest first: a miss ends the document) and intersect the
+        position slices shifted to the phrase start.  Equals the
+        ``documents_containing_all`` + ``phrase_occurrences`` loop of
+        :mod:`repro.retrieval.phrase`, with no set over a whole range.
+        """
+        ranges: list[tuple[int, int, int, int]] = []
+        for shift, term in enumerate(phrase):
+            tid = self._term_of.get(term)
+            if tid is None:
+                return {}
+            lo, hi = self._term_offsets[tid], self._term_offsets[tid + 1]
+            ranges.append((hi - lo, shift, lo, hi))
+        ranges.sort()
+        if not ranges or not ranges[0][0]:
+            return {}
+        posting_docs = self._posting_docs
+        offsets = self._position_offsets
+        positions = self._positions
+        (_, pivot_shift, lo, hi), others = ranges[0], ranges[1:]
+
+        def starts_at(at: int, shift: int) -> set[int]:
+            return {p - shift for p in positions[offsets[at]:offsets[at + 1]]}
+
+        counts: dict[str, int] = {}
+        for slot in range(lo, hi):
+            did = posting_docs[slot]
+            starts = None
+            for _, shift, first, end in others:
+                at = bisect_left(posting_docs, did, first, end)
+                if at == end or posting_docs[at] != did:
+                    break
+                if starts is None:
+                    starts = starts_at(slot, pivot_shift)
+                starts &= starts_at(at, shift)
+                if not starts:
+                    break
+            else:
+                counts[self._docs[did]] = len(
+                    starts_at(slot, pivot_shift) if starts is None else starts
+                )
+        return counts
+
     def terms(self) -> Iterator[str]:
         """All indexed terms, in the original first-occurrence order."""
         return iter(self._terms)

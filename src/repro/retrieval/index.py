@@ -8,7 +8,7 @@ bag-of-words scorers and the exact-phrase operator run on.
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from itertools import islice
 
 from repro.errors import IndexError_
@@ -231,6 +231,32 @@ class PositionalIndex:
             index._collection_frequency[term] = frequency
         index._total_tokens = sum(index._doc_lengths.values())
         return index
+
+    def split(self, part_of: Callable[[str], int], count: int) -> list["PositionalIndex"]:
+        """Split into ``count`` indexes; document ``d`` goes to ``part_of(d)``.
+
+        One pass over the postings.  A part lists its terms in this
+        index's order and a term's documents in id order (the order
+        :meth:`postings` emits) and counts its own statistics, so sums
+        over the parts reproduce this index's exactly.  Position lists
+        are shared with this index: neither side ever mutates one.
+        """
+        parts = [PositionalIndex(self._tokenizer) for _ in range(count)]
+        home: dict[str, int] = {}
+        for doc_id, length in self._doc_lengths.items():
+            home[doc_id] = number = part_of(doc_id)
+            part = parts[number]
+            part._doc_lengths[doc_id] = length
+            part._total_tokens += length
+        for term, by_doc in self._postings.items():
+            rows: list[dict[str, list[int]]] = [{} for _ in parts]
+            for doc_id in sorted(by_doc):
+                rows[home[doc_id]][doc_id] = by_doc[doc_id]
+            for part, row in zip(parts, rows):
+                if row:
+                    part._postings[term] = row
+                    part._collection_frequency[term] = sum(map(len, row.values()))
+        return parts
 
     def documents_containing_all(self, terms: Iterable[str]) -> set[str]:
         """Ids of documents containing every term (conjunctive lookup).

@@ -25,7 +25,6 @@ def phrase_occurrences(index: PositionalIndex, phrase: tuple[str, ...], doc_id: 
         return 0
     if len(phrase) == 1:
         return index.term_frequency(phrase[0], doc_id)
-    # Start from the rarest term's positions to keep the intersection cheap.
     position_lists = [index.positions(term, doc_id) for term in phrase]
     if any(not positions for positions in position_lists):
         return 0
@@ -101,11 +100,15 @@ def _cached_stats(
     # The index hashes by object identity (it defines no __eq__/__hash__),
     # which is correct here: indexes are append-only and long-lived, and
     # ``num_documents`` invalidates entries when documents are added.
-    per_document: dict[str, int] = {}
-    for doc_id in index.documents_containing_all(phrase):
-        count = phrase_occurrences(index, phrase, doc_id)
-        if count:
-            per_document[doc_id] = count
+    counts = getattr(index, "phrase_counts", None)
+    if counts is not None:  # frozen index: the operator runs on ordinals
+        per_document = counts(phrase)
+    else:
+        per_document = {}
+        for doc_id in index.documents_containing_all(phrase):
+            count = phrase_occurrences(index, phrase, doc_id)
+            if count:
+                per_document[doc_id] = count
     return PhraseStats(
         phrase=phrase,
         collection_frequency=sum(per_document.values()),

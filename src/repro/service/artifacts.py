@@ -313,32 +313,6 @@ def write_current_pointer(directory: str | Path, generation: int) -> Path:
     return pointer
 
 
-def _split_index(index: PositionalIndex, num_shards: int) -> list[PositionalIndex]:
-    """Split one index into per-shard segments by document hash.
-
-    Per-segment collection statistics are recomputed by ``from_payload``,
-    so summing them across segments reproduces the monolithic statistics
-    exactly (same integer counts, same totals).
-    """
-    doc_shard = {
-        doc_id: shard_of_document(doc_id, num_shards) for doc_id in index.doc_ids()
-    }
-    payloads: list[dict] = [
-        {"documents": [], "postings": {}} for _ in range(num_shards)
-    ]
-    for doc_id, shard in doc_shard.items():
-        payloads[shard]["documents"].append([doc_id, index.document_length(doc_id)])
-    for term in index.terms():
-        for posting in index.postings(term):
-            shard_payload = payloads[doc_shard[posting.doc_id]]
-            shard_payload["postings"].setdefault(term, {})[posting.doc_id] = \
-                posting.positions
-    return [
-        PositionalIndex.from_payload(payload, tokenizer=index.tokenizer)
-        for payload in payloads
-    ]
-
-
 def _check_counts(declared: dict, actual: dict[str, int], where: str) -> None:
     """Refuse artefacts that hold something other than the manifest
     declares (a silently truncated or swapped file).  Counts this build
@@ -427,12 +401,14 @@ class ShardedSnapshot:
         """Shard an in-memory snapshot: split the index, share the rest."""
         if num_shards < 1:
             raise SnapshotError("num_shards must be >= 1")
-        # Single shard IS the monolithic snapshot: the index is reused,
-        # not round-tripped posting by posting.
+        # Single shard IS the monolithic snapshot: the index is reused.
         return cls(
             graph=snapshot.graph,
-            segments=(snapshot.index,) if num_shards == 1
-            else tuple(_split_index(snapshot.index, num_shards)),
+            segments=(snapshot.index,) if num_shards == 1 else tuple(
+                snapshot.index.split(
+                    lambda doc_id: shard_of_document(doc_id, num_shards), num_shards
+                )
+            ),
             title_index=dict(snapshot.title_index),
             doc_names=dict(snapshot.doc_names),
             mu=snapshot.mu,

@@ -21,7 +21,6 @@ from repro.wiki.stats import (
     reciprocal_link_ratio,
     triangle_participation_ratio,
 )
-from repro.wiki.synthetic import DomainSpec, SyntheticWiki, SyntheticWikiConfig, generate_wiki
 
 __all__ = [
     "Article",
@@ -54,3 +53,15 @@ __all__ = [
     "DomainSpec",
     "generate_wiki",
 ]
+
+_SYNTHETIC = {"SyntheticWikiConfig", "SyntheticWiki", "DomainSpec", "generate_wiki"}
+
+
+def __getattr__(name: str):
+    # The generator's names resolve on first use: every serving process
+    # imports this package for the graph and never generates one.
+    if name in _SYNTHETIC:
+        from repro.wiki import synthetic
+
+        return getattr(synthetic, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,4 +1,5 @@
-"""The serving path imports neither ``networkx`` nor ``numpy``.
+"""The serving path imports neither ``networkx`` nor ``numpy`` — nor
+the experiment harness and the synthetic generators.
 
 Only the paper-analysis helpers call them (``WikiGraph.to_networkx``,
 ``wiki/stats.py``, ``core/analysis.py``), and they import them where
@@ -7,14 +8,23 @@ less and starts ≈ 0.2 s sooner, and ``import repro.core`` works on a
 machine without ``numpy`` (networkx's optional extra, not a dependency
 the README promises).  Checked in a fresh interpreter — this one has
 long since imported both.  ``ci.yml`` runs the same guard.
+
+Step two (ISSUE 23): ``repro.cli`` imports ``repro.harness`` and the
+``Benchmark`` generators inside the offline commands that call them, and
+``repro.wiki`` resolves its four generator names on first use, so a
+serving process compiles none of them.
 """
 
 import subprocess
 import sys
 
+OFFLINE_ONLY = (
+    "networkx", "numpy",
+    "repro.harness", "repro.collection.synthetic", "repro.wiki.synthetic",
+)
 GUARD = (
     "import sys, repro.cli, repro.service, repro.updates; "
-    "sys.exit(', '.join(m for m in ('networkx', 'numpy') if m in sys.modules) or 0)"
+    f"sys.exit(', '.join(m for m in {OFFLINE_ONLY!r} if m in sys.modules) or 0)"
 )
 
 # A meta-path finder that makes numpy unimportable, as on a machine that
@@ -58,6 +68,26 @@ def test_the_analysis_helpers_still_load_them_on_use():
         "nx_graph = builder.build().to_networkx()\n"
         "assert 'networkx' in sys.modules\n"
         "assert triangle_participation_ratio(nx_graph) == 1.0\n"
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_the_generator_names_still_resolve_from_the_wiki_package():
+    done = fresh_interpreter(
+        "import sys, repro.wiki\n"
+        "assert 'repro.wiki.synthetic' not in sys.modules\n"
+        "from repro.wiki import SyntheticWikiConfig, generate_wiki\n"
+        "assert 'repro.wiki.synthetic' in sys.modules\n"
+        "assert generate_wiki(SyntheticWikiConfig(seed=3, num_domains=2)).graph\n"
+        "namespace = {}\n"
+        "exec('from repro.wiki import *', namespace)\n"
+        "assert all(name in namespace for name in repro.wiki.__all__)\n"
+        "try:\n"
+        "    repro.wiki.no_such_name\n"
+        "except AttributeError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise SystemExit('an unknown name must raise AttributeError')\n"
     )
     assert done.returncode == 0, done.stderr
 
