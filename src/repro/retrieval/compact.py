@@ -259,31 +259,35 @@ class CompactIndex:
             for slot in range(self._term_offsets[tid], self._term_offsets[tid + 1])
         }
 
+    def _posting_ranges(self, terms: Iterable[str]) -> list[tuple[int, int, int, int]]:
+        """``(length, index in terms, lo, hi)`` of every term's posting
+        range, shortest first; empty when ``terms`` is, or when a term is
+        unknown or has no posting here (no document holds them all)."""
+        ranges: list[tuple[int, int, int, int]] = []
+        for shift, term in enumerate(terms):
+            tid = self._term_of.get(term)
+            if tid is None:
+                return []
+            lo, hi = self._term_offsets[tid], self._term_offsets[tid + 1]
+            if lo == hi:
+                return []
+            ranges.append((hi - lo, shift, lo, hi))
+        ranges.sort()
+        return ranges
+
     def documents_containing_all(self, terms: Iterable[str]) -> set[str]:
         """Conjunctive lookup (empty input selects nothing, like the dict
         index).  Terms are intersected rarest-first to keep the running
         candidate set minimal."""
-        ranges: list[tuple[int, int]] = []
-        for term in terms:
-            tid = self._term_of.get(term)
-            if tid is None:
-                return set()
-            lo, hi = self._term_offsets[tid], self._term_offsets[tid + 1]
-            if lo == hi:
-                return set()
-            ranges.append((lo, hi))
-        if not ranges:
-            return set()
-        ranges.sort(key=lambda pair: pair[1] - pair[0])
         posting_docs = self._posting_docs
-        lo, hi = ranges[0]
-        result = {posting_docs[slot] for slot in range(lo, hi)}
-        for lo, hi in ranges[1:]:
-            result &= {posting_docs[slot] for slot in range(lo, hi)}
+        result: set[int] | None = None
+        for _, _, lo, hi in self._posting_ranges(terms):
+            found = {posting_docs[slot] for slot in range(lo, hi)}
+            result = found if result is None else result & found
             if not result:
-                return set()
+                break
         docs = self._docs
-        return {docs[did] for did in result}
+        return {docs[did] for did in result or ()}
 
     def phrase_counts(self, phrase: tuple[str, ...]) -> dict[str, int]:
         """Exact occurrences of ``phrase`` per document that has any.
@@ -295,15 +299,8 @@ class CompactIndex:
         ``documents_containing_all`` + ``phrase_occurrences`` loop of
         :mod:`repro.retrieval.phrase`, with no set over a whole range.
         """
-        ranges: list[tuple[int, int, int, int]] = []
-        for shift, term in enumerate(phrase):
-            tid = self._term_of.get(term)
-            if tid is None:
-                return {}
-            lo, hi = self._term_offsets[tid], self._term_offsets[tid + 1]
-            ranges.append((hi - lo, shift, lo, hi))
-        ranges.sort()
-        if not ranges or not ranges[0][0]:
+        ranges = self._posting_ranges(phrase)
+        if not ranges:
             return {}
         posting_docs = self._posting_docs
         offsets = self._position_offsets
