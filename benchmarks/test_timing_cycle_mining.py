@@ -94,8 +94,8 @@ def test_cycle_kernel_speedup_interleaved(
     dfs = NeighborhoodCycleExpander(engine="dfs")
     kernels = NeighborhoodCycleExpander(engine="kernels")
 
-    # Untimed warm-up pass: fills the view's decode caches so neither
-    # engine pays first-touch costs inside the timed loop.
+    # Untimed warm-up pass so neither engine pays first-touch costs
+    # (lazy imports, allocator growth) inside the timed loop.
     for seeds in seed_sets:
         dfs.expand(graph, seeds)
         kernels.expand(graph, seeds)

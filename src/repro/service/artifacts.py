@@ -96,8 +96,10 @@ PrefillEntries = tuple[tuple[frozenset[int], ExpansionResult], ...]
 
 
 def _write_json_gz(path: Path, payload: dict) -> None:
-    with gzip.open(path, "wt", encoding="utf-8") as out:
-        json.dump(payload, out, ensure_ascii=False)
+    # One C-encoded string and one write at zlib's default level, not
+    # json.dump's pure-Python encoder streaming tokens into level 9.
+    text = json.dumps(payload, ensure_ascii=False)
+    path.write_bytes(gzip.compress(text.encode("utf-8"), compresslevel=6))
 
 
 def _read_json_gz(path: Path) -> dict:

@@ -85,9 +85,10 @@ def delta_ball(
     ``kernel_csr()``; ``before`` is an earlier overlay of the same base),
     a node neither overlay touched is read once, as a slice of its row
     in index space, and only touched nodes are asked of the views.  Rows
-    are sliced, not read through ``base.undirected_neighbors``: that
-    fills the base's decode cache with seven frozensets per node, and a
-    ball can be the whole graph.
+    are sliced, not read through ``base.undirected_neighbors``, so that
+    no frozenset is built per visited node: the slices feed one set in
+    index space, mapped back to ids once per level, and a ball can be
+    the whole graph.
     """
     ball = set(sources)
     frontier = set(sources)

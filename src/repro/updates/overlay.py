@@ -481,19 +481,22 @@ class OverlayGraphView:
         categories: dict[int, Category] = {}
         edges: list[Edge] = []
         for node_id in sorted(keep):
-            found = self.node(node_id)
+            # A node the overlay never touched reads its base row as is,
+            # one typed decode per edge kind and no merge.
+            graph = self if node_id in state.touched else self._base
+            found = graph.node(node_id)
             if isinstance(found, Article):
                 articles[node_id] = found
-                for target in sorted(self.links_from(node_id) & keep):
+                for target in sorted(graph.links_from(node_id) & keep):
                     edges.append(Edge(node_id, target, EdgeKind.LINK))
-                for category in sorted(self.categories_of(node_id) & keep):
+                for category in sorted(graph.categories_of(node_id) & keep):
                     edges.append(Edge(node_id, category, EdgeKind.BELONGS))
-                target = self.redirect_target(node_id)
+                target = graph.redirect_target(node_id)
                 if target is not None and target in keep:
                     edges.append(Edge(node_id, target, EdgeKind.REDIRECT))
             else:
                 categories[node_id] = found
-                for parent in sorted(self.parents_of(node_id) & keep):
+                for parent in sorted(graph.parents_of(node_id) & keep):
                     edges.append(Edge(node_id, parent, EdgeKind.INSIDE))
         return WikiGraph(articles, categories, edges)
 

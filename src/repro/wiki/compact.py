@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Iterable, Iterator
+from itertools import compress
 from pathlib import Path
 
 from repro.blobio import map_blob, pack_blob, unpack_blob
@@ -52,6 +53,16 @@ BELONGS = 4         # node belongs to neighbour (article -> category)
 MEMBER = 8          # neighbour belongs to node (category side)
 INSIDE_PARENT = 16  # node is inside neighbour (category -> parent)
 INSIDE_CHILD = 32   # neighbour is inside node (category -> child)
+ANY_KIND = 63       # any of the six: the undirected neighbourhood
+
+# Edge kind of each slot a subgraph restricts, in _CompactSubgraph order.
+_SLOT_KINDS = (
+    LINK_OUT, LINK_IN, BELONGS, MEMBER, INSIDE_PARENT, INSIDE_CHILD, ANY_KIND,
+)
+# bytes.translate table per kind: a mask byte maps to its bits of that
+# kind, so compress() keeps a row's matching slots without a Python loop.
+_MASKS = {kind: bytes(b & kind for b in range(256)) for kind in _SLOT_KINDS[:6]}
+_EMPTY: frozenset[int] = frozenset()
 
 _FLAG_ARTICLE = 1
 _FLAG_REDIRECT = 2
@@ -63,7 +74,7 @@ class CompactGraphView:
     __slots__ = (
         "_node_ids", "_index_of", "_flags", "_titles",
         "_adj_offsets", "_adj_targets", "_adj_kinds",
-        "_redirect_to", "_redirects_of", "_article_ids", "_decoded", "_by_title",
+        "_redirect_to", "_redirects_of", "_article_ids", "_by_title",
         "_num_articles", "_num_categories", "_num_edges", "_handle",
     )
 
@@ -96,17 +107,11 @@ class CompactGraphView:
         self._article_ids = frozenset(
             node_id for node_id, flag in zip(node_ids, flags) if flag & _FLAG_ARTICLE
         )
-        # Per-node decode cache: CSR slices are the storage, but pure-
-        # Python loops over them lose to C set operations on the hot
-        # path, so the typed frozensets of a node are decoded once on
-        # first touch and reused (cycle mining revisits the same ball
-        # nodes hundreds of times per query).  Entries are immutable and
-        # idempotent, so unlocked concurrent fills are benign.  The
-        # cache is size-bounded: once _DECODE_CACHE_MAX nodes are
-        # resident, later nodes decode per call instead of growing the
-        # heap toward a full materialised adjacency — hot (early-touched)
-        # nodes stay cached, the cold tail pays the decode.
-        self._decoded: dict[int, tuple[frozenset, ...]] = {}
+        # The CSR rows are the only adjacency: every typed accessor
+        # decodes its edge kind from the node's slice per call and keeps
+        # nothing.  Mining reads the rows directly (the bitset kernels)
+        # or through a subgraph that caches its restricted sets for one
+        # mine, so no per-node state outlives a request.
         self._by_title: dict[str, int] | None = None  # see article_by_title
         self._num_articles = len(self._article_ids)
         self._num_categories = len(node_ids) - self._num_articles
@@ -293,66 +298,36 @@ class CompactGraphView:
     # Typed adjacency
     # ------------------------------------------------------------------
 
-    _EMPTY_DECODE = (frozenset(),) * 7
-    _DECODE_CACHE_MAX = 1 << 17
-
-    def _decode(self, node_id: int) -> tuple[frozenset, ...]:
-        """Typed adjacency of one node, decoded from CSR on first touch.
-
-        Returns ``(links_out, links_in, belongs, member, inside_parent,
-        inside_child, undirected)`` as frozensets, cached for reuse.
-        """
-        cached = self._decoded.get(node_id)
-        if cached is not None:
-            return cached
+    def _neighbors(self, node_id: int, kind: int) -> frozenset[int]:
+        """Neighbours joined to ``node_id`` by an edge kind in ``kind``,
+        decoded from the node's CSR slice per call; an unknown id has
+        none."""
         idx = self._index_of.get(node_id)
         if idx is None:
-            return self._EMPTY_DECODE
-        node_ids = self._node_ids
-        targets = self._adj_targets
-        kinds = self._adj_kinds
-        buckets: tuple[list, ...] = ([], [], [], [], [], [])
-        undirected = []
-        for slot in range(self._adj_offsets[idx], self._adj_offsets[idx + 1]):
-            neighbor = node_ids[targets[slot]]
-            undirected.append(neighbor)
-            kind = kinds[slot]
-            if kind & LINK_OUT:
-                buckets[0].append(neighbor)
-            if kind & LINK_IN:
-                buckets[1].append(neighbor)
-            if kind & BELONGS:
-                buckets[2].append(neighbor)
-            if kind & MEMBER:
-                buckets[3].append(neighbor)
-            if kind & INSIDE_PARENT:
-                buckets[4].append(neighbor)
-            if kind & INSIDE_CHILD:
-                buckets[5].append(neighbor)
-        decoded = tuple(frozenset(bucket) for bucket in buckets) + (
-            frozenset(undirected),
-        )
-        if len(self._decoded) < self._DECODE_CACHE_MAX:
-            self._decoded[node_id] = decoded
-        return decoded
+            return _EMPTY
+        lo, hi = self._adj_offsets[idx], self._adj_offsets[idx + 1]
+        row = self._adj_targets[lo:hi]
+        if kind != ANY_KIND:  # every stored pair carries at least one bit
+            row = compress(row, bytes(self._adj_kinds[lo:hi]).translate(_MASKS[kind]))
+        return frozenset(map(self._node_ids.__getitem__, row))
 
     def links_from(self, article_id: int) -> frozenset[int]:
-        return self._decode(article_id)[0]
+        return self._neighbors(article_id, LINK_OUT)
 
     def links_to(self, article_id: int) -> frozenset[int]:
-        return self._decode(article_id)[1]
+        return self._neighbors(article_id, LINK_IN)
 
     def categories_of(self, article_id: int) -> frozenset[int]:
-        return self._decode(article_id)[2]
+        return self._neighbors(article_id, BELONGS)
 
     def members_of(self, category_id: int) -> frozenset[int]:
-        return self._decode(category_id)[3]
+        return self._neighbors(category_id, MEMBER)
 
     def parents_of(self, category_id: int) -> frozenset[int]:
-        return self._decode(category_id)[4]
+        return self._neighbors(category_id, INSIDE_PARENT)
 
     def children_of(self, category_id: int) -> frozenset[int]:
-        return self._decode(category_id)[5]
+        return self._neighbors(category_id, INSIDE_CHILD)
 
     def redirect_target(self, article_id: int) -> int | None:
         return self._redirect_to.get(article_id)
@@ -371,13 +346,9 @@ class CompactGraphView:
         return current
 
     def undirected_neighbors(self, node_id: int) -> frozenset[int]:
-        """All neighbours of a node, redirect edges excluded.
-
-        Returns the cached frozenset (callers in the pipeline only read
-        and sort it; a mutable copy would cost an allocation per BFS
-        visit on the hottest path).
-        """
-        return self._decode(node_id)[6]
+        """All neighbours of a node, redirect edges excluded: its whole
+        CSR row as a fresh frozenset (one C-level map over the slice)."""
+        return self._neighbors(node_id, ANY_KIND)
 
     def degree(self, node_id: int) -> int:
         idx = self._index_of.get(node_id)
@@ -579,18 +550,16 @@ class _CompactSubgraph:
 
     # -- adjacency, filtered to the kept set ---------------------------
 
-    _EMPTY = frozenset()
-
     def _restricted(self, node_id: int, slot: int) -> frozenset[int]:
         entry = self._cache.get(node_id)
         if entry is None:
             if node_id not in self._keep:
-                return self._EMPTY
+                return _EMPTY
             entry = [None] * 7
             self._cache[node_id] = entry
         value = entry[slot]
         if value is None:
-            value = self._base._decode(node_id)[slot] & self._keep
+            value = self._base._neighbors(node_id, _SLOT_KINDS[slot]) & self._keep
             entry[slot] = value
         return value
 

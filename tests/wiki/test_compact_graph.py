@@ -32,26 +32,29 @@ class TestAdjacencyEquivalence:
         assert compact.num_nodes == graph.num_nodes
         assert compact.num_edges == graph.num_edges
 
-    def test_every_node_answers_identically(self, graph, compact):
-        for node_id in graph.node_ids():
-            assert node_id in compact
-            assert compact.title(node_id) == graph.title(node_id)
-            assert compact.is_article(node_id) == graph.is_article(node_id)
-            assert compact.undirected_neighbors(node_id) == \
-                graph.undirected_neighbors(node_id)
-            assert compact.degree(node_id) == graph.degree(node_id)
-            if graph.is_article(node_id):
-                assert compact.links_from(node_id) == graph.links_from(node_id)
-                assert compact.links_to(node_id) == graph.links_to(node_id)
-                assert compact.categories_of(node_id) == graph.categories_of(node_id)
-                assert compact.redirect_target(node_id) == \
-                    graph.redirect_target(node_id)
-                assert compact.redirects_of(node_id) == graph.redirects_of(node_id)
-                assert compact.resolve(node_id) == graph.resolve(node_id)
-            else:
-                assert compact.members_of(node_id) == graph.members_of(node_id)
-                assert compact.parents_of(node_id) == graph.parents_of(node_id)
-                assert compact.children_of(node_id) == graph.children_of(node_id)
+    _ACCESSORS = (
+        "undirected_neighbors", "degree", "links_from", "links_to",
+        "categories_of", "members_of", "parents_of", "children_of",
+        "redirect_target", "redirects_of", "resolve",
+    )
+
+    def test_every_node_answers_identically(self, graph, compact, tmp_path):
+        # Adjacency is decoded per call, so no answer may depend on what
+        # was asked before: every accessor is asked twice, the nodes are
+        # walked forwards and backwards, on the built and a mapped view.
+        mapped = CompactGraphView.load(compact.save(tmp_path / "graph.bin"))
+        nodes = sorted(graph.node_ids())
+        for view in (compact, mapped):
+            for order in (nodes, nodes[::-1]):
+                for node_id in order:
+                    assert node_id in view
+                    assert view.title(node_id) == graph.title(node_id)
+                    assert view.is_article(node_id) == graph.is_article(node_id)
+                    for name in self._ACCESSORS:
+                        expected = getattr(graph, name)(node_id)
+                        for _ in range(2):
+                            assert getattr(view, name)(node_id) == expected, \
+                                (name, node_id)
 
     def test_unknown_node_answers_like_absent(self, compact):
         assert 10**9 not in compact
