@@ -43,7 +43,6 @@ from repro.service.artifacts import (
 )
 from repro.service.async_router import (
     SHARD_ADAPTER_ENV,
-    SHARD_PROTOCOL_VERSION,
     AsyncShardRouter,
     ExecutorShardAdapter,
 )
@@ -55,6 +54,7 @@ from repro.service.server import ExpansionService, ServiceResponse, ServiceStats
 from repro.service.shard_worker import ShardWorkerServer, make_shard_worker
 from repro.service.socket_adapter import ShardCallPolicy, SocketShardAdapter
 from repro.service.supervisor import ShardSupervisor
+from repro.service.wire import SHARD_PROTOCOL_VERSION
 
 __all__ = [
     "AdmissionController",

@@ -25,11 +25,11 @@ Two dedup layers stack:
   queries racing on the same *entity set* still collapse to one cycle
   mining pass inside the owning shard worker.
 
-:class:`ExecutorShardAdapter` exposes exactly the five shard-protocol
-calls (``link_text``, ``expand_seeds``, ``prefill_expansions``,
+:class:`ExecutorShardAdapter` exposes exactly the four shard-protocol
+calls (``expand_seeds``, ``prefill_expansions``,
 ``leaf_collection_counts``, ``search_with_background``) of an in-process
 worker as awaitables.  ``docs/shard_protocol.md`` specifies the same
-five calls as a versioned JSON wire protocol, which
+four calls as a versioned JSON wire protocol, which
 :class:`~repro.service.socket_adapter.SocketShardAdapter` speaks to a
 worker process.
 
@@ -49,14 +49,8 @@ from dataclasses import replace
 from repro.obs import trace as tracing
 from repro.service.router import ShardRouter
 from repro.service.server import ServiceResponse
-from repro.service.wire import SHARD_PROTOCOL_VERSION  # re-export
 
-__all__ = [
-    "AsyncShardRouter",
-    "ExecutorShardAdapter",
-    "SHARD_PROTOCOL_VERSION",
-    "SHARD_ADAPTER_ENV",
-]
+__all__ = ["AsyncShardRouter", "ExecutorShardAdapter", "SHARD_ADAPTER_ENV"]
 
 # Setting this to "socket" makes every AsyncShardRouter construct its
 # shard adapters over supervised out-of-process workers instead of the
@@ -81,11 +75,11 @@ def _export_snapshot_dir(snapshot) -> str:
 
 
 class ExecutorShardAdapter:
-    """The five shard-protocol calls as awaitables over one worker.
+    """The four shard-protocol calls as awaitables over one worker.
 
     This is the seam where a shard stops being an object and becomes an
     address: the async router only ever talks to adapters, and an
-    adapter that serialises these five calls over a socket (per
+    adapter that serialises these four calls over a socket (per
     ``docs/shard_protocol.md``) turns the in-process worker into a
     remote process without touching the router.  The worker records its
     own spans and counts its own cache outcomes: the adapter counters
@@ -101,16 +95,13 @@ class ExecutorShardAdapter:
 
     async def _call(self, call: str, argument):
         # Executor threads run callables with an empty context; carry the
-        # caller's across so spans recorded on the shard thread (link,
-        # expand, cycle_mine, rank) land in the active request's trace.
+        # caller's across so spans recorded on the shard thread (expand,
+        # cycle_mine, rank) land in the active request's trace.
         return await asyncio.get_running_loop().run_in_executor(
             self._executor,
             tracing.carry_context(getattr(self._worker, call)),
             argument,
         )
-
-    async def link_text(self, normalized):
-        return await self._call("link_text", normalized)
 
     async def expand_seeds(self, seeds):
         return await self._call("expand_seeds", seeds)

@@ -36,7 +36,7 @@ request and assembles the responses, and never touches a worker.  Two
 thin drivers execute it: :meth:`ShardRouter._run` on the in-process
 workers (one call direct, a fan-out over a pool sized to the shard
 count) and :class:`~repro.service.async_router.AsyncShardRouter` over
-per-shard adapters with ``asyncio.gather`` — the same five
+per-shard adapters with ``asyncio.gather`` — the same four
 :class:`ExpansionService` calls either way (``docs/shard_protocol.md``;
 ``docs/architecture.md`` has the layer map).
 """
@@ -210,7 +210,6 @@ class ShardRouter:
             make_shard_worker(
                 snapshot,
                 shard_id,
-                linker=self._linker,
                 expander=shared_expander,
                 expansion_cache_size=expansion_cache_size,
             )
@@ -355,9 +354,9 @@ class ShardRouter:
 
         ``view`` replaces the router's logical view (linking,
         ``build_query`` titles) and is pushed into every in-process
-        worker's expansion path.  Both are reference swaps — requests
-        in flight finish on the view they started with, and what they
-        compute from it is not cached (the
+        worker's expansion path; ``linker`` stays here.  All are
+        reference swaps — requests in flight finish on the view they
+        started with, and what they compute from it is not cached (the
         link cache's invalidation epoch moves on, as the workers' do in
         ``set_graph``).  The caller evicts invalidated cache entries
         separately (:meth:`evict_expansions` / :meth:`evict_links`).
@@ -367,7 +366,7 @@ class ShardRouter:
             self._linker = linker
             self._link_cache.invalidate()
         for worker in self._workers:
-            worker.set_graph(view, linker=linker)
+            worker.set_graph(view)
         if delta_seq:
             with self._lock:
                 self._delta_seq = max(self._delta_seq, delta_seq)
@@ -394,7 +393,7 @@ class ShardRouter:
         self._view = snapshot.graph
         self._linker = snapshot.make_linker()
         for worker in self._workers:
-            worker.set_graph(snapshot.graph, linker=self._linker)
+            worker.set_graph(snapshot.graph)
         with self._lock:
             self._delta_seq = 0
 
@@ -409,11 +408,9 @@ class ShardRouter:
         return evicted
 
     def evict_links(self) -> int:
-        """Drop all cached link results, router and workers (title
-        surface changed); returns the total count."""
+        """Drop all cached link results (title surface changed);
+        returns the count."""
         evicted = self._link_cache.evict_where(lambda _key: True)
-        for worker in self._workers:
-            evicted += worker.evict_links()
         with self._lock:
             self._delta_invalidations += evicted
         return evicted
@@ -430,7 +427,7 @@ class ShardRouter:
         """One request — a query, or a batch — as a sans-IO generator.
 
         Yields steps ``(call, [(shard, argument), ...])``: each item is
-        one of the five shard calls on that shard's worker (``shard`` is
+        one of the four shard calls on that shard's worker (``shard`` is
         None for the router's own ``link_text``), each step is one
         fan-out, and the driver sends back the results in item order —
         or throws the failure in, so the request is observed as an error.

@@ -175,7 +175,8 @@ class ExpansionService:
     ----------
     graph / engine / linker:
         The knowledge graph, a ready search engine, and a ready entity
-        linker — typically materialised from a :class:`Snapshot`.
+        linker — typically materialised from a :class:`Snapshot`.  A
+        shard worker is given no linker: the router links.
     expander:
         Expansion strategy; defaults to the paper-tuned
         :class:`NeighborhoodCycleExpander`.
@@ -188,7 +189,7 @@ class ExpansionService:
         Permit an engine with no indexed documents.  Standalone services
         reject that (serving nothing is a misconfiguration), but a shard
         worker behind :class:`repro.service.router.ShardRouter` may own an
-        empty index segment and still perform linking/expansion work.
+        empty index segment and still expand seed sets.
     shard_id:
         The shard this worker serves under a router, used only to label
         trace spans (``None`` for a standalone service).
@@ -198,7 +199,7 @@ class ExpansionService:
         self,
         graph,
         engine: SearchEngine,
-        linker: EntityLinker,
+        linker: EntityLinker | None,
         expander: Expander | None = None,
         *,
         doc_names: dict[str, str] | None = None,
@@ -285,7 +286,7 @@ class ExpansionService:
         return self._engine
 
     @property
-    def linker(self) -> EntityLinker:
+    def linker(self) -> EntityLinker | None:
         return self._linker
 
     def normalize(self, text: str) -> str:
@@ -310,7 +311,9 @@ class ExpansionService:
     ) -> ServiceResponse:
         started = time.perf_counter()
         normalized = self.normalize(text)
-        link, link_cached = self.link_text(normalized)
+        with tracing.span("link", shard=self._shard_id) as span:
+            link, link_cached = self._link(normalized)
+            span["cached"] = link_cached
         expansion, expansion_cached = self._expand_seeds(link.article_ids)
         with tracing.span("rank", shard=self._shard_id):
             results = self._rank(normalized, expansion, top_k)
@@ -423,8 +426,8 @@ class ExpansionService:
     # Live updates (driven by repro.updates — see docs/live_updates.md)
     # ------------------------------------------------------------------
 
-    def set_graph(self, graph, linker: EntityLinker | None = None) -> None:
-        """Swap the serving graph (and optionally the linker) in place.
+    def set_graph(self, graph) -> None:
+        """Swap the serving graph in place.
 
         The live-update path publishes a fresh
         :class:`~repro.updates.overlay.OverlayGraphView` here after each
@@ -434,25 +437,17 @@ class ExpansionService:
         is responsible for evicting the cache entries the change
         invalidates (:meth:`evict_expansions`).  What those requests
         compute is returned to them but never cached: the swap advances
-        the caches' invalidation epochs (after the assignment, so a
-        computation that read the old epoch may have read either view,
-        and one that reads the new epoch reads the new view).
+        the expansion cache's invalidation epoch (after the assignment,
+        so a computation that read the old epoch may have read either
+        view, and one that reads the new epoch reads the new view).
         """
         self._graph = graph
         self._expansion_cache.invalidate()
-        if linker is not None:
-            self._linker = linker
-            self._link_cache.invalidate()
 
     def evict_expansions(self, predicate) -> int:
         """Targeted invalidation: drop expansion-cache entries whose
         seed-set key satisfies ``predicate``; returns the count."""
         return self._expansion_cache.evict_where(predicate)
-
-    def evict_links(self) -> int:
-        """Drop every cached link result (title surface changed);
-        returns the count."""
-        return self._link_cache.evict_where(lambda _key: True)
 
     def warm_expansions(self, entries) -> int:
         """Seed the expansion cache with precomputed results.
@@ -474,16 +469,9 @@ class ExpansionService:
         return count
 
     # ------------------------------------------------------------------
-    # The shard protocol (docs/shard_protocol.md): the five calls a router
+    # The shard protocol (docs/shard_protocol.md): the four calls a router
     # makes on a worker — direct, via an adapter or over the wire.
     # ------------------------------------------------------------------
-
-    def link_text(self, normalized: str) -> tuple[LinkResult, bool]:
-        """Entity-link one normalised query through the link cache."""
-        with tracing.span("link", shard=self._shard_id) as span:
-            link, cached = self._link(normalized)
-            span["cached"] = cached
-        return link, cached
 
     def expand_seeds(self, seeds: frozenset[int]) -> tuple[ExpansionResult, bool]:
         """Expansion for one entity set (cached, in-flight deduplicated).

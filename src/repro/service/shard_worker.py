@@ -1,7 +1,7 @@
 """Out-of-process shard worker: one shard served over the wire protocol.
 
 A shard worker is a process that loads *one* shard of a
-:class:`~repro.service.artifacts.ShardedSnapshot` and serves the five
+:class:`~repro.service.artifacts.ShardedSnapshot` and serves the four
 shard-protocol calls (``docs/shard_protocol.md``) over length-prefixed
 JSON frames (:mod:`repro.service.wire`) on the same asyncio-streams
 machinery the HTTP front end uses.  Start one with::
@@ -18,7 +18,9 @@ is answered with a clean error frame and the connection is closed —
 version negotiation fails loudly instead of mis-decoding call frames.
 The hello response carries static shard metadata (pid, document count,
 segment token total) so a supervisor's liveness ping doubles as a
-readiness check without touching the five calls.
+readiness check without touching the four calls.  A worker never links
+(the router does, before it knows the owner shard), so it holds no
+vocabulary.
 
 Trace propagation (the PR-6 follow-up): a call frame may carry the
 router's ``trace_id``; the worker executes the call inside a trace with
@@ -71,7 +73,6 @@ __all__ = ["make_shard_worker", "ShardWorkerServer", "run_worker"]
 READY_LINE = "shard-worker: shard {shard} serving on {host}:{port} pid={pid}"
 
 _CALLS = (
-    "link_text",
     "expand_seeds",
     "prefill_expansions",
     "leaf_collection_counts",
@@ -84,7 +85,6 @@ def make_shard_worker(
     snapshot: ShardedSnapshot,
     shard_id: int,
     *,
-    linker=None,
     expander: Expander | None = None,
     expansion_cache_size: int = 1024,
 ) -> ExpansionService:
@@ -92,9 +92,9 @@ def make_shard_worker(
 
     Shared by :class:`~repro.service.router.ShardRouter` (in-process
     workers) and :class:`ShardWorkerServer` (worker processes), so both
-    deployments serve from identically configured workers: minimum link
-    cache (linking happens at the router), expansion cache sized to hold
-    the shard's whole prefill, empty index segments allowed, and the
+    deployments serve from identically configured workers: no linker
+    (linking happens at the router), expansion cache sized to hold the
+    shard's whole prefill, empty index segments allowed, and the
     prefilled expansions warmed before the first request.
     """
     snapshot = snapshot.frozen()
@@ -103,13 +103,9 @@ def make_shard_worker(
     worker = ExpansionService(
         snapshot.graph,
         snapshot.make_segment_engine(shard_id),
-        linker if linker is not None else snapshot.make_linker(),
+        None,
         expander,
         doc_names=snapshot.doc_names,
-        # Linking happens once at the router (owner routing needs the
-        # seeds before a worker is chosen), so worker link caches would
-        # only ever hold dead entries — keep them at the minimum size.
-        link_cache_size=1,
         expansion_cache_size=max(expansion_cache_size, len(prefill)),
         allow_empty_index=True,
         shard_id=shard_id,
@@ -120,7 +116,7 @@ def make_shard_worker(
 
 
 class ShardWorkerServer:
-    """Serve one shard worker's five protocol calls over asyncio streams."""
+    """Serve one shard worker's four protocol calls over asyncio streams."""
 
     def __init__(
         self,
@@ -286,9 +282,6 @@ class ShardWorkerServer:
 
     def _dispatch(self, call: str, request: dict) -> dict:
         worker = self._worker
-        if call == "link_text":
-            link, cached = worker.link_text(str(request["normalized"]))
-            return {"link": wire.encode_link_result(link), "cached": cached}
         if call == "expand_seeds":
             seeds = _seed_set(request["seeds"])
             expansion, cached = worker.expand_seeds(seeds)

@@ -4,7 +4,7 @@
 :class:`~repro.service.async_router.ExecutorShardAdapter` that speaks
 the versioned wire protocol (``docs/shard_protocol.md``) to a
 :mod:`repro.service.shard_worker` process instead of calling an
-in-process worker.  The five protocol methods have identical signatures
+in-process worker.  The four protocol methods have identical signatures
 and return identical values — bit-identical doc ids and scores is the
 acceptance bar, asserted per query in the latency bench — so
 :class:`~repro.service.async_router.AsyncShardRouter` cannot tell the
@@ -48,7 +48,7 @@ attempt runs in the caller's task, so a cached request creates none.
 
 Worker spans ride home in each response (``spans``) and are replayed
 into the active request trace, so one ``/metrics`` scrape still sees
-``link``/``expand``/``cycle_mine``/``rank`` per shard with workers out
+``expand``/``cycle_mine``/``rank`` per shard with workers out
 of process.  Each attempt also records a ``wire`` span of its own
 (``call``, ``bytes_out``, ``bytes_in``, and ``not_modified`` on
 ``expand_seeds``): the round trip as the router saw it, worker time
@@ -113,7 +113,7 @@ class ShardCallPolicy:
 
 
 class SocketShardAdapter:
-    """The five shard-protocol calls over a supervised worker socket."""
+    """The four shard-protocol calls over a supervised worker socket."""
 
     def __init__(
         self,
@@ -147,15 +147,8 @@ class SocketShardAdapter:
         self.expansion_misses = 0
 
     # ------------------------------------------------------------------
-    # The five protocol calls
+    # The four protocol calls
     # ------------------------------------------------------------------
-
-    async def link_text(self, normalized: str):
-        response = await self._call("link_text", {"normalized": normalized})
-        return (
-            wire.decode_link_result(response["link"]),
-            bool(response["cached"]),
-        )
 
     async def expand_seeds(self, seeds: frozenset[int]):
         # No fallback: expansion belongs to the owner shard (its cache,

@@ -39,7 +39,6 @@ from repro.core.cycles import Cycle
 from repro.core.expansion import ExpansionResult
 from repro.core.features import CycleFeatures
 from repro.errors import WireProtocolError
-from repro.linking.linker import EntityMatch, LinkResult
 from repro.retrieval.engine import SearchResult
 from repro.retrieval.qlang import (
     BandNode,
@@ -63,8 +62,6 @@ __all__ = [
     "write_frame",
     "recv_frame",
     "send_frame",
-    "encode_link_result",
-    "decode_link_result",
     "encode_expansion",
     "decode_expansion",
     "encode_query",
@@ -79,12 +76,11 @@ __all__ = [
 
 # Version of the shard protocol; carried in every request frame and
 # negotiated in the connection handshake.  Bumped together with
-# docs/shard_protocol.md.  (Also re-exported by async_router, the
-# module that historically defined it.)  Version 2 added the
-# ``apply_delta`` admin call (live updates, docs/live_updates.md);
-# version 3 the conditional ``expand_seeds`` fetch (``have`` / ``etag``
-# / ``not_modified``).
-SHARD_PROTOCOL_VERSION = 3
+# docs/shard_protocol.md.  Version 2 added the ``apply_delta`` admin
+# call (live updates, docs/live_updates.md); version 3 the conditional
+# ``expand_seeds`` fetch (``have`` / ``etag`` / ``not_modified``).
+# Version 4 removed ``link_text``.
+SHARD_PROTOCOL_VERSION = 4
 
 # Default bound on one frame.  The largest legitimate frames are ranked
 # lists and expansion results over the benchmark-scale graph — well
@@ -219,41 +215,6 @@ def send_frame(sock: socket.socket, payload: dict) -> None:
 # ----------------------------------------------------------------------
 # Value codecs (docs/shard_protocol.md "Value encodings")
 # ----------------------------------------------------------------------
-
-def encode_link_result(link: LinkResult) -> dict:
-    return {
-        "article_ids": sorted(link.article_ids),
-        "matches": [
-            {
-                "article_id": match.article_id,
-                "title_tokens": list(match.title_tokens),
-                "start": match.start,
-                "end": match.end,
-                "via_synonym": match.via_synonym,
-            }
-            for match in link.matches
-        ],
-    }
-
-
-def decode_link_result(payload: dict) -> LinkResult:
-    try:
-        return LinkResult(
-            matches=tuple(
-                EntityMatch(
-                    article_id=int(match["article_id"]),
-                    title_tokens=tuple(str(t) for t in match["title_tokens"]),
-                    start=int(match["start"]),
-                    end=int(match["end"]),
-                    via_synonym=bool(match["via_synonym"]),
-                )
-                for match in payload["matches"]
-            ),
-            article_ids=frozenset(int(a) for a in payload["article_ids"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise WireProtocolError(f"malformed LinkResult payload: {exc}") from exc
-
 
 def encode_expansion(expansion: ExpansionResult) -> dict:
     """The same shape ``prefill.json.gz`` stores (see ``artifacts.py``)."""

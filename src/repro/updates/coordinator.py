@@ -72,37 +72,45 @@ _FANOUT_TIMEOUT_S = 10.0
 _FANOUT_ATTEMPTS = 3
 
 
-def fold_batch(base, state: OverlayState, deltas, linker, generation=None):
+def fold_batch(base, state: OverlayState, deltas, generation=None):
     """The pure half of a write, shared by coordinator and workers.
 
     Validates ``deltas`` against ``base`` + ``state`` (and ``generation``,
     the one the client validated against, against the state's:
     :class:`StaleGenerationError`) and folds them into a copy-on-write
-    successor; publishes nothing.  Returns ``(new_state,
-    applied, linker, ball)``: the successor of the serving ``linker``
-    when the title surface changed (patched — a rescan only when a key's
-    owner was removed), else ``None``; and the delta ball, walked over
-    ``base``'s CSR rows when it is a frozen graph.  Work follows the
-    batch and its ball, not the graph.
+    successor; publishes nothing.  Returns ``(new_state, applied,
+    ball)``: the delta ball, walked over ``base``'s CSR rows when it is
+    a frozen graph.  Work follows the batch and its ball, not the graph.
     """
     if generation is not None and int(generation) != state.generation:
         raise StaleGenerationError(state.generation, generation)
     with span("validate"):
         new_state, applied = apply_deltas(base, state, deltas)
-    new_linker, ball = None, frozenset()
+    ball = frozenset()
     if applied:
-        before = OverlayGraphView(base, state)
-        after = OverlayGraphView(base, new_state)
-        with span("linker") as labels:
-            if deltas_touch_titles(applied):
-                new_linker = linker.patched(after, applied, before)
-                labels["patched"] = new_linker is not None
-                if new_linker is None:
-                    new_linker = linker.rebuilt(after)
         with span("ball") as labels:
-            ball = delta_ball(changed_nodes(applied), before=before, after=after)
+            ball = delta_ball(
+                changed_nodes(applied),
+                before=OverlayGraphView(base, state),
+                after=OverlayGraphView(base, new_state),
+            )
             labels.update(size=len(ball), touched=len(new_state.touched))
-    return new_state, applied, new_linker, ball
+    return new_state, applied, ball
+
+
+def successor_linker(linker, base, state: OverlayState, new_state, applied):
+    """The router's half of a write: the successor of the serving
+    ``linker`` once ``applied`` folded ``state`` into ``new_state`` over
+    ``base`` — patched (a rescan only when a key's owner was removed)
+    when the title surface changed, else ``None``.  Only the router
+    links, so no shard worker runs this (the ``linker`` write stage)."""
+    with span("linker") as labels:
+        if not deltas_touch_titles(applied):
+            return None
+        after = OverlayGraphView(base, new_state)
+        new_linker = linker.patched(after, applied, OverlayGraphView(base, state))
+        labels["patched"] = new_linker is not None
+        return linker.rebuilt(after) if new_linker is None else new_linker
 
 
 class UpdateCoordinator:
@@ -206,12 +214,13 @@ class UpdateCoordinator:
     def _apply_locked(self, deltas: list[Delta], generation) -> dict:
         router = self._router
         base = router.snapshot.graph
-        new_state, applied, linker, ball = fold_batch(
-            base, self._state, deltas, router.linker, generation
-        )
+        new_state, applied, ball = fold_batch(base, self._state, deltas, generation)
         evicted = {"expansion": 0, "link": 0}
         stale_workers: list[int] = []
         if applied:
+            linker = successor_linker(
+                router.linker, base, self._state, new_state, applied
+            )
             # Durability before visibility: once a batch is published, a
             # restarted worker must be able to replay it.
             with span("log"):
@@ -391,7 +400,8 @@ class ShardWorkerUpdater:
     and the snapshot's frozen compact graph.  ``apply`` runs the
     coordinator's :func:`fold_batch` and the same targeted eviction, so
     a worker that applied batches live answers bit-identically to one
-    that replayed them from the log after a restart.
+    that replayed them from the log after a restart.  A worker holds no
+    linker, so it folds state and ball only.
     """
 
     def __init__(self, worker, base_graph, *, generation: int = 1) -> None:
@@ -418,20 +428,16 @@ class ShardWorkerUpdater:
     def apply(self, deltas: list[Delta], *, generation: int | None = None) -> dict:
         with self._lock:
             worker = self._worker
-            new_state, applied, linker, ball = fold_batch(
-                self._base, self._state, deltas, worker.linker, generation
+            new_state, applied, ball = fold_batch(
+                self._base, self._state, deltas, generation
             )
             evicted = 0
             if applied:
-                worker.set_graph(
-                    OverlayGraphView(self._base, new_state), linker=linker
-                )
+                worker.set_graph(OverlayGraphView(self._base, new_state))
                 self._state = new_state
                 evicted = worker.evict_expansions(
                     expansion_eviction_predicate(ball)
                 )
-                if linker is not None:
-                    evicted += worker.evict_links()
             return {
                 "generation": new_state.generation,
                 "applied": len(applied),

@@ -19,6 +19,7 @@ import pytest
 from repro.errors import WorkerCallError
 from repro.obs import trace as tracing
 from repro.obs.serving import ServingMetrics
+from repro.retrieval.qlang import CombineNode, TermNode
 from repro.service import (
     AsyncShardRouter,
     FaultPlan,
@@ -32,6 +33,9 @@ from repro.service import (
     wire,
 )
 from repro.service.cache import LRUCache
+
+# A rank probe: answered on the worker's loop, and cheap.
+ROOT = CombineNode((TermNode("anything"), TermNode("at"), TermNode("all")))
 
 
 @pytest.fixture(scope="module")
@@ -54,10 +58,9 @@ def worker(sharded1):
 @pytest.fixture(scope="module")
 def seed_sets(small_benchmark, sharded1):
     """Distinct linked seed sets of the benchmark topics."""
-    linker = make_shard_worker(sharded1, 0)
+    linker = sharded1.make_linker()
     found = {
-        linker.link_text(linker.normalize(topic.keywords))[0].article_ids
-        for topic in small_benchmark.topics
+        linker.link_keywords(topic.keywords) for topic in small_benchmark.topics
     }
     found.discard(frozenset())
     assert len(found) >= 3
@@ -256,36 +259,58 @@ class TestNotModified:
 
 
 class TestHandshake:
-    def test_a_v2_peer_is_refused(self, worker):
-        assert wire.SHARD_PROTOCOL_VERSION == 3
+    @staticmethod
+    def hello(worker, protocol):
+        """The worker's answer to a raw hello, and what follows it."""
 
         async def fn(adapter, _server):
             reader, writer = await asyncio.open_connection(*adapter._endpoint())
             try:
-                await wire.write_frame(writer, {"call": "hello", "protocol": 2})
+                await wire.write_frame(
+                    writer, {"call": "hello", "protocol": protocol}
+                )
                 return await wire.read_frame(reader), \
                     await wire.read_frame(reader)
             finally:
                 writer.close()
 
-        response, trailing = with_server(worker, fn)
+        return with_server(worker, fn)
+
+    def test_a_v2_peer_is_refused(self, worker):
+        assert wire.SHARD_PROTOCOL_VERSION == 4
+        response, trailing = self.hello(worker, 2)
         assert response["error"]["type"] == "protocol_mismatch"
         assert "protocol 2" in response["error"]["message"]
         assert trailing is None, "the worker must close after the mismatch"
 
-    def test_a_v3_adapter_refuses_a_v2_worker(self, worker, monkeypatch):
+    def test_a_v3_peer_is_refused(self, worker):
+        """Version 4 removed ``link_text``: a v3 router would still send it."""
+        response, trailing = self.hello(worker, 3)
+        assert response["error"]["type"] == "protocol_mismatch"
+        assert "protocol 3" in response["error"]["message"]
+        assert trailing is None, "the worker must close after the mismatch"
+
+    def test_a_v4_adapter_refuses_a_v3_worker(self, worker, monkeypatch):
         """The adapter checks the hello it gets back, too."""
 
         async def fn(adapter, server):
             real = server._hello_response
             monkeypatch.setattr(
-                server, "_hello_response", lambda: {**real(), "protocol": 2}
+                server, "_hello_response", lambda: {**real(), "protocol": 3}
             )
             with pytest.raises(WorkerCallError) as err:
-                await adapter.link_text("anything")
+                await adapter.leaf_collection_counts(ROOT)
             return err.value.error_type, adapter.retries_total
 
         assert with_server(worker, fn) == ("protocol_mismatch", 0)
+
+    def test_a_link_text_call_is_unknown_and_not_retried(self, worker):
+        async def fn(adapter, server):
+            with pytest.raises(WorkerCallError) as err:
+                await adapter._call("link_text", {"normalized": "walled manuscript"})
+            return err.value.error_type, adapter.retries_total, server.calls_served
+
+        assert with_server(worker, fn) == ("unknown_call", 0, 0)
 
 
 class TestRouterSeesWorkerCacheOutcomes:
@@ -344,7 +369,7 @@ class TestRouterSeesWorkerCacheOutcomes:
             with tracing.start_trace() as trace:
                 await adapter.expand_seeds(seeds)
                 await adapter.expand_seeds(seeds)
-                await adapter.link_text("anything at all")
+                await adapter.leaf_collection_counts(ROOT)
             return trace
 
         metrics = ServingMetrics()

@@ -326,9 +326,7 @@ class TestAnchorComposition:
 
     @pytest.fixture()
     def head_and_tail(self, small_benchmark, service):
-        head = service.link_text(
-            service.normalize(small_benchmark.topics[0].keywords)
-        )[0].article_ids
+        head = service.linker.link_keywords(small_benchmark.topics[0].keywords)
         assert len(head) > 1
         tail = next(
             a.node_id for a in small_benchmark.graph.main_articles()
@@ -446,7 +444,7 @@ class TestAnchorComposition:
 
 
 class TestShardProtocolCalls:
-    """The five calls a router makes on a worker record their own spans,
+    """The four calls a router makes on a worker record their own spans,
     labelled with the worker's shard id — the in-process driver, the
     executor adapter and the worker process all call exactly these."""
 
@@ -461,10 +459,9 @@ class TestShardProtocolCalls:
         worker = ExpansionService.from_snapshot(snapshot, shard_id=3)
         normalized = worker.normalize(small_benchmark.topics[0].keywords)
         root = CombineNode(tuple(TermNode(t) for t in normalized.split()))
+        seeds = snapshot.make_linker().link_keywords(normalized)
         with tracing.start_trace() as trace:
-            link, cached = worker.link_text(normalized)
-            assert worker.link_text(normalized) == (link, True) and not cached
-            worker.expand_seeds(link.article_ids)
+            worker.expand_seeds(seeds)
             counts = worker.leaf_collection_counts(root)
             assert counts == worker.engine.leaf_collection_counts(root)
             background = background_from_counts(
@@ -481,10 +478,24 @@ class TestShardProtocolCalls:
             (span.stage, span.labels.get("cached"), span.labels.get("phase"))
             for span in trace.spans if span.stage != "cycle_mine"
         ] == [
-            ("link", False, None), ("link", True, None),
             ("expand", False, None),
             ("rank", None, "counts"), ("rank", None, "score"),
         ]
+
+    def test_expand_query_links_inside_its_own_span(self, small_benchmark, snapshot):
+        """No shard call links; the standalone service still does, traced."""
+        from repro.obs import trace as tracing
+
+        service = ExpansionService.from_snapshot(snapshot, shard_id=3)
+        spans = []
+        for _ in range(2):
+            with tracing.start_trace() as trace:
+                service.expand_query(small_benchmark.topics[0].keywords)
+            spans += [
+                (span.shard, span.labels["cached"])
+                for span in trace.spans if span.stage == "link"
+            ]
+        assert spans == [(3, False), (3, True)]
 
     def test_expand_seeds_counts_a_shard_query_and_expand_query_counts_once(
         self, small_benchmark, service

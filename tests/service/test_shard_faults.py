@@ -25,6 +25,7 @@ from repro.errors import (
     WorkerCallError,
 )
 from repro.obs import trace as tracing
+from repro.retrieval.qlang import CombineNode, TermNode
 from repro.service import (
     AsyncShardRouter,
     FaultPlan,
@@ -68,6 +69,12 @@ def worker(sharded1):
     return make_shard_worker(sharded1, 0)
 
 
+def probe(text):
+    """A cheap call to fault: ``leaf_collection_counts`` of the words,
+    answered on the worker's event loop."""
+    return CombineNode(tuple(TermNode(word) for word in text.split()))
+
+
 def with_server(worker, fn, *, fault_spec="", policy=None):
     """Run ``fn(adapter)`` against an in-process worker server."""
 
@@ -107,7 +114,7 @@ class TestFaultPlan:
 
     def test_fires_on_nth_matching_call_only(self):
         plan = FaultPlan.from_spec("stall=1@2:expand_seeds")
-        assert plan.check("link_text") is None       # wrong call: no count
+        assert plan.check("search_with_background") is None  # wrong call
         assert plan.check("expand_seeds") is None    # 1st match: armed at 2nd
         fault = plan.check("expand_seeds")
         assert fault is not None and fault.action == "stall"
@@ -115,7 +122,7 @@ class TestFaultPlan:
 
     def test_unfiltered_fault_counts_every_call(self):
         plan = FaultPlan.from_spec("garbage@2")
-        assert plan.check("link_text") is None
+        assert plan.check("expand_seeds") is None
         assert plan.check("search_with_background") is not None
 
 
@@ -123,19 +130,20 @@ class TestInProcessWorkerFaults:
     """stall / garbage / short against a loopback ShardWorkerServer."""
 
     def test_garbage_frame_is_retried_on_fresh_connection(self, worker):
-        async def fn(adapter):
-            return await adapter.link_text("grand reef of hallowbrook")
+        root = probe("grand reef of hallowbrook")
 
-        reference = worker.link_text("grand reef of hallowbrook")[0]
-        link, _ = with_server(
+        async def fn(adapter):
+            return await adapter.leaf_collection_counts(root)
+
+        counts = with_server(
             worker, fn, fault_spec="garbage@1",
             policy=ShardCallPolicy(max_attempts=3, backoff_base_s=0.01),
         )
-        assert link.article_ids == reference.article_ids
+        assert counts == worker.leaf_collection_counts(root)
 
     def test_garbage_retry_counter_increments(self, worker):
         async def fn(adapter):
-            await adapter.link_text("windmill of calligraphy")
+            await adapter.leaf_collection_counts(probe("windmill of calligraphy"))
             return adapter.retries_total
 
         assert with_server(
@@ -144,28 +152,30 @@ class TestInProcessWorkerFaults:
         ) == 1
 
     def test_short_write_is_retried(self, worker):
-        async def fn(adapter):
-            link, _ = await adapter.link_text("walled manuscript")
-            return link, adapter.retries_total
+        root = probe("walled manuscript")
 
-        link, retries = with_server(
+        async def fn(adapter):
+            counts = await adapter.leaf_collection_counts(root)
+            return counts, adapter.retries_total
+
+        counts, retries = with_server(
             worker, fn, fault_spec="short@1",
             policy=ShardCallPolicy(max_attempts=3, backoff_base_s=0.01),
         )
         assert retries == 1
-        assert link.article_ids == \
-            worker.link_text("walled manuscript")[0].article_ids
+        assert counts == worker.leaf_collection_counts(root)
 
     def test_stalled_call_hits_deadline_then_retry_succeeds(self, worker):
         """A 5 s stall against a 0.4 s deadline costs one deadline, not
         a wedged caller — the retry lands on an unstalled worker."""
+        root = probe("azure archipelago of milling")
 
         async def fn(adapter):
             started = time.perf_counter()
-            link, _ = await adapter.link_text("azure archipelago of milling")
-            return link, adapter.retries_total, time.perf_counter() - started
+            counts = await adapter.leaf_collection_counts(root)
+            return counts, adapter.retries_total, time.perf_counter() - started
 
-        link, retries, elapsed = with_server(
+        counts, retries, elapsed = with_server(
             worker, fn, fault_spec="stall=5@1",
             policy=ShardCallPolicy(
                 call_timeout_s=0.4, max_attempts=2, backoff_base_s=0.01,
@@ -173,25 +183,25 @@ class TestInProcessWorkerFaults:
         )
         assert retries == 1
         assert elapsed < 4.0, "the stall must not be waited out"
-        assert link.article_ids == \
-            worker.link_text("azure archipelago of milling")[0].article_ids
+        assert counts == worker.leaf_collection_counts(root)
 
     def test_hedge_wins_over_stalled_call(self, worker):
         """With hedging armed, a stalled primary is overtaken by the
         hedge on a fresh connection; the first answer wins."""
+        root = probe("emerald windmill guild")
 
         async def fn(adapter):
             started = time.perf_counter()
-            link, _ = await adapter.link_text("emerald windmill guild")
+            counts = await adapter.leaf_collection_counts(root)
             return (
-                link,
+                counts,
                 adapter.hedges_total,
                 adapter.hedge_wins_total,
                 adapter.retries_total,
                 time.perf_counter() - started,
             )
 
-        link, hedges, wins, retries, elapsed = with_server(
+        counts, hedges, wins, retries, elapsed = with_server(
             worker, fn, fault_spec="stall=3@1",
             policy=ShardCallPolicy(
                 call_timeout_s=15.0, max_attempts=1, hedge_after_s=0.15,
@@ -199,8 +209,7 @@ class TestInProcessWorkerFaults:
         )
         assert (hedges, wins, retries) == (1, 1, 0)
         assert elapsed < 2.5, "the hedge answer must beat the stall"
-        assert link.article_ids == \
-            worker.link_text("emerald windmill guild")[0].article_ids
+        assert counts == worker.leaf_collection_counts(root)
 
     def test_worker_error_frame_is_never_retried(self, worker):
         async def fn(adapter):
@@ -237,10 +246,10 @@ class TestInProcessWorkerFaults:
                 "127.0.0.1", adapter._endpoint()[1]
             )
             try:
-                await wire.write_frame(
-                    writer,
-                    {"call": "link_text", "protocol": 1, "normalized": "x"},
-                )
+                await wire.write_frame(writer, {
+                    "call": "leaf_collection_counts", "protocol": 1,
+                    "root": wire.encode_query(probe("x")),
+                })
                 return await wire.read_frame(reader)
             finally:
                 writer.close()
@@ -250,29 +259,29 @@ class TestInProcessWorkerFaults:
 
     def test_trace_id_propagates_into_worker_and_spans_replay(self, worker):
         seen = {}
-        real_link_text = worker.link_text
+        real_counts = worker.leaf_collection_counts
 
-        def spy(normalized):
+        def spy(root):
             active = tracing.current_trace()
             seen["trace_id"] = active.trace_id if active else None
-            return real_link_text(normalized)
+            return real_counts(root)
 
-        worker.link_text = spy
+        worker.leaf_collection_counts = spy
         try:
             async def fn(adapter):
                 trace = tracing.Trace(trace_id="trace-originates-router-side")
                 with tracing.start_trace(trace):
-                    await adapter.link_text("grand reef")
+                    await adapter.leaf_collection_counts(probe("grand reef"))
                 return trace
 
             trace = with_server(worker, fn)
         finally:
-            del worker.link_text
+            del worker.leaf_collection_counts
         assert seen["trace_id"] == "trace-originates-router-side"
-        link_spans = [s for s in trace.spans if s.stage == "link"]
-        assert link_spans, "worker-side spans must replay into the trace"
-        assert link_spans[0].shard == 0
-        assert "cached" in link_spans[0].labels
+        rank_spans = [s for s in trace.spans if s.stage == "rank"]
+        assert rank_spans, "worker-side spans must replay into the trace"
+        assert rank_spans[0].shard == 0
+        assert rank_spans[0].labels["phase"] == "counts"
 
 
 class TestSupervisedWorkers:
@@ -297,12 +306,13 @@ class TestSupervisedWorkers:
             )
 
             async def go():
-                first = await adapter.link_text("walled manuscript")
-                second = await adapter.link_text("walled manuscript")
+                root = probe("walled manuscript")
+                first = await adapter.leaf_collection_counts(root)
+                second = await adapter.leaf_collection_counts(root)
                 return first, second
 
             first, second = asyncio.run(go())
-            assert first[0].article_ids == second[0].article_ids
+            assert first == second
             assert adapter.retries_total >= 1
             assert supervisor.restarts_total == 1
             deadline = time.monotonic() + 30.0

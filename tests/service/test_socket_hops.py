@@ -32,7 +32,7 @@ from repro.service import (
 )
 
 CALLS = (
-    "link_text", "expand_seeds", "prefill_expansions",
+    "expand_seeds", "prefill_expansions",
     "leaf_collection_counts", "search_with_background",
 )
 
@@ -49,10 +49,9 @@ def worker(sharded1):
 
 @pytest.fixture(scope="module")
 def seed_sets(small_benchmark, sharded1):
-    linker = make_shard_worker(sharded1, 0)
+    linker = sharded1.make_linker()
     found = {
-        linker.link_text(linker.normalize(topic.keywords))[0].article_ids
-        for topic in small_benchmark.topics
+        linker.link_keywords(topic.keywords) for topic in small_benchmark.topics
     }
     found.discard(frozenset())
     assert len(found) >= 3
@@ -127,7 +126,6 @@ class TestDispatchRule:
             await adapter.expand_seeds(seed_sets[0])            # hit
             await adapter.expand_seeds(frozenset())             # nothing to mine
             await adapter.prefill_expansions([seed_sets[1]])
-            await adapter.link_text("grand reef of hallowbrook")
             await adapter.leaf_collection_counts(search_request.root)
             await adapter.search_with_background(search_request)
             await adapter._call("apply_delta", {"deltas": []})
@@ -143,7 +141,6 @@ class TestDispatchRule:
             ("expand_seeds", "loop"),
             ("expand_seeds", "loop"),
             ("prefill_expansions", "executor"),
-            ("link_text", "loop"),
             ("leaf_collection_counts", "loop"),
             ("search_with_background", "loop"),
             ("apply_delta", "executor"),
@@ -183,7 +180,9 @@ class TestDispatchRule:
         assert elapsed < 5.0
         assert results == worker.search_with_background(search_request)
 
-    def test_malformed_calls_still_answer_with_an_error_frame(self, worker):
+    def test_malformed_calls_still_answer_with_an_error_frame(
+        self, worker, search_request
+    ):
         """The placement peek parses the request before the dispatch
         does; what it raises is the call's error, not a dropped
         connection."""
@@ -194,12 +193,12 @@ class TestDispatchRule:
                 with pytest.raises(WorkerCallError) as err:
                     await adapter._call("expand_seeds", payload)
                 errors.append(err.value.error_type)
-            link, _ = await adapter.link_text("walled manuscript")
-            return errors, link, server.calls_served
+            counts = await adapter.leaf_collection_counts(search_request.root)
+            return errors, counts, server.calls_served
 
-        errors, link, served = serve(worker, fn)
+        errors, counts, served = serve(worker, fn)
         assert errors == ["KeyError", "ValueError", "TypeError"]
-        assert link == worker.link_text("walled manuscript")[0]
+        assert counts == worker.leaf_collection_counts(search_request.root)
         assert served == 4
 
     def test_worker_spans_ride_home_from_either_thread(self, worker, seed_sets):
@@ -319,15 +318,17 @@ class TestSharedSearchFrame:
                 "call": "expand_seeds", "protocol": wire.SHARD_PROTOCOL_VERSION,
                 "seeds": [3], "have": "n:1", "trace_id": "t",
             })
-        assert wire.encode_call("link_text", {"normalized": "x"}, None) \
+        assert wire.encode_call("prefill_expansions", {"seed_sets": [[3]]}, None) \
             == wire.encode_frame({
-                "call": "link_text", "protocol": wire.SHARD_PROTOCOL_VERSION,
-                "normalized": "x",
+                "call": "prefill_expansions",
+                "protocol": wire.SHARD_PROTOCOL_VERSION, "seed_sets": [[3]],
             })
 
 
 class TestNoTaskPerCall:
-    def test_an_unhedged_call_runs_in_the_callers_task(self, worker):
+    def test_an_unhedged_call_runs_in_the_callers_task(
+        self, worker, search_request
+    ):
         """No ``ensure_future`` + ``wait_for`` pair per attempt: the call
         is awaited where it was made, still under its deadline."""
 
@@ -342,10 +343,10 @@ class TestNoTaskPerCall:
 
             # Dial first: the loopback server's connection handler is
             # a task of this same loop.
-            await adapter.link_text("walled manuscript")
+            await adapter.leaf_collection_counts(search_request.root)
             adapter._attempt_once = spying
             before = len(asyncio.all_tasks())
-            await adapter.link_text("walled manuscript")
+            await adapter.leaf_collection_counts(search_request.root)
             return seen == [caller], len(asyncio.all_tasks()) - before
 
         same_task, new_tasks = serve(worker, fn)

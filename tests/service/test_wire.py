@@ -13,7 +13,6 @@ from repro.core.cycles import Cycle
 from repro.core.expansion import ExpansionResult
 from repro.core.features import CycleFeatures
 from repro.errors import WireProtocolError
-from repro.linking.linker import EntityMatch, LinkResult
 from repro.retrieval.engine import SearchResult
 from repro.retrieval.qlang import BandNode, CombineNode, PhraseNode, TermNode
 from repro.service import wire
@@ -275,20 +274,6 @@ class TestValueCodecs:
         assert [r.score.hex() for r in decoded] == \
                [r.score.hex() for r in results]
 
-    def test_link_result_round_trip(self):
-        link = LinkResult(
-            matches=(
-                EntityMatch(article_id=4, title_tokens=("deep", "sea"),
-                            start=0, end=2, via_synonym=False),
-                EntityMatch(article_id=9, title_tokens=("reef",),
-                            start=3, end=4, via_synonym=True),
-            ),
-            article_ids=frozenset({4, 9}),
-        )
-        assert wire.decode_link_result(
-            _json_round_trip(wire.encode_link_result(link))
-        ) == link
-
     def test_expansion_round_trip(self):
         expansion = ExpansionResult(
             seed_articles=frozenset({1}),
@@ -307,8 +292,6 @@ class TestValueCodecs:
         ) == expansion
 
     def test_malformed_payloads_raise_wire_errors(self):
-        with pytest.raises(WireProtocolError):
-            wire.decode_link_result({"matches": [{"article_id": "x"}]})
         with pytest.raises(WireProtocolError):
             wire.decode_expansion({"seeds": [1]})
         with pytest.raises(WireProtocolError):

@@ -1,4 +1,5 @@
-"""``fold_batch`` against from-scratch rebuilds, under generated deltas.
+"""``fold_batch`` and ``successor_linker`` against from-scratch rebuilds,
+under generated deltas.
 
 The write path patches what it used to rebuild: the successor linker is
 derived from the serving one, and the delta ball reads untouched nodes
@@ -33,7 +34,7 @@ Fixed-seed (``derandomize``): tier-1 draws the same cases every run.
 import random
 from unittest import mock
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core import NeighborhoodCycleExpander
@@ -56,7 +57,7 @@ from repro.updates import (
     expansion_eviction_predicate,
 )
 from repro.updates import coordinator as coordinator_module
-from repro.updates.coordinator import fold_batch
+from repro.updates.coordinator import fold_batch, successor_linker
 from repro.wiki import WikiGraphBuilder
 from repro.wiki.compact import CompactGraphView
 
@@ -210,16 +211,16 @@ def test_successor_linker_and_ball_equal_the_rebuilds(graph, seed):
     # The serving stack starts from a prebuilt vocabulary (snapshot
     # load): winners only, no record of who was shadowed.
     vocabulary = EntityLinker(graph, tokenizer).vocabulary()
+    assume(vocabulary)  # no snapshot holds an empty one
     for base in bases:
         state = OverlayState()
         linker = EntityLinker(
             OverlayGraphView(base, state), tokenizer, title_index=vocabulary
         )
         for batch in plan_batches(rng, base, rng.randint(1, 5)):
-            new_state, applied, new_linker, ball = fold_batch(
-                base, state, batch, linker
-            )
+            new_state, applied, ball = fold_batch(base, state, batch)
             assert applied == batch
+            new_linker = successor_linker(linker, base, state, new_state, applied)
             before = OverlayGraphView(base, state)
             after = OverlayGraphView(base, new_state)
 
@@ -284,7 +285,7 @@ def test_coordinator_and_worker_updater_agree_on_one_log(sharded2, seed):
 
     def recording(*args):
         folded = fold_batch(*args)
-        balls.append(folded[3])
+        balls.append(folded[2])
         return folded
 
     try:
@@ -350,9 +351,8 @@ def test_every_surviving_expansion_equals_a_fresh_one_after_the_delta(graph, see
     for base in (graph, CompactGraphView.from_graph(graph)):
         state = OverlayState()
         view = OverlayGraphView(base, state)
-        linker = EntityLinker(view, tokenizer)
         service = ExpansionService(
-            view, SearchEngine(tokenizer), linker, allow_empty_index=True
+            view, SearchEngine(tokenizer), None, allow_empty_index=True
         )
         for batch in plan_batches(rng, base, rng.randint(2, 5)):
             # Seed sets of 1-3 anchors: the later ones are composed from
@@ -362,11 +362,9 @@ def test_every_surviving_expansion_equals_a_fresh_one_after_the_delta(graph, see
                 service.expand_seeds(frozenset(
                     rng.sample(mains, rng.randint(1, min(3, len(mains))))
                 ))
-            state, _, new_linker, ball = fold_batch(
-                base, state, batch, linker
-            )
-            view, linker = OverlayGraphView(base, state), new_linker or linker
-            service.set_graph(view, linker=new_linker)
+            state, _, ball = fold_batch(base, state, batch)
+            view = OverlayGraphView(base, state)
+            service.set_graph(view)
             service.evict_expansions(expansion_eviction_predicate(ball))
 
             survivors: set = set()

@@ -13,6 +13,7 @@ import socket as socketlib
 import pytest
 
 from repro.errors import StaleGenerationError
+from repro.linking import EntityLinker
 from repro.service import (
     AsyncShardRouter,
     ShardCallPolicy,
@@ -109,6 +110,63 @@ class TestShardWorkerUpdater:
         assert first["ball_size"] > 1
         assert (replay["applied"], replay["ball_size"]) == (0, 0)
         assert replay["last_seq"] == first["last_seq"] == 2
+
+
+class TestWorkersHoldNoLinker:
+    """Only the router links (the owner shard is known after linking), so
+    no shard worker builds, holds or patches an entity linker."""
+
+    def test_a_shard_worker_has_no_linker(self, sharded1):
+        assert make_shard_worker(sharded1, 0).linker is None
+
+    def test_router_workers_stay_linkerless_across_apply_and_swap(
+        self, small_benchmark, sharded1
+    ):
+        router = ShardRouter(sharded1)
+        coordinator = UpdateCoordinator(router)
+        try:
+            assert [w.linker for w in router.workers] == [None]
+            coordinator.apply(_payloads(_anchor(small_benchmark)))  # apply_overlay
+            assert [w.linker for w in router.workers] == [None]
+            assert router.linker.link_keywords("socket update page") == {_NEW}
+            coordinator.compact()  # swap_snapshot
+            assert [w.linker for w in router.workers] == [None]
+            assert router.linker.link_keywords("socket update page") == {_NEW}
+        finally:
+            router.close()
+
+    def test_a_title_batch_on_a_worker_patches_no_linker(
+        self, small_benchmark, sharded1, monkeypatch
+    ):
+        calls = {"patched": 0, "rebuilt": 0}
+
+        def counting(name):
+            real = getattr(EntityLinker, name)
+
+            def counted(self, *args):
+                calls[name] += 1
+                return real(self, *args)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(EntityLinker, name, counting(name))
+        anchor = _anchor(small_benchmark)
+        worker = make_shard_worker(sharded1, 0)
+        summary = ShardWorkerUpdater(worker, sharded1.graph).apply_payloads(
+            _payloads(anchor)
+        )
+        assert calls == {"patched": 0, "rebuilt": 0}
+
+        router = ShardRouter(sharded1)  # the router side does patch
+        try:
+            expected = UpdateCoordinator(router).apply(_payloads(anchor))
+        finally:
+            router.close()
+        assert calls == {"patched": 1, "rebuilt": 0}
+        assert summary == {
+            "generation": 1, "applied": 2, "last_seq": 2,
+            "ball_size": expected["ball_size"], "invalidated": 0,
+        }
 
 
 def _wire_call(port, frame):
