@@ -627,7 +627,7 @@ def serve_main(argv: list[str] | None = None) -> int:
                 if line:
                     answer(service.expand_query(line, top_k=args.top_k))
         if args.stats:
-            print(json.dumps(service.stats().as_dict(), indent=2))
+            print(json.dumps(service.stats(), indent=2))
     finally:
         service.close()
     return 0

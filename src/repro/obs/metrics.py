@@ -127,6 +127,12 @@ class Counter(_Family):
         with self._lock:
             return self._series.get(self._key(labels), 0)
 
+    def samples(self) -> dict[tuple[str, ...], float]:
+        """Every series' value, keyed by its label values in
+        ``labelnames`` order and sorted."""
+        with self._lock:
+            return dict(sorted(self._series.items()))
+
     def render(self) -> list[str]:
         lines = self._header()
         with self._lock:

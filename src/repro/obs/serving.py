@@ -10,6 +10,14 @@ Families (all prefixed ``repro_``):
 
 * ``repro_requests_total{path}`` / ``repro_errors_total{path}`` —
   monotonic, per entry point (``expand_query`` / ``batch_expand``);
+* ``repro_queries_total{outcome}`` — query texts through the router
+  (each batch member counts): ``offered`` on entry, then ``served`` or
+  ``failed`` on exit; ``unlinked`` counts the served ones that linked
+  no entity (so the outcomes overlap and are not summed);
+* ``repro_shard_queries_total{shard,result}`` — ``expand_seeds``
+  answers per owner shard: ``hit`` / ``miss`` by the answer's
+  ``cached`` flag, ``unlinked`` for the empty seed set (no cache
+  lookup), counted by the router's query plan for both drivers;
 * ``repro_request_seconds{path}`` — end-to-end latency histogram;
 * ``repro_stage_seconds{stage}`` — per-stage busy-time histogram
   (``link``, ``expand``, ``cycle_mine``, ``rank``, ``merge``);
@@ -33,17 +41,25 @@ Families (all prefixed ``repro_``):
 * ``repro_apply_stage_seconds{stage}`` — time one applied delta batch
   spent per write stage (``validate``, ``log``, ``linker``, ``ball``,
   ``publish``, ``evict``, ``fanout``), from the coordinator's spans;
-* ``repro_inflight_requests`` / ``repro_shard_inflight{shard}`` /
-  ``repro_uptime_seconds`` / ``repro_snapshot_generation`` /
-  ``repro_delta_seq`` — gauges refreshed from
-  :class:`~repro.service.router.RouterStats` at scrape time by
-  :meth:`update_from_stats`, not maintained continuously.
+* ``repro_snapshot_generation`` / ``repro_delta_seq`` — gauges the
+  router sets where they change (construction, an applied delta batch,
+  a compaction swap);
+* ``repro_inflight_requests`` / ``repro_uptime_seconds`` — gauges
+  :meth:`ServingMetrics.render` sets at scrape time: offered − served −
+  failed texts from ``repro_queries_total``, and seconds since
+  construction; ``repro_shard_inflight{shard}`` is set from the
+  workers' state by :meth:`~repro.service.router.ShardRouter.render_metrics`.
+
+``/stats`` and ``/healthz`` render their counts from these families
+too, so an event is counted once, here.
 
 Metric names and label sets are part of the operator contract —
 documented in ``docs/observability.md``; change the two together.
 """
 
 from __future__ import annotations
+
+import time
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Trace
@@ -76,6 +92,19 @@ class ServingMetrics:
             "repro_errors_total",
             "Requests that raised, by entry point.",
             ("path",),
+        )
+        self.queries = self.registry.counter(
+            "repro_queries_total",
+            "Query texts offered to the router, then served (unlinked: "
+            "served with no entity linked) or failed.",
+            ("outcome",),
+        )
+        for outcome in ("offered", "served", "unlinked", "failed"):
+            self.queries.inc(0, outcome=outcome)
+        self.shard_queries = self.registry.counter(
+            "repro_shard_queries_total",
+            "expand_seeds answers per owner shard, by cache outcome.",
+            ("shard", "result"),
         )
         self.request_latency = self.registry.histogram(
             "repro_request_seconds",
@@ -138,6 +167,11 @@ class ServingMetrics:
             "repro_uptime_seconds",
             "Seconds since the router was constructed.",
         )
+        self._started = time.monotonic()
+
+    @property
+    def uptime_s(self) -> float:
+        return time.monotonic() - self._started
 
     def observe_request(
         self, path: str, trace: Trace | None, latency_s: float,
@@ -170,15 +204,12 @@ class ServingMetrics:
                 if engine is not None:
                     self.cycle_mine.inc(engine=engine)
 
-    def update_from_stats(self, stats) -> None:
-        """Refresh the scrape-time gauges from a :class:`RouterStats`."""
-        self.uptime.set(round(stats.uptime_s, 3))
-        self.snapshot_generation.set(getattr(stats, "generation", 1))
-        self.delta_seq.set(getattr(stats, "delta_seq", 0))
-        inflight = stats.requests_total - stats.queries - stats.errors
-        self.inflight.set(max(0, inflight))
-        for shard_id, value in enumerate(stats.per_shard_inflight):
-            self.shard_inflight.set(value, shard=shard_id)
-
     def render(self) -> str:
+        """The exposition, after setting the scrape-time gauges: uptime,
+        and the texts offered but neither served nor failed (offered is
+        read last, so a request racing the reads cannot make it negative)."""
+        queries = self.queries
+        done = queries.value(outcome="served") + queries.value(outcome="failed")
+        self.inflight.set(max(0, queries.value(outcome="offered") - done))
+        self.uptime.set(round(self.uptime_s, 3))
         return self.registry.render()

@@ -49,7 +49,7 @@ from repro.service.async_router import (
 from repro.service.cache import CacheStats, LRUCache
 from repro.service.faults import FaultPlan
 from repro.service.http import HttpFrontEnd
-from repro.service.router import RouterStats, ShardRouter
+from repro.service.router import ShardRouter
 from repro.service.server import ExpansionService, ServiceResponse, ServiceStats
 from repro.service.shard_worker import ShardWorkerServer, make_shard_worker
 from repro.service.socket_adapter import ShardCallPolicy, SocketShardAdapter
@@ -70,7 +70,6 @@ __all__ = [
     "ServiceResponse",
     "ServiceStats",
     "ShardRouter",
-    "RouterStats",
     "AsyncShardRouter",
     "ExecutorShardAdapter",
     "HttpFrontEnd",

@@ -19,9 +19,12 @@ it; ``docs/loadgen.md`` shows the two proven working together):
   whole queue.
 
 The client gate runs first (a flood is attributed to its sender), the
-queue second (the global backstop).  Both outcomes are counted in
-``repro_shed_total{reason}`` and surfaced in ``/healthz``, ``/stats``
-and the ``shed.`` line of ``repro top``.
+queue second (the global backstop).  The controller keeps admission
+*state* only — queue depth, its peak, the buckets — and counts nothing:
+the front end counts each refusal once, by ``decision.reason``, in
+``repro_shed_total{reason}``, and ``/healthz``, ``/stats`` and the
+``shed.`` line of ``repro top`` render that family beside
+:meth:`AdmissionController.snapshot`.
 
 Everything here is deterministic given a ``clock``: tests inject a fake
 monotonic clock and assert exact admit/refuse sequences.  The default
@@ -121,7 +124,6 @@ class AdmissionController:
         self._lock = threading.Lock()
         self._inflight = 0
         self._peak_inflight = 0
-        self._shed: dict[str, int] = {}
         # client id -> bucket, ordered by last admission attempt so the
         # table can evict the least-recently-seen client when full.
         self._buckets: dict[str, _TokenBucket] = {}
@@ -137,15 +139,11 @@ class AdmissionController:
             if policy.client_rate is not None:
                 wait = self._take_token(client or "-", policy)
                 if wait is not None:
-                    self._shed[SHED_CLIENT_RATE] = \
-                        self._shed.get(SHED_CLIENT_RATE, 0) + 1
                     return AdmissionDecision(
                         False, SHED_CLIENT_RATE, retry_after_s=wait
                     )
             if policy.queue_limit is not None \
                     and self._inflight >= policy.queue_limit:
-                self._shed[SHED_OVER_CAPACITY] = \
-                    self._shed.get(SHED_OVER_CAPACITY, 0) + 1
                 return AdmissionDecision(
                     False, SHED_OVER_CAPACITY,
                     retry_after_s=policy.retry_after_s,
@@ -194,14 +192,9 @@ class AdmissionController:
         with self._lock:
             return self._inflight
 
-    @property
-    def shed_total(self) -> int:
-        with self._lock:
-            return sum(self._shed.values())
-
     def snapshot(self) -> dict:
         """JSON-ready state for ``/healthz``, ``/stats`` and the
-        dashboard's ``shed.`` line."""
+        dashboard's ``shed.`` line (the front end adds the refusals)."""
         policy = self.policy
         with self._lock:
             return {
@@ -211,12 +204,10 @@ class AdmissionController:
                 "client_rate": policy.client_rate,
                 "client_burst": policy.client_burst,
                 "clients_tracked": len(self._buckets),
-                "shed_total": sum(self._shed.values()),
-                "shed_by_reason": dict(sorted(self._shed.items())),
             }
 
     def __repr__(self) -> str:
         return (
             f"AdmissionController(queue={self.queue_depth}/"
-            f"{self.policy.queue_limit}, shed={self.shed_total})"
+            f"{self.policy.queue_limit})"
         )

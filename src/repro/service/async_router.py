@@ -82,12 +82,8 @@ class ExecutorShardAdapter:
     adapter that serialises these four calls over a socket (per
     ``docs/shard_protocol.md``) turns the in-process worker into a
     remote process without touching the router.  The worker records its
-    own spans and counts its own cache outcomes: the adapter counters
-    stay 0 here.
+    own spans; there is nothing to retry or hedge, so nothing to count.
     """
-
-    retries_total = hedges_total = hedge_wins_total = 0
-    expansion_hits = expansion_misses = 0
 
     def __init__(self, worker, executor: ThreadPoolExecutor) -> None:
         self._worker = worker
@@ -124,8 +120,8 @@ class AsyncShardRouter:
 
     Wraps an existing router (caches, workers and counters are shared
     with the synchronous surface — a query served here hits the same
-    per-shard expansion caches and shows up in the same
-    :class:`~repro.service.router.RouterStats`).
+    per-shard expansion caches and is counted in the same
+    :attr:`~repro.service.router.ShardRouter.metrics`).
     """
 
     def __init__(
@@ -197,38 +193,16 @@ class AsyncShardRouter:
     def adapters(self) -> tuple:
         return tuple(self._adapters)
 
-    def stats(self):
-        """Router counters plus what only the adapters can count: the
-        resilience counters, and — with shards out of process, where the
-        router's in-process workers sit idle — the shard queries and
-        expansion-cache outcomes each adapter saw: one answered
-        ``expand_seeds`` is one query, its ``cached`` flag the outcome."""
+    def stats(self) -> dict:
+        """The router's :meth:`~ShardRouter.stats` plus what only the
+        adapters and the supervisor hold: the resilience counters and
+        the worker restarts."""
         stats = self._router.stats()
-        adapters = self._adapters
-        return replace(
-            stats,
-            shard_stats=tuple(
-                replace(
-                    shard,
-                    queries=shard.queries
-                    + adapter.expansion_hits + adapter.expansion_misses,
-                    expansion_cache=replace(
-                        shard.expansion_cache,
-                        hits=shard.expansion_cache.hits + adapter.expansion_hits,
-                        misses=shard.expansion_cache.misses
-                        + adapter.expansion_misses,
-                    ),
-                )
-                for shard, adapter in zip(stats.shard_stats, adapters)
-            ),
-            retries_total=sum(adapter.retries_total for adapter in adapters),
-            hedges_total=sum(adapter.hedges_total for adapter in adapters),
-            hedge_wins_total=sum(a.hedge_wins_total for a in adapters),
-            worker_restarts=(
-                self._supervisor.restarts_total
-                if self._supervisor is not None else 0
-            ),
-        )
+        for name in ("retries_total", "hedges_total", "hedge_wins_total"):
+            stats[name] = sum(getattr(a, name, 0) for a in self._adapters)
+        if self._supervisor is not None:
+            stats["worker_restarts"] = self._supervisor.restarts_total
+        return stats
 
     async def expand_query(self, text: str, top_k: int = 10) -> ServiceResponse:
         """Answer one query; identical concurrent queries share one pass
@@ -262,7 +236,7 @@ class AsyncShardRouter:
         runs, every step fanned out with ``asyncio.gather``."""
         if not texts:
             return []
-        with self._router.accounting(len(texts), batches=1) as served:
+        with self._router.accounting(len(texts)) as served:
             served += await self._run(
                 self._router.query_plan("batch_expand", texts, top_k)
             )

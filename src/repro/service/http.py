@@ -8,7 +8,7 @@ serves six endpoints::
     POST /expand        one query, full ServiceResponse payload
     POST /search        one query, ranked results only
     POST /batch_expand  many queries in one request
-    GET  /stats         RouterStats dict + front-end counters + slow log
+    GET  /stats         router and front-end counters + slow log
     GET  /healthz       liveness: status, shards, per-shard health,
                         hit-rate breakdown, error breakdown by status,
                         serving snapshot generation + delta sequence
@@ -196,12 +196,9 @@ class HttpFrontEnd:
         self._connections: set[asyncio.StreamWriter] = set()
         self._busy: set[asyncio.StreamWriter] = set()
         self._conn_tasks: set[asyncio.Task] = set()
-        self._http_requests = 0
-        self._http_errors = 0
-        self._by_endpoint: dict[str, int] = {}
-        self._errors_by_status: dict[int, int] = {}
         # HTTP-plane families live in the router's registry, so one
-        # /metrics scrape renders the whole serving stack.
+        # /metrics scrape renders the whole serving stack, and /stats
+        # and /healthz render their HTTP counts from them.
         registry = service.metrics.registry
         self._http_requests_metric = registry.counter(
             "repro_http_requests_total",
@@ -444,7 +441,6 @@ class HttpFrontEnd:
             routes["/admin/apply_delta"] = ("POST", self._handle_apply_delta)
             routes["/admin/compact"] = ("POST", self._handle_compact)
         started = time.perf_counter()
-        self._http_requests += 1
         route = routes.get(path)
         # Unknown paths share one metric label so arbitrary request
         # paths cannot grow the label set without bound.
@@ -469,7 +465,6 @@ class HttpFrontEnd:
                 shed = decision
         try:
             if shed is not None:
-                self._by_endpoint[path] = self._by_endpoint.get(path, 0) + 1
                 self._shed_metric.inc(reason=shed.reason)
                 payload = _error_body(shed.reason, _SHED_MESSAGES[shed.reason])
                 payload["error"]["retry_after_s"] = round(
@@ -482,9 +477,6 @@ class HttpFrontEnd:
             if admitted:
                 self._admission.release()
         if status >= 400:
-            self._http_errors += 1
-            self._errors_by_status[status] = \
-                self._errors_by_status.get(status, 0) + 1
             self._http_errors_metric.inc(status=str(status))
         self._log_request(
             path, status, payload, (time.perf_counter() - started) * 1000.0
@@ -496,7 +488,6 @@ class HttpFrontEnd:
         if route is None:
             return 404, _error_body("not_found", f"unknown endpoint {path!r}")
         expected_method, handler = route
-        self._by_endpoint[path] = self._by_endpoint.get(path, 0) + 1
         if method != expected_method:
             return 405, _error_body(
                 "method_not_allowed", f"{path} expects {expected_method}"
@@ -627,20 +618,33 @@ class HttpFrontEnd:
         names = self._service.doc_names
         return {"responses": [r.as_dict(names) for r in responses]}
 
+    def _http_counts(self) -> dict:
+        """The front end's counts, read from its metric families."""
+        requests = {e: n for (e,), n in self._http_requests_metric.samples().items()}
+        errors = {s: n for (s,), n in self._http_errors_metric.samples().items()}
+        return {
+            "requests_total": sum(requests.values()),
+            "errors": sum(errors.values()),
+            "errors_by_status": errors,
+            "by_endpoint": {e: n for e, n in requests.items() if e != "unknown"},
+        }
+
+    def _admission_snapshot(self) -> dict:
+        """Admission state, and the refusals from ``repro_shed_total``."""
+        shed = {r: n for (r,), n in self._shed_metric.samples().items()}
+        return {
+            **self._admission.snapshot(),
+            "shed_total": sum(shed.values()), "shed_by_reason": shed,
+        }
+
     async def _handle_stats(self) -> dict:
-        stats = self._service.stats().as_dict()
+        stats = self._service.stats()
         stats["http"] = {
-            "requests_total": self._http_requests,
-            "errors": self._http_errors,
-            "errors_by_status": {
-                str(code): count
-                for code, count in sorted(self._errors_by_status.items())
-            },
+            **self._http_counts(),
             "coalesced_requests": self._service.coalesced_requests,
-            "by_endpoint": dict(sorted(self._by_endpoint.items())),
         }
         if self._admission is not None:
-            stats["http"]["admission"] = self._admission.snapshot()
+            stats["http"]["admission"] = self._admission_snapshot()
         stats["slow_queries"] = self._request_log.snapshot()
         return stats
 
@@ -654,45 +658,41 @@ class HttpFrontEnd:
         key is gone.
         """
         stats = self._service.stats()
+        http = self._http_counts()
         supervisor = getattr(self._service, "supervisor", None)
         status = "ok"
         if supervisor is not None and supervisor.degraded:
             status = "degraded"
         payload = {
             "status": status,
-            "shards": stats.shards,
-            "uptime_s": round(stats.uptime_s, 3),
-            "http_requests_total": self._http_requests,
-            "http_errors": self._http_errors,
-            "router_requests_total": stats.requests_total,
-            "router_errors": stats.errors,
-            "errors_by_status": {
-                str(code): count
-                for code, count in sorted(self._errors_by_status.items())
-            },
+            "shards": stats["shards"],
+            "uptime_s": stats["uptime_s"],
+            "http_requests_total": http["requests_total"],
+            "http_errors": http["errors"],
+            "router_requests_total": stats["requests_total"],
+            "router_errors": stats["errors"],
+            "errors_by_status": http["errors_by_status"],
             "hit_rates": {
-                "link": round(stats.link_cache.hit_rate, 4),
-                "expansion": round(stats.expansion_cache.hit_rate, 4),
+                "link": stats["link_cache"]["hit_rate"],
+                "expansion": stats["expansion_cache"]["hit_rate"],
             },
             "per_shard": [
                 {
                     "shard": shard_id,
-                    "queries": shard.queries,
-                    "inflight": shard.inflight,
-                    "expansion_hit_rate": round(
-                        shard.expansion_cache.hit_rate, 4
-                    ),
+                    "queries": shard["queries"],
+                    "inflight": shard["inflight"],
+                    "expansion_hit_rate": shard["expansion_cache"]["hit_rate"],
                 }
-                for shard_id, shard in enumerate(stats.shard_stats)
+                for shard_id, shard in enumerate(stats["per_shard"])
             ],
         }
         if supervisor is not None:
             # Out-of-process deployment: per-shard worker process state
             # (pid/port/state/restarts) plus the resilience counters.
             payload["workers"] = supervisor.describe()
-            payload["worker_restarts"] = stats.worker_restarts
-            payload["retries_total"] = stats.retries_total
-            payload["hedges_total"] = stats.hedges_total
+            payload["worker_restarts"] = stats["worker_restarts"]
+            payload["retries_total"] = stats["retries_total"]
+            payload["hedges_total"] = stats["hedges_total"]
         if self._snapshot_info:
             payload["snapshot"] = self._snapshot_info
         if self._snapshot_format:
@@ -700,26 +700,24 @@ class HttpFrontEnd:
         if self._admission is not None:
             # Overload triage: current queue depth against the limit,
             # plus what has been shed and why (docs/operations.md).
-            payload["admission"] = self._admission.snapshot()
+            payload["admission"] = self._admission_snapshot()
         # Load-bearing for live updates: clients read the generation
         # here and echo it in /admin/apply_delta; a mismatch is a 409.
-        payload["snapshot_generation"] = stats.generation
-        payload["delta_seq"] = stats.delta_seq
+        payload["snapshot_generation"] = stats["generation"]
+        payload["delta_seq"] = stats["delta_seq"]
         return payload
 
     async def _handle_metrics(self) -> str:
         """The whole stack's families as Prometheus text exposition.
 
         Counters and histograms are live (folded per request); the
-        uptime/inflight gauges are refreshed from router stats here, at
-        scrape time.
+        gauges that follow state — queue depth, uptime, requests and
+        expansions in flight — are set here, at scrape time.
         """
-        metrics = self._service.metrics
-        metrics.update_from_stats(self._service.stats())
         self._queue_depth_gauge.set(
             self._admission.queue_depth if self._admission is not None else 0
         )
-        return metrics.render()
+        return self._service.router.render_metrics()
 
     async def _handle_apply_delta(self, payload: dict) -> dict:
         """Apply one delta batch to the live stack (docs/live_updates.md).

@@ -43,11 +43,10 @@ per-shard adapters with ``asyncio.gather`` — the same four
 
 from __future__ import annotations
 
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import replace
 from pathlib import Path
 
 from repro.core.expansion import Expander, ExpansionResult, NeighborhoodCycleExpander
@@ -63,109 +62,16 @@ from repro.retrieval.engine import (
 from repro.retrieval.qlang import CombineNode, QueryNode, TermNode, build_phrase_query
 from repro.service.artifacts import ShardedSnapshot
 from repro.service.cache import CacheStats, LRUCache
-from repro.service.server import ExpansionService, ServiceResponse, ServiceStats
+from repro.service.server import ExpansionService, ServiceResponse
 from repro.service.wire import EXPANSION_ETAG_ENTRIES, SearchRequest
 from repro.wiki.partition import shard_of_node
 
-__all__ = ["ShardRouter", "RouterStats"]
+__all__ = ["ShardRouter"]
 
 # Bound on the router's ``leaf -> global collection count`` cache.  It
 # must be bounded because keyword-fallback term leaves come from user
 # text; 65,536 leaves is far above any expansion vocabulary served here.
 _COLLECTION_STATS_ENTRIES = 65_536
-
-
-@dataclass(frozen=True, slots=True)
-class RouterStats:
-    """Point-in-time counters of the router and each shard worker.
-
-    ``requests_total`` counts every request *offered* to the router
-    (single queries and each member of a batch), incremented before any
-    work happens, so it is monotonic even across failures; ``queries``
-    counts requests served to completion and ``errors`` those that
-    raised.  ``requests_total == queries + errors + in-flight`` at any
-    instant.  ``/stats`` and ``/healthz`` report these directly instead
-    of making callers sum per-shard numbers.
-
-    ``uptime_s`` is seconds since the router was constructed;
-    ``per_shard_inflight`` gauges the expansions currently executing on
-    each worker (0 for an idle or never-hit shard — zero-lookup-safe,
-    like ``per_shard_hit_rates``).
-
-    The resilience counters (``retries_total``, ``hedges_total``,
-    ``hedge_wins_total``, ``worker_restarts``) stay 0 for the in-process
-    deployment; :meth:`AsyncShardRouter.stats` fills them in when the
-    shard adapters are socket-backed and a supervisor is attached.
-    """
-
-    shards: int
-    requests_total: int
-    queries: int
-    batches: int
-    unlinked_queries: int
-    errors: int
-    uptime_s: float
-    link_cache: CacheStats
-    shard_stats: tuple[ServiceStats, ...]
-    retries_total: int = 0
-    hedges_total: int = 0
-    hedge_wins_total: int = 0
-    worker_restarts: int = 0
-    # Live-update state: the serving snapshot generation, the sequence
-    # number of the last applied delta (0 = pristine), and how many
-    # cache entries delta application has evicted so far.
-    generation: int = 1
-    delta_seq: int = 0
-    delta_invalidations: int = 0
-
-    @property
-    def expansion_cache(self) -> CacheStats:
-        """All shard expansion caches summed into one aggregate view."""
-        return CacheStats.aggregate(
-            [stats.expansion_cache for stats in self.shard_stats]
-        )
-
-    @property
-    def per_shard_hit_rates(self) -> tuple[float, ...]:
-        """Expansion-cache hit rate of each shard worker, in shard order.
-
-        A shard that never saw a lookup reports 0.0 (not a division
-        error) — common right after cold start or behind a skewed
-        routing distribution.
-        """
-        return tuple(
-            stats.expansion_cache.hit_rate for stats in self.shard_stats
-        )
-
-    @property
-    def per_shard_inflight(self) -> tuple[int, ...]:
-        """Expansions currently inside each shard worker, in shard order."""
-        return tuple(stats.inflight for stats in self.shard_stats)
-
-    def as_dict(self) -> dict:
-        return {
-            "shards": self.shards,
-            "requests_total": self.requests_total,
-            "errors": self.errors,
-            "queries": self.queries,
-            "batches": self.batches,
-            "unlinked_queries": self.unlinked_queries,
-            "uptime_s": round(self.uptime_s, 3),
-            "retries_total": self.retries_total,
-            "hedges_total": self.hedges_total,
-            "hedge_wins_total": self.hedge_wins_total,
-            "worker_restarts": self.worker_restarts,
-            "generation": self.generation,
-            "delta_seq": self.delta_seq,
-            "delta_invalidations": self.delta_invalidations,
-            "link_cache": self.link_cache.as_dict(),
-            "expansion_cache": self.expansion_cache.as_dict(),
-            "per_shard_hit_rates": [
-                round(rate, 4) for rate in self.per_shard_hit_rates
-            ],
-            "per_shard_inflight": list(self.per_shard_inflight),
-            "per_shard": [stats.as_dict() for stats in self.shard_stats],
-        }
 
 
 class ShardRouter:
@@ -230,18 +136,11 @@ class ShardRouter:
         self._pool = ThreadPoolExecutor(
             max_workers=len(self._workers), thread_name_prefix="shard-router"
         )
-        self._lock = threading.Lock()
-        self._requests = 0
-        self._queries = 0
-        self._batches = 0
-        self._unlinked = 0
-        self._errors = 0
-        self._started = time.monotonic()
-        self._delta_seq = 0
-        self._delta_invalidations = 0
-        # Process-wide aggregates folded from per-request traces; the
-        # async front end shares this instance and /metrics renders it.
+        # Every count /stats, /healthz and /metrics report lives here,
+        # folded per request; the async front end shares this instance.
         self.metrics = ServingMetrics()
+        self.metrics.snapshot_generation.set(snapshot.generation)
+        self.metrics.delta_seq.set(0)
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -307,26 +206,66 @@ class ShardRouter:
         """
         if not texts:
             return []
-        with self.accounting(len(texts), batches=1) as served:
+        with self.accounting(len(texts)) as served:
             served += self._run(self.query_plan("batch_expand", texts, top_k))
         return served
 
-    def stats(self) -> RouterStats:
-        with self._lock:
-            return RouterStats(
-                shards=self.num_shards,
-                requests_total=self._requests,
-                queries=self._queries,
-                batches=self._batches,
-                unlinked_queries=self._unlinked,
-                errors=self._errors,
-                uptime_s=time.monotonic() - self._started,
-                link_cache=self._link_cache.stats,
-                shard_stats=tuple(worker.stats() for worker in self._workers),
-                generation=self.generation,
-                delta_seq=self._delta_seq,
-                delta_invalidations=self._delta_invalidations,
-            )
+    def stats(self) -> dict:
+        """Counters and state of the router and each shard, JSON-ready
+        (``/stats``; ``docs/http_api.md`` names the family behind each
+        count).  Counts are read from :attr:`metrics`, state from its
+        holder: cache sizes, in-flight gauges, the generation.  The
+        resilience counters read 0 here; :meth:`AsyncShardRouter.stats`
+        fills them in."""
+        metrics = self.metrics
+        answers: list[dict[str, int]] = [{} for _ in self._workers]
+        for (shard, result), count in metrics.shard_queries.samples().items():
+            answers[int(shard)][result] = count
+        caches, per_shard = [], []
+        for worker, counts in zip(self._workers, answers):
+            state = worker.stats()
+            caches.append(replace(
+                state.expansion_cache,
+                hits=counts.get("hit", 0), misses=counts.get("miss", 0),
+            ))
+            per_shard.append({
+                "queries": sum(counts.values()),
+                "inflight_waits": state.inflight_waits,
+                "inflight": state.inflight,
+                "expansion_cache": caches[-1].as_dict(),
+            })
+        texts = metrics.queries.value
+        failed, served = texts(outcome="failed"), texts(outcome="served")
+        return {
+            "shards": self.num_shards,
+            # Offered is read last, so it never reads below served + failed.
+            "requests_total": texts(outcome="offered"),
+            "errors": failed,
+            "queries": served,
+            "batches": metrics.requests.value(path="batch_expand")
+            - metrics.errors.value(path="batch_expand"),
+            "unlinked_queries": texts(outcome="unlinked"),
+            "uptime_s": round(metrics.uptime_s, 3),
+            "retries_total": 0, "hedges_total": 0, "hedge_wins_total": 0,
+            "worker_restarts": 0,
+            "generation": self.generation,
+            "delta_seq": metrics.delta_seq.value(),
+            "delta_invalidations": sum(
+                metrics.delta_invalidations.samples().values()
+            ),
+            "link_cache": self._link_cache.stats.as_dict(),
+            "expansion_cache": CacheStats.aggregate(caches).as_dict(),
+            "per_shard_hit_rates": [round(c.hit_rate, 4) for c in caches],
+            "per_shard_inflight": [shard["inflight"] for shard in per_shard],
+            "per_shard": per_shard,
+        }
+
+    def render_metrics(self) -> str:
+        """``/metrics``: the registry, after setting the one gauge only
+        the workers' state can: each shard's expansions in flight."""
+        for shard_id, worker in enumerate(self._workers):
+            self.metrics.shard_inflight.set(worker.stats().inflight, shard=shard_id)
+        return self.metrics.render()
 
     def clear_caches(self) -> None:
         """Drop the router's caches and every worker's caches."""
@@ -360,6 +299,8 @@ class ShardRouter:
         link cache's invalidation epoch moves on, as the workers' do in
         ``set_graph``).  The caller evicts invalidated cache entries
         separately (:meth:`evict_expansions` / :meth:`evict_links`).
+        ``delta_seq``, the batch's last sequence number, is the new
+        ``repro_delta_seq``.
         """
         self._view = view
         if linker is not None:
@@ -368,8 +309,7 @@ class ShardRouter:
         for worker in self._workers:
             worker.set_graph(view)
         if delta_seq:
-            with self._lock:
-                self._delta_seq = max(self._delta_seq, delta_seq)
+            self.metrics.delta_seq.set(delta_seq)
 
     def swap_snapshot(self, snapshot: ShardedSnapshot) -> None:
         """Hot-swap to a compacted generation of the same logical data.
@@ -394,26 +334,20 @@ class ShardRouter:
         self._linker = snapshot.make_linker()
         for worker in self._workers:
             worker.set_graph(snapshot.graph)
-        with self._lock:
-            self._delta_seq = 0
+        self.metrics.snapshot_generation.set(snapshot.generation)
+        self.metrics.delta_seq.set(0)
 
     def evict_expansions(self, predicate) -> int:
-        """Evict matching expansion entries from every worker; returns
-        the total count (also folded into the stats counter)."""
-        evicted = sum(
+        """Evict matching expansion entries from every in-process
+        worker; returns the total count."""
+        return sum(
             worker.evict_expansions(predicate) for worker in self._workers
         )
-        with self._lock:
-            self._delta_invalidations += evicted
-        return evicted
 
     def evict_links(self) -> int:
         """Drop all cached link results (title surface changed);
         returns the count."""
-        evicted = self._link_cache.evict_where(lambda _key: True)
-        with self._lock:
-            self._delta_invalidations += evicted
-        return evicted
+        return self._link_cache.evict_where(lambda _key: True)
 
     def close(self) -> None:
         """Shut the fan-out pool down (the router stops serving)."""
@@ -477,6 +411,11 @@ class ShardRouter:
                         yield "prefill_expansions", list(by_owner.items())
                     ))
                 expansions = yield "expand_seeds", list(zip(owners, seed_sets))
+                for owner, seeds, (_, cached) in zip(owners, seed_sets, expansions):
+                    self.metrics.shard_queries.inc(
+                        shard=owner,
+                        result="hit" if cached else "miss" if seeds else "unlinked",
+                    )
                 roots = [
                     self.build_query(query, expansion)
                     for query, (expansion, _) in zip(queries, expansions)
@@ -570,24 +509,22 @@ class ShardRouter:
         return merged
 
     @contextmanager
-    def accounting(self, requests: int, *, batches: int = 0):
+    def accounting(self, requests: int):
         """Offered-load accounting around one request of ``requests``
-        texts (the async front end included): counted as offered before
-        any work happens, then — the caller having put the responses
-        into the yielded list — as served, or as errors if it raised."""
-        with self._lock:
-            self._requests += requests
+        texts (the async front end included), into
+        ``repro_queries_total``: offered before any work happens, then —
+        the caller having put the responses into the yielded list —
+        served (and unlinked), or failed if it raised."""
+        queries = self.metrics.queries
+        queries.inc(requests, outcome="offered")
         served: list[ServiceResponse] = []
         try:
             yield served
         except Exception:
-            with self._lock:
-                self._errors += requests
+            queries.inc(requests, outcome="failed")
             raise
-        with self._lock:
-            self._batches += batches
-            self._queries += len(served)
-            self._unlinked += sum(1 for r in served if not r.linked)
+        queries.inc(sum(1 for r in served if not r.linked), outcome="unlinked")
+        queries.inc(len(served), outcome="served")
 
     # ------------------------------------------------------------------
     # Building blocks (the plan's, and the bench ladder's)
@@ -675,8 +612,8 @@ class ShardRouter:
         return list(self._pool.map(tracing.carry_context(one), items))
 
     def __repr__(self) -> str:
-        stats = self.stats()
         return (
-            f"ShardRouter(shards={stats.shards}, queries={stats.queries}, "
+            f"ShardRouter(shards={self.num_shards}, "
+            f"queries={self.metrics.queries.value(outcome='served')}, "
             f"link_cache={self._link_cache!r})"
         )

@@ -477,13 +477,10 @@ class ExpansionService:
         """Expansion for one entity set (cached, in-flight deduplicated).
 
         Returns ``(result, was_cached)``.  This is the unit of work a
-        router fans out to the shard owning ``seeds``, so an answer counts
-        as one query served here (``expand_query`` counts its own).
+        router fans out to the shard owning ``seeds``; the router's query
+        plan counts the answer (``expand_query`` counts its own).
         """
-        answer = self._expand_seeds(frozenset(seeds))
-        with self._lock:
-            self._queries += 1
-        return answer
+        return self._expand_seeds(frozenset(seeds))
 
     def has_expansion(self, seeds: frozenset[int]) -> bool:
         """Whether :meth:`expand_seeds` would answer ``seeds`` from the

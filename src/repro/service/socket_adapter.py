@@ -56,8 +56,8 @@ included.
 
 Loop affinity matches the async router: one adapter belongs to one
 event loop; counters (``connects_total``, ``retries_total``,
-``hedges_total``, ``hedge_wins_total``, ``expansion_hits``,
-``expansion_misses``) are mutated loop-side only, no locks.
+``hedges_total``, ``hedge_wins_total``, ``fallback_calls_total``) are
+mutated loop-side only, no locks.
 """
 
 from __future__ import annotations
@@ -141,10 +141,6 @@ class SocketShardAdapter:
         # seeds -> (etag, decoded ExpansionResult): what the worker last
         # sent for these seeds, reused only when it says not_modified.
         self._expansions = LRUCache(wire.EXPANSION_ETAG_ENTRIES)
-        # The worker's `cached` flags as seen here — the only place a
-        # router over socket workers can count expansion-cache outcomes.
-        self.expansion_hits = 0
-        self.expansion_misses = 0
 
     # ------------------------------------------------------------------
     # The four protocol calls
@@ -163,12 +159,7 @@ class SocketShardAdapter:
         else:
             expansion = wire.decode_expansion(response["expansion"])
             self._expansions.put(seeds, (str(response["etag"]), expansion))
-        cached = bool(response["cached"])
-        if cached:
-            self.expansion_hits += 1
-        else:
-            self.expansion_misses += 1
-        return expansion, cached
+        return expansion, bool(response["cached"])
 
     async def prefill_expansions(self, seed_sets) -> set[frozenset[int]]:
         try:

@@ -238,10 +238,16 @@ class UpdateCoordinator:
                 )
                 if linker is not None:
                     evicted["link"] = router.evict_links()
-                for cache, count in evicted.items():
-                    self._metrics.delta_invalidations.inc(count, cache=cache)
             with span("fanout"):
-                stale_workers = self._fan_out(applied, new_state.generation)
+                stale_workers, worker_evicted = self._fan_out(
+                    applied, new_state.generation
+                )
+            if self._supervisor is not None:
+                # The worker processes hold the expansion caches that
+                # serve; the router's in-process ones sit idle.
+                evicted["expansion"] = worker_evicted
+            for cache, count in evicted.items():
+                self._metrics.delta_invalidations.inc(count, cache=cache)
         # One shape, applied or replayed (all-skipped: empty ball).
         return {
             "generation": new_state.generation,
@@ -325,24 +331,30 @@ class UpdateCoordinator:
     # Internals
     # ------------------------------------------------------------------
 
-    def _fan_out(self, deltas: list[Delta], generation: int) -> list[int]:
+    def _fan_out(
+        self, deltas: list[Delta], generation: int
+    ) -> tuple[list[int], int]:
         """Push one applied batch to every supervised socket worker.
 
         Returns the shards that could not be reached — their durable log
         entry makes the next restart heal them; callers surface the list
-        so operators can force a restart instead of waiting.
+        so operators can force a restart instead of waiting — and the
+        expansion entries the reached workers evicted.
         """
         if self._supervisor is None:
-            return []
+            return [], 0
         payloads = [delta.to_payload() for delta in deltas]
-        return [
-            shard_id for shard_id in range(self._supervisor.num_shards)
-            if not self._push_to_worker(shard_id, payloads, generation)
+        counts = [
+            self._push_to_worker(shard_id, payloads, generation)
+            for shard_id in range(self._supervisor.num_shards)
         ]
+        stale = [shard_id for shard_id, n in enumerate(counts) if n is None]
+        return stale, sum(n for n in counts if n is not None)
 
     def _push_to_worker(
         self, shard_id: int, payloads: list[dict], generation: int
-    ) -> bool:
+    ) -> int | None:
+        """The worker's eviction count, or None if it was not reached."""
         for _ in range(_FANOUT_ATTEMPTS):
             try:
                 host, port = self._supervisor.endpoint(shard_id)
@@ -365,10 +377,10 @@ class UpdateCoordinator:
                     response = wire.recv_frame(sock)
                 if response is None or response.get("error") is not None:
                     continue
-                return True
+                return int(response["result"]["invalidated"])
             except Exception:  # noqa: BLE001 — transport errors retry
                 continue
-        return False
+        return None
 
     def _warm_from_request_log(self) -> int:
         """Re-expand recently seen queries through the fresh stack.

@@ -1,7 +1,5 @@
 """ServingMetrics: folding traces into families, scrape-time gauges."""
 
-from types import SimpleNamespace
-
 from repro.obs.metrics import parse_prometheus_text
 from repro.obs.serving import ServingMetrics
 from repro.obs.trace import Trace
@@ -104,28 +102,22 @@ class TestObserveRequest:
 
 
 class TestScrapeTimeGauges:
-    def test_update_from_stats_refreshes_gauges(self):
+    def test_render_sets_uptime_and_inflight_from_the_registry(self):
         metrics = ServingMetrics()
-        stats = SimpleNamespace(
-            uptime_s=12.3456,
-            requests_total=10,
-            queries=7,
-            errors=1,
-            per_shard_inflight=[2, 0],
-        )
-        metrics.update_from_stats(stats)
-        assert metrics.uptime.value() == 12.346
+        metrics._started -= 12.3456
+        metrics.queries.inc(10, outcome="offered")
+        metrics.queries.inc(7, outcome="served")
+        metrics.queries.inc(1, outcome="failed")
+        metrics.render()
+        assert 12.3456 <= metrics.uptime.value() < 13.0
         assert metrics.inflight.value() == 2  # 10 offered - 7 done - 1 failed
-        assert metrics.shard_inflight.value(shard=0) == 2
-        assert metrics.shard_inflight.value(shard=1) == 0
 
     def test_inflight_clamps_at_zero(self):
         metrics = ServingMetrics()
-        stats = SimpleNamespace(
-            uptime_s=1.0, requests_total=5, queries=5, errors=1,
-            per_shard_inflight=[],
-        )
-        metrics.update_from_stats(stats)
+        metrics.queries.inc(5, outcome="offered")
+        metrics.queries.inc(5, outcome="served")
+        metrics.queries.inc(1, outcome="failed")
+        metrics.render()
         assert metrics.inflight.value() == 0
 
 
@@ -133,14 +125,13 @@ class TestExposition:
     def test_render_parses_back_with_all_families(self):
         metrics = ServingMetrics()
         metrics.observe_request("expand_query", make_trace(), 0.015)
-        metrics.update_from_stats(SimpleNamespace(
-            uptime_s=3.0, requests_total=1, queries=1, errors=0,
-            per_shard_inflight=[0, 0],
-        ))
+        metrics.shard_inflight.set(0, shard=0)
         parsed = parse_prometheus_text(metrics.render())
         for family in (
             "repro_requests_total",
             "repro_errors_total",
+            "repro_queries_total",
+            "repro_shard_queries_total",
             "repro_request_seconds",
             "repro_stage_seconds",
             "repro_shard_stage_seconds",
@@ -151,6 +142,9 @@ class TestExposition:
             "repro_uptime_seconds",
         ):
             assert family in parsed["types"], family
+        assert parsed["samples"][
+            ("repro_queries_total", frozenset({("outcome", "offered")}))
+        ] == 0
 
     def test_two_routers_can_share_one_registry(self):
         first = ServingMetrics()

@@ -107,8 +107,8 @@ class TestCoalescing:
                    [(r.doc_id, r.score) for r in first.results]
         # One computation => the worker saw exactly one cold expansion.
         stats = async_router.stats()
-        assert stats.queries == 5  # offered load is still 5
-        assert stats.expansion_cache.misses == 1
+        assert stats["queries"] == 5  # offered load is still 5
+        assert stats["expansion_cache"]["misses"] == 1
         async_router.close()
 
     def test_coalesced_requests_keep_their_own_raw_query_text(
@@ -164,9 +164,9 @@ class TestAccounting:
         with pytest.raises(RuntimeError):
             run(async_router.expand_query(small_benchmark.topics[0].keywords))
         stats = async_router.stats()
-        assert stats.requests_total == 1
-        assert stats.errors == 1
-        assert stats.queries == 0
+        assert stats["requests_total"] == 1
+        assert stats["errors"] == 1
+        assert stats["queries"] == 0
         async_router.close()
 
 
@@ -207,7 +207,6 @@ class TestBatchIsObservedOnce:
         assert not [line for line in mine if 'path="expand_query"' in line]
         assert not [line for line in mine if 'cache="link"' in line]
         for name in ("requests_total", "queries", "batches", "unlinked_queries"):
-            assert getattr(wrapped.stats(), name) == \
-                getattr(sync_router.stats(), name), name
-        assert wrapped.stats().queries == len(batch)
-        assert wrapped.stats().unlinked_queries == 1
+            assert wrapped.stats()[name] == sync_router.stats()[name], name
+        assert wrapped.stats()["queries"] == len(batch)
+        assert wrapped.stats()["unlinked_queries"] == 1

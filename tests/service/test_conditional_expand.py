@@ -335,25 +335,27 @@ class TestRouterSeesWorkerCacheOutcomes:
 
             asyncio.run(go())
             stats = async_router.stats()
-            per_shard = [s.expansion_cache for s in stats.shard_stats]
-            assert sum(c.misses for c in per_shard) == len(queries)
-            assert sum(c.hits for c in per_shard) == 2 * len(queries)
-            assert stats.expansion_cache.hit_rate == pytest.approx(2 / 3)
+            per_shard = [s["expansion_cache"] for s in stats["per_shard"]]
+            assert sum(c["misses"] for c in per_shard) == len(queries)
+            assert sum(c["hits"] for c in per_shard) == 2 * len(queries)
+            assert stats["expansion_cache"]["hit_rate"] == pytest.approx(
+                2 / 3, abs=1e-4
+            )
             owners = {
                 router.owner_shard(
                     router.link_text(router.normalize(q))[0].article_ids
                 ) for q in queries
             }
             for shard_id, cache in enumerate(per_shard):
-                assert (cache.lookups > 0) == (shard_id in owners)
-            # The in-process workers really were idle: without the
-            # overlay every one of these would read zero.
+                assert (cache["hits"] + cache["misses"] > 0) == (shard_id in owners)
+            # The in-process workers really were idle: the counts come
+            # from the answers the plan received, not from their caches.
             assert all(
-                s.expansion_cache.lookups == 0
-                for s in router.stats().shard_stats
+                worker.stats().expansion_cache.lookups == 0
+                for worker in router.workers
             )
-            assert stats.as_dict()["per_shard_hit_rates"] == [
-                round(c.hit_rate, 4) for c in per_shard
+            assert stats["per_shard_hit_rates"] == [
+                c["hit_rate"] for c in per_shard
             ]
         finally:
             async_router.close()

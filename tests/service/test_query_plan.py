@@ -151,8 +151,8 @@ class TestSingleQuery:
         ))
         # Nothing was mined for it, anywhere.
         assert all(
-            stats.expansion_cache.misses == 0
-            for stats in router.stats().shard_stats
+            stats["expansion_cache"]["misses"] == 0
+            for stats in router.stats()["per_shard"]
         )
 
     def test_query_that_normalises_to_nothing_makes_one_call_and_no_rank_call(

@@ -1,5 +1,10 @@
 """ShardRouter behaviour: exact equivalence with the single-shard path."""
 
+import json
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.retrieval import SearchResult, merge_ranked_lists
@@ -62,7 +67,7 @@ class TestEquivalence:
         assert not mine.linked
         assert [(r.doc_id, r.score) for r in mine.results] == \
                [(r.doc_id, r.score) for r in reference.results]
-        assert router.stats().unlinked_queries == 1
+        assert router.stats()["unlinked_queries"] == 1
 
     def test_empty_query_returns_no_results(self, router):
         response = router.expand_query("!!! ???")
@@ -79,11 +84,11 @@ class TestRouting:
         owner = router.owner_shard(first.link.article_ids)
         second = router.expand_query(keywords)
         assert second.expansion_cached
-        per_shard = router.stats().shard_stats
-        assert per_shard[owner].expansion_cache.hits >= 1
+        per_shard = router.stats()["per_shard"]
+        assert per_shard[owner]["expansion_cache"]["hits"] >= 1
         for shard_id, stats in enumerate(per_shard):
             if shard_id != owner:
-                assert stats.expansion_cache.hits == 0
+                assert stats["expansion_cache"]["hits"] == 0
 
     def test_batch_prefills_across_shards(self, small_benchmark, router):
         queries = [topic.keywords for topic in small_benchmark.topics]
@@ -97,7 +102,7 @@ class TestRouting:
         keywords = small_benchmark.topics[0].keywords
         batch = router.batch_expand([keywords, keywords, keywords.upper()])
         assert batch[0] is batch[1] is batch[2]
-        assert router.stats().queries == 3  # offered load
+        assert router.stats()["queries"] == 3  # offered load
 
     def test_clear_caches_forces_recompute(self, small_benchmark, router):
         keywords = small_benchmark.topics[0].keywords
@@ -112,20 +117,18 @@ class TestStats:
     def test_stats_shape(self, small_benchmark, router):
         router.expand_query(small_benchmark.topics[0].keywords)
         router.batch_expand([small_benchmark.topics[1].keywords])
-        stats = router.stats()
-        assert stats.shards == 4
-        assert stats.queries == 2
-        assert stats.batches == 1
-        payload = stats.as_dict()
+        payload = router.stats()
         assert payload["shards"] == 4
+        assert payload["queries"] == 2
+        assert payload["batches"] == 1
         assert len(payload["per_shard"]) == 4
         for cache_key in ("link_cache", "expansion_cache"):
             assert payload[cache_key]["capacity"] > 0
             assert payload[cache_key]["size"] >= 0
-        aggregate = stats.expansion_cache
-        assert aggregate.misses == sum(
-            s.expansion_cache.misses for s in stats.shard_stats
+        assert payload["expansion_cache"]["misses"] == sum(
+            s["expansion_cache"]["misses"] for s in payload["per_shard"]
         )
+        assert json.loads(json.dumps(payload)) == payload
 
     def test_requests_total_is_monotonic_and_counts_batch_members(
         self, small_benchmark, router
@@ -136,10 +139,7 @@ class TestStats:
             small_benchmark.topics[1].keywords,
             small_benchmark.topics[1].keywords,
         ])
-        stats = router.stats()
-        assert stats.requests_total == 3
-        assert stats.errors == 0
-        payload = stats.as_dict()
+        payload = router.stats()
         assert payload["requests_total"] == 3
         assert payload["errors"] == 0
 
@@ -155,9 +155,9 @@ class TestStats:
         with pytest.raises(RuntimeError):
             router.batch_expand([small_benchmark.topics[1].keywords])
         stats = router.stats()
-        assert stats.requests_total == 2  # offered load, failures included
-        assert stats.errors == 2
-        assert stats.queries == 0
+        assert stats["requests_total"] == 2  # offered load, failures included
+        assert stats["errors"] == 2
+        assert stats["queries"] == 0
 
     def test_per_shard_queries_add_up_to_the_router_queries(
         self, small_benchmark, router
@@ -171,9 +171,27 @@ class TestStats:
             response = router.expand_query(text)
             expected[router.owner_shard(response.link.article_ids)] += 1
         stats = router.stats()
-        assert [shard.queries for shard in stats.shard_stats] == expected
-        assert sum(expected) == stats.queries == len(texts)
-        assert [s["queries"] for s in stats.as_dict()["per_shard"]] == expected
+        assert [s["queries"] for s in stats["per_shard"]] == expected
+        assert sum(expected) == stats["queries"] == len(texts)
+
+    def test_threads_racing_through_the_router_lose_no_count(
+        self, small_benchmark, router
+    ):
+        """Every count lives in a lock-guarded registry family; threads
+        (more than cores, switching often) lose no increment."""
+        texts = [t.keywords for t in small_benchmark.topics] * 4
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4 * (os.cpu_count() or 2)) as pool:
+                list(pool.map(router.expand_query, texts, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        stats = router.stats()
+        assert stats["requests_total"] == stats["queries"] == len(texts)
+        assert sum(s["queries"] for s in stats["per_shard"]) == len(texts)
+        cache = stats["expansion_cache"]
+        assert cache["hits"] + cache["misses"] == len(texts)
 
     def test_per_shard_hit_rates_guard_zero_lookups(self, small_benchmark, router):
         """Shards that never saw a lookup report 0.0, not a ZeroDivisionError,
@@ -183,15 +201,16 @@ class TestStats:
         assert first.linked
         router.expand_query(keywords)  # warm repeat: owner shard hits
         stats = router.stats()
-        rates = stats.per_shard_hit_rates
-        assert len(rates) == stats.shards
+        rates = stats["per_shard_hit_rates"]
+        assert len(rates) == stats["shards"]
         owner = router.owner_shard(first.link.article_ids)
         assert rates[owner] > 0.0
         for shard_id, rate in enumerate(rates):
             if shard_id != owner:
                 assert rate == 0.0
-        payload = stats.as_dict()
-        assert payload["per_shard_hit_rates"] == [round(r, 4) for r in rates]
+        assert rates == [
+            s["expansion_cache"]["hit_rate"] for s in stats["per_shard"]
+        ]
 
     def test_empty_segments_are_tolerated(self, snapshot, small_benchmark):
         """More shards than needed leaves some segments empty; ranking

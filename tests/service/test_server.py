@@ -497,12 +497,14 @@ class TestShardProtocolCalls:
             ]
         assert spans == [(3, False), (3, True)]
 
-    def test_expand_seeds_counts_a_shard_query_and_expand_query_counts_once(
+    def test_expand_seeds_leaves_counting_to_the_router(
         self, small_benchmark, service
     ):
+        """A worker's answer is counted by the router plan that asked for
+        it (``repro_shard_queries_total``), not by the worker."""
         keywords = small_benchmark.topics[0].keywords
         response = service.expand_query(keywords)
         assert service.stats().queries == 1  # not 2: its own path is private
         service.expand_seeds(response.link.article_ids)
         service.expand_seeds(frozenset())
-        assert service.stats().queries == 3
+        assert service.stats().queries == 1

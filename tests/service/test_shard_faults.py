@@ -354,7 +354,7 @@ class TestSupervisedWorkers:
                        [(r.doc_id, r.score) for r in ref.results], topic.keywords
             assert all(w["state"] == "up" for w in supervisor.describe())
             stats = async_router.stats()
-            assert stats.worker_restarts == 0
+            assert stats["worker_restarts"] == 0
         finally:
             async_router.close()
             supervisor.stop()

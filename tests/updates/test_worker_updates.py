@@ -333,6 +333,51 @@ class TestSupervisedLiveUpdates:
             async_router.close()
             supervisor.stop()
 
+    def test_apply_summary_counts_what_the_workers_evicted(
+        self, small_benchmark, snapshot, tmp_path_factory
+    ):
+        """With worker processes serving, theirs are the expansion caches
+        a delta evicts from: the apply summary, the eviction metric and
+        ``/stats`` count what the reached workers evicted (they counted
+        the router's idle in-process caches, 0, and the next answer was
+        nevertheless ``expansion_cached: false``)."""
+        root = tmp_path_factory.mktemp("live-evictions")
+        sharded = ShardedSnapshot.from_snapshot(snapshot, num_shards=2)
+        sharded.save(root)
+        query = small_benchmark.topics[0].keywords
+        supervisor = ShardSupervisor(str(root), 2)
+        supervisor.start(timeout_s=120.0)
+        router = ShardRouter(sharded)
+        async_router = AsyncShardRouter(router, supervisor=supervisor)
+        coordinator = UpdateCoordinator(
+            router, snapshot_dir=root, supervisor=supervisor
+        )
+        seeds = router.link_text(router.normalize(query))[0].article_ids
+        # A reciprocal link pair on a seed: a new 2-cycle.
+        payloads = _payloads(min(seeds)) + [{
+            "op": "add_edge", "seq": 3, "source": min(seeds), "target": _NEW,
+            "kind": "link",
+        }]
+
+        def ask():
+            return asyncio.run(async_router.expand_query(query, top_k=10))
+
+        try:
+            assert [ask().expansion_cached for _ in range(2)] == [False, True]
+            summary = coordinator.apply(payloads)
+            assert summary["stale_workers"] == []
+            evicted = summary["invalidated"]["expansion"]
+            assert evicted >= 1
+            metric = router.metrics.delta_invalidations
+            assert metric.value(cache="expansion") == evicted
+            assert async_router.stats()["delta_invalidations"] == \
+                evicted + summary["invalidated"]["link"]
+            assert not ask().expansion_cached
+        finally:
+            async_router.close()
+            supervisor.stop()
+            router.close()
+
     def test_conditional_fetch_follows_delta_eviction(
         self, small_benchmark, snapshot, tmp_path_factory
     ):
