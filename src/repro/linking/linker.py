@@ -85,7 +85,7 @@ class EntityLinker:
         A prebuilt vocabulary (tokenised title -> article id), e.g. one
         loaded from a service snapshot.  When given, the title scan over
         ``graph`` is skipped entirely; the caller asserts the vocabulary
-        was built with a compatible tokenizer.
+        was built with a compatible tokenizer.  It is adopted, not copied.
     """
 
     def __init__(
@@ -116,7 +116,7 @@ class EntityLinker:
         if title_index is not None:
             if not title_index:
                 raise LinkingError("prebuilt title_index must be non-empty")
-            self._title_index = {tuple(t): a for t, a in title_index.items()}
+            self._title_index = title_index
         else:
             for article in sorted(graph.articles(), key=lambda a: a.node_id):
                 tokens = self._title_key(article.title)

@@ -43,6 +43,7 @@ import gzip
 import hashlib
 import json
 import os
+import sys
 from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -72,6 +73,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 __all__ = [
     "Snapshot",
     "ShardedSnapshot",
+    "SnapshotShard",
     "SNAPSHOT_FORMAT",
     "COMPACT_SNAPSHOT_VERSION",
     "MANIFEST_NAME",
@@ -105,12 +107,16 @@ def _write_json_gz(path: Path, payload: dict) -> None:
 def _read_json_gz(path: Path) -> dict:
     try:
         with gzip.open(path, "rt", encoding="utf-8") as handle:
-            return json.load(handle)
+            payload = json.load(handle)
     except FileNotFoundError:
         raise SnapshotError(f"snapshot is missing {path.name}") from None
-    # EOFError: gzip stream truncated (not an OSError subclass).
-    except (OSError, EOFError, json.JSONDecodeError) as exc:
+    # EOFError: gzip stream truncated (not an OSError subclass);
+    # ValueError: invalid JSON or invalid UTF-8.
+    except (OSError, EOFError, ValueError) as exc:
         raise SnapshotError(f"snapshot file {path.name} is corrupt: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise SnapshotError(f"snapshot file {path.name} is malformed: not a JSON object")
+    return payload
 
 
 def _sha256(path: Path) -> str:
@@ -127,9 +133,11 @@ def _linker_payload(title_index: dict[tuple[str, ...], int]) -> dict:
 
 
 def _parse_linker_payload(payload: dict) -> dict[tuple[str, ...], int]:
+    # The parser makes one str per token occurrence; the vocabulary holds
+    # each distinct token once (≈ 200 of them for ≈ 15k occurrences).
     try:
         return {
-            tuple(str(t) for t in tokens): int(article_id)
+            tuple(sys.intern(str(t)) for t in tokens): int(article_id)
             for tokens, article_id in payload["entries"]
         }
     except (KeyError, TypeError, ValueError) as exc:
@@ -328,6 +336,25 @@ def _check_counts(declared: dict, actual: dict[str, int], where: str) -> None:
             )
 
 
+@dataclass(frozen=True, slots=True)
+class SnapshotShard:
+    """What one shard's worker serves from: the graph, this shard's
+    segment and prefill, ``mu`` and the generation — no vocabulary, no
+    document names (the router links and names), no other segment."""
+
+    shard_id: int
+    graph: CompactGraphView
+    segment: CompactIndex
+    mu: float
+    generation: int
+    prefill: PrefillEntries
+    prefill_expander: str
+
+    def make_engine(self) -> SearchEngine:
+        """A ready engine over this shard's index segment."""
+        return SearchEngine(smoothing=DirichletSmoothing(mu=self.mu), index=self.segment)
+
+
 @dataclass(slots=True)
 class ShardedSnapshot:
     """One logical snapshot stored and served as N physical shards.
@@ -496,22 +523,11 @@ class ShardedSnapshot:
         """Total precomputed expansions across all shards."""
         return sum(len(entries) for entries in self.prefills)
 
-    def prefill_for(self, shard_id: int, expander) -> PrefillEntries:
-        """Entries a worker for ``shard_id`` should warm its cache with.
-
-        Returns ``()`` when the snapshot carries no prefill or when
-        ``expander``'s fingerprint differs from the one that computed
-        the prefill — warming would then serve another strategy's (or
-        another configuration's) results; those queries must run cold
-        instead.  Serving layers size the expansion cache to
-        ``len()`` of this result so warmed entries cannot evict each
-        other before the first request.
-        """
-        if not self.prefills:
-            return ()
-        if self.prefill_expander != expander_fingerprint(expander):
-            return ()
-        return self.prefills[shard_id]
+    def shard(self, shard_id: int) -> SnapshotShard:
+        """The parts ``shard_id``'s worker serves from, in compact form."""
+        s = self.frozen()
+        return SnapshotShard(shard_id, s.graph, s.segments[shard_id], s.mu, s.generation,
+                             s.prefills[shard_id] if s.prefills else (), s.prefill_expander)
 
     # ------------------------------------------------------------------
     # Persistence
@@ -538,7 +554,9 @@ class ShardedSnapshot:
             shard_dir.mkdir(exist_ok=True)
             (shard_dir / _INDEX_BLOB_NAME).write_bytes(segment.to_blob())
             checksums = {_INDEX_BLOB_NAME: _sha256(shard_dir / _INDEX_BLOB_NAME)}
+            counts = {"documents": segment.num_documents}
             if source.prefills:
+                counts["prefill_entries"] = len(source.prefills[shard_id])
                 _write_json_gz(
                     shard_dir / _PREFILL_NAME,
                     _prefill_payload(
@@ -549,7 +567,7 @@ class ShardedSnapshot:
             shard_entries.append({
                 "dir": shard_dir.name,
                 "checksums": checksums,
-                "counts": {"documents": segment.num_documents},
+                "counts": counts,
             })
         _write_json_gz(directory / _LINKER_NAME, _linker_payload(self.title_index))
         _write_json_gz(directory / _DOCUMENTS_NAME, dict(sorted(self.doc_names.items())))
@@ -587,7 +605,9 @@ class ShardedSnapshot:
         }
 
     @classmethod
-    def load(cls, directory: str | Path) -> "ShardedSnapshot":
+    def load(
+        cls, directory: str | Path, *, shard: int | None = None
+    ) -> "ShardedSnapshot | SnapshotShard":
         """Load a snapshot directory (following its ``CURRENT`` pointer).
 
         Every artefact's sha256 is verified against the manifest before
@@ -595,6 +615,9 @@ class ShardedSnapshot:
         always receive the compact read path.  Raises
         :class:`SnapshotError` on a version this build does not read, on
         checksum mismatches, missing shards, or count inconsistencies.
+        With ``shard`` (a worker's load) every checksum is still
+        verified, but only the graph and that shard's parts are
+        materialised and count-checked, as a :class:`SnapshotShard`.
         """
         directory = resolve_snapshot_dir(directory)
         manifest_path = directory / MANIFEST_NAME
@@ -631,6 +654,10 @@ class ShardedSnapshot:
                 f"snapshot manifest declares {declared_shards!r} shards but lists "
                 f"{len(shard_entries)} shard artefact entries"
             )
+        if shard is not None and not 0 <= shard < declared_shards:
+            raise SnapshotError(
+                f"shard {shard} out of range: snapshot has {declared_shards} shard(s)"
+            )
 
         def verified(path: Path, expected: str | None) -> Path:
             if not path.exists():
@@ -661,57 +688,67 @@ class ShardedSnapshot:
                 ) from exc
 
         shared = manifest.get("shared_checksums", {})
-        title_index = _parse_linker_payload(_read_json_gz(
-            verified(directory / _LINKER_NAME, shared.get(_LINKER_NAME))
-        ))
-        doc_names = {
-            str(doc_id): str(name)
-            for doc_id, name in _read_json_gz(
-                verified(directory / _DOCUMENTS_NAME, shared.get(_DOCUMENTS_NAME))
-            ).items()
-        }
-        graph = load_blob(CompactGraphView.load, verified(
-            directory / _GRAPH_BLOB_NAME, shared.get(_GRAPH_BLOB_NAME)
-        ))
+        linker_path, documents_path, graph_path = [
+            verified(directory / name, shared.get(name))
+            for name in (_LINKER_NAME, _DOCUMENTS_NAME, _GRAPH_BLOB_NAME)
+        ]
+        graph = load_blob(CompactGraphView.load, graph_path)
+        prefilled = [_PREFILL_NAME in entry.get("checksums", {}) for entry in shard_entries]
+        if any(prefilled) and not all(prefilled):
+            raise SnapshotError(
+                f"snapshot at {directory} is inconsistent: {sum(prefilled)} shards "
+                f"carry prefill artefacts but {len(shard_entries)} shards exist"
+            )
 
         segments: list[CompactIndex] = []
         prefills: list[PrefillEntries] = []
         prefill_expanders: set[str] = set()
-        for entry in shard_entries:
+        for shard_id, entry in enumerate(shard_entries):
             shard_dir = directory / str(entry.get("dir", ""))
             checksums = entry.get("checksums", {})
-            segment = load_blob(CompactIndex.load, verified(
+            index_path = verified(
                 shard_dir / _INDEX_BLOB_NAME, checksums.get(_INDEX_BLOB_NAME)
-            ))
-            if _PREFILL_NAME in checksums:
-                prefill_payload = _read_json_gz(
-                    verified(shard_dir / _PREFILL_NAME, checksums[_PREFILL_NAME])
-                )
+            )
+            prefill_path = prefilled[shard_id] and verified(
+                shard_dir / _PREFILL_NAME, checksums[_PREFILL_NAME]
+            )
+            if shard not in (None, shard_id):
+                continue  # verified, never materialised
+            segments.append(load_blob(CompactIndex.load, index_path))
+            counts = {"documents": segments[-1].num_documents}
+            if prefill_path:
+                prefill_payload = _read_json_gz(prefill_path)
                 prefills.append(_parse_prefill_payload(prefill_payload))
                 prefill_expanders.add(str(prefill_payload.get("expander", "")))
+                counts["prefill_entries"] = len(prefills[-1])
             _check_counts(
-                entry.get("counts", {}), {"documents": segment.num_documents},
-                f"snapshot shard {shard_dir.name}",
+                entry.get("counts", {}), counts, f"snapshot shard {shard_dir.name}"
             )
-            segments.append(segment)
 
-        if prefills and len(prefills) != len(segments):
-            raise SnapshotError(
-                f"snapshot at {directory} is inconsistent: {len(prefills)} shards "
-                f"carry prefill artefacts but {len(segments)} shards exist"
-            )
         if len(prefill_expanders) > 1:
             raise SnapshotError(
                 f"snapshot at {directory} is inconsistent: shards disagree on "
                 f"the prefill expander ({sorted(prefill_expanders)})"
             )
+        prefill_expander = next(iter(prefill_expanders), "")
+        generation = int(manifest.get("generation", 1))
+        if shard is not None:
+            _check_counts(manifest.get("counts", {}), {
+                key: getattr(graph, f"num_{key}") for key in ("articles", "categories", "edges")
+            }, f"snapshot at {directory}")
+            return SnapshotShard(
+                shard, graph, segments[0], mu, generation,
+                prefills[0] if prefills else (), prefill_expander,
+            )
         snapshot = cls(
             graph=graph, segments=tuple(segments),
-            title_index=title_index, doc_names=doc_names, mu=mu,
-            prefills=tuple(prefills),
-            prefill_expander=next(iter(prefill_expanders), ""),
-            source_version=version,
-            generation=int(manifest.get("generation", 1)),
+            title_index=_parse_linker_payload(_read_json_gz(linker_path)),
+            doc_names={
+                str(doc_id): str(name)
+                for doc_id, name in _read_json_gz(documents_path).items()
+            },
+            mu=mu, prefills=tuple(prefills), prefill_expander=prefill_expander,
+            source_version=version, generation=generation,
         )
         _check_counts(
             manifest.get("counts", {}), snapshot._global_counts(),
@@ -738,15 +775,6 @@ class ShardedSnapshot:
             f"{layout}; shards={self.num_shards}, "
             f"documents={self.num_documents}, titles={len(self.title_index)}, "
             f"prefilled={self.num_prefilled}"
-        )
-
-    def make_segment_engine(
-        self, shard_id: int, smoothing: Smoothing | None = None
-    ) -> SearchEngine:
-        """A ready engine over one shard's index segment."""
-        return SearchEngine(
-            smoothing=smoothing or DirichletSmoothing(mu=self.mu),
-            index=self.segments[shard_id],
         )
 
     def make_linker(self, **kwargs) -> EntityLinker:

@@ -114,8 +114,7 @@ class ShardRouter:
         # identically configured shards.
         self._workers = [
             make_shard_worker(
-                snapshot,
-                shard_id,
+                snapshot.shard(shard_id),
                 expander=shared_expander,
                 expansion_cache_size=expansion_cache_size,
             )

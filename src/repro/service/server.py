@@ -182,7 +182,7 @@ class ExpansionService:
         :class:`NeighborhoodCycleExpander`.
     doc_names:
         Optional ``doc_id -> display name`` map used by callers that render
-        results (the CLI); the service itself only passes it through.
+        results (the CLI); the service holds it as given, uncopied.
     link_cache_size / expansion_cache_size:
         LRU bounds of the two cache layers.
     allow_empty_index:
@@ -214,7 +214,7 @@ class ExpansionService:
         self._engine = engine
         self._linker = linker
         self._expander = expander or NeighborhoodCycleExpander()
-        self.doc_names = dict(doc_names or {})
+        self.doc_names = doc_names or {}
         self._link_cache = LRUCache(link_cache_size)
         self._expansion_cache = LRUCache(expansion_cache_size)
         self._lock = threading.Lock()

@@ -58,11 +58,11 @@ import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.core.expansion import Expander, NeighborhoodCycleExpander
+from repro.core.expansion import Expander, NeighborhoodCycleExpander, expander_fingerprint
 from repro.errors import ServiceError
 from repro.obs import trace as tracing
 from repro.service import wire
-from repro.service.artifacts import ShardedSnapshot
+from repro.service.artifacts import ShardedSnapshot, SnapshotShard
 from repro.service.cache import LRUCache
 from repro.service.faults import FaultPlan
 from repro.service.server import ExpansionService
@@ -82,8 +82,7 @@ _CALLS = (
 
 
 def make_shard_worker(
-    snapshot: ShardedSnapshot,
-    shard_id: int,
+    shard: SnapshotShard,
     *,
     expander: Expander | None = None,
     expansion_cache_size: int = 1024,
@@ -91,24 +90,27 @@ def make_shard_worker(
     """One shard's :class:`ExpansionService`, configured the router way.
 
     Shared by :class:`~repro.service.router.ShardRouter` (in-process
-    workers) and :class:`ShardWorkerServer` (worker processes), so both
-    deployments serve from identically configured workers: no linker
-    (linking happens at the router), expansion cache sized to hold the
-    shard's whole prefill, empty index segments allowed, and the
-    prefilled expansions warmed before the first request.
+    workers, from ``snapshot.shard(i)``) and :class:`ShardWorkerServer`
+    (worker processes, from ``ShardedSnapshot.load(dir, shard=i)``), so
+    both deployments serve from identically configured workers: no
+    linker and no document names (the router links and names),
+    expansion cache sized to hold the shard's whole prefill, empty index
+    segments allowed, and the prefilled expansions warmed before the
+    first request.
     """
-    snapshot = snapshot.frozen()
     expander = expander or NeighborhoodCycleExpander()
-    prefill = snapshot.prefill_for(shard_id, expander)
+    # Another strategy's (or configuration's) prefill would serve its
+    # results: those queries run cold instead.
+    same = shard.prefill_expander == expander_fingerprint(expander)
+    prefill = shard.prefill if same else ()
     worker = ExpansionService(
-        snapshot.graph,
-        snapshot.make_segment_engine(shard_id),
+        shard.graph,
+        shard.make_engine(),
         None,
         expander,
-        doc_names=snapshot.doc_names,
         expansion_cache_size=max(expansion_cache_size, len(prefill)),
         allow_empty_index=True,
-        shard_id=shard_id,
+        shard_id=shard.shard_id,
     )
     if prefill:
         worker.warm_expansions(prefill)
@@ -358,26 +360,21 @@ def run_worker(
     """Load one shard and serve it until interrupted (the CLI entry).
 
     ``snapshot_dir`` is the snapshot *root*: the loader follows its
-    ``CURRENT`` generation pointer, and any delta-log segments of the
-    loaded generation are replayed before the socket opens — a
-    restarted worker catches up to the batches its peers applied live
+    ``CURRENT`` generation pointer, verifies every artefact's checksum
+    and materialises only this shard's parts (no vocabulary, no document
+    names, no other segment).  Any delta-log segments of the loaded
+    generation are replayed before the socket opens — a restarted worker
+    catches up to the batches its peers applied live
     (``docs/live_updates.md``).
     """
     from repro.updates import DeltaLog, ShardWorkerUpdater
 
-    snapshot = ShardedSnapshot.load(snapshot_dir)
-    if not 0 <= shard_id < snapshot.num_shards:
-        raise ServiceError(
-            f"shard {shard_id} out of range: snapshot has "
-            f"{snapshot.num_shards} shard(s)"
-        )
+    shard = ShardedSnapshot.load(snapshot_dir, shard=shard_id)
     faults = FaultPlan.from_spec(fault_spec) if fault_spec \
         else FaultPlan.from_env()
-    worker = make_shard_worker(snapshot, shard_id)
-    updater = ShardWorkerUpdater(
-        worker, snapshot.graph, generation=snapshot.generation
-    )
-    pending = DeltaLog(snapshot_dir).replay(snapshot.generation)
+    worker = make_shard_worker(shard)
+    updater = ShardWorkerUpdater(worker, shard.graph, generation=shard.generation)
+    pending = DeltaLog(snapshot_dir).replay(shard.generation)
     if pending:
         updater.apply(pending)
     server = ShardWorkerServer(

@@ -44,7 +44,7 @@ class TestRoundTrip:
     def test_identical_ranking_after_reload(self, small_benchmark, snapshot_dir):
         loaded = ShardedSnapshot.load(snapshot_dir)
         fresh_engine = small_benchmark.build_engine()
-        reloaded_engine = loaded.make_segment_engine(0)
+        reloaded_engine = loaded.shard(0).make_engine()
         for topic in small_benchmark.topics:
             fresh = fresh_engine.search(topic.keywords, top_k=10)
             reloaded = reloaded_engine.search(topic.keywords, top_k=10)

@@ -360,7 +360,7 @@ class TestPrefill:
             .with_prefill([t.keywords for t in small_benchmark.topics])
         service = ExpansionService(
             single.graph,
-            single.make_segment_engine(0),
+            single.shard(0).make_engine(),
             single.make_linker(),
             doc_names=single.doc_names,
         )

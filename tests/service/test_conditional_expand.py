@@ -52,7 +52,7 @@ def sharded1_dir(sharded1, tmp_path_factory):
 
 @pytest.fixture()
 def worker(sharded1):
-    return make_shard_worker(sharded1, 0)  # fresh caches per test
+    return make_shard_worker(sharded1.shard(0))  # fresh caches per test
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +105,7 @@ class TestNotModified:
             return [await traced_expand(adapter, seeds) for _ in range(3)]
 
         first, second, third = with_server(worker, fn)
-        reference = make_shard_worker(sharded1, 0)
+        reference = make_shard_worker(sharded1.shard(0))
         assert first[0] == reference.expand_seeds(seeds)[0]
         assert [cached for _, cached, _ in (first, second, third)] == \
             [False, True, True]
@@ -152,7 +152,7 @@ class TestNotModified:
     ):
         """The worker re-mines an entry its expansion LRU dropped: equal
         content, but a different object — the old token must not match."""
-        tiny = make_shard_worker(sharded1, 0, expansion_cache_size=1)
+        tiny = make_shard_worker(sharded1.shard(0), expansion_cache_size=1)
         first_seeds, second_seeds = seed_sets[:2]
 
         async def fn(adapter, _server):

@@ -66,7 +66,7 @@ def sharded2_dir(sharded2, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def worker(sharded1):
-    return make_shard_worker(sharded1, 0)
+    return make_shard_worker(sharded1.shard(0))
 
 
 def probe(text):

@@ -44,7 +44,7 @@ def sharded1(snapshot) -> ShardedSnapshot:
 
 @pytest.fixture()
 def worker(sharded1):
-    return make_shard_worker(sharded1, 0)  # fresh caches per test
+    return make_shard_worker(sharded1.shard(0))  # fresh caches per test
 
 
 @pytest.fixture(scope="module")
@@ -225,7 +225,7 @@ class TestCacheAccounting:
         (which is all the parent's server did)."""
         a, b, c = seed_sets[:3]
         sequence = [a, b, a, c, b, b, frozenset(), a, c]
-        reference = make_shard_worker(sharded1, 0)
+        reference = make_shard_worker(sharded1.shard(0))
         expected = [reference.expand_seeds(seeds) for seeds in sequence]
 
         async def fn(_server, adapter):

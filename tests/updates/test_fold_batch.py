@@ -276,7 +276,7 @@ def test_coordinator_and_worker_updater_agree_on_one_log(sharded2, seed):
     )
 
     router = ShardRouter(sharded)
-    worker = make_shard_worker(sharded, 0)
+    worker = make_shard_worker(sharded.shard(0))
     sides = (
         (UpdateCoordinator(router), router.workers[0]),
         (ShardWorkerUpdater(worker, sharded.graph), worker),

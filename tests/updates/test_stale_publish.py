@@ -201,10 +201,10 @@ class TestExpansionMinedAcrossADelta:
         etag names an object the worker no longer serves."""
         _query, seeds, payloads = topic
         gated = GatedExpander()
-        worker = make_shard_worker(sharded1, 0, expander=gated)
+        worker = make_shard_worker(sharded1.shard(0), expander=gated)
         updater = ShardWorkerUpdater(worker, sharded1.graph)
         rebuilt = make_shard_worker(
-            _rebuilt(small_benchmark, sharded1, payloads), 0
+            _rebuilt(small_benchmark, sharded1, payloads).shard(0)
         )
 
         async def scenario():
@@ -265,10 +265,10 @@ class TestComposedAcrossADelta:
         it must answer from its one view and publish nothing."""
         _query, seeds, payloads = topic
         gated = GatedAnchors()
-        worker = make_shard_worker(sharded1, 0, expander=gated)
+        worker = make_shard_worker(sharded1.shard(0), expander=gated)
         updater = ShardWorkerUpdater(worker, sharded1.graph)
         rebuilt = make_shard_worker(
-            _rebuilt(small_benchmark, sharded1, payloads), 0
+            _rebuilt(small_benchmark, sharded1, payloads).shard(0)
         )
         seeds = frozenset(seeds)
         tail = next(

@@ -9,6 +9,7 @@ log replay on restart, rolling reload across a compaction).
 
 import asyncio
 import socket as socketlib
+from pathlib import Path
 
 import pytest
 
@@ -68,7 +69,7 @@ class TestShardWorkerUpdater:
         """A worker applying a batch itself answers like a router whose
         coordinator published the same batch."""
         anchor = _anchor(small_benchmark)
-        worker = make_shard_worker(sharded1, 0)
+        worker = make_shard_worker(sharded1.shard(0))
         updater = ShardWorkerUpdater(worker, sharded1.graph)
         summary = updater.apply_payloads(_payloads(anchor))
         assert summary["applied"] == 2
@@ -87,7 +88,7 @@ class TestShardWorkerUpdater:
         self, small_benchmark, sharded1
     ):
         anchor = _anchor(small_benchmark)
-        worker = make_shard_worker(sharded1, 0)
+        worker = make_shard_worker(sharded1.shard(0))
         updater = ShardWorkerUpdater(worker, sharded1.graph)
         assert updater.apply_payloads(_payloads(anchor))["applied"] == 2
         again = updater.apply_payloads(_payloads(anchor))
@@ -100,7 +101,7 @@ class TestShardWorkerUpdater:
     def test_replay_summary_has_the_applied_summary_shape(
         self, small_benchmark, sharded1
     ):
-        worker = make_shard_worker(sharded1, 0)
+        worker = make_shard_worker(sharded1.shard(0))
         updater = ShardWorkerUpdater(worker, sharded1.graph)
         first = updater.apply_payloads(_payloads(_anchor(small_benchmark)))
         replay = updater.apply_payloads(_payloads(_anchor(small_benchmark)))
@@ -117,7 +118,7 @@ class TestWorkersHoldNoLinker:
     no shard worker builds, holds or patches an entity linker."""
 
     def test_a_shard_worker_has_no_linker(self, sharded1):
-        assert make_shard_worker(sharded1, 0).linker is None
+        assert make_shard_worker(sharded1.shard(0)).linker is None
 
     def test_router_workers_stay_linkerless_across_apply_and_swap(
         self, small_benchmark, sharded1
@@ -151,7 +152,7 @@ class TestWorkersHoldNoLinker:
         for name in calls:
             monkeypatch.setattr(EntityLinker, name, counting(name))
         anchor = _anchor(small_benchmark)
-        worker = make_shard_worker(sharded1, 0)
+        worker = make_shard_worker(sharded1.shard(0))
         summary = ShardWorkerUpdater(worker, sharded1.graph).apply_payloads(
             _payloads(anchor)
         )
@@ -182,7 +183,7 @@ def _wire_call(port, frame):
 
 class TestWireApplyDelta:
     def _serve(self, sharded1, fn):
-        worker = make_shard_worker(sharded1, 0)
+        worker = make_shard_worker(sharded1.shard(0))
         updater = ShardWorkerUpdater(worker, sharded1.graph)
 
         async def go():
@@ -235,7 +236,7 @@ class TestWireApplyDelta:
         assert updater.last_seq == 0
 
     def test_server_without_updater_rejects_apply_delta(self, sharded1):
-        worker = make_shard_worker(sharded1, 0)
+        worker = make_shard_worker(sharded1.shard(0))
 
         async def go():
             server = ShardWorkerServer(worker, 0)
@@ -332,6 +333,49 @@ class TestSupervisedLiveUpdates:
             reference.close()
             async_router.close()
             supervisor.stop()
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/maps").exists(), reason="reads /proc/<pid>/maps"
+    )
+    def test_workers_map_only_their_shard_across_the_rolling_reload(
+        self, snapshot, tmp_path_factory
+    ):
+        """A worker process maps the graph and its own segment — of the
+        first generation at start, of ``gen-0002/`` after a compaction's
+        rolling reload — and never another shard's segment."""
+        root = tmp_path_factory.mktemp("live-shard-maps").resolve()
+        sharded = ShardedSnapshot.from_snapshot(snapshot, num_shards=2)
+        sharded.save(root)
+        supervisor = ShardSupervisor(str(root), 2)
+        supervisor.start(timeout_s=120.0)
+        router = ShardRouter(sharded)
+        coordinator = UpdateCoordinator(
+            router, snapshot_dir=root, supervisor=supervisor
+        )
+
+        def mapped():
+            per_worker = []
+            for worker in supervisor.describe():
+                lines = Path(f"/proc/{worker['pid']}/maps").read_text().splitlines()
+                per_worker.append(sorted({
+                    Path(line.split()[-1]).relative_to(root).as_posix()
+                    for line in lines if line.split()[-1].startswith(str(root))
+                }))
+            return per_worker
+
+        try:
+            assert mapped() == [
+                ["graph.bin", "shard-0000/index.bin"],
+                ["graph.bin", "shard-0001/index.bin"],
+            ]
+            assert coordinator.compact()["generation"] == 2
+            assert mapped() == [
+                ["gen-0002/graph.bin", "gen-0002/shard-0000/index.bin"],
+                ["gen-0002/graph.bin", "gen-0002/shard-0001/index.bin"],
+            ]
+        finally:
+            supervisor.stop()
+            router.close()
 
     def test_apply_summary_counts_what_the_workers_evicted(
         self, small_benchmark, snapshot, tmp_path_factory
