@@ -213,6 +213,7 @@ def test_emit_loadgen_slo(phases, emit_bench):
     slo = emit_bench({"loadgen_slo": report})["loadgen_slo"]
     assert slo == json.loads(json.dumps(report))
     assert slo["stream_sha256"] == report["stream_sha256"]
+    assert len(slo["stream_sha256"]) == 64 and slo["target_rate_per_shape"] > 0
     for shape in ("interactive", "flood"):
         summary = slo["shapes"][shape]
         for key in ("p50_ms", "p99_ms", "p999_ms", "error_rate", "shed_rate"):

@@ -348,8 +348,9 @@ def _serve_http(snapshot, snapshot_dir: Path, args: argparse.Namespace) -> int:
     A recency set persisted by a previous process (``recent_queries.json``
     next to the snapshot manifest) is replayed at startup through the
     stack that serves (worker processes included) so the first client
-    hits of a restarted server land at cached latency; the set is saved
-    back on shutdown and at every compaction.
+    hits of a restarted server land at cached latency — the same replay
+    every ``POST /admin/compact`` runs; the set is saved back on
+    shutdown and at every compaction.
     """
     import asyncio
 
@@ -415,13 +416,7 @@ def _serve_http(snapshot, snapshot_dir: Path, args: argparse.Namespace) -> int:
 
     async def run() -> None:
         if request_log.load_recent(snapshot_dir):
-            warmed = 0
-            for query in request_log.recent_queries():
-                try:
-                    await service.expand_query(query, top_k=1)
-                    warmed += 1
-                except Exception:  # noqa: BLE001 — warming must not block startup
-                    continue
+            warmed = await front.replay_recent()
             print(f"warm start: replayed {warmed} persisted recent "
                   f"quer{'y' if warmed == 1 else 'ies'}", flush=True)
         server = await front.start(args.host, args.http)

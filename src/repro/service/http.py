@@ -269,6 +269,20 @@ class HttpFrontEnd:
     def admission(self) -> AdmissionController | None:
         return self._admission
 
+    async def replay_recent(self) -> int:
+        """Re-expand the request log's recent queries through the router
+        this front end serves — under ``--workers``, in the worker
+        processes that answer — and return how many answered.  Run at
+        startup (a persisted recency set) and after every compaction."""
+        warmed = 0
+        for query in self._request_log.recent_queries():
+            try:
+                await self._service.expand_query(query, top_k=1)
+                warmed += 1
+            except Exception:  # noqa: BLE001 — warming never fails its caller
+                continue
+        return warmed
+
     # ------------------------------------------------------------------
     # Connection handling
     # ------------------------------------------------------------------
@@ -756,10 +770,12 @@ class HttpFrontEnd:
 
         The body is an empty JSON object (reserved for future options).
         Compaction is serialised against concurrent applies inside the
-        coordinator; the response reports the new generation.
+        coordinator; the response reports the new generation and how many
+        recent queries were replayed into the restarted caches.
         """
         del payload  # no options yet; the empty object is the contract
-        coordinator = self._coordinator
-        return await asyncio.get_running_loop().run_in_executor(
-            None, coordinator.compact
+        summary = await asyncio.get_running_loop().run_in_executor(
+            None, self._coordinator.compact
         )
+        summary["warmed_queries"] = await self.replay_recent()
+        return summary

@@ -105,7 +105,7 @@ class ShardRouter:
         snapshot = snapshot.frozen()
         self.snapshot = snapshot
         self._view = snapshot.graph
-        self.doc_names = dict(snapshot.doc_names)
+        self.doc_names = snapshot.doc_names
         self._linker = snapshot.make_linker()
         shared_expander = expander or NeighborhoodCycleExpander()
         # Worker construction (cache sizing, warm-cache prefill) is

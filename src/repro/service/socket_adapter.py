@@ -327,23 +327,7 @@ class SocketShardAdapter:
             await wire.write_frame(
                 writer, {"call": "hello", "protocol": SHARD_PROTOCOL_VERSION}
             )
-            hello = await wire.read_frame(reader)
-            if hello is None:
-                raise WireProtocolError(
-                    f"shard {self._shard_id}: connection closed during handshake"
-                )
-            error = hello.get("error")
-            if error is not None:
-                raise WorkerCallError(
-                    self._shard_id, str(error.get("type")), str(error.get("message"))
-                )
-            if hello.get("protocol") != SHARD_PROTOCOL_VERSION:
-                raise WorkerCallError(
-                    self._shard_id,
-                    "protocol_mismatch",
-                    f"worker speaks shard protocol {hello.get('protocol')!r}, "
-                    f"this adapter speaks {SHARD_PROTOCOL_VERSION}",
-                )
+            wire.check_hello(await wire.read_frame(reader), self._shard_id)
         except BaseException:  # no handshake, no connection
             writer.close()
             raise

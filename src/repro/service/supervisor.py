@@ -36,15 +36,13 @@ from __future__ import annotations
 
 import os
 import re
-import socket
 import subprocess
 import sys
 import threading
 import time
 
-from repro.errors import ServiceError, ShardUnavailableError, WireProtocolError
+from repro.errors import ServiceError, ShardUnavailableError
 from repro.service import wire
-from repro.service.wire import SHARD_PROTOCOL_VERSION
 
 __all__ = ["ShardSupervisor", "WorkerInfo"]
 
@@ -367,19 +365,10 @@ class ShardSupervisor:
 
     def _ping(self, host: str, port: int) -> bool:
         try:
-            with socket.create_connection((host, port), timeout=1.0) as sock:
-                sock.settimeout(2.0)
-                wire.send_frame(
-                    sock, {"call": "hello", "protocol": SHARD_PROTOCOL_VERSION}
-                )
-                hello = wire.recv_frame(sock)
-        except (OSError, WireProtocolError):
+            wire.blocking_call((host, port), timeout=2.0)
+        except (OSError, ServiceError):
             return False
-        return bool(
-            hello
-            and hello.get("ok")
-            and hello.get("protocol") == SHARD_PROTOCOL_VERSION
-        )
+        return True
 
     def __repr__(self) -> str:
         states = ",".join(info.state for info in self._workers)

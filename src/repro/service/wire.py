@@ -38,7 +38,7 @@ import struct
 from repro.core.cycles import Cycle
 from repro.core.expansion import ExpansionResult
 from repro.core.features import CycleFeatures
-from repro.errors import WireProtocolError
+from repro.errors import WireProtocolError, WorkerCallError
 from repro.retrieval.engine import SearchResult
 from repro.retrieval.qlang import (
     BandNode,
@@ -62,6 +62,8 @@ __all__ = [
     "write_frame",
     "recv_frame",
     "send_frame",
+    "check_hello",
+    "blocking_call",
     "encode_expansion",
     "decode_expansion",
     "encode_query",
@@ -184,7 +186,7 @@ async def write_frame(writer: asyncio.StreamWriter, payload: dict) -> None:
 def recv_frame(
     sock: socket.socket, *, max_frame_bytes: int = MAX_FRAME_BYTES
 ) -> dict | None:
-    """Blocking counterpart of :func:`read_frame` (supervisor health pings)."""
+    """Blocking counterpart of :func:`read_frame` (:func:`blocking_call`)."""
 
     def read_exactly(n: int) -> bytes:
         chunks = []
@@ -210,6 +212,48 @@ def recv_frame(
 
 def send_frame(sock: socket.socket, payload: dict) -> None:
     sock.sendall(encode_frame(payload))
+
+
+def check_hello(hello: dict | None, shard_id: int | None = None) -> dict:
+    """A worker's ``hello`` reply if it accepts this protocol version;
+    :class:`WireProtocolError` if it hung up, :class:`WorkerCallError`
+    if it refused or speaks another version."""
+    if hello is None:
+        raise WireProtocolError(
+            f"shard {shard_id}: connection closed during handshake"
+        )
+    error = hello.get("error")
+    if error is not None:
+        raise WorkerCallError(
+            shard_id, str(error.get("type")), str(error.get("message"))
+        )
+    if hello.get("protocol") != SHARD_PROTOCOL_VERSION:
+        raise WorkerCallError(
+            shard_id,
+            "protocol_mismatch",
+            f"worker speaks shard protocol {hello.get('protocol')!r}, "
+            f"this adapter speaks {SHARD_PROTOCOL_VERSION}",
+        )
+    return hello
+
+
+def blocking_call(
+    address: tuple[str, int], frame: dict | None = None, *, timeout: float
+) -> tuple[dict, dict | None]:
+    """``(hello, response)`` of one short blocking connection to a worker.
+    An error frame answering ``frame`` is returned; a failed transport
+    raises ``OSError``, a failed handshake or a hang-up before the
+    answer a :class:`~repro.errors.ServiceError`."""
+    with socket.create_connection(address, timeout=timeout) as sock:
+        send_frame(sock, {"call": "hello", "protocol": SHARD_PROTOCOL_VERSION})
+        hello = check_hello(recv_frame(sock))
+        if frame is None:
+            return hello, None
+        send_frame(sock, frame)
+        response = recv_frame(sock)
+    if response is None:
+        raise WireProtocolError("connection closed before the response frame")
+    return hello, response
 
 
 # ----------------------------------------------------------------------

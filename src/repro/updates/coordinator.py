@@ -26,8 +26,10 @@ linker vocabulary, and save the result as generation N+1 under
 (:func:`~repro.service.artifacts.write_current_pointer`).  The router
 hot-swaps in place — caches survive, because the overlay it was serving
 is bit-identical to the compacted base — the delta log resets, workers
-rolling-restart onto the new generation, and the expansion caches are
-re-warmed from the queries the request log saw recently.
+rolling-restart onto the new generation, and the recency set of the
+request log is saved beside the snapshot.  Re-warming the caches that
+serve is the front end's half (``POST /admin/compact`` replays the
+recent queries through the async router, worker processes included).
 
 Deltas only ever touch the *graph*; index segments, document names and
 ``mu`` ride through compaction untouched by construction.
@@ -35,7 +37,6 @@ Deltas only ever touch the *graph*; index segments, document names and
 
 from __future__ import annotations
 
-import socket as socketlib
 import threading
 from pathlib import Path
 
@@ -132,9 +133,8 @@ class UpdateCoordinator:
         shard workers run out of process; applied batches fan out to
         every worker and compaction rolling-restarts them.
     request_log:
-        The front end's :class:`~repro.obs.logs.RequestLog`; after a
-        compaction swap the coordinator re-warms expansion caches from
-        its recently seen queries.
+        The front end's :class:`~repro.obs.logs.RequestLog`; compaction
+        saves its recency set beside the snapshot.
     """
 
     def __init__(
@@ -289,7 +289,7 @@ class UpdateCoordinator:
                 graph=new_graph,
                 segments=old_snapshot.segments,
                 title_index=linker.vocabulary(),
-                doc_names=dict(old_snapshot.doc_names),
+                doc_names=old_snapshot.doc_names,
                 mu=old_snapshot.mu,
                 generation=new_generation,
             ).frozen()
@@ -307,7 +307,6 @@ class UpdateCoordinator:
                 # Workers re-resolve CURRENT on exec, so the rolling
                 # restart lands every process on the new generation.
                 self._supervisor.reload()
-            warmed = self._warm_from_request_log()
             if self._request_log is not None and self._snapshot_dir is not None:
                 # Compaction is the durable checkpoint of the serving
                 # state, so the warm-up set rides along: a process that
@@ -323,7 +322,6 @@ class UpdateCoordinator:
             "previous_generation": old_generation,
             "folded_seq": folded_seq,
             "log_segments_dropped": dropped_segments,
-            "warmed_queries": warmed,
             "saved": self._snapshot_dir is not None,
         }
 
@@ -355,53 +353,21 @@ class UpdateCoordinator:
         self, shard_id: int, payloads: list[dict], generation: int
     ) -> int | None:
         """The worker's eviction count, or None if it was not reached."""
+        frame = {
+            "call": "apply_delta", "protocol": SHARD_PROTOCOL_VERSION,
+            "generation": generation, "deltas": payloads,
+        }
         for _ in range(_FANOUT_ATTEMPTS):
             try:
-                host, port = self._supervisor.endpoint(shard_id)
-                with socketlib.create_connection(
-                    (host, port), timeout=_FANOUT_TIMEOUT_S
-                ) as sock:
-                    sock.settimeout(_FANOUT_TIMEOUT_S)
-                    wire.send_frame(sock, {
-                        "call": "hello", "protocol": SHARD_PROTOCOL_VERSION,
-                    })
-                    hello = wire.recv_frame(sock)
-                    if not hello or not hello.get("ok"):
-                        continue
-                    wire.send_frame(sock, {
-                        "call": "apply_delta",
-                        "protocol": SHARD_PROTOCOL_VERSION,
-                        "generation": generation,
-                        "deltas": payloads,
-                    })
-                    response = wire.recv_frame(sock)
-                if response is None or response.get("error") is not None:
-                    continue
-                return int(response["result"]["invalidated"])
+                _hello, response = wire.blocking_call(
+                    self._supervisor.endpoint(shard_id), frame,
+                    timeout=_FANOUT_TIMEOUT_S,
+                )
+                if response.get("error") is None:
+                    return int(response["result"]["invalidated"])
             except Exception:  # noqa: BLE001 — transport errors retry
                 continue
         return None
-
-    def _warm_from_request_log(self) -> int:
-        """Re-expand recently seen queries through the fresh stack.
-
-        The post-swap caches are intentionally kept (the swap is
-        bit-identity-preserving), so this only matters for entries the
-        last delta batches evicted — but it is cheap and makes the
-        ``recently hot stays hot across compaction`` property
-        unconditional.
-        """
-        if self._request_log is None:
-            return 0
-        queries = self._request_log.recent_queries()
-        warmed = 0
-        for query in queries:
-            try:
-                self._router.expand_query(query, top_k=1)
-                warmed += 1
-            except Exception:  # noqa: BLE001 — warming must never fail a swap
-                continue
-        return warmed
 
 
 class ShardWorkerUpdater:

@@ -191,6 +191,48 @@ class TestCompactionPersistsRecency:
             router.close()
 
 
+def _post(port: int, path: str, body: dict) -> dict:
+    request = urllib.request.Request(
+        f"http://127.0.0.1:{port}{path}",
+        data=json.dumps(body).encode("utf-8"),
+        headers={"Content-Type": "application/json"},
+    )
+    with urllib.request.urlopen(request, timeout=60) as reply:
+        return json.loads(reply.read())
+
+
+class _Serve:
+    """``repro serve --http 0 --workers 2`` over ``root`` in a subprocess;
+    ``banner`` is its warm-start line, if it printed one."""
+
+    def __init__(self, root: Path):
+        src = Path(__file__).resolve().parents[2] / "src"
+        self.proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--snapshot",
+             str(root), "--http", "0", "--workers", "2"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        )
+        self.banner, self.port = "", None
+        for line in self.proc.stdout:
+            if "warm start: replayed" in line:
+                self.banner = line.strip()
+            match = re.search(r"http://[\d.]+:(\d+)", line)
+            if match:
+                self.port = int(match.group(1))
+                break
+
+    def stop(self) -> int:
+        self.proc.send_signal(signal.SIGINT)
+        try:
+            self.proc.wait(timeout=30)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            self.proc.wait()
+        self.proc.stdout.close()
+        return self.proc.returncode
+
+
 class TestSupervisedWorkersWarmStart:
     """``serve --workers``: the replay must go through the path that
     serves — the async router over the socket adapters — or it warms
@@ -206,41 +248,21 @@ class TestSupervisedWorkersWarmStart:
         log.seed_recent(hot_queries)
         log.save_recent(root)
 
-        src = Path(__file__).resolve().parents[2] / "src"
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "serve", "--snapshot",
-             str(root), "--http", "0", "--workers", "2"],
-            env={**os.environ, "PYTHONPATH": str(src)},
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-        )
+        serve = _Serve(root)
         try:
-            banner, port = "", None
-            for line in proc.stdout:
-                if "warm start: replayed" in line:
-                    banner = line.strip()
-                match = re.search(r"http://[\d.]+:(\d+)", line)
-                if match:
-                    port = int(match.group(1))
-                    break
-            assert port is not None, "serve exited before binding"
-            assert banner == (
+            assert serve.port is not None, "serve exited before binding"
+            assert serve.banner == (
                 f"warm start: replayed {len(hot_queries)} persisted "
                 "recent queries"
             )
             for query in hot_queries:
-                request = urllib.request.Request(
-                    f"http://127.0.0.1:{port}/expand",
-                    data=json.dumps({"query": query}).encode("utf-8"),
-                    headers={"Content-Type": "application/json"},
-                )
-                with urllib.request.urlopen(request, timeout=30) as reply:
-                    payload = json.loads(reply.read())
+                payload = _post(serve.port, "/expand", {"query": query})
                 assert payload["expansion_cached"] is True, (
                     f"first hit of {query!r} missed the worker's cache "
                     "after a warm start"
                 )
             with urllib.request.urlopen(
-                f"http://127.0.0.1:{port}/stats", timeout=30
+                f"http://127.0.0.1:{serve.port}/stats", timeout=30
             ) as reply:
                 stats = json.loads(reply.read())
             # The replay and the client hits were all answered by the
@@ -249,11 +271,30 @@ class TestSupervisedWorkersWarmStart:
             assert (cache["misses"], cache["hits"]) == \
                 (len(hot_queries), len(hot_queries))
         finally:
-            proc.send_signal(signal.SIGINT)
-            try:
-                proc.wait(timeout=30)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
-            proc.stdout.close()
-        assert proc.returncode == 0
+            returncode = serve.stop()
+        assert returncode == 0
+
+    def test_compaction_rewarms_the_restarted_worker_processes(
+        self, sharded, hot_queries, tmp_path
+    ):
+        """``POST /admin/compact`` rolling-restarts every worker with an
+        empty cache; the replay it reports must reach the new ones."""
+        root = tmp_path / "serving"
+        sharded.save(root)
+        serve = _Serve(root)
+        try:
+            assert serve.port is not None, "serve exited before binding"
+            for query in hot_queries:
+                _post(serve.port, "/expand", {"query": query})
+            summary = _post(serve.port, "/admin/compact", {})
+            assert summary["generation"] == 2
+            assert summary["warmed_queries"] == len(hot_queries)
+            for query in hot_queries:
+                payload = _post(serve.port, "/expand", {"query": query})
+                assert payload["expansion_cached"] is True, (
+                    f"first hit of {query!r} after compaction missed the "
+                    "restarted worker's cache"
+                )
+        finally:
+            returncode = serve.stop()
+        assert returncode == 0

@@ -219,3 +219,31 @@ class TestApplyDelta:
             conn.close()
         parse_prometheus_text(text)  # a family with no series still parses
         assert "# TYPE repro_apply_stage_seconds histogram" in text
+
+
+class TestWarmup:
+    def test_compact_rewarms_recent_queries_from_the_request_log(
+        self, stack, small_benchmark
+    ):
+        """The prefill satellite: queries the request log saw recently
+        are re-expanded through the router the front end serves once
+        the fresh generation is swapped in, so a delta-evicted hot entry
+        is warm again before traffic returns."""
+        handle, _, _ = stack
+        hot = {"query": small_benchmark.topics[0].keywords, "top_k": 10}
+        handle.request("POST", "/expand", hot)
+
+        response = handle.request("POST", "/expand", hot)[1]
+        assert response["expansion_cached"]
+        seed = response["link"]["article_ids"][0]
+        status, _ = handle.request("POST", "/admin/apply_delta", {"deltas": [
+            {"op": "add_article", "seq": 1, "node_id": _NEW + 20,
+             "title": "Eviction Trigger"},
+            {"op": "add_edge", "seq": 2, "source": _NEW + 20, "target": seed,
+             "kind": "link"},
+        ]})
+        assert status == 200
+        status, summary = handle.request("POST", "/admin/compact", {})
+        assert status == 200
+        assert summary["warmed_queries"] == 1
+        assert handle.request("POST", "/expand", hot)[1]["expansion_cached"]

@@ -294,34 +294,17 @@ class TestTargetedInvalidation:
         assert router.expand_query(query, top_k=10).link_cached
 
 
-class TestWarmup:
-    def test_compact_rewarms_recent_queries_from_the_request_log(
-        self, small_benchmark, router
+class TestSharedDocNames:
+    def test_one_mapping_from_snapshot_through_router_across_compaction(
+        self, sharded2, router
     ):
-        """The prefill satellite: queries the request log saw recently
-        are re-expanded through the freshly swapped generation, so a
-        delta-evicted hot entry is warm again before traffic returns."""
-        from repro.obs.logs import RequestLog
-
-        request_log = RequestLog(slow_ms=1000.0)
-        coordinator = UpdateCoordinator(router, request_log=request_log)
-        hot = small_benchmark.topics[0].keywords
-        router.expand_query(hot, top_k=10)
-        request_log.record(endpoint="/expand", latency_ms=1.0, query=hot,
-                           status=200)
-
-        response = router.expand_query(hot, top_k=10)
-        assert response.expansion_cached
-        seed = sorted(response.link.article_ids)[0]
-        coordinator.apply([
-            {"op": "add_article", "seq": 1, "node_id": _NEW + 20,
-             "title": "Eviction Trigger"},
-            {"op": "add_edge", "seq": 2, "source": _NEW + 20, "target": seed,
-             "kind": "link"},
-        ])
-        summary = coordinator.compact()
-        assert summary["warmed_queries"] == 1
-        assert router.expand_query(hot, top_k=10).expansion_cached
+        """Deltas never touch documents, so neither the router nor a
+        compacted generation copies the snapshot's document names."""
+        assert router.doc_names is sharded2.doc_names
+        UpdateCoordinator(router).compact()
+        assert router.generation == 2
+        assert router.doc_names is router.snapshot.doc_names \
+            is sharded2.doc_names
 
 
 class TestOnDiskLifecycle:

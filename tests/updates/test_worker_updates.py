@@ -8,7 +8,6 @@ log replay on restart, rolling reload across a compaction).
 """
 
 import asyncio
-import socket as socketlib
 from pathlib import Path
 
 import pytest
@@ -171,14 +170,7 @@ class TestWorkersHoldNoLinker:
 
 
 def _wire_call(port, frame):
-    with socketlib.create_connection(("127.0.0.1", port), timeout=30) as sock:
-        sock.settimeout(30)
-        wire.send_frame(sock, {
-            "call": "hello", "protocol": SHARD_PROTOCOL_VERSION,
-        })
-        hello = wire.recv_frame(sock)
-        wire.send_frame(sock, frame)
-        return hello, wire.recv_frame(sock)
+    return wire.blocking_call(("127.0.0.1", port), frame, timeout=30)
 
 
 class TestWireApplyDelta:
