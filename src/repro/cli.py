@@ -11,9 +11,9 @@ Entry points (also importable as functions):
   knowledge graph using the cycle method (no ground truth required);
 * ``repro-snapshot``       — build and save a service snapshot: one
   graph blob every process maps plus ``--shards N`` index segments
-  served by the shard router; with ``--prefill [topics]`` each shard
-  additionally ships the expansions of its owned benchmark topics,
-  precomputed at build time (warm-cache cold starts);
+  served by the shard router; with ``--prefill [topics]`` the topics'
+  queries are written to the recency file ``serve --http`` replays at
+  startup (warm-cache cold starts);
 * ``repro-serve``          — answer queries online from a saved service
   snapshot (build one with ``--build``), printing linked entities,
   expansion features and ranked documents per query.  The shard count
@@ -278,20 +278,29 @@ def report_main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def _build_snapshot(args: argparse.Namespace):
-    """Build the ``--shards``-way snapshot of the benchmark, prefilled
-    with the ``--prefill`` topics' expansions when asked."""
-    from repro.collection.topics import TopicSet
+def _build_snapshot(benchmark: "Benchmark", num_shards: int):
+    """Build the ``num_shards``-way snapshot of the benchmark."""
     from repro.service import ShardedSnapshot
 
-    benchmark = _benchmark_from_args(args)
-    prefill = getattr(args, "prefill", None)
     # Frozen once, here: save() and the router both want the compact form.
-    snapshot = ShardedSnapshot.build(benchmark, num_shards=args.shards).frozen()
-    if prefill is not None:
-        topics = TopicSet.load(prefill) if prefill else benchmark.topics
-        snapshot = snapshot.with_prefill([topic.keywords for topic in topics])
-    return snapshot
+    return ShardedSnapshot.build(benchmark, num_shards=num_shards).frozen()
+
+
+def _seed_recent_queries(directory: str, topics) -> None:
+    """Write the topics' keyword strings as ``directory``'s persisted
+    recency set, the file ``serve --http`` replays before it binds."""
+    from repro.obs import RequestLog
+
+    queries = list(dict.fromkeys(topic.keywords for topic in topics))
+    request_log = RequestLog()
+    seeded = request_log.seed_recent(queries)
+    path = request_log.save_recent(directory)
+    print(f"seeded {seeded} warm-start quer{'y' if seeded == 1 else 'ies'} "
+          f"into {path}")
+    if seeded < len(queries):
+        print(f"note: {len(queries)} distinct topic queries exceed the "
+              f"recency capacity of {request_log.recent_capacity}; the first "
+              f"{len(queries) - seeded} were dropped")
 
 
 def snapshot_main(argv: list[str] | None = None) -> int:
@@ -310,18 +319,24 @@ def snapshot_main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--prefill", nargs="?", const="", default=None, metavar="TOPICS_JSON",
-        help="precompute expansions for these topics (a topics.json file; "
-             "with no value, the benchmark's own topics) and ship them "
-             "inside each owning shard, so a cold-started service answers "
-             "them at cached latency",
+        help="write these topics' queries (a topics.json file; with no "
+             "value, the benchmark's own topics) to <out>/recent_queries.json, "
+             "which `serve --http` replays before it binds, so a "
+             "cold-started service answers them at cached latency",
     )
     args = parser.parse_args(argv)
     if args.shards < 1:
         parser.error("--shards must be >= 1")
 
-    snapshot = _build_snapshot(args)
+    benchmark = _benchmark_from_args(args)
+    snapshot = _build_snapshot(benchmark, args.shards)
     snapshot.save(args.out)
     print(f"saved {snapshot!r} to {args.out}/")
+    if args.prefill is not None:
+        from repro.collection.topics import TopicSet
+
+        topics = TopicSet.load(args.prefill) if args.prefill else benchmark.topics
+        _seed_recent_queries(args.out, topics)
     return 0
 
 
@@ -576,7 +591,7 @@ def serve_main(argv: list[str] | None = None) -> int:
             print(f"error: {error}")
             print("hint: pass --build to create the snapshot from a benchmark")
             return 2
-        snapshot = _build_snapshot(args)
+        snapshot = _build_snapshot(_benchmark_from_args(args), args.shards)
         snapshot.save(snapshot_dir)
         print(f"built and saved {snapshot!r} to {snapshot_dir}/")
 

@@ -27,7 +27,6 @@ from repro.core.expansion import (
     NeighborhoodCycleExpander,
     NullExpander,
     RedirectExpander,
-    expander_fingerprint,
 )
 from repro.core.features import CycleFeatures, compute_features, count_edges, max_edges
 from repro.core.ground_truth import (
@@ -77,7 +76,6 @@ __all__ = [
     "CycleExpander",
     "NeighborhoodCycleExpander",
     "RedirectExpander",
-    "expander_fingerprint",
     "FivePointSummary",
     "five_point_summary",
     "CycleRecord",

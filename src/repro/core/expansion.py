@@ -40,24 +40,7 @@ __all__ = [
     "CycleExpander",
     "NeighborhoodCycleExpander",
     "RedirectExpander",
-    "expander_fingerprint",
 ]
-
-
-def expander_fingerprint(expander) -> str:
-    """Configuration-carrying identity of an expander.
-
-    Used to stamp precomputed artifacts (warm-cache prefill): results
-    are only reused when the serving expander's fingerprint matches the
-    one recorded at build time, so neither a different class *nor a
-    different configuration of the same class* can silently serve
-    another strategy's cached expansions.  Falls back to the class name
-    for duck-typed expanders that don't implement :meth:`Expander.fingerprint`.
-    """
-    method = getattr(expander, "fingerprint", None)
-    if method is not None:
-        return method()
-    return type(expander).__qualname__
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,15 +73,6 @@ class Expander(ABC):
     @abstractmethod
     def expand(self, graph: WikiGraph, seed_articles: Iterable[int]) -> ExpansionResult:
         """Return expansion features for ``seed_articles`` within ``graph``."""
-
-    def fingerprint(self) -> str:
-        """Identity of this expander *including its configuration*.
-
-        Subclasses with parameters override this to append them; two
-        expanders with equal fingerprints must produce identical results
-        for any input (see :func:`expander_fingerprint`).
-        """
-        return type(self).__qualname__
 
     @staticmethod
     def _result(
@@ -138,9 +112,6 @@ class DirectLinkExpander(Expander):
             raise AnalysisError("max_features must be >= 1 or None")
         self._max_features = max_features
 
-    def fingerprint(self) -> str:
-        return f"{type(self).__qualname__}(max_features={self._max_features})"
-
     def expand(self, graph: WikiGraph, seed_articles: Iterable[int]) -> ExpansionResult:
         seeds = frozenset(seed_articles)
         selected: set[int] = set()
@@ -177,9 +148,7 @@ class CycleExpander(Expander):
         for the ablation.
     engine:
         Cycle-mining engine handed to :class:`CycleFinder` (``"kernels"``
-        default / ``"dfs"`` oracle).  Engines are bit-identical, so this
-        is deliberately *not* part of :meth:`fingerprint` — prefilled
-        expansions built under one engine stay valid under the other.
+        default / ``"dfs"`` oracle).  Engines are bit-identical.
     """
 
     def __init__(
@@ -221,16 +190,6 @@ class CycleExpander(Expander):
     def engine(self) -> str:
         """The resolved cycle-mining engine (for trace-span labelling)."""
         return self._engine
-
-    def fingerprint(self) -> str:
-        return (
-            f"{type(self).__qualname__}(lengths={sorted(self._lengths)}, "
-            f"min_category_ratio={self._min_category_ratio}, "
-            f"max_category_ratio={self._max_category_ratio}, "
-            f"min_density={self._min_density}, "
-            f"exclude_category_free={self._exclude_category_free}, "
-            f"max_cycles={self._max_cycles})"
-        )
 
     def accepts(self, features: CycleFeatures) -> bool:
         """Whether one cycle passes every configured filter."""
@@ -360,12 +319,6 @@ class NeighborhoodCycleExpander(Expander):
         """The inner expander's resolved cycle-mining engine."""
         return self._expander.engine
 
-    def fingerprint(self) -> str:
-        return (
-            f"{type(self).__qualname__}(radius={self._radius}, "
-            f"max_nodes={self._max_nodes}, inner={self._expander.fingerprint()})"
-        )
-
     def neighborhood(self, graph: WikiGraph, seeds: frozenset[int]) -> set[int]:
         """BFS ball around the seeds, deterministic, size-capped."""
         frontier = sorted(seeds)
@@ -461,13 +414,6 @@ class RedirectExpander(Expander):
     def __init__(self, inner: Expander, *, include_seed_redirects: bool = True) -> None:
         self._inner = inner
         self._include_seed_redirects = include_seed_redirects
-
-    def fingerprint(self) -> str:
-        return (
-            f"{type(self).__qualname__}("
-            f"include_seed_redirects={self._include_seed_redirects}, "
-            f"inner={expander_fingerprint(self._inner)})"
-        )
 
     def expand(self, graph: WikiGraph, seed_articles: Iterable[int]) -> ExpansionResult:
         base = self._inner.expand(graph, seed_articles)

@@ -8,8 +8,8 @@ the bench serve from directly; it is never written to disk.
 
 :class:`ShardedSnapshot` is what is stored and served: one logical
 snapshot as N physical shards behind one manifest.  A shard is an index
-segment plus an expansion cache (optionally prefilled); the graph is
-held and stored *once*, as the compact blob every process maps.
+segment plus an expansion cache; the graph is held and stored *once*,
+as the compact blob every process maps.
 Layout::
 
     snapshot/
@@ -19,7 +19,6 @@ Layout::
       graph.bin           # CompactGraphView blob (CSR typed adjacency)
       shard-0000/
         index.bin         # CompactIndex blob (interned CSR postings)
-        prefill.json.gz   # precomputed expansions (only when prefilled)
       shard-0001/ ...
 
 The manifest is read first and gates everything else: a missing
@@ -30,8 +29,9 @@ manifest, an unknown format name, or a version other than
 shard artefact and shared file; load verifies them before parsing, so a
 bit-rotted shard can never serve silently wrong results, and cross-checks
 its counts against what the artefacts hold.  The manifest is written
-last.  Directories written by earlier builds of this version carry a
-``partition.json.gz`` per shard; it is ignored.
+last.  Directories written by earlier builds of this version may carry
+a ``partition.json.gz`` or a ``prefill.json.gz`` per shard; both are
+ignored.
 
 The layout, the blob container and the upgrade rules are documented in
 ``docs/architecture.md`` ("On-disk snapshot format").
@@ -44,19 +44,10 @@ import hashlib
 import json
 import os
 import sys
-from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.core.cycles import Cycle
-from repro.core.expansion import (
-    Expander,
-    ExpansionResult,
-    NeighborhoodCycleExpander,
-    expander_fingerprint,
-)
-from repro.core.features import CycleFeatures
 from repro.errors import ReproError, SnapshotError
 from repro.linking.linker import EntityLinker
 from repro.retrieval.compact import CompactIndex
@@ -65,7 +56,7 @@ from repro.retrieval.index import PositionalIndex
 from repro.retrieval.scoring import DirichletSmoothing, Smoothing
 from repro.wiki.compact import CompactGraphView
 from repro.wiki.graph import WikiGraph
-from repro.wiki.partition import shard_of_document, shard_of_node
+from repro.wiki.partition import shard_of_document
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.collection.benchmark import Benchmark
@@ -91,10 +82,6 @@ _LINKER_NAME = "linker.json.gz"
 _DOCUMENTS_NAME = "documents.json.gz"
 _INDEX_BLOB_NAME = "index.bin"
 _GRAPH_BLOB_NAME = "graph.bin"
-_PREFILL_NAME = "prefill.json.gz"
-
-# One shard's prefilled expansions: (seed set, precomputed result) pairs.
-PrefillEntries = tuple[tuple[frozenset[int], ExpansionResult], ...]
 
 
 def _write_json_gz(path: Path, payload: dict) -> None:
@@ -142,60 +129,6 @@ def _parse_linker_payload(payload: dict) -> dict[tuple[str, ...], int]:
         }
     except (KeyError, TypeError, ValueError) as exc:
         raise SnapshotError(f"snapshot file {_LINKER_NAME} is malformed: {exc}") from exc
-
-
-def _prefill_payload(entries: PrefillEntries, expander: str) -> dict:
-    """JSON-ready dump of one shard's precomputed expansions."""
-    return {
-        "expander": expander,
-        "entries": [
-            {
-                "seeds": sorted(seeds),
-                "articles": sorted(result.article_ids),
-                "titles": list(result.titles),
-                "cycles": [
-                    {
-                        "nodes": list(features.cycle.nodes),
-                        "counts": [
-                            features.num_articles,
-                            features.num_categories,
-                            features.num_edges,
-                            features.max_possible_edges,
-                        ],
-                    }
-                    for features in result.cycles
-                ],
-            }
-            for seeds, result in entries
-        ]
-    }
-
-
-def _parse_prefill_payload(payload: dict) -> PrefillEntries:
-    try:
-        entries = []
-        for record in payload["entries"]:
-            seeds = frozenset(int(node) for node in record["seeds"])
-            cycles = tuple(
-                CycleFeatures(
-                    cycle=Cycle(tuple(int(n) for n in item["nodes"])),
-                    num_articles=int(item["counts"][0]),
-                    num_categories=int(item["counts"][1]),
-                    num_edges=int(item["counts"][2]),
-                    max_possible_edges=int(item["counts"][3]),
-                )
-                for item in record["cycles"]
-            )
-            result = ExpansionResult(
-                seed_articles=seeds,
-                article_ids=frozenset(int(a) for a in record["articles"]),
-                titles=tuple(str(t) for t in record["titles"]),
-                cycles=cycles,
-            )
-            entries.append((seeds, result))
-        return tuple(entries)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise SnapshotError(f"snapshot file {_PREFILL_NAME} is malformed: {exc}") from exc
 
 
 @dataclass(slots=True)
@@ -326,8 +259,8 @@ def write_current_pointer(directory: str | Path, generation: int) -> Path:
 def _check_counts(declared: dict, actual: dict[str, int], where: str) -> None:
     """Refuse artefacts that hold something other than the manifest
     declares (a silently truncated or swapped file).  Counts this build
-    does not know — earlier builds wrote per-partition ones — are
-    ignored."""
+    does not know — earlier builds wrote per-partition and prefill ones
+    — are ignored."""
     for key, expected in declared.items():
         if key in actual and actual[key] != expected:
             raise SnapshotError(
@@ -339,16 +272,14 @@ def _check_counts(declared: dict, actual: dict[str, int], where: str) -> None:
 @dataclass(frozen=True, slots=True)
 class SnapshotShard:
     """What one shard's worker serves from: the graph, this shard's
-    segment and prefill, ``mu`` and the generation — no vocabulary, no
-    document names (the router links and names), no other segment."""
+    segment, ``mu`` and the generation — no vocabulary, no document
+    names (the router links and names), no other segment."""
 
     shard_id: int
     graph: CompactGraphView
     segment: CompactIndex
     mu: float
     generation: int
-    prefill: PrefillEntries
-    prefill_expander: str
 
     def make_engine(self) -> SearchEngine:
         """A ready engine over this shard's index segment."""
@@ -361,15 +292,13 @@ class ShardedSnapshot:
 
     A shard is the index segment of the documents hashed to it — a
     :class:`PositionalIndex` on the build path, a :class:`CompactIndex`
-    once frozen (``frozen()``, or any load) — and, when prefilled
-    (``with_prefill``), the expansions precomputed for the seed sets it
-    owns.  The graph is held once for all shards: the
-    :class:`WikiGraph` the snapshot was built from until ``frozen()``,
-    its :class:`CompactGraphView` after a freeze or a load; both answer
-    the same read API with the same sets.  The linker vocabulary and
-    document names are shared across shards as well.  The router in
-    :mod:`repro.service.router` serves queries over the shards without
-    ever materialising the monolithic index.
+    once frozen (``frozen()``, or any load).  The graph is held once for
+    all shards: the :class:`WikiGraph` the snapshot was built from until
+    ``frozen()``, its :class:`CompactGraphView` after a freeze or a
+    load; both answer the same read API with the same sets.  The linker
+    vocabulary and document names are shared across shards as well.  The
+    router in :mod:`repro.service.router` serves queries over the shards
+    without ever materialising the monolithic index.
     """
 
     graph: WikiGraph | CompactGraphView
@@ -377,15 +306,6 @@ class ShardedSnapshot:
     title_index: dict[tuple[str, ...], int]
     doc_names: dict[str, str]
     mu: float
-    # Warm-cache prefill: per shard, the expansions precomputed at build
-    # time for that shard's owned seed sets (empty tuple = no prefill).
-    prefills: tuple[PrefillEntries, ...] = field(default=())
-    # Fingerprint (class + configuration) of the expander that computed
-    # the prefills.  Serving layers skip warm-up when their configured
-    # expander's fingerprint differs, so neither a custom expander nor a
-    # re-parameterised default ever silently serves another strategy's
-    # cached results ("" = no prefill recorded).
-    prefill_expander: str = ""
     # On-disk format this snapshot came from, set by load() and save();
     # None = built in memory and never persisted.  Serving layers
     # surface it (`serve` startup line, /healthz) so operators can tell
@@ -400,11 +320,6 @@ class ShardedSnapshot:
     def __post_init__(self) -> None:
         if not self.segments:
             raise SnapshotError("a sharded snapshot needs >= 1 shard")
-        if self.prefills and len(self.prefills) != len(self.segments):
-            raise SnapshotError(
-                f"shard mismatch: {len(self.prefills)} prefill entries vs "
-                f"{len(self.segments)} shards"
-            )
 
     # ------------------------------------------------------------------
     # Construction
@@ -467,67 +382,10 @@ class ShardedSnapshot:
             graph=CompactGraphView.from_graph(self.graph),
         )
 
-    def with_prefill(
-        self, queries: Iterable[str], expander: Expander | None = None
-    ) -> "ShardedSnapshot":
-        """Precompute expansions for ``queries`` and ship them per shard.
-
-        Each query is entity-linked with this snapshot's vocabulary; the
-        resulting seed sets are grouped by *owner shard* (the shard of
-        the smallest seed id — exactly the routing rule
-        :class:`~repro.service.router.ShardRouter` applies), expanded
-        once with ``expander`` (default: the paper-tuned
-        :class:`~repro.core.expansion.NeighborhoodCycleExpander`, the
-        same default the serving layer uses — pass the serving expander
-        when it is customised; the expander's class name is recorded and
-        serving layers skip warm-up on a mismatch), and stored inside
-        the owning shard.  A
-        cold-started service warms its expansion caches from these
-        entries, so the prefilled queries hit at cached-tier latency
-        from the first request on.
-
-        Queries that link to no entity are skipped (the keyword fallback
-        never mines cycles, so there is nothing to precompute).
-        """
-        frozen = self.frozen()
-        linker = frozen.make_linker()
-        resolved_expander = expander or NeighborhoodCycleExpander()
-        seed_sets = [linker.link_keywords(text) for text in queries]
-        unique = [seeds for seeds in dict.fromkeys(seed_sets) if seeds]
-        by_shard: dict[int, list[frozenset[int]]] = {}
-        for seeds in unique:
-            owner = shard_of_node(min(seeds), frozen.num_shards)
-            by_shard.setdefault(owner, []).append(seeds)
-
-        graph = frozen.graph
-        expand_batch = getattr(resolved_expander, "expand_batch", None)
-        prefills: list[PrefillEntries] = []
-        for shard_id in range(frozen.num_shards):
-            owned = sorted(by_shard.get(shard_id, []), key=sorted)
-            if not owned:
-                prefills.append(())
-                continue
-            if expand_batch is not None:
-                results = expand_batch(graph, owned)
-            else:
-                results = [resolved_expander.expand(graph, seeds) for seeds in owned]
-            prefills.append(tuple(zip(owned, results)))
-        return replace(
-            frozen,
-            prefills=tuple(prefills),
-            prefill_expander=expander_fingerprint(resolved_expander),
-        )
-
-    @property
-    def num_prefilled(self) -> int:
-        """Total precomputed expansions across all shards."""
-        return sum(len(entries) for entries in self.prefills)
-
     def shard(self, shard_id: int) -> SnapshotShard:
         """The parts ``shard_id``'s worker serves from, in compact form."""
         s = self.frozen()
-        return SnapshotShard(shard_id, s.graph, s.segments[shard_id], s.mu, s.generation,
-                             s.prefills[shard_id] if s.prefills else (), s.prefill_expander)
+        return SnapshotShard(shard_id, s.graph, s.segments[shard_id], s.mu, s.generation)
 
     # ------------------------------------------------------------------
     # Persistence
@@ -553,21 +411,10 @@ class ShardedSnapshot:
             shard_dir = directory / _shard_dir_name(shard_id)
             shard_dir.mkdir(exist_ok=True)
             (shard_dir / _INDEX_BLOB_NAME).write_bytes(segment.to_blob())
-            checksums = {_INDEX_BLOB_NAME: _sha256(shard_dir / _INDEX_BLOB_NAME)}
-            counts = {"documents": segment.num_documents}
-            if source.prefills:
-                counts["prefill_entries"] = len(source.prefills[shard_id])
-                _write_json_gz(
-                    shard_dir / _PREFILL_NAME,
-                    _prefill_payload(
-                        source.prefills[shard_id], source.prefill_expander
-                    ),
-                )
-                checksums[_PREFILL_NAME] = _sha256(shard_dir / _PREFILL_NAME)
             shard_entries.append({
                 "dir": shard_dir.name,
-                "checksums": checksums,
-                "counts": counts,
+                "checksums": {_INDEX_BLOB_NAME: _sha256(shard_dir / _INDEX_BLOB_NAME)},
+                "counts": {"documents": segment.num_documents},
             })
         _write_json_gz(directory / _LINKER_NAME, _linker_payload(self.title_index))
         _write_json_gz(directory / _DOCUMENTS_NAME, dict(sorted(self.doc_names.items())))
@@ -601,7 +448,6 @@ class ShardedSnapshot:
             "edges": self.graph.num_edges,
             "documents": self.num_documents,
             "titles": len(self.title_index),
-            "prefill_entries": self.num_prefilled,
         }
 
     @classmethod
@@ -693,53 +539,28 @@ class ShardedSnapshot:
             for name in (_LINKER_NAME, _DOCUMENTS_NAME, _GRAPH_BLOB_NAME)
         ]
         graph = load_blob(CompactGraphView.load, graph_path)
-        prefilled = [_PREFILL_NAME in entry.get("checksums", {}) for entry in shard_entries]
-        if any(prefilled) and not all(prefilled):
-            raise SnapshotError(
-                f"snapshot at {directory} is inconsistent: {sum(prefilled)} shards "
-                f"carry prefill artefacts but {len(shard_entries)} shards exist"
-            )
 
         segments: list[CompactIndex] = []
-        prefills: list[PrefillEntries] = []
-        prefill_expanders: set[str] = set()
         for shard_id, entry in enumerate(shard_entries):
             shard_dir = directory / str(entry.get("dir", ""))
             checksums = entry.get("checksums", {})
             index_path = verified(
                 shard_dir / _INDEX_BLOB_NAME, checksums.get(_INDEX_BLOB_NAME)
             )
-            prefill_path = prefilled[shard_id] and verified(
-                shard_dir / _PREFILL_NAME, checksums[_PREFILL_NAME]
-            )
             if shard not in (None, shard_id):
                 continue  # verified, never materialised
             segments.append(load_blob(CompactIndex.load, index_path))
-            counts = {"documents": segments[-1].num_documents}
-            if prefill_path:
-                prefill_payload = _read_json_gz(prefill_path)
-                prefills.append(_parse_prefill_payload(prefill_payload))
-                prefill_expanders.add(str(prefill_payload.get("expander", "")))
-                counts["prefill_entries"] = len(prefills[-1])
             _check_counts(
-                entry.get("counts", {}), counts, f"snapshot shard {shard_dir.name}"
+                entry.get("counts", {}), {"documents": segments[-1].num_documents},
+                f"snapshot shard {shard_dir.name}",
             )
 
-        if len(prefill_expanders) > 1:
-            raise SnapshotError(
-                f"snapshot at {directory} is inconsistent: shards disagree on "
-                f"the prefill expander ({sorted(prefill_expanders)})"
-            )
-        prefill_expander = next(iter(prefill_expanders), "")
         generation = int(manifest.get("generation", 1))
         if shard is not None:
             _check_counts(manifest.get("counts", {}), {
                 key: getattr(graph, f"num_{key}") for key in ("articles", "categories", "edges")
             }, f"snapshot at {directory}")
-            return SnapshotShard(
-                shard, graph, segments[0], mu, generation,
-                prefills[0] if prefills else (), prefill_expander,
-            )
+            return SnapshotShard(shard, graph, segments[0], mu, generation)
         snapshot = cls(
             graph=graph, segments=tuple(segments),
             title_index=_parse_linker_payload(_read_json_gz(linker_path)),
@@ -747,8 +568,7 @@ class ShardedSnapshot:
                 str(doc_id): str(name)
                 for doc_id, name in _read_json_gz(documents_path).items()
             },
-            mu=mu, prefills=tuple(prefills), prefill_expander=prefill_expander,
-            source_version=version, generation=generation,
+            mu=mu, source_version=version, generation=generation,
         )
         _check_counts(
             manifest.get("counts", {}), snapshot._global_counts(),
@@ -773,8 +593,7 @@ class ShardedSnapshot:
         )
         return (
             f"{layout}; shards={self.num_shards}, "
-            f"documents={self.num_documents}, titles={len(self.title_index)}, "
-            f"prefilled={self.num_prefilled}"
+            f"documents={self.num_documents}, titles={len(self.title_index)}"
         )
 
     def make_linker(self, **kwargs) -> EntityLinker:
@@ -785,5 +604,5 @@ class ShardedSnapshot:
         return (
             f"ShardedSnapshot(shards={self.num_shards}, "
             f"docs={self.num_documents}, titles={len(self.title_index)}, "
-            f"mu={self.mu}, prefilled={self.num_prefilled})"
+            f"mu={self.mu})"
         )

@@ -14,9 +14,7 @@ a :class:`~repro.service.artifacts.ShardedSnapshot`:
   Cycle mining runs on the snapshot's frozen
   :class:`~repro.wiki.compact.CompactGraphView` — the one graph the
   router links against too — so the mined cycles are the dict graph's
-  while the neighbourhood/subgraph work stays on CSR arrays.  Snapshots
-  built with ``--prefill`` warm each worker's expansion cache at
-  construction.
+  while the neighbourhood/subgraph work stays on CSR arrays.
 * **Ranking** is a scatter-gather over every shard's index segment with a
   global statistics exchange (each segment reports local collection counts
   per query leaf, the router sums them into the global background model,
@@ -108,10 +106,9 @@ class ShardRouter:
         self.doc_names = snapshot.doc_names
         self._linker = snapshot.make_linker()
         shared_expander = expander or NeighborhoodCycleExpander()
-        # Worker construction (cache sizing, warm-cache prefill) is
-        # shared with the out-of-process worker entry point
-        # (`repro shard-worker`) so both deployments serve from
-        # identically configured shards.
+        # Worker construction is shared with the out-of-process worker
+        # entry point (`repro shard-worker`) so both deployments serve
+        # from identically configured shards.
         self._workers = [
             make_shard_worker(
                 snapshot.shard(shard_id),
@@ -181,8 +178,8 @@ class ShardRouter:
         """Shard whose worker owns this seed set's expansion.
 
         The placement hash of the smallest seed id: deterministic, so
-        repeats of a query always hit the same worker's expansion cache
-        (and ``with_prefill`` stored it there).  Empty seed sets (keyword
+        repeats of a query always hit the same worker's expansion cache.
+        Empty seed sets (keyword
         fallback) go to shard 0; they never mine cycles.
         """
         if not seeds:

@@ -449,25 +449,6 @@ class ExpansionService:
         seed-set key satisfies ``predicate``; returns the count."""
         return self._expansion_cache.evict_where(predicate)
 
-    def warm_expansions(self, entries) -> int:
-        """Seed the expansion cache with precomputed results.
-
-        ``entries`` yields ``(seed_set, ExpansionResult)`` pairs — the
-        shape :attr:`ShardedSnapshot.prefills` stores per shard.  Warming
-        counts neither hits nor misses; the first real lookup of a warmed
-        entry reports as a cache hit, so prefilled queries serve at
-        cached-tier latency from the very first request.  Returns the
-        number of entries installed.  The expansion cache must be sized
-        to hold every entry (:class:`~repro.service.router.ShardRouter`
-        and the CLI guarantee this) — a smaller bound would evict warmed
-        entries before the first request ever reads them.
-        """
-        count = 0
-        for seeds, result in entries:
-            self._expansion_cache.put(frozenset(seeds), result)
-            count += 1
-        return count
-
     # ------------------------------------------------------------------
     # The shard protocol (docs/shard_protocol.md): the four calls a router
     # makes on a worker — direct, via an adapter or over the wire.

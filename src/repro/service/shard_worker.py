@@ -58,7 +58,7 @@ import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.core.expansion import Expander, NeighborhoodCycleExpander, expander_fingerprint
+from repro.core.expansion import Expander, NeighborhoodCycleExpander
 from repro.errors import ServiceError
 from repro.obs import trace as tracing
 from repro.service import wire
@@ -93,28 +93,18 @@ def make_shard_worker(
     workers, from ``snapshot.shard(i)``) and :class:`ShardWorkerServer`
     (worker processes, from ``ShardedSnapshot.load(dir, shard=i)``), so
     both deployments serve from identically configured workers: no
-    linker and no document names (the router links and names),
-    expansion cache sized to hold the shard's whole prefill, empty index
-    segments allowed, and the prefilled expansions warmed before the
-    first request.
+    linker and no document names (the router links and names), and
+    empty index segments allowed.
     """
-    expander = expander or NeighborhoodCycleExpander()
-    # Another strategy's (or configuration's) prefill would serve its
-    # results: those queries run cold instead.
-    same = shard.prefill_expander == expander_fingerprint(expander)
-    prefill = shard.prefill if same else ()
-    worker = ExpansionService(
+    return ExpansionService(
         shard.graph,
         shard.make_engine(),
         None,
-        expander,
-        expansion_cache_size=max(expansion_cache_size, len(prefill)),
+        expander or NeighborhoodCycleExpander(),
+        expansion_cache_size=expansion_cache_size,
         allow_empty_index=True,
         shard_id=shard.shard_id,
     )
-    if prefill:
-        worker.warm_expansions(prefill)
-    return worker
 
 
 class ShardWorkerServer:

@@ -147,8 +147,8 @@ class SocketShardAdapter:
     # ------------------------------------------------------------------
 
     async def expand_seeds(self, seeds: frozenset[int]):
-        # No fallback: expansion belongs to the owner shard (its cache,
-        # its prefill).  A dead owner means a structured 503 upstream.
+        # No fallback: expansion belongs to the owner shard (its
+        # cache).  A dead owner means a structured 503 upstream.
         payload: dict = {"seeds": sorted(seeds)}
         held = self._expansions.get(seeds)
         if held is not None:

@@ -261,7 +261,8 @@ def blocking_call(
 # ----------------------------------------------------------------------
 
 def encode_expansion(expansion: ExpansionResult) -> dict:
-    """The same shape ``prefill.json.gz`` stores (see ``artifacts.py``)."""
+    """One expansion as JSON: seeds, articles, titles and the cycles
+    with their four counts."""
     return {
         "seeds": sorted(expansion.seed_articles),
         "articles": sorted(expansion.article_ids),

@@ -127,7 +127,10 @@ class UpdateCoordinator:
         The snapshot *root* directory (the one holding the ``CURRENT``
         pointer once compaction has run).  Enables the durable delta
         log and on-disk compaction; ``None`` keeps everything in memory
-        (tests, ephemeral stacks).
+        (tests, ephemeral stacks).  The batches the log already holds
+        for the serving generation are folded in and published before
+        the constructor returns, so a restarted process resumes at the
+        acknowledged ``last_seq``.
     supervisor:
         The :class:`~repro.service.supervisor.ShardSupervisor` when
         shard workers run out of process; applied batches fan out to
@@ -153,6 +156,8 @@ class UpdateCoordinator:
         self._lock = threading.Lock()
         self._state = OverlayState(generation=router.generation)
         self._metrics = router.metrics
+        if self._log is not None:
+            self._replay_log()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -328,6 +333,23 @@ class UpdateCoordinator:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+
+    def _replay_log(self) -> None:
+        """Publish what the log holds for the serving generation: the
+        write path minus its log append and its fan-out (each worker
+        process replays the same log when it starts)."""
+        pending = self._log.replay(self._state.generation)
+        if not pending:
+            return
+        router = self._router
+        base = router.snapshot.graph
+        new_state, applied, ball = fold_batch(base, self._state, pending)
+        linker = successor_linker(router.linker, base, self._state, new_state, applied)
+        router.apply_overlay(
+            OverlayGraphView(base, new_state), linker=linker, delta_seq=new_state.last_seq,
+        )
+        self._state = new_state
+        router.evict_expansions(expansion_eviction_predicate(ball))
 
     def _fan_out(
         self, deltas: list[Delta], generation: int

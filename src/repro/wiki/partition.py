@@ -8,13 +8,14 @@ locality argument of Leinders et al., PAPERS.md) that no cut of the
 graph has to respect.
 
 * :func:`shard_of_node` places a seed set's expansion — its cache entry
-  and any prefilled result — on the shard of its smallest seed id;
+  — on the shard of its smallest seed id;
 * :func:`shard_of_document` places a document in an index segment.
 
 Both are pure functions of the id and the shard count (``hash()`` is
-salted per process and never used) and must never drift: prefilled
-snapshots and index segments written by earlier builds are only found
-again on the shard these functions name.
+salted per process and never used), so the router and every worker
+process agree on them, and neither may drift: index segments written by
+earlier builds are only found again on the shard
+:func:`shard_of_document` names.
 """
 
 from __future__ import annotations

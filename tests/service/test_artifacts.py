@@ -235,13 +235,11 @@ class TestShardedGate:
             ShardedSnapshot.load(tmp_path)
 
     def test_incomplete_shard_set_rejected(self, sharded):
-        """No shard at all, or prefills for fewer shards than exist."""
+        """No shard at all."""
         from dataclasses import replace
 
         with pytest.raises(SnapshotError, match=">= 1 shard"):
             replace(sharded, segments=())
-        with pytest.raises(SnapshotError, match="shard mismatch"):
-            replace(sharded, prefills=((),) * (sharded.num_shards - 1))
 
     def test_invalid_shard_count_for_build(self, snapshot):
         with pytest.raises(SnapshotError):

@@ -1,5 +1,5 @@
-"""Snapshot v3 (compact blobs + prefill): round trips, upgrades from
-directories earlier builds wrote, refusals and failure modes."""
+"""Snapshot v3 (compact blobs): round trips, upgrades from directories
+earlier builds wrote, refusals and failure modes."""
 
 import gzip
 import json
@@ -12,10 +12,10 @@ from repro.errors import SnapshotError
 from repro.service import (
     COMPACT_SNAPSHOT_VERSION,
     MANIFEST_NAME,
-    ExpansionService,
     ShardRouter,
     ShardedSnapshot,
 )
+from repro.service import artifacts, make_shard_worker
 from repro.service.artifacts import generation_dir_name, write_current_pointer
 from repro.wiki import CompactGraphView
 from repro.wiki.partition import shard_of_node
@@ -111,6 +111,30 @@ def _as_333e913_wrote_it(directory):
     (directory / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2) + "\n")
 
 
+def _as_the_prefill_build_wrote_it(directory, seed_sets):
+    """Add what ``repro snapshot --prefill`` stored per shard before the
+    recency replay replaced it: a checksummed ``prefill.json.gz`` in
+    that build's schema, holding each seed set on its owner shard, and
+    the per-shard and global ``prefill_entries`` counts.  Every entry
+    claims an empty expansion, so an answer served from one would show."""
+    manifest = json.loads((directory / MANIFEST_NAME).read_text())
+    total = 0
+    for shard, entry in enumerate(manifest["shard_artifacts"]):
+        records = [
+            {"seeds": sorted(seeds), "articles": [], "titles": [], "cycles": []}
+            for seeds in sorted(seed_sets, key=sorted)
+            if shard_of_node(min(seeds), manifest["shards"]) == shard
+        ]
+        path = directory / entry["dir"] / "prefill.json.gz"
+        with gzip.open(path, "wt", encoding="utf-8") as out:
+            json.dump({"expander": "NeighborhoodCycleExpander", "entries": records}, out)
+        entry["checksums"]["prefill.json.gz"] = _sha256_of(path)
+        entry["counts"]["prefill_entries"] = len(records)
+        total += len(records)
+    manifest["counts"]["prefill_entries"] = total
+    (directory / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2) + "\n")
+
+
 def _answers(router, small_benchmark):
     queries = [topic.keywords for topic in small_benchmark.topics]
     queries += [a.title for a in list(small_benchmark.graph.main_articles())[:20]]
@@ -171,6 +195,50 @@ class TestUpgrade:
         try:
             assert _answers(mine, small_benchmark) == \
                 _answers(reference, small_benchmark)
+        finally:
+            mine.close()
+            reference.close()
+
+    def test_prefilled_directory_serves_identically(
+        self, small_benchmark, v3_dir, tmp_path, monkeypatch
+    ):
+        """A directory written with ``--prefill`` loads whole and per
+        shard, never parses its prefill, and serves what the same
+        snapshot saved without one serves."""
+        reference_snapshot = ShardedSnapshot.load(v3_dir)
+        linker = reference_snapshot.make_linker()
+        seed_sets = {
+            linker.link_keywords(topic.keywords) for topic in small_benchmark.topics
+        } - {frozenset()}
+        old = tmp_path / "old"
+        shutil.copytree(v3_dir, old)
+        _as_the_prefill_build_wrote_it(old, seed_sets)
+
+        parsed = []
+        read_json = artifacts._read_json_gz
+        monkeypatch.setattr(
+            artifacts, "_read_json_gz",
+            lambda path: parsed.append(path.name) or read_json(path),
+        )
+        loaded = ShardedSnapshot.load(old)
+        assert sorted(parsed) == ["documents.json.gz", "linker.json.gz"]
+        parts = [ShardedSnapshot.load(old, shard=i) for i in range(loaded.num_shards)]
+        assert len(parsed) == 2  # a shard load parses no gzip file
+        workers = [make_shard_worker(part) for part in parts]
+
+        mine = ShardRouter(loaded)
+        reference = ShardRouter(reference_snapshot)
+        try:
+            assert _answers(mine, small_benchmark) == \
+                _answers(reference, small_benchmark)
+            expansions = []
+            for seeds in seed_sets:
+                owner = reference.owner_shard(seeds)
+                result, cached = workers[owner].expand_seeds(seeds)
+                assert not cached
+                assert result == reference.workers[owner].expand_seeds(seeds)[0]
+                expansions.append(result)
+            assert any(result.article_ids for result in expansions)
         finally:
             mine.close()
             reference.close()
@@ -250,121 +318,3 @@ class TestFailureModes:
         (copy / MANIFEST_NAME).write_text(json.dumps(manifest))
         with pytest.raises(SnapshotError, match=f"inconsistent.*{count}"):
             ShardedSnapshot.load(copy)
-
-
-class TestPrefill:
-    @pytest.fixture(scope="class")
-    def prefilled(self, sharded, small_benchmark) -> ShardedSnapshot:
-        return sharded.with_prefill(
-            [topic.keywords for topic in small_benchmark.topics]
-        )
-
-    def test_prefill_counts_and_owner_locality(self, prefilled):
-        assert prefilled.num_prefilled > 0
-        for shard, entries in enumerate(prefilled.prefills):
-            for seeds, result in entries:
-                assert result.seed_articles == seeds
-                # Every entry sits on the shard the router would pick.
-                assert shard_of_node(min(seeds), prefilled.num_shards) == shard
-
-    def test_prefill_round_trips_through_disk(self, prefilled, tmp_path):
-        directory = tmp_path / "snap"
-        prefilled.save(directory)
-        assert (directory / "shard-0000" / "prefill.json.gz").exists()
-        loaded = ShardedSnapshot.load(directory)
-        assert loaded.num_prefilled == prefilled.num_prefilled
-        for mine, original in zip(loaded.prefills, prefilled.prefills):
-            assert len(mine) == len(original)
-            for (my_seeds, my_result), (seeds, result) in zip(mine, original):
-                assert my_seeds == seeds
-                assert my_result.article_ids == result.article_ids
-                assert my_result.titles == result.titles
-                assert my_result.cycles == result.cycles
-
-    def test_cold_router_serves_prefilled_topics_from_cache(
-        self, prefilled, sharded, small_benchmark, tmp_path
-    ):
-        directory = tmp_path / "snap"
-        prefilled.save(directory)
-        router = ShardRouter(ShardedSnapshot.load(directory))
-        # A non-prefilled router over the same data computes everything
-        # cold; the prefilled answers must match it exactly.
-        reference = ShardRouter(sharded)
-        for topic in small_benchmark.topics:
-            response = router.expand_query(topic.keywords)
-            if response.linked:
-                assert response.expansion_cached, topic.keywords
-            cold = reference.expand_query(topic.keywords)
-            assert [(r.doc_id, r.score) for r in response.results] == \
-                   [(r.doc_id, r.score) for r in cold.results]
-
-    def test_prefill_records_the_expander_fingerprint_and_round_trips_it(
-        self, prefilled, tmp_path
-    ):
-        from repro.core.expansion import (
-            NeighborhoodCycleExpander,
-            expander_fingerprint,
-        )
-
-        expected = expander_fingerprint(NeighborhoodCycleExpander())
-        assert prefilled.prefill_expander == expected
-        assert "radius=" in expected  # configuration, not just the class
-        directory = tmp_path / "snap"
-        prefilled.save(directory)
-        assert ShardedSnapshot.load(directory).prefill_expander == expected
-
-    def test_router_with_different_expander_skips_warmup(
-        self, prefilled, small_benchmark
-    ):
-        """A custom expander must never serve another strategy's cached
-        prefill results; those queries simply run cold."""
-        from repro.core.expansion import NeighborhoodCycleExpander
-
-        class CustomExpander(NeighborhoodCycleExpander):
-            pass
-
-        router = ShardRouter(prefilled, expander=CustomExpander())
-        response = router.expand_query(small_benchmark.topics[0].keywords)
-        assert response.linked
-        assert not response.expansion_cached
-
-    def test_router_with_reconfigured_expander_skips_warmup(
-        self, prefilled, small_benchmark
-    ):
-        """Same class, different parameters: the fingerprint guard must
-        still refuse the warm-up (a radius-3 router serving radius-2
-        prefill results would be silently wrong)."""
-        from repro.core.expansion import NeighborhoodCycleExpander
-
-        router = ShardRouter(
-            prefilled, expander=NeighborhoodCycleExpander(radius=3)
-        )
-        response = router.expand_query(small_benchmark.topics[0].keywords)
-        assert response.linked
-        assert not response.expansion_cached
-
-    def test_router_with_equal_default_expander_warms(
-        self, prefilled, small_benchmark
-    ):
-        from repro.core.expansion import NeighborhoodCycleExpander
-
-        router = ShardRouter(prefilled, expander=NeighborhoodCycleExpander())
-        response = router.expand_query(small_benchmark.topics[0].keywords)
-        assert response.linked
-        assert response.expansion_cached
-
-    def test_single_shard_service_warms_from_prefill(
-        self, snapshot, small_benchmark
-    ):
-        single = ShardedSnapshot.from_snapshot(snapshot, num_shards=1) \
-            .with_prefill([t.keywords for t in small_benchmark.topics])
-        service = ExpansionService(
-            single.graph,
-            single.shard(0).make_engine(),
-            single.make_linker(),
-            doc_names=single.doc_names,
-        )
-        service.warm_expansions(single.prefills[0])
-        response = service.expand_query(small_benchmark.topics[0].keywords)
-        assert response.linked
-        assert response.expansion_cached

@@ -4,12 +4,13 @@
 shard-worker`` calls.  It verifies the manifest and the sha256 of every
 listed artefact exactly as the serving process's load does, then
 materialises only what the four shard calls read: the mapped graph,
-shard ``i``'s segment and prefill, ``mu`` and the generation — no
-vocabulary, no document names, no other segment.  A worker built from
+shard ``i``'s segment, ``mu`` and the generation — no vocabulary, no
+document names, no other segment, and no gzip file parsed.  A worker built from
 it must answer every call like the in-process worker the router builds
 from the whole snapshot.  The malformed-artefact cases below pin that a
 bad JSON artefact is a :class:`SnapshotError` naming the file, never a
-raw ``UnicodeDecodeError`` or ``AttributeError``.
+raw ``UnicodeDecodeError`` or ``AttributeError``, and a corrupt
+segment the worker does read is refused by name.
 """
 
 import dataclasses
@@ -36,20 +37,17 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 @pytest.fixture(scope="module")
-def prefilled_dir(snapshot, small_benchmark, tmp_path_factory):
-    """A two-shard snapshot with a prefill, as ``repro snapshot
-    --shards 2 --prefill`` writes it."""
+def saved_dir(snapshot, tmp_path_factory):
+    """A two-shard snapshot, as ``repro snapshot --shards 2`` writes it."""
     directory = tmp_path_factory.mktemp("shard-load")
-    ShardedSnapshot.from_snapshot(snapshot, num_shards=SHARDS).with_prefill(
-        [topic.keywords for topic in small_benchmark.topics]
-    ).save(directory)
+    ShardedSnapshot.from_snapshot(snapshot, num_shards=SHARDS).save(directory)
     return directory
 
 
 @pytest.fixture()
-def copy(prefilled_dir, tmp_path):
+def copy(saved_dir, tmp_path):
     target = tmp_path / "snap"
-    shutil.copytree(prefilled_dir, target)
+    shutil.copytree(saved_dir, target)
     return target
 
 
@@ -72,7 +70,7 @@ def _rewrite(directory: Path, name: str, raw: bytes) -> None:
 
 class TestWorkerState:
     def test_holds_one_shard_and_no_vocabulary_or_names(
-        self, prefilled_dir, monkeypatch
+        self, saved_dir, monkeypatch
     ):
         opened, parsed = [], []
         load_index, read_json = CompactIndex.load, artifacts._read_json_gz
@@ -83,30 +81,28 @@ class TestWorkerState:
             artifacts, "_read_json_gz",
             lambda path: parsed.append(path) or read_json(path),
         )
-        part = ShardedSnapshot.load(prefilled_dir, shard=1)
+        part = ShardedSnapshot.load(saved_dir, shard=1)
 
         assert isinstance(part, SnapshotShard)
         assert {field.name for field in dataclasses.fields(part)} == {
             "shard_id", "graph", "segment", "mu", "generation",
-            "prefill", "prefill_expander",
         }
-        assert opened == [prefilled_dir / "shard-0001" / "index.bin"]
-        assert parsed == [prefilled_dir / "shard-0001" / "prefill.json.gz"]
-        whole = ShardedSnapshot.load(prefilled_dir)
+        assert opened == [saved_dir / "shard-0001" / "index.bin"]
+        assert parsed == []
+        whole = ShardedSnapshot.load(saved_dir)
         assert part.segment.num_documents == whole.segments[1].num_documents
-        assert part.prefill == whole.prefills[1] and part.prefill
         assert (part.mu, part.generation) == (whole.mu, whole.generation)
         assert make_shard_worker(part).doc_names == {}
 
     def test_answers_every_call_like_the_in_process_worker(
-        self, prefilled_dir, small_benchmark
+        self, saved_dir, small_benchmark
     ):
         """Drive the router's query plan; every shard item is answered
         by both the router's worker and the one built from a shard-only
         load, and the two answers must be equal."""
-        router = ShardRouter(ShardedSnapshot.load(prefilled_dir))
+        router = ShardRouter(ShardedSnapshot.load(saved_dir))
         alone = [
-            make_shard_worker(ShardedSnapshot.load(prefilled_dir, shard=i))
+            make_shard_worker(ShardedSnapshot.load(saved_dir, shard=i))
             for i in range(SHARDS)
         ]
         keywords = [topic.keywords for topic in small_benchmark.topics]
@@ -141,14 +137,14 @@ class TestWorkerState:
             "leaf_collection_counts", "search_with_background",
         }
 
-    def test_out_of_range_shard_is_refused(self, prefilled_dir):
+    def test_out_of_range_shard_is_refused(self, saved_dir):
         with pytest.raises(SnapshotError, match="shard 2 out of range"):
-            ShardedSnapshot.load(prefilled_dir, shard=SHARDS)
+            ShardedSnapshot.load(saved_dir, shard=SHARDS)
 
     def test_checks_the_counts_it_materialises(self, copy):
         manifest_path = copy / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        manifest["shard_artifacts"][1]["counts"]["prefill_entries"] += 1
+        manifest["shard_artifacts"][1]["counts"]["documents"] += 1
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(SnapshotError, match="shard-0001 is inconsistent"):
             ShardedSnapshot.load(copy, shard=1)
@@ -181,11 +177,13 @@ def test_worker_cli_refuses_a_flipped_byte_it_never_materialises(copy, artefact)
 @pytest.mark.parametrize("defect", [b"\xff\xfe{}", b'["a", "b"]'],
                          ids=["invalid-utf8", "json-list"])
 @pytest.mark.parametrize("artefact", [
-    "linker.json.gz", "documents.json.gz", "shard-0000/prefill.json.gz",
+    "linker.json.gz", "documents.json.gz", "shard-0000/index.bin",
 ])
 def test_malformed_json_artefact_is_a_snapshot_error(
     copy, artefact, defect, capsys
 ):
+    """The two JSON artefacts, and the one shard artefact a worker reads
+    (its segment, here gzipped garbage under a matching checksum)."""
     _rewrite(copy, artefact, defect)
     name = artefact.rsplit("/", 1)[-1]
     with pytest.raises(SnapshotError, match=name.replace(".", r"\.")):
@@ -193,11 +191,11 @@ def test_malformed_json_artefact_is_a_snapshot_error(
 
     assert serve_main(["--snapshot", str(copy), "--query", "x"]) == 2
     out = capsys.readouterr().out
-    assert f"error: snapshot file {name} is" in out
+    assert f"error: snapshot file {artefact} is" in out
     assert "hint: pass --build" in out
 
-    if name == "prefill.json.gz":
+    if name == "index.bin":
         assert shard_worker_main(["--snapshot", str(copy), "--shard", "0"]) == 2
-        assert f"error: snapshot file {name} is" in capsys.readouterr().out
+        assert f"error: snapshot file {artefact} is" in capsys.readouterr().out
     else:  # checksummed, but a worker never parses it
         assert isinstance(ShardedSnapshot.load(copy, shard=0), SnapshotShard)

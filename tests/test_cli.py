@@ -1,5 +1,14 @@
 """CLI tests (driven in-process against a tiny saved benchmark)."""
 
+import json
+import os
+import re
+import signal
+import subprocess
+import sys
+import urllib.request
+from pathlib import Path
+
 import pytest
 
 from repro.cli import (
@@ -12,6 +21,8 @@ from repro.cli import (
 )
 from repro.collection import Benchmark, SyntheticCollectionConfig
 from repro.wiki import SyntheticWikiConfig
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -312,28 +323,108 @@ class TestSnapshotCommand:
         assert not (out_dir / "shard-0000" / "partition.json.gz").exists()
         assert (out_dir / "shard-0001" / "index.bin").exists()
 
-    def test_prefill_ships_expansions_per_shard(self, bench_dir, tmp_path, capsys):
-        from repro.service import ShardedSnapshot
-
+    def test_prefill_seeds_the_recency_file(self, bench_dir, tmp_path, capsys):
         out_dir = tmp_path / "snap"
         code = main(["snapshot", "--out", str(out_dir), "--shards", "2",
                      "--prefill", "--benchmark-dir", bench_dir])
         assert code == 0
+        queries = list(dict.fromkeys(
+            topic.keywords for topic in Benchmark.load(bench_dir).topics
+        ))
         out = capsys.readouterr().out
-        assert "prefilled=" in out
-        assert (out_dir / "shard-0000" / "prefill.json.gz").exists()
-        loaded = ShardedSnapshot.load(out_dir)
-        assert loaded.num_prefilled > 0
+        assert f"seeded {len(queries)} warm-start queries into " in out
+        assert "note:" not in out
+        assert not list(out_dir.rglob("prefill.json.gz"))
+        payload = json.loads((out_dir / "recent_queries.json").read_text())
+        assert payload["queries"] == queries
 
-    def test_prefill_forces_sharded_format_for_one_shard(
+    def test_prefill_says_when_topics_exceed_the_recency_capacity(
         self, bench_dir, tmp_path, capsys
     ):
+        from repro.collection import Topic, TopicSet
+        from repro.obs.logs import DEFAULT_RECENT_CAPACITY
+
+        total = DEFAULT_RECENT_CAPACITY + 44
+        topics = TopicSet([
+            Topic(topic_id=i, keywords=f"query {i}", relevant=frozenset())
+            for i in range(total)
+        ])
+        topics.save(tmp_path / "topics.json")
         out_dir = tmp_path / "snap"
-        code = main(["snapshot", "--out", str(out_dir), "--prefill",
-                     "--benchmark-dir", bench_dir])
+        code = main(["snapshot", "--out", str(out_dir), "--benchmark-dir",
+                     bench_dir, "--prefill", str(tmp_path / "topics.json")])
         assert code == 0
-        assert "saved ShardedSnapshot" in capsys.readouterr().out
-        assert (out_dir / "shard-0000" / "prefill.json.gz").exists()
+        out = capsys.readouterr().out
+        assert f"seeded {DEFAULT_RECENT_CAPACITY} warm-start queries" in out
+        assert (f"note: {total} distinct topic queries exceed the recency "
+                f"capacity of {DEFAULT_RECENT_CAPACITY}; the first 44 were "
+                "dropped") in out
+        payload = json.loads((out_dir / "recent_queries.json").read_text())
+        assert payload["queries"] == [f"query {i}" for i in range(44, total)]
+
+    def test_prefilled_topics_answer_from_cache_on_the_first_request(
+        self, bench_dir, tmp_path, capsys
+    ):
+        """``snapshot --prefill`` then ``serve --http``: the startup
+        replay answers every topic once, so each topic's first client
+        request is a cache hit, bit-identical to a cold router."""
+        from repro.service import ShardRouter, ShardedSnapshot
+
+        out_dir = tmp_path / "snap"
+        assert main(["snapshot", "--out", str(out_dir), "--shards", "2",
+                     "--prefill", "--benchmark-dir", bench_dir]) == 0
+        capsys.readouterr()
+        queries = list(dict.fromkeys(
+            topic.keywords for topic in Benchmark.load(bench_dir).topics
+        ))
+        cold = ShardRouter(ShardedSnapshot.load(out_dir))
+        try:
+            expected = [
+                [(r.doc_id, r.score) for r in cold.expand_query(q).results]
+                for q in queries
+            ]
+        finally:
+            cold.close()
+
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--snapshot",
+             str(out_dir), "--http", "0"],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        )
+        try:
+            banner, port = "", None
+            for line in proc.stdout:
+                if line.startswith("warm start:"):
+                    banner = line.strip()
+                match = re.search(r"http://[\d.]+:(\d+)", line)
+                if match:
+                    port = int(match.group(1))
+                    break
+            assert port is not None, "serve exited before binding"
+            assert banner.startswith(f"warm start: replayed {len(queries)} ")
+            for query, results in zip(queries, expected):
+                request = urllib.request.Request(
+                    f"http://127.0.0.1:{port}/expand",
+                    data=json.dumps({"query": query}).encode("utf-8"),
+                    headers={"Content-Type": "application/json"},
+                )
+                with urllib.request.urlopen(request, timeout=60) as reply:
+                    payload = json.loads(reply.read())
+                assert payload["linked"], query
+                assert payload["expansion_cached"] is True, query
+                assert [(r["doc_id"], r["score"]) for r in payload["results"]] \
+                    == results, query
+        finally:
+            proc.send_signal(signal.SIGINT)
+            try:
+                proc.wait(timeout=30)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+        assert proc.returncode == 0
+        assert not list(out_dir.rglob("prefill.json.gz"))
 
     def test_rejects_bad_shard_count(self, bench_dir):
         with pytest.raises(SystemExit):

@@ -347,6 +347,44 @@ class TestOnDiskLifecycle:
             fresh.close()
             router.close()
 
+    def test_restart_resumes_from_the_log_before_serving(
+        self, small_benchmark, snapshot, tmp_path
+    ):
+        """A new router and coordinator over a directory whose log holds
+        an acknowledged batch serve it at once: ``last_seq`` and the
+        graph are restored, answers equal the oracle's, a reused seq is
+        skipped, and nothing is appended to the log."""
+        root = tmp_path / "serving"
+        ShardedSnapshot.from_snapshot(snapshot, num_shards=2).save(root)
+        deltas = _batch(small_benchmark)
+        first = ShardRouter(ShardedSnapshot.load(root))
+        try:
+            UpdateCoordinator(first, snapshot_dir=root).apply(
+                [d.to_payload() for d in deltas]
+            )
+        finally:
+            first.close()
+
+        router = ShardRouter(ShardedSnapshot.load(root))
+        coordinator = UpdateCoordinator(router, snapshot_dir=root)
+        try:
+            assert coordinator.last_seq == deltas[-1].seq
+            assert router.stats()["delta_seq"] == deltas[-1].seq
+            assert len(coordinator.delta_log.segments()) == 1
+            assert _NEW in router.graph
+            assert all(_NEW in worker.graph for worker in router.workers)
+            oracle = apply_deltas_to_graph(small_benchmark.graph, deltas)
+            assert_router_matches_oracle(router, oracle, _queries(small_benchmark))
+
+            reused = Delta(op="add_article", seq=1, node_id=_NEW + 7,
+                           title="Reused Sequence Number")
+            summary = coordinator.apply([reused.to_payload()])
+            assert (summary["applied"], summary["skipped"]) == (0, 1)
+            assert _NEW + 7 not in router.graph
+            assert coordinator.delta_log.replay(1) == deltas
+        finally:
+            router.close()
+
     def test_stats_and_metrics_expose_the_generation(
         self, small_benchmark, router
     ):

@@ -2,9 +2,10 @@
 
 A shard is an index segment and an expansion cache; the graph is one
 blob every process maps.  What is left of "partitioning" is two hashes —
-and they are load-bearing: prefilled snapshots written by older builds
-stay owner-local only if ``shard_of_node`` never drifts, and index
-segments only if ``shard_of_document`` does not.  So the hashes are
+and they are load-bearing: the router and every worker process must
+agree on ``shard_of_node`` to keep an expansion on one cache, and index
+segments written by older builds are found again only if
+``shard_of_document`` never drifts.  So the hashes are
 pinned on literal values, the router is held to them at 1, 2 and 4
 shards (for every linkable title, for overlay-added articles and for
 seeds a delta turned into redirects), and the graph a directory of any
@@ -23,7 +24,7 @@ from repro.wiki import SyntheticWikiConfig, shard_of_document, shard_of_node
 
 SHARD_COUNTS = (1, 2, 3, 4, 8)
 # id -> its shard at each of SHARD_COUNTS.  Literal on purpose: a change
-# to either hash orphans every prefill entry and index segment on disk.
+# to either hash moves every cache entry and orphans every index segment.
 NODE_PLACEMENT = (
     (0, [0, 1, 1, 3, 7]),
     (1, [0, 1, 2, 1, 1]),
@@ -73,11 +74,9 @@ def snapshot(small_benchmark) -> Snapshot:
 @pytest.fixture(scope="module", params=[1, 2, 4])
 def partitioned(request, graph, snapshot, tmp_path_factory):
     """``(graph, directory, loaded)``: a snapshot of ``request.param``
-    shards, prefilled with every article title, through the disk."""
+    shards, through the disk."""
     directory = tmp_path_factory.mktemp(f"placed{request.param}")
-    ShardedSnapshot.from_snapshot(snapshot, request.param).with_prefill(
-        [article.title for article in graph.articles()]
-    ).save(directory)
+    ShardedSnapshot.from_snapshot(snapshot, request.param).save(directory)
     return graph, directory, ShardedSnapshot.load(directory)
 
 
@@ -275,17 +274,14 @@ class TestOwnerRouting:
     def test_titles_route_to_the_shard_of_their_prefill(
         self, partitioned
     ):
-        """``router.owner_shard(link(title))`` is the shard ``with_prefill``
-        stored that seed set in, so the first request is a cache hit —
-        on that shard, and on no other."""
+        """A batch of every title prefills each seed set on
+        ``router.owner_shard(link(title))`` and on no other shard, so the
+        title's next request is a cache hit there."""
         graph, _, loaded = partitioned
-        stored = [
-            {seeds for seeds, _ in entries} for entries in loaded.prefills
-        ]
         router = ShardRouter(loaded)
         try:
-            warmed = [_cached_keys(worker) for worker in router.workers]
-            assert warmed == stored
+            router.batch_expand([a.title for a in graph.articles()], top_k=1)
+            stored = [_cached_keys(worker) for worker in router.workers]
             linked = 0
             for article in graph.articles():
                 link, _ = router.link_text(router.normalize(article.title))

@@ -24,7 +24,9 @@ End to end, as a real deployment would run it:
 8. exercise the live-update plane: ``POST /admin/apply_delta`` with a
    small island batch, assert ``delta_seq`` advances, the summary names
    the write's stages (``stages_ms``, ``repro_apply_stage_seconds``) and
-   the new page answers ``/expand``, then ``POST /admin/compact`` and assert the
+   the new page answers ``/expand``; restart the server and assert
+   ``delta_seq`` is restored from the delta log and the new page still
+   answers; then ``POST /admin/compact`` and assert the
    generation hot-swaps (``snapshot_generation`` advances, ``delta_seq``
    resets) with answers unchanged across the swap;
 9. assert the recency set was persisted on shutdown
@@ -46,7 +48,8 @@ End to end, as a real deployment would run it:
    beside ``expand_seeds``, ``repro_rank_ahead_total{outcome="used"}``
    advances) into the restarted worker;
 11. repeat the live-update phase in worker mode (delta fan-out over the
-    wire, compaction driving a rolling worker reload), then apply a
+    wire, a restart whose new workers replay the log, compaction driving
+    a rolling worker reload), then apply a
     delta next to the query's seed — evicting its expansion but not the
     router's memoised rank step — and diff the ranked-ahead re-ask
     against a synchronous router that applied the same delta;
@@ -86,6 +89,34 @@ def build_snapshot(directory: Path):
     snapshot = ShardedSnapshot.build(benchmark, num_shards=2)
     snapshot.save(directory)
     return benchmark
+
+
+def launch(snap_dir: Path, *flags: str) -> subprocess.Popen:
+    """``repro serve --snapshot SNAP_DIR --http 0 FLAGS`` as a subprocess."""
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve",
+         "--snapshot", str(snap_dir), "--http", "0", *flags],
+        cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        text=True,
+    )
+
+
+def stop(proc: subprocess.Popen) -> None:
+    proc.send_signal(signal.SIGINT)
+    try:
+        proc.wait(timeout=30)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+
+
+def restarter(procs: list, snap_dir: Path, *flags: str):
+    """A callable that stops the last server in ``procs``, launches its
+    replacement with the same flags and returns the new base URL."""
+    def restart() -> str:
+        stop(procs[-1])
+        procs.append(launch(snap_dir, *flags))
+        return f"http://127.0.0.1:{wait_for_port(procs[-1])}"
+    return restart
 
 
 def wait_for_port(proc: subprocess.Popen, timeout: float = 180.0) -> int:
@@ -268,9 +299,10 @@ APPLY_STAGES = (
 
 def check_live_updates(
     base: str, query: str, ref_results: list, failures: list[str],
-    *, id_base: int, tag: str,
-) -> None:
-    """apply_delta -> re-query -> compact -> hot swap, over the admin API.
+    *, id_base: int, tag: str, restart,
+) -> str:
+    """apply_delta -> re-query -> restart -> compact -> hot swap, over
+    the admin API; returns the base URL of the restarted server.
 
     Generation-agnostic (the worker-mode relaunch serves the generation
     the first phase compacted), and the delta targets fresh node ids so
@@ -280,7 +312,7 @@ def check_live_updates(
     gen0 = health.get("snapshot_generation")
     if not isinstance(gen0, int):
         failures.append(f"{tag}: healthz snapshot_generation not an int: {health}")
-        return
+        return base
     if health.get("delta_seq") != 0:
         failures.append(f"{tag}: fresh server has nonzero delta_seq: {health}")
 
@@ -296,7 +328,7 @@ def check_live_updates(
                        {"deltas": payloads, "generation": gen0})
     if summary.get("applied") != 3:
         failures.append(f"{tag}: apply_delta did not apply 3: {summary}")
-        return
+        return base
     if summary.get("stale_workers"):
         failures.append(f"{tag}: fan-out left stale workers: {summary}")
     if summary.get("invalidated", {}).get("expansion") != 0:
@@ -332,11 +364,22 @@ def check_live_updates(
     if [(r["doc_id"], r["score"]) for r in topic["results"]] != ref_results:
         failures.append(f"{tag}: overlay changed an unrelated topic's answer")
 
+    # An acknowledged batch survives a restart: the new process replays
+    # the delta log before it binds.
+    base = restart()
+    health = get_json(f"{base}/healthz")
+    if health.get("delta_seq") != 3:
+        failures.append(f"{tag}: restart did not restore delta_seq 3: {health}")
+    again = get_json(f"{base}/expand", {"query": live_query})
+    if not again.get("linked") or \
+            [(r["doc_id"], r["score"]) for r in again["results"]] != overlay_results:
+        failures.append(f"{tag}: added page lost across a restart: {again}")
+
     compacted = get_json(f"{base}/admin/compact", {})
     if compacted.get("generation") != gen0 + 1 or \
             compacted.get("folded_seq") != 3:
         failures.append(f"{tag}: compact summary wrong: {compacted}")
-        return
+        return base
     health = get_json(f"{base}/healthz")
     if health.get("snapshot_generation") != gen0 + 1 or \
             health.get("delta_seq") != 0:
@@ -353,21 +396,17 @@ def check_live_updates(
     topic = get_json(f"{base}/expand", {"query": query})
     if [(r["doc_id"], r["score"]) for r in topic["results"]] != ref_results:
         failures.append(f"{tag}: hot swap changed an unrelated topic's answer")
-    print(f"{tag}: apply_delta -> re-query -> compact -> hot swap ok "
-          f"(generation {gen0} -> {gen0 + 1})")
+    print(f"{tag}: apply_delta -> re-query -> restart -> compact -> hot "
+          f"swap ok (generation {gen0} -> {gen0 + 1})")
+    return base
 
 
 def check_shedding(snap_dir: Path, query: str, failures: list[str]) -> None:
     """Relaunch with admission control; overload -> shed -> recover."""
     from repro.obs import parse_prometheus_text
 
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "serve",
-         "--snapshot", str(snap_dir), "--http", "0",
-         "--queue-limit", "16", "--client-rate", "3", "--client-burst", "3"],
-        cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-        text=True,
-    )
+    proc = launch(snap_dir, "--queue-limit", "16", "--client-rate", "3",
+                  "--client-burst", "3")
     try:
         # Read startup lines by hand: the warm-start banner prints
         # before the bound-port line and must be observed here.
@@ -472,11 +511,7 @@ def check_shedding(snap_dir: Path, query: str, failures: list[str]) -> None:
             failures.append(f"queue not drained after recovery: {health}")
         print("shed: greedy client recovered after backoff; queue drained")
     finally:
-        proc.send_signal(signal.SIGINT)
-        try:
-            proc.wait(timeout=30)
-        except subprocess.TimeoutExpired:
-            proc.kill()
+        stop(proc)
 
 
 def rank_ahead_used(base: str) -> float:
@@ -549,14 +584,9 @@ def check_worker_serving(
     """Serve with out-of-process shard workers; kill one mid-run."""
     from repro.obs import parse_prometheus_text
 
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "serve",
-         "--snapshot", str(snap_dir), "--http", "0", "--workers", "2"],
-        cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-        text=True,
-    )
+    procs = [launch(snap_dir, "--workers", "2")]
     try:
-        port = wait_for_port(proc)
+        port = wait_for_port(procs[0])
         base = f"http://127.0.0.1:{port}"
 
         health = get_json(f"{base}/healthz")
@@ -655,15 +685,14 @@ def check_worker_serving(
         else:
             print("workers: restart counter visible in /metrics")
 
-        check_live_updates(base, query, ref_results, failures,
-                           id_base=9_610_000, tag="live-workers")
+        base = check_live_updates(
+            base, query, ref_results, failures, id_base=9_610_000,
+            tag="live-workers",
+            restart=restarter(procs, snap_dir, "--workers", "2"),
+        )
         check_rank_ahead_across_eviction(base, snap_dir, query, failures)
     finally:
-        proc.send_signal(signal.SIGINT)
-        try:
-            proc.wait(timeout=30)
-        except subprocess.TimeoutExpired:
-            proc.kill()
+        stop(procs[-1])
 
 
 def main() -> int:
@@ -677,14 +706,9 @@ def main() -> int:
         topics = [topic.keywords for topic in benchmark.topics[:3]] + ["qzxunseen"]
         print(f"snapshot built at {snap_dir}; query: {query!r}")
 
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "serve",
-             "--snapshot", str(snap_dir), "--http", "0"],
-            cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-            text=True,
-        )
+        procs = [launch(snap_dir)]
         try:
-            port = wait_for_port(proc)
+            port = wait_for_port(procs[0])
             base = f"http://127.0.0.1:{port}"
 
             health = get_json(f"{base}/healthz")
@@ -738,14 +762,11 @@ def main() -> int:
             check_top_once(base, failures)
             check_batch_expand(base, topics, failures, tag="batch")
             check_live_updates(base, query, ref_results, failures,
-                               id_base=9_600_000, tag="live")
+                               id_base=9_600_000, tag="live",
+                               restart=restarter(procs, snap_dir))
             router.close()
         finally:
-            proc.send_signal(signal.SIGINT)
-            try:
-                proc.wait(timeout=30)
-            except subprocess.TimeoutExpired:
-                proc.kill()
+            stop(procs[-1])
 
         recent_path = snap_dir / "recent_queries.json"
         if not recent_path.exists():
