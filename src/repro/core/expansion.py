@@ -383,25 +383,6 @@ class NeighborhoodCycleExpander(Expander):
             tuple(merged[n] for n in sorted(merged, key=lambda n: (len(n), n))),
         )
 
-    def expand_batch(
-        self, graph: WikiGraph, seed_sets: Iterable[Iterable[int]]
-    ) -> list[ExpansionResult]:
-        """Expand several seed sets over one shared subgraph.
-
-        The balls are united, the union subgraph taken once and each ball
-        carved out of it — a superset of every ball, so the same edges and
-        the same results as :meth:`expand` per seed set.  That amortises
-        the dict :class:`WikiGraph`'s pass over every edge per
-        ``induced_subgraph``; on ``CompactGraphView`` a subgraph is a
-        zero-copy keep-set and there is no per-query scan left to amortise.
-        """
-        resolved = [self._seeds(graph, seeds) for seeds in seed_sets]
-        balls = [self.neighborhood(graph, seeds) for seeds in resolved]
-        shared = graph.induced_subgraph(set().union(*balls))
-        return [
-            self.mine(shared, seeds, ball) for seeds, ball in zip(resolved, balls)
-        ]
-
 
 class RedirectExpander(Expander):
     """Decorator: add redirect titles of the inner expander's features.

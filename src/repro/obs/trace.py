@@ -234,7 +234,7 @@ def add_counts(**counts) -> None:
     This is how code *below* an instrumentation site reports how much
     work it did (``cycle_mine``: ``roots``, ``emitted``, ``kept``)
     without taking a span parameter.  Values accumulate, so a span over
-    a batch carries the batch's totals.
+    several mining calls carries their totals.
     """
     labels = _open_span.get()
     if labels is not None:

@@ -25,11 +25,11 @@ Two dedup layers stack:
   queries racing on the same *entity set* still collapse to one cycle
   mining pass inside the owning shard worker.
 
-:class:`ExecutorShardAdapter` exposes exactly the four shard-protocol
-calls (``expand_seeds``, ``prefill_expansions``,
-``leaf_collection_counts``, ``search_with_background``) of an in-process
-worker as awaitables.  ``docs/shard_protocol.md`` specifies the same
-four calls as a versioned JSON wire protocol, which
+:class:`ExecutorShardAdapter` exposes exactly the three shard-protocol
+query calls (``expand_seeds``, ``leaf_collection_counts``,
+``search_with_background``) of an in-process worker as awaitables.
+``docs/shard_protocol.md`` specifies the same three calls as a
+versioned JSON wire protocol, which
 :class:`~repro.service.socket_adapter.SocketShardAdapter` speaks to a
 worker process.
 
@@ -75,11 +75,11 @@ def _export_snapshot_dir(snapshot) -> str:
 
 
 class ExecutorShardAdapter:
-    """The four shard-protocol calls as awaitables over one worker.
+    """The three shard-protocol query calls as awaitables over one worker.
 
     This is the seam where a shard stops being an object and becomes an
     address: the async router only ever talks to adapters, and an
-    adapter that serialises these four calls over a socket (per
+    adapter that serialises these three calls over a socket (per
     ``docs/shard_protocol.md``) turns the in-process worker into a
     remote process without touching the router.  The worker records its
     own spans; there is nothing to retry or hedge, so nothing to count.
@@ -101,9 +101,6 @@ class ExecutorShardAdapter:
 
     async def expand_seeds(self, seeds):
         return await self._call("expand_seeds", seeds)
-
-    async def prefill_expansions(self, seed_sets):
-        return await self._call("prefill_expansions", seed_sets)
 
     async def leaf_collection_counts(self, root):
         return await self._call("leaf_collection_counts", root)

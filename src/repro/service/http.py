@@ -327,7 +327,10 @@ class HttpFrontEnd:
 
                 headers: dict[str, str] = {}
                 while True:
-                    line = await timed(reader.readline())
+                    try:
+                        line = await timed(reader.readline())
+                    except ValueError:  # a line over the stream limit
+                        raise _RequestError(400, "bad_request", "header line too long")
                     if line in (b"\r\n", b"\n", b""):
                         break
                     if len(headers) >= _MAX_HEADERS:
@@ -382,6 +385,7 @@ class HttpFrontEnd:
                 if not keep_alive or self._closing:
                     break
         except _RequestError as exc:
+            self._http_errors_metric.inc(status=str(exc.status))
             try:
                 await self._send(
                     writer, exc.status, _error_body(exc.code, exc.message),

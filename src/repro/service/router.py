@@ -10,7 +10,7 @@ a :class:`~repro.service.artifacts.ShardedSnapshot`:
   (the shard of the smallest seed id — deterministic, so a seed set always
   lands on the same worker and its expansion cache).  Workers are full
   :class:`ExpansionService` instances: per-shard LRU caches, in-flight
-  dedup, and the amortised ``expand_batch`` pre-fill all apply per shard.
+  dedup and per-anchor composition all apply per shard.
   Cycle mining runs on the snapshot's frozen
   :class:`~repro.wiki.compact.CompactGraphView` — the one graph the
   router links against too — so the mined cycles are the dict graph's
@@ -34,7 +34,7 @@ request and assembles the responses, and never touches a worker.  Two
 thin drivers execute it: :meth:`ShardRouter._run` on the in-process
 workers (one call direct, a fan-out over a pool sized to the shard
 count) and :class:`~repro.service.async_router.AsyncShardRouter` over
-per-shard adapters with ``asyncio.gather`` — the same four
+per-shard adapters with ``asyncio.gather`` — the same three
 :class:`ExpansionService` calls either way (``docs/shard_protocol.md``;
 ``docs/architecture.md`` has the layer map).
 """
@@ -196,9 +196,8 @@ class ShardRouter:
     def batch_expand(self, texts: list[str], top_k: int = 10) -> list[ServiceResponse]:
         """Answer a batch, fanning expansion work out across shards.
 
-        Raw duplicates are answered once.  Distinct seed sets are grouped
-        by owning shard and pre-filled in parallel — one ``expand_batch``
-        pass per shard, concurrently with the other shards.
+        Raw duplicates are answered once, and each distinct seed set is
+        expanded once on its owning shard, concurrently with the others.
         """
         if not texts:
             return []
@@ -357,7 +356,7 @@ class ShardRouter:
         """One request — a query, or a batch — as a sans-IO generator.
 
         Yields steps ``(call, [(shard, argument), ...])``: each item is
-        one of the four shard calls on that shard's worker (``shard`` is
+        one of the three shard calls on that shard's worker (``shard`` is
         None for the router's own ``link_text``), each step is one
         fan-out, and the driver sends back the results in item order —
         or throws the failure in, so the request is observed as an error.
@@ -366,11 +365,9 @@ class ShardRouter:
         normalised texts:
 
         1. ``link_text`` each at the router (the ``link`` span);
-        2. ``prefill_expansions`` once per owner shard with its distinct
-           seed sets — ``batch_expand`` only; what this step computed is
-           reported as not cached, because the batch paid for it;
-        3. ``expand_seeds`` on the shard owning each seed set;
-        4. the steps of :meth:`rank_plan` for what there is to rank.
+        2. ``expand_seeds`` once per distinct seed set, on the shard that
+           owns it; every query linked to the set gets its answer;
+        3. the steps of :meth:`rank_plan` for what there is to rank.
 
         The request runs in the ambient trace (or a new one) and is
         observed once, as ``path``; batch members carry no trace.
@@ -396,22 +393,17 @@ class ShardRouter:
                         span["queries"] = len(queries)
                     else:
                         span["cached"] = links[0][1]
-                seed_sets = [link.article_ids for link, _ in links]
+                seed_sets = list(dict.fromkeys(link.article_ids for link, _ in links))
                 owners = [self.owner_shard(seeds) for seeds in seed_sets]
-                computed_here: set[frozenset[int]] = set()
-                if batch:
-                    by_owner: dict[int, set[frozenset[int]]] = {}
-                    for owner, seeds in zip(owners, seed_sets):
-                        by_owner.setdefault(owner, set()).add(seeds)
-                    computed_here.update(*(
-                        yield "prefill_expansions", list(by_owner.items())
-                    ))
-                expansions = yield "expand_seeds", list(zip(owners, seed_sets))
-                for owner, seeds, (_, cached) in zip(owners, seed_sets, expansions):
+                answers = dict(zip(seed_sets, (
+                    yield "expand_seeds", list(zip(owners, seed_sets))
+                )))
+                for owner, (seeds, (_, cached)) in zip(owners, answers.items()):
                     self.metrics.shard_queries.inc(
                         shard=owner,
                         result="hit" if cached else "miss" if seeds else "unlinked",
                     )
+                expansions = [answers[link.article_ids] for link, _ in links]
                 roots = [
                     self.build_query(query, expansion)
                     for query, (expansion, _) in zip(queries, expansions)
@@ -436,9 +428,7 @@ class ShardRouter:
                 expansion=expansion,
                 results=result,
                 link_cached=link_cached,
-                expansion_cached=(
-                    expansion_cached and link.article_ids not in computed_here
-                ),
+                expansion_cached=expansion_cached,
                 latency_ms=latency_ms,
                 trace=None if batch else trace,
             )

@@ -18,8 +18,8 @@ Concurrency: the service is thread-safe.  An in-flight table deduplicates
 identical expansions across threads — when two requests race on the same
 entity set, one mines cycles and the other waits for the result instead of
 mining twice.  :meth:`ExpansionService.batch_expand` additionally
-deduplicates identical queries *within* a batch and mines its distinct
-entity sets in one ``expand_batch`` pass.
+deduplicates identical queries and identical entity sets *within* a
+batch: each distinct set is expanded once, the way a single query is.
 """
 
 from __future__ import annotations
@@ -338,18 +338,17 @@ class ExpansionService:
 
         Identical raw strings are deduplicated before any work happens (a
         batch of N copies of one query costs one tokenisation, one link and
-        one expansion, not N cache probes racing the in-flight table), and
+        one expansion, not N cache probes racing the in-flight table),
         identical queries after normalisation are answered once with the
-        response object reused.  All uncached expansions of the batch run
-        through one :meth:`NeighborhoodCycleExpander.expand_batch` call
-        when the configured expander provides it.
+        response object reused, and queries that link to the same entity
+        set share one :meth:`expand_seeds` answer, ``cached`` flag included.
         """
         if not texts:
             return []
         if tracing.current_trace() is None:
-            # One trace aggregates the whole batch (members share the
-            # amortised pre-fill, so per-member stage attribution would
-            # be arbitrary); responses carry trace=None.
+            # One trace aggregates the whole batch (members share linking
+            # and expansions, so per-member stage attribution would be
+            # arbitrary); responses carry trace=None.
             with tracing.start_trace() as trace:
                 trace.annotate(batch=len(texts))
                 return self._serve_batch(texts, top_k)
@@ -366,23 +365,16 @@ class ExpansionService:
             links: dict[str, tuple[LinkResult, bool]] = {
                 norm: self._link(norm) for norm in unique_norms
             }
-
-        # Pre-fill the expansion cache for all distinct, uncached, non-empty
-        # entity sets in one amortised pass.
-        computed_here = self.prefill_expansions(
-            links[norm][0].article_ids for norm in unique_norms
-        )
+        expansions: dict[frozenset[int], tuple[ExpansionResult, bool]] = {}
 
         by_norm: dict[str, ServiceResponse] = {}
         for text, norm in zip(texts, normalized):
             if norm not in by_norm:
                 started = time.perf_counter()
                 link, link_cached = links[norm]
-                expansion, expansion_cached = self._expand_seeds(link.article_ids)
-                # An expansion computed by this batch's pre-fill pass is not
-                # "cached" from the caller's perspective: the batch paid for it.
-                if link.article_ids in computed_here:
-                    expansion_cached = False
+                if link.article_ids not in expansions:
+                    expansions[link.article_ids] = self._expand_seeds(link.article_ids)
+                expansion, expansion_cached = expansions[link.article_ids]
                 with tracing.span("rank", shard=self._shard_id):
                     results = self._rank(norm, expansion, top_k)
                 by_norm[norm] = ServiceResponse(
@@ -450,8 +442,8 @@ class ExpansionService:
         return self._expansion_cache.evict_where(predicate)
 
     # ------------------------------------------------------------------
-    # The shard protocol (docs/shard_protocol.md): the four calls a router
-    # makes on a worker — direct, via an adapter or over the wire.
+    # The shard protocol (docs/shard_protocol.md): the three query calls
+    # a router makes on a worker — direct, via an adapter or over the wire.
     # ------------------------------------------------------------------
 
     def expand_seeds(self, seeds: frozenset[int]) -> tuple[ExpansionResult, bool]:
@@ -481,33 +473,6 @@ class ExpansionService:
             return self._engine.search_with_background(
                 request.root, request.background, request.top_k
             )
-
-    def prefill_expansions(self, seed_sets) -> set[frozenset[int]]:
-        """Amortised pre-fill of the expansion cache for a batch.
-
-        Claims every distinct, uncached, non-empty entity set, computes
-        them in one :meth:`NeighborhoodCycleExpander.expand_batch` pass
-        (when the expander provides it) and publishes the results.
-        Returns the seed sets computed by this call; sets already cached
-        or being computed by another thread are left to
-        :meth:`expand_seeds` to pick up.
-        """
-        batch_expand = getattr(self._expander, "expand_batch", None)
-        computed_here: set[frozenset[int]] = set()
-        if batch_expand is None:
-            return computed_here
-        pending = self._claim_pending({frozenset(seeds) for seeds in seed_sets})
-        if pending:
-            try:
-                epoch = self._expansion_cache.epoch  # before the graph read
-                with self._mine_span(sum(map(len, pending)), batch=len(pending)):
-                    expansions = list(batch_expand(self._graph, pending))
-                for seeds, result in zip(pending, expansions):
-                    self._expansion_cache.put(seeds, result, epoch=epoch)
-                    computed_here.add(seeds)
-            finally:
-                self._release_pending(pending)
-        return computed_here
 
     # ------------------------------------------------------------------
     # Internals
@@ -576,12 +541,12 @@ class ExpansionService:
                 self._inflight.pop(seeds, None)
             event.set()
 
-    def _mine_span(self, anchors: int, reused: int = 0, **labels):
+    def _mine_span(self, anchors: int, reused: int = 0):
         """``cycle_mine``: ``reused`` of the ``anchors`` asked for came from
         the cache (``engine`` is None for duck-typed expanders)."""
         return tracing.span(
             "cycle_mine", shard=self._shard_id, anchors=anchors, reused=reused,
-            engine=getattr(self._expander, "engine", None), **labels,
+            engine=getattr(self._expander, "engine", None),
         )
 
     def _mine_seeds(self, seeds: frozenset[int], epoch: int) -> ExpansionResult:
@@ -609,26 +574,6 @@ class ExpansionService:
         for a, part in parts.items():  # unrecorded: publish or refresh
             cache.put(frozenset((a,)), part, epoch=epoch)
         return mined if missing == seeds else expander.compose(graph, parts.values())
-
-    def _claim_pending(self, seed_sets: set[frozenset[int]]) -> list[frozenset[int]]:
-        """Mark uncached entity sets as in-flight for a batch pre-fill."""
-        claimed: list[frozenset[int]] = []
-        with self._lock:
-            for seeds in sorted(seed_sets, key=sorted):
-                if not seeds or self._expansion_cache.peek(seeds) is not None:
-                    continue
-                if seeds in self._inflight:
-                    continue  # another thread is on it; _expand_seeds will wait
-                self._inflight[seeds] = threading.Event()
-                claimed.append(seeds)
-        return claimed
-
-    def _release_pending(self, claimed: list[frozenset[int]]) -> None:
-        with self._lock:
-            events = [self._inflight.pop(seeds, None) for seeds in claimed]
-        for event in events:
-            if event is not None:
-                event.set()
 
     def _rank(
         self, normalized: str, expansion: ExpansionResult, top_k: int

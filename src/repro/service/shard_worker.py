@@ -1,7 +1,7 @@
 """Out-of-process shard worker: one shard served over the wire protocol.
 
 A shard worker is a process that loads *one* shard of a
-:class:`~repro.service.artifacts.ShardedSnapshot` and serves the four
+:class:`~repro.service.artifacts.ShardedSnapshot` and serves the
 shard-protocol calls (``docs/shard_protocol.md``) over length-prefixed
 JSON frames (:mod:`repro.service.wire`) on the same asyncio-streams
 machinery the HTTP front end uses.  Start one with::
@@ -18,7 +18,7 @@ is answered with a clean error frame and the connection is closed —
 version negotiation fails loudly instead of mis-decoding call frames.
 The hello response carries static shard metadata (pid, document count,
 segment token total) so a supervisor's liveness ping doubles as a
-readiness check without touching the four calls.  A worker never links
+readiness check without touching the query calls.  A worker never links
 (the router does, before it knows the owner shard), so it holds no
 vocabulary.
 
@@ -38,12 +38,12 @@ process), hence a new token and a full body; the router never has to
 invalidate anything itself.
 
 Execution model: a call hops to the small thread pool only when it can
-mine or write (``expand_seeds`` on a cache miss, ``prefill_expansions``,
-``apply_delta``), so a slow expansion does not stop the worker from
-answering rank calls on other connections.  Every other call is answered
-on the event loop, where its frame was read: short pure-Python work the
-GIL would serialise anyway, for which the hop — two thread wake-ups —
-costs more than the answer (``docs/shard_protocol.md``).
+mine or write (``expand_seeds`` on a cache miss, ``apply_delta``), so a
+slow expansion does not stop the worker from answering rank calls on
+other connections.  Every other call is answered on the event loop,
+where its frame was read: short pure-Python work the GIL would
+serialise anyway, for which the hop — two thread wake-ups — costs more
+than the answer (``docs/shard_protocol.md``).
 
 Fault injection (:mod:`repro.service.faults`) hooks in *here*, at the
 frame layer — after a request is decoded, before it is dispatched — so
@@ -74,7 +74,6 @@ READY_LINE = "shard-worker: shard {shard} serving on {host}:{port} pid={pid}"
 
 _CALLS = (
     "expand_seeds",
-    "prefill_expansions",
     "leaf_collection_counts",
     "search_with_background",
     "apply_delta",
@@ -108,7 +107,7 @@ def make_shard_worker(
 
 
 class ShardWorkerServer:
-    """Serve one shard worker's four protocol calls over asyncio streams."""
+    """Serve one shard worker's protocol calls over asyncio streams."""
 
     def __init__(
         self,
@@ -270,7 +269,7 @@ class ShardWorkerServer:
         this peek and the call is mined on the loop: rare, still right)."""
         if call == "expand_seeds":
             return not self._worker.has_expansion(_seed_set(request["seeds"]))
-        return call in ("prefill_expansions", "apply_delta")
+        return call == "apply_delta"
 
     def _dispatch(self, call: str, request: dict) -> dict:
         worker = self._worker
@@ -285,10 +284,6 @@ class ShardWorkerServer:
                 "cached": cached,
                 "etag": etag,
             }
-        if call == "prefill_expansions":
-            seed_sets = [_seed_set(seeds) for seeds in request["seed_sets"]]
-            computed = worker.prefill_expansions(seed_sets)
-            return {"computed": [sorted(seeds) for seeds in computed]}
         if call == "leaf_collection_counts":
             root = wire.decode_query(request["root"])
             counts = worker.leaf_collection_counts(root)

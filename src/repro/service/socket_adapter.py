@@ -4,7 +4,7 @@
 :class:`~repro.service.async_router.ExecutorShardAdapter` that speaks
 the versioned wire protocol (``docs/shard_protocol.md``) to a
 :mod:`repro.service.shard_worker` process instead of calling an
-in-process worker.  The four protocol methods have identical signatures
+in-process worker.  The three protocol methods have identical signatures
 and return identical values — bit-identical doc ids and scores is the
 acceptance bar, asserted per query in the latency bench — so
 :class:`~repro.service.async_router.AsyncShardRouter` cannot tell the
@@ -113,7 +113,7 @@ class ShardCallPolicy:
 
 
 class SocketShardAdapter:
-    """The four shard-protocol calls over a supervised worker socket."""
+    """The three shard-protocol query calls over a supervised worker socket."""
 
     def __init__(
         self,
@@ -143,7 +143,7 @@ class SocketShardAdapter:
         self._expansions = LRUCache(wire.EXPANSION_ETAG_ENTRIES)
 
     # ------------------------------------------------------------------
-    # The four protocol calls
+    # The three protocol calls
     # ------------------------------------------------------------------
 
     async def expand_seeds(self, seeds: frozenset[int]):
@@ -160,18 +160,6 @@ class SocketShardAdapter:
             expansion = wire.decode_expansion(response["expansion"])
             self._expansions.put(seeds, (str(response["etag"]), expansion))
         return expansion, bool(response["cached"])
-
-    async def prefill_expansions(self, seed_sets) -> set[frozenset[int]]:
-        try:
-            response = await self._call(
-                "prefill_expansions",
-                {"seed_sets": [sorted(seeds) for seeds in seed_sets]},
-            )
-        except ShardUnavailableError:
-            # Pre-filling is an optimisation; the per-query expand on
-            # the same dead shard is where unavailability is reported.
-            return set()
-        return {frozenset(seeds) for seeds in response["computed"]}
 
     async def leaf_collection_counts(self, root) -> dict:
         try:

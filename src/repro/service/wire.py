@@ -81,8 +81,8 @@ __all__ = [
 # docs/shard_protocol.md.  Version 2 added the ``apply_delta`` admin
 # call (live updates, docs/live_updates.md); version 3 the conditional
 # ``expand_seeds`` fetch (``have`` / ``etag`` / ``not_modified``).
-# Version 4 removed ``link_text``.
-SHARD_PROTOCOL_VERSION = 4
+# Version 4 removed ``link_text``, version 5 the batch pre-fill call.
+SHARD_PROTOCOL_VERSION = 5
 
 # Default bound on one frame.  The largest legitimate frames are ranked
 # lists and expansion results over the benchmark-scale graph — well

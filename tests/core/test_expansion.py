@@ -154,77 +154,6 @@ class TestNeighborhoodCycleExpander:
             NeighborhoodCycleExpander(max_nodes=1)
 
 
-class TestExpandBatch:
-    """Edge cases of the amortised batch API."""
-
-    def test_empty_batch(self, venice_world):
-        graph, _ = venice_world
-        assert NeighborhoodCycleExpander().expand_batch(graph, []) == []
-
-    def test_empty_seed_set_yields_empty_expansion(self, venice_world):
-        graph, ids = venice_world
-        expander = NeighborhoodCycleExpander()
-        results = expander.expand_batch(
-            graph, [frozenset(), frozenset({ids["venice"]})]
-        )
-        assert results[0].seed_articles == frozenset()
-        assert results[0].article_ids == frozenset()
-        assert results[0].titles == ()
-        # The empty entry must not disturb its batch neighbours.
-        assert results[1].article_ids == \
-            expander.expand(graph, {ids["venice"]}).article_ids
-
-    def test_overlapping_seed_sets_stay_independent(self, venice_world):
-        """Entries sharing seeds (overlapping balls) are each expanded as
-        if they were alone — the shared union subgraph must not leak
-        features between them."""
-        graph, ids = venice_world
-        expander = NeighborhoodCycleExpander()
-        seed_sets = [
-            frozenset({ids["venice"]}),
-            frozenset({ids["venice"], ids["cannaregio"]}),
-            frozenset({ids["cannaregio"]}),
-        ]
-        batched = expander.expand_batch(graph, seed_sets)
-        for seeds, result in zip(seed_sets, batched):
-            single = expander.expand(graph, seeds)
-            assert result.seed_articles == single.seed_articles
-            assert result.article_ids == single.article_ids
-            assert result.titles == single.titles
-            assert result.cycles == single.cycles
-
-    def test_duplicate_seed_sets_get_equal_results(self, venice_world):
-        graph, ids = venice_world
-        expander = NeighborhoodCycleExpander()
-        seeds = frozenset({ids["venice"]})
-        first, second = expander.expand_batch(graph, [seeds, seeds])
-        assert first.article_ids == second.article_ids
-        assert first.titles == second.titles
-
-    def test_equivalence_with_sequential_expand_under_cap(self, venice_world):
-        """Equivalence holds even when max_nodes truncates the balls,
-        because each ball is BFS-carved before the union is taken."""
-        graph, ids = venice_world
-        expander = NeighborhoodCycleExpander(radius=2, max_nodes=5)
-        seed_sets = [
-            frozenset({ids["venice"]}),
-            frozenset({ids["sheep"]}),
-            frozenset({ids["canal"], ids["palazzo"]}),
-        ]
-        batched = expander.expand_batch(graph, seed_sets)
-        for seeds, result in zip(seed_sets, batched):
-            single = expander.expand(graph, seeds)
-            assert result.article_ids == single.article_ids
-            assert result.titles == single.titles
-
-    def test_unknown_seed_rejected(self, venice_world):
-        graph, ids = venice_world
-        with pytest.raises(AnalysisError):
-            NeighborhoodCycleExpander().expand_batch(
-                graph, [frozenset({ids["venice"]}), frozenset({404_404})]
-            )
-
-
 class TestRedirectExpander:
     def test_adds_redirect_titles(self, venice_world):
         graph, ids = venice_world

@@ -62,7 +62,7 @@ class TestEquivalence:
             assert [(r.doc_id, r.score) for r in mine.results] == \
                    [(r.doc_id, r.score) for r in ref.results], query
 
-    def test_batch_marks_own_prefill_as_cold_then_repeats_as_cached(
+    def test_batch_marks_what_it_mined_as_cold_then_repeats_as_cached(
         self, small_benchmark, sharded_snapshot
     ):
         queries = [topic.keywords for topic in small_benchmark.topics]

@@ -277,7 +277,7 @@ class TestHandshake:
         return with_server(worker, fn)
 
     def test_a_v2_peer_is_refused(self, worker):
-        assert wire.SHARD_PROTOCOL_VERSION == 4
+        assert wire.SHARD_PROTOCOL_VERSION == 5
         response, trailing = self.hello(worker, 2)
         assert response["error"]["type"] == "protocol_mismatch"
         assert "protocol 2" in response["error"]["message"]
@@ -288,6 +288,14 @@ class TestHandshake:
         response, trailing = self.hello(worker, 3)
         assert response["error"]["type"] == "protocol_mismatch"
         assert "protocol 3" in response["error"]["message"]
+        assert trailing is None, "the worker must close after the mismatch"
+
+    def test_a_v4_peer_is_refused(self, worker):
+        """Version 5 removed ``prefill_expansions``: a v4 router would
+        still send it for every batch."""
+        response, trailing = self.hello(worker, 4)
+        assert response["error"]["type"] == "protocol_mismatch"
+        assert "protocol 4" in response["error"]["message"]
         assert trailing is None, "the worker must close after the mismatch"
 
     def test_a_v4_adapter_refuses_a_v3_worker(self, worker, monkeypatch):
@@ -311,6 +319,20 @@ class TestHandshake:
             return err.value.error_type, adapter.retries_total, server.calls_served
 
         assert with_server(worker, fn) == ("unknown_call", 0, 0)
+
+    def test_a_prefill_expansions_call_is_unknown_and_mines_nothing(
+        self, worker, seed_sets
+    ):
+        async def fn(adapter, server):
+            with pytest.raises(WorkerCallError) as err:
+                await adapter._call(
+                    "prefill_expansions",
+                    {"seed_sets": [sorted(seeds) for seeds in seed_sets]},
+                )
+            return err.value.error_type, adapter.retries_total, server.calls_served
+
+        assert with_server(worker, fn) == ("unknown_call", 0, 0)
+        assert not any(worker.has_expansion(seeds) for seeds in seed_sets)
 
 
 class TestRouterSeesWorkerCacheOutcomes:

@@ -240,6 +240,40 @@ class TestFailureModes:
                 response += chunk
         assert b"400" in response.split(b"\r\n", 1)[0]
 
+    def test_a_header_line_over_the_stream_limit_is_400(self, sharded_snapshot):
+        """A header line longer than the 64 KiB stream limit is answered
+        400 and counted, not raised out of the connection handler."""
+        import socket
+
+        handle = ServerHandle(HttpFrontEnd(
+            AsyncShardRouter(ShardRouter(sharded_snapshot))
+        ))
+        unhandled = []
+        handle.loop.set_exception_handler(
+            lambda _loop, context: unhandled.append(context)
+        )
+        try:
+            with socket.create_connection(
+                ("127.0.0.1", handle.port), timeout=30
+            ) as sock:
+                sock.sendall(
+                    b"GET /healthz HTTP/1.1\r\nX-Long: "
+                    + b"a" * (70 * 1024) + b"\r\n\r\n"
+                )
+                response = b""
+                while chunk := sock.recv(4096):
+                    response += chunk
+            head, _, body = response.partition(b"\r\n\r\n")
+            assert head.split(b"\r\n", 1)[0] == b"HTTP/1.1 400 Bad Request"
+            assert b"Connection: close" in head
+            assert json.loads(body)["error"]["code"] == "bad_request"
+            status, payload = handle.request("GET", "/stats")
+            assert status == 200
+            assert payload["http"]["errors_by_status"] == {"400": 1}
+        finally:
+            handle.close()
+        assert unhandled == []
+
     def test_stop_lets_in_flight_requests_finish(
         self, sharded_snapshot, monkeypatch
     ):

@@ -164,7 +164,7 @@ class TestSingleQuery:
 
 
 class TestBatch:
-    def test_links_each_distinct_text_once_and_prefills_each_owner_once(
+    def test_links_each_distinct_text_once_and_expands_each_seed_set_once(
         self, small_benchmark, router
     ):
         topics = [t.keywords for t in small_benchmark.topics]
@@ -176,24 +176,19 @@ class TestBatch:
         backend, responses = _serve(router, "batch_expand", texts)
         queries = list(dict.fromkeys(router.normalize(text) for text in texts))
         assert len(queries) == 5
-        assert backend.calls[:3] == [
-            "link_text", "prefill_expansions", "expand_seeds",
-        ]
+        assert backend.calls[:2] == ["link_text", "expand_seeds"]
         assert backend.items("link_text") == [(None, query) for query in queries]
 
         seeds = {r.normalized_query: r.link.article_ids for r in responses}
         assert seeds[queries[0]] == seeds[router.normalize(same_seeds)]
-        by_owner: dict[int, set] = {}
-        for query in queries:
-            by_owner.setdefault(
-                router.owner_shard(seeds[query]), set()
-            ).add(seeds[query])
-        prefills = backend.items("prefill_expansions")
-        assert len(prefills) == len(by_owner)        # each owner once ...
-        assert dict(prefills) == by_owner            # ... its distinct sets
+        distinct = list(dict.fromkeys(seeds[query] for query in queries))
+        assert len(distinct) == len(queries) - 1
         assert backend.items("expand_seeds") == [
-            (router.owner_shard(seeds[query]), seeds[query]) for query in queries
+            (router.owner_shard(seed_set), seed_set) for seed_set in distinct
         ]
+        first, shared = responses[0], responses[4]
+        assert shared.expansion is first.expansion
+        assert shared.expansion_cached is first.expansion_cached is False
         # One rank fan-out for the whole batch: a request per query,
         # shared by the shards it is sent to.
         requests = backend.items("search_with_background")
@@ -201,8 +196,8 @@ class TestBatch:
         assert len({id(request) for _, request in requests}) == len(queries)
 
         # Input order kept; duplicates and variants share one response,
-        # labelled with the first raw text; the batch paid for what it
-        # pre-filled, so nothing reports cached.
+        # labelled with the first raw text; the batch mined every seed
+        # set it expanded, so nothing reports cached.
         assert [r.normalized_query for r in responses] == \
             [router.normalize(text) for text in texts]
         assert responses[0] is responses[2] and responses[1] is responses[3]

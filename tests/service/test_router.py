@@ -113,6 +113,69 @@ class TestRouting:
         assert not response.link_cached
 
 
+class TestBatchMining:
+    """A batch mines through ``expand_seeds`` like a single query: once
+    per distinct seed set, counted by the answer's own ``cached`` flag,
+    and composed from the anchor entries earlier queries left behind."""
+
+    def test_a_cold_batch_counts_a_miss_per_distinct_seed_set(
+        self, small_benchmark, router
+    ):
+        topics = [topic.keywords for topic in small_benchmark.topics]
+        texts = topics + [text.upper() for text in topics]
+        seed_sets = {
+            router.link_text(router.normalize(text))[0].article_ids
+            for text in topics
+        } - {frozenset()}
+        owned = [
+            sum(router.owner_shard(seeds) == shard for seeds in seed_sets)
+            for shard in range(router.num_shards)
+        ]
+
+        def hits_and_misses():
+            return [
+                (shard["expansion_cache"]["hits"], shard["expansion_cache"]["misses"])
+                for shard in router.stats()["per_shard"]
+            ]
+
+        router.batch_expand(texts)
+        assert hits_and_misses() == [(0, n) for n in owned]
+        router.batch_expand(texts)
+        assert hits_and_misses() == [(n, n) for n in owned]
+
+    def test_a_batch_after_a_single_composes_from_its_anchors(
+        self, small_benchmark, sharded_snapshot, router
+    ):
+        from repro.obs import trace as tracing
+
+        head = small_benchmark.topics[0].keywords
+        seeds = router.expand_query(head).link.article_ids
+        assert len(seeds) > 1
+        tails = [  # ids above min(seeds): the same owner shard as the head
+            article for article in small_benchmark.graph.main_articles()
+            if article.node_id > min(seeds) and article.node_id not in seeds
+        ][:4]
+        texts = [f"{head} compared with {tail.title}" for tail in tails]
+        with tracing.start_trace() as trace:
+            batch = router.batch_expand(texts)
+        assert [r.link.article_ids for r in batch] == \
+            [seeds | {tail.node_id} for tail in tails]
+        mined = [s.labels for s in trace.spans if s.stage == "cycle_mine"]
+        assert [(s["anchors"], s["reused"]) for s in mined] == \
+            [(len(seeds) + 1, len(seeds))] * len(tails)
+        assert not any(r.expansion_cached for r in batch)
+
+        fresh = ShardRouter(sharded_snapshot)
+        try:
+            for text, response in zip(texts, batch):
+                alone = fresh.expand_query(text)
+                assert response.expansion == alone.expansion
+                assert [(r.doc_id, r.score) for r in response.results] == \
+                    [(r.doc_id, r.score) for r in alone.results]
+        finally:
+            fresh.close()
+
+
 class TestStats:
     def test_stats_shape(self, small_benchmark, router):
         router.expand_query(small_benchmark.topics[0].keywords)

@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro.core.expansion import CycleExpander, NeighborhoodCycleExpander
+from repro.core.expansion import CycleExpander, Expander, NeighborhoodCycleExpander
 from repro.errors import ServiceError
 from repro.linking.linker import EntityLinker
 from repro.service import ExpansionService
@@ -96,8 +96,6 @@ class TestBatch:
                 calls.append(frozenset(seed_articles))
                 return super().expand(graph, seed_articles)
 
-            expand_batch = None  # force the per-set path through expand()
-
         service = ExpansionService.from_snapshot(snapshot, expander=CountingExpander())
         tokenize_calls = []
         original = service.engine.tokenizer.tokenize_phrase
@@ -121,8 +119,12 @@ class TestBatch:
         assert stats.queries == 5
 
     def test_expander_without_batch_api_still_works(self, small_benchmark, snapshot):
-        class PlainExpander(NeighborhoodCycleExpander):
-            expand_batch = None  # simulate a custom Expander lacking the API
+        class PlainExpander(Expander):
+            """A custom expander with nothing but ``expand``: no anchor
+            composition, so every batch member is mined whole."""
+
+            def expand(self, graph, seed_articles):
+                return NeighborhoodCycleExpander().expand(graph, seed_articles)
 
         service = ExpansionService.from_snapshot(
             snapshot, expander=PlainExpander()
@@ -131,23 +133,6 @@ class TestBatch:
         batch = service.batch_expand(queries)
         assert len(batch) == len(queries)
         assert all(response.results for response in batch)
-
-    def test_expand_batch_matches_expand(self, small_benchmark):
-        """The amortised core API is exactly equivalent to per-query calls."""
-        graph = small_benchmark.graph
-        linker = EntityLinker(graph)
-        seed_sets = [
-            linker.link_keywords(topic.keywords) for topic in small_benchmark.topics
-        ]
-        expander = NeighborhoodCycleExpander(
-            CycleExpander(min_category_ratio=0.2, min_extra_edge_density=0.2)
-        )
-        batched = expander.expand_batch(graph, seed_sets)
-        for seeds, result in zip(seed_sets, batched):
-            single = expander.expand(graph, seeds)
-            assert result.article_ids == single.article_ids
-            assert result.titles == single.titles
-            assert result.seed_articles == single.seed_articles
 
 
 class TestConcurrency:
@@ -300,24 +285,6 @@ class TestCycleMineSpan:
         with tracing.start_trace() as cached:
             service.expand_query(keywords)
         assert not [s for s in cached.spans if s.stage == "cycle_mine"]
-
-    def test_prefill_span_carries_the_batch_totals(self, small_benchmark, snapshot):
-        from repro.obs import trace as tracing
-
-        topics = [t.keywords for t in small_benchmark.topics[:3]]
-        singles = []
-        for keywords in topics:
-            service = ExpansionService.from_snapshot(snapshot)
-            with tracing.start_trace() as trace:
-                service.expand_query(keywords)
-            singles += [s for s in trace.spans if s.stage == "cycle_mine"]
-        service = ExpansionService.from_snapshot(snapshot)
-        with tracing.start_trace() as trace:
-            service.batch_expand(topics)
-        (span,) = [s for s in trace.spans if s.stage == "cycle_mine"]
-        assert span.labels["batch"] == len(singles) == 3
-        for name in ("roots", "emitted", "kept"):
-            assert span.labels[name] == sum(s.labels[name] for s in singles)
 
 
 class TestAnchorComposition:

@@ -133,8 +133,7 @@ class TestWorkerState:
         finally:
             router.close()
         assert seen == {
-            "expand_seeds", "prefill_expansions",
-            "leaf_collection_counts", "search_with_background",
+            "expand_seeds", "leaf_collection_counts", "search_with_background",
         }
 
     def test_out_of_range_shard_is_refused(self, saved_dir):

@@ -31,10 +31,7 @@ from repro.service import (
     wire,
 )
 
-CALLS = (
-    "expand_seeds", "prefill_expansions",
-    "leaf_collection_counts", "search_with_background",
-)
+CALLS = ("expand_seeds", "leaf_collection_counts", "search_with_background")
 
 
 @pytest.fixture(scope="module")
@@ -125,7 +122,6 @@ class TestDispatchRule:
             await adapter.expand_seeds(seed_sets[0])            # miss
             await adapter.expand_seeds(seed_sets[0])            # hit
             await adapter.expand_seeds(frozenset())             # nothing to mine
-            await adapter.prefill_expansions([seed_sets[1]])
             await adapter.leaf_collection_counts(search_request.root)
             await adapter.search_with_background(search_request)
             await adapter._call("apply_delta", {"deltas": []})
@@ -140,7 +136,6 @@ class TestDispatchRule:
             ("expand_seeds", "executor"),
             ("expand_seeds", "loop"),
             ("expand_seeds", "loop"),
-            ("prefill_expansions", "executor"),
             ("leaf_collection_counts", "loop"),
             ("search_with_background", "loop"),
             ("apply_delta", "executor"),
@@ -318,10 +313,10 @@ class TestSharedSearchFrame:
                 "call": "expand_seeds", "protocol": wire.SHARD_PROTOCOL_VERSION,
                 "seeds": [3], "have": "n:1", "trace_id": "t",
             })
-        assert wire.encode_call("prefill_expansions", {"seed_sets": [[3]]}, None) \
+        assert wire.encode_call("apply_delta", {"deltas": []}, None) \
             == wire.encode_frame({
-                "call": "prefill_expansions",
-                "protocol": wire.SHARD_PROTOCOL_VERSION, "seed_sets": [[3]],
+                "call": "apply_delta",
+                "protocol": wire.SHARD_PROTOCOL_VERSION, "deltas": [],
             })
 
 

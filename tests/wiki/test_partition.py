@@ -274,7 +274,7 @@ class TestOwnerRouting:
     def test_titles_route_to_the_shard_of_their_prefill(
         self, partitioned
     ):
-        """A batch of every title prefills each seed set on
+        """A batch of every title caches each seed set it expands on
         ``router.owner_shard(link(title))`` and on no other shard, so the
         title's next request is a cache hit there."""
         graph, _, loaded = partitioned
