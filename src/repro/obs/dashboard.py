@@ -144,8 +144,7 @@ def render_dashboard(
         ) or "none"
         lines.append(
             f"http    requests={http.get('requests_total', 0)}  "
-            f"errors={http.get('errors', 0)} ({status_text})  "
-            f"coalesced={http.get('coalesced_requests', 0)}"
+            f"errors={http.get('errors', 0)} ({status_text})"
         )
         admission = http.get("admission")
         if admission:
@@ -178,13 +177,12 @@ def render_dashboard(
         hit_rates = stats.get("per_shard_hit_rates", [0.0] * len(per_shard))
         inflight = stats.get("per_shard_inflight", [0] * len(per_shard))
         lines.append("")
-        lines.append("shard  queries  inflight  waits  hit_rate")
+        lines.append("shard  queries  inflight  hit_rate")
         for shard_id, shard in enumerate(per_shard):
             rate = hit_rates[shard_id] if shard_id < len(hit_rates) else 0.0
             lines.append(
                 f"{shard_id:>5}  {shard.get('queries', 0):>7}  "
                 f"{(inflight[shard_id] if shard_id < len(inflight) else 0):>8}  "
-                f"{shard.get('inflight_waits', 0):>5}  "
                 f"[{_bar(rate, 12)}] {rate * 100:5.1f}%"
             )
 

@@ -14,14 +14,12 @@ Concurrency model:
 * **asyncio** — tasks copy the ambient context at creation, so a trace
   activated before ``ensure_future`` is visible inside the task, and
   two concurrent requests each see only their own trace.
-* **threads** — plain ``ThreadPoolExecutor.submit``/``map`` and
-  ``loop.run_in_executor`` do *not* carry context into the worker
-  thread.  Wrap the callable with :func:`carry_context` at the
-  submission site; the shard fan-out paths in
-  :class:`~repro.service.router.ShardRouter` and
-  :class:`~repro.service.async_router.ExecutorShardAdapter` do exactly
-  that, which is what makes per-shard spans land in the right request's
-  trace.
+* **threads** — a callable handed to a thread pool (directly or through
+  the event loop's executor hop) does *not* carry context into the
+  worker thread.  Wrap the callable with :func:`carry_context` at the
+  submission site; :class:`~repro.service.async_router.ExecutorShardAdapter`
+  does exactly that, which is what makes per-shard spans land in the
+  right request's trace.
 * **span recording** is lock-guarded, because shard threads append
   concurrently into one request's trace.
 
@@ -152,7 +150,7 @@ class Trace:
             self._spans.append(entry)
 
     def annotate(self, **labels) -> None:
-        """Attach request-level labels (endpoint, coalesced, ...)."""
+        """Attach request-level labels (endpoint, rank_ahead, ...)."""
         with self._lock:
             self.labels.update(labels)
 
@@ -245,8 +243,8 @@ def add_counts(**counts) -> None:
 def carry_context(fn):
     """Bind the *current* context (active trace included) to ``fn``.
 
-    ``ThreadPoolExecutor`` and ``loop.run_in_executor`` run callables in
-    whatever context the worker thread happens to have — i.e. none.
+    A thread pool runs callables in whatever context the worker thread
+    happens to have — i.e. none.
     ``pool.submit(carry_context(fn), *args)`` runs ``fn`` inside a copy
     of the submitting request's context instead, so spans recorded on
     the worker thread reach the right trace.  The captured context is

@@ -16,7 +16,7 @@ answers ad-hoc queries online:
   ranked lists score-preservingly;
 * :mod:`repro.service.async_router` — :class:`AsyncShardRouter`, the
   asyncio counterpart (executor-backed shard adapters, ``asyncio.gather``
-  scatter-gather, async request coalescing);
+  scatter-gather, one in-flight mine per seed set);
 * :mod:`repro.service.http` — :class:`HttpFrontEnd`, the hand-rolled
   HTTP/1.1 + JSON network surface (``docs/http_api.md``);
 * :mod:`repro.service.wire` / :mod:`repro.service.shard_worker` /

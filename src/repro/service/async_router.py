@@ -3,27 +3,24 @@
 :class:`AsyncShardRouter` is the non-blocking driver of the router's
 query plan (:meth:`ShardRouter.query_plan
 <repro.service.router.ShardRouter.query_plan>`): the same link → expand
-→ rank steps the synchronous router executes, but every shard call runs
-through a *shard adapter* and each step's fan-out is an
-``asyncio.gather`` instead of a blocking ``pool.map``.  While one
-request's cycle mining sits on a shard thread, the event loop keeps
-accepting and dispatching other requests — this is the front end the
-HTTP layer (:mod:`repro.service.http`) serves from.
+→ rank steps the synchronous router executes in order, but every shard
+call runs through a *shard adapter* and each step's fan-out is an
+``asyncio.gather``.  While one request's cycle mining sits on a shard
+thread (or in a worker process), the event loop keeps accepting and
+dispatching other requests — this is the front end the HTTP layer
+(:mod:`repro.service.http`) serves from.
 
 Results are bit-identical (doc ids AND scores) to the synchronous
 router: there is one plan, and this module only decides how its steps
 reach the shards; the latency bench asserts the equality over HTTP.
 
-Two dedup layers stack:
-
-* **Async request coalescing** (this module) — concurrent
-  ``expand_query`` calls for the same ``(normalized query, top_k)``
-  share one in-flight computation *before* any thread is occupied;
-  awaiters get the same response (re-labelled with their own raw query
-  text).
-* **In-flight expansion dedup** (:class:`ExpansionService`) — distinct
-  queries racing on the same *entity set* still collapse to one cycle
-  mining pass inside the owning shard worker.
+One dedup layer: concurrent requests whose texts link to the same
+non-empty *seed set* share one in-flight ``expand_seeds`` call, held in
+a loop-side table before any thread or socket is used.  A later caller
+awaits that call and answers ``expansion_cached: true``, the way it
+would had it come after the mine; identical texts and paraphrases alike
+pay one cycle-mining pass, in process and over the wire.  Each request
+links and ranks on its own.
 
 :class:`ExecutorShardAdapter` exposes exactly the three shard-protocol
 query calls (``expand_seeds``, ``leaf_collection_counts``,
@@ -34,8 +31,8 @@ versioned JSON wire protocol, which
 worker process.
 
 Loop affinity: one ``AsyncShardRouter`` belongs to one event loop
-(coalescing state is mutated loop-side without locks); the executor
-threads only ever run the shard calls.
+(the in-flight table is mutated loop-side without locks); the executor
+threads only ever run the shard calls and link misses.
 """
 
 from __future__ import annotations
@@ -44,7 +41,6 @@ import asyncio
 import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 
 from repro.obs import trace as tracing
 from repro.service.router import ShardRouter
@@ -149,10 +145,9 @@ class AsyncShardRouter:
             ExecutorShardAdapter(worker, self._executor)
             for worker in router.workers
         ]
-        # Coalescing table: (normalized, top_k) -> in-flight task.  Only
-        # touched from the owning event loop, so no lock is needed.
-        self._inflight: dict[tuple[str, int], asyncio.Future] = {}
-        self._coalesced = 0
+        # seed set -> its in-flight expand_seeds task.  Only touched
+        # from the owning event loop, so no lock is needed.
+        self._expanding: dict[frozenset[int], asyncio.Future] = {}
 
     # ------------------------------------------------------------------
     # Serving
@@ -169,11 +164,6 @@ class AsyncShardRouter:
     @property
     def doc_names(self) -> dict[str, str]:
         return self._router.doc_names
-
-    @property
-    def coalesced_requests(self) -> int:
-        """Requests answered by piggybacking on an identical in-flight one."""
-        return self._coalesced
 
     @property
     def metrics(self):
@@ -202,29 +192,13 @@ class AsyncShardRouter:
         return stats
 
     async def expand_query(self, text: str, top_k: int = 10) -> ServiceResponse:
-        """Answer one query; identical concurrent queries share one pass
-        of the plan (one trace, observed once) — every awaiter is
-        accounted for and gets the response under its own raw text."""
-        router = self._router
-        with router.accounting(1) as served:
-            normalized = router.normalize(text)
-            key = (normalized, top_k)
-            future = self._inflight.get(key)
-            if future is None:
-                future = asyncio.ensure_future(self._run(
-                    router.query_plan("expand_query", [normalized], top_k), top_k
-                ))
-                self._inflight[key] = future
-                future.add_done_callback(lambda _: self._inflight.pop(key, None))
-            else:
-                self._coalesced += 1
-            # shield: one awaiter being cancelled must not kill the
-            # computation the other coalesced awaiters are waiting on.
-            served += await asyncio.shield(future)
-        response = served[0]
-        if response.query != text:
-            response = replace(response, query=text)
-        return response
+        """Answer one query: the plan :meth:`ShardRouter.expand_query`
+        runs, in its own trace, sharing only an in-flight mine."""
+        with self._router.accounting(1) as served:
+            served += await self._run(
+                self._router.query_plan("expand_query", [text], top_k), top_k
+            )
+        return served[0]
 
     async def batch_expand(
         self, texts: list[str], top_k: int = 10
@@ -343,12 +317,34 @@ class AsyncShardRouter:
         """One step: a single call is awaited here, a fan-out gathered."""
         calls = [
             self._link(argument) if shard is None
+            else self._expand(shard, argument) if call == "expand_seeds"
             else getattr(self._adapters[shard], call)(argument)
             for shard, argument in items
         ]
         if len(calls) == 1:
             return [await calls[0]]
         return await asyncio.gather(*calls)
+
+    async def _expand(self, shard: int, seeds: frozenset[int]):
+        """``expand_seeds`` on the owner, one call per seed set in flight:
+        a caller that finds the set being expanded awaits that call and
+        answers cached.  The call is a task of its own behind ``shield``,
+        so a cancelled caller never cancels the others' answer."""
+        expanding = self._expanding
+        if not seeds:
+            return await self._adapters[shard].expand_seeds(seeds)
+        if seeds in expanding:
+            expansion, _ = await asyncio.shield(expanding[seeds])
+            return expansion, True
+
+        async def call():
+            try:
+                return await self._adapters[shard].expand_seeds(seeds)
+            finally:
+                del expanding[seeds]
+
+        task = expanding[seeds] = asyncio.ensure_future(call())
+        return await asyncio.shield(task)
 
     async def _link(self, normalized: str):
         """The router's own linking: a cached text is answered here, a
@@ -363,5 +359,5 @@ class AsyncShardRouter:
     def __repr__(self) -> str:
         return (
             f"AsyncShardRouter(shards={self.num_shards}, "
-            f"coalesced={self._coalesced})"
+            f"expanding={len(self._expanding)})"
         )

@@ -47,10 +47,10 @@ never shed, so operators can watch an overloaded server.
 
 Concurrency model: the event loop parses requests and dispatches to an
 :class:`~repro.service.async_router.AsyncShardRouter`; shard work runs
-on its executor threads while the loop keeps serving other connections.
-Identical concurrent queries coalesce into one computation (see the
-async router), so a thundering herd on one cold query pays one cycle
-mining pass.
+on its executor threads (or in worker processes) while the loop keeps
+serving other connections.  Concurrent queries that link to one seed
+set share one in-flight mine (see the async router), so a thundering
+herd on one cold query pays one cycle mining pass.
 
 Start one with ``repro serve --http PORT`` (port 0 picks an ephemeral
 port and prints it), or programmatically::
@@ -657,10 +657,7 @@ class HttpFrontEnd:
 
     async def _handle_stats(self) -> dict:
         stats = self._service.stats()
-        stats["http"] = {
-            **self._http_counts(),
-            "coalesced_requests": self._service.coalesced_requests,
-        }
+        stats["http"] = self._http_counts()
         if self._admission is not None:
             stats["http"]["admission"] = self._admission_snapshot()
         stats["slow_queries"] = self._request_log.snapshot()

@@ -9,8 +9,8 @@ a :class:`~repro.service.artifacts.ShardedSnapshot`:
 * **Expansion** is fanned out to the shard *owning* the linked seed set
   (the shard of the smallest seed id — deterministic, so a seed set always
   lands on the same worker and its expansion cache).  Workers are full
-  :class:`ExpansionService` instances: per-shard LRU caches, in-flight
-  dedup and per-anchor composition all apply per shard.
+  :class:`ExpansionService` instances: per-shard LRU caches and
+  per-anchor composition apply per shard.
   Cycle mining runs on the snapshot's frozen
   :class:`~repro.wiki.compact.CompactGraphView` — the one graph the
   router links against too — so the mined cycles are the dict graph's
@@ -32,8 +32,8 @@ calls it needs, one fan-out per step, and is sent their results; it
 records the router-side spans (``link``, ``merge``), observes the
 request and assembles the responses, and never touches a worker.  Two
 thin drivers execute it: :meth:`ShardRouter._run` on the in-process
-workers (one call direct, a fan-out over a pool sized to the shard
-count) and :class:`~repro.service.async_router.AsyncShardRouter` over
+workers (every call in item order, on the calling thread) and
+:class:`~repro.service.async_router.AsyncShardRouter` over
 per-shard adapters with ``asyncio.gather`` — the same three
 :class:`ExpansionService` calls either way (``docs/shard_protocol.md``;
 ``docs/architecture.md`` has the layer map).
@@ -42,7 +42,6 @@ per-shard adapters with ``asyncio.gather`` — the same three
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
@@ -129,9 +128,6 @@ class ShardRouter:
         # only pays while the adapters' etag memo holds the seed set too.
         self.rank_ahead = LRUCache(EXPANSION_ETAG_ENTRIES)
         self._total_tokens = sum(w.engine.index.total_tokens for w in self._workers)
-        self._pool = ThreadPoolExecutor(
-            max_workers=len(self._workers), thread_name_prefix="shard-router"
-        )
         # Every count /stats, /healthz and /metrics report lives here,
         # folded per request; the async front end shares this instance.
         self.metrics = ServingMetrics()
@@ -197,7 +193,7 @@ class ShardRouter:
         """Answer a batch, fanning expansion work out across shards.
 
         Raw duplicates are answered once, and each distinct seed set is
-        expanded once on its owning shard, concurrently with the others.
+        expanded once on its owning shard.
         """
         if not texts:
             return []
@@ -225,7 +221,6 @@ class ShardRouter:
             ))
             per_shard.append({
                 "queries": sum(counts.values()),
-                "inflight_waits": state.inflight_waits,
                 "inflight": state.inflight,
                 "expansion_cache": caches[-1].as_dict(),
             })
@@ -345,8 +340,8 @@ class ShardRouter:
         return self._link_cache.evict_where(lambda _key: True)
 
     def close(self) -> None:
-        """Shut the fan-out pool down (the router stops serving)."""
-        self._pool.shutdown(wait=True)
+        """Nothing to release: the router holds no threads or sockets
+        (kept so every serving stack closes the same way)."""
 
     # ------------------------------------------------------------------
     # The query plan (sans-IO; executed by _run and by AsyncShardRouter)
@@ -584,18 +579,12 @@ class ShardRouter:
             return done.value
 
     def _execute(self, call: str, items: list) -> list:
-        """One step: a single call (and the router's own linking) runs
-        here, a fan-out on the pool — trace context is carried onto its
-        threads explicitly."""
-
-        def one(item):
-            shard, argument = item
-            target = self if shard is None else self._workers[shard]
-            return getattr(target, call)(argument)
-
-        if len(items) == 1 or items[0][0] is None:
-            return [one(item) for item in items]
-        return list(self._pool.map(tracing.carry_context(one), items))
+        """One step: its calls in item order, on the calling thread (the
+        GIL would serialise a pool's anyway)."""
+        return [
+            getattr(self if shard is None else self._workers[shard], call)(argument)
+            for shard, argument in items
+        ]
 
     def __repr__(self) -> str:
         return (

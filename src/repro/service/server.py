@@ -14,12 +14,13 @@ Two LRU layers absorb repeated work (see :mod:`repro.service.cache`):
 * ``ExpansionResult`` by linked-entity frozenset — distinct phrasings that
   link to the same entities share one (expensive) cycle-mining pass.
 
-Concurrency: the service is thread-safe.  An in-flight table deduplicates
-identical expansions across threads — when two requests race on the same
-entity set, one mines cycles and the other waits for the result instead of
-mining twice.  :meth:`ExpansionService.batch_expand` additionally
-deduplicates identical queries and identical entity sets *within* a
-batch: each distinct set is expanded once, the way a single query is.
+Concurrency: the service is thread-safe, but it does not deduplicate
+across callers — two threads racing on one uncached entity set each mine
+it.  Concurrent requests are deduplicated one layer up, on the event
+loop of :class:`~repro.service.async_router.AsyncShardRouter`, before
+any shard is called.  :meth:`ExpansionService.batch_expand` deduplicates
+identical queries and identical entity sets *within* a batch: each
+distinct set is expanded once, the way a single query is.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ class ServiceResponse:
     ``trace`` is the request-scoped :class:`repro.obs.trace.Trace` that
     recorded this query's per-stage spans (None for batch members,
     whose spans aggregate into one batch-level trace instead).
-    Coalesced responses share the computing request's trace.
     """
 
     query: str
@@ -144,14 +144,13 @@ class ServiceStats:
     """Point-in-time service counters.
 
     ``inflight`` is a gauge, not a counter: the number of expansions
-    executing (or waited on) inside this service at snapshot time.  It
-    is 0 on an idle service — zero-lookup-safe like the hit rates.
+    executing inside this service at snapshot time.  It is 0 on an idle
+    service — zero-lookup-safe like the hit rates.
     """
 
     queries: int
     batches: int
     unlinked_queries: int
-    inflight_waits: int
     link_cache: CacheStats
     expansion_cache: CacheStats
     inflight: int = 0
@@ -161,7 +160,6 @@ class ServiceStats:
             "queries": self.queries,
             "batches": self.batches,
             "unlinked_queries": self.unlinked_queries,
-            "inflight_waits": self.inflight_waits,
             "inflight": self.inflight,
             "link_cache": self.link_cache.as_dict(),
             "expansion_cache": self.expansion_cache.as_dict(),
@@ -218,12 +216,10 @@ class ExpansionService:
         self._link_cache = LRUCache(link_cache_size)
         self._expansion_cache = LRUCache(expansion_cache_size)
         self._lock = threading.Lock()
-        self._inflight: dict[frozenset[int], threading.Event] = {}
         self._shard_id = shard_id
         self._queries = 0
         self._batches = 0
         self._unlinked = 0
-        self._inflight_waits = 0
         self._active = 0  # expansions currently inside _expand_seeds
 
     # ------------------------------------------------------------------
@@ -338,7 +334,7 @@ class ExpansionService:
 
         Identical raw strings are deduplicated before any work happens (a
         batch of N copies of one query costs one tokenisation, one link and
-        one expansion, not N cache probes racing the in-flight table),
+        one expansion, not N cache probes),
         identical queries after normalisation are answered once with the
         response object reused, and queries that link to the same entity
         set share one :meth:`expand_seeds` answer, ``cached`` flag included.
@@ -403,7 +399,6 @@ class ExpansionService:
                 queries=self._queries,
                 batches=self._batches,
                 unlinked_queries=self._unlinked,
-                inflight_waits=self._inflight_waits,
                 link_cache=self._link_cache.stats,
                 expansion_cache=self._expansion_cache.stats,
                 inflight=self._active,
@@ -447,18 +442,13 @@ class ExpansionService:
     # ------------------------------------------------------------------
 
     def expand_seeds(self, seeds: frozenset[int]) -> tuple[ExpansionResult, bool]:
-        """Expansion for one entity set (cached, in-flight deduplicated).
+        """Expansion for one entity set (cached).
 
         Returns ``(result, was_cached)``.  This is the unit of work a
         router fans out to the shard owning ``seeds``; the router's query
         plan counts the answer (``expand_query`` counts its own).
         """
         return self._expand_seeds(frozenset(seeds))
-
-    def has_expansion(self, seeds: frozenset[int]) -> bool:
-        """Whether :meth:`expand_seeds` would answer ``seeds`` from the
-        cache — an unrecorded peek: no hit or miss counted, recency kept."""
-        return not seeds or self._expansion_cache.peek(seeds) is not None
 
     def leaf_collection_counts(self, root: QueryNode) -> dict:
         """This segment's collection count of every leaf of ``root``
@@ -488,7 +478,8 @@ class ExpansionService:
         return result, False
 
     def _expand_seeds(self, seeds: frozenset[int]) -> tuple[ExpansionResult, bool]:
-        """Expansion for one entity set, deduplicating in-flight work.
+        """Expansion for one entity set: the cached one, or a fresh mine
+        published unless a delta landed while it ran (its epoch moved).
 
         Records the ``expand`` span (cache tier in its ``cached`` label)
         and counts toward the ``inflight`` gauge while executing.
@@ -501,45 +492,16 @@ class ExpansionService:
             self._active += 1
         try:
             with tracing.span("expand", shard=self._shard_id) as span:
-                result, cached = self._expand_seeds_locked(seeds)
-                span["cached"] = cached
+                result = self._expansion_cache.get(seeds)
+                span["cached"] = cached = result is not None
+                if not cached:
+                    epoch = self._expansion_cache.epoch  # before the graph read
+                    result = self._mine_seeds(seeds, epoch)
+                    self._expansion_cache.put(seeds, result, epoch=epoch)
                 return result, cached
         finally:
             with self._lock:
                 self._active -= 1
-
-    def _expand_seeds_locked(
-        self, seeds: frozenset[int]
-    ) -> tuple[ExpansionResult, bool]:
-        """The winner of the in-flight race computes and publishes to the
-        cache; losers wait on its event and re-read.  If the winner
-        fails — or a delta landed while it mined, so its result is
-        returned but not published — its event is still set and a
-        waiter takes over."""
-        while True:
-            cached = self._expansion_cache.get(seeds)
-            if cached is not None:
-                return cached, True
-            with self._lock:
-                again = self._expansion_cache.peek(seeds)
-                if again is not None:
-                    return again, True
-                event = self._inflight.get(seeds)
-                if event is None:
-                    event = threading.Event()
-                    self._inflight[seeds] = event
-                    break
-                self._inflight_waits += 1
-            event.wait()
-        try:
-            epoch = self._expansion_cache.epoch  # before the graph read
-            result = self._mine_seeds(seeds, epoch)
-            self._expansion_cache.put(seeds, result, epoch=epoch)
-            return result, False
-        finally:
-            with self._lock:
-                self._inflight.pop(seeds, None)
-            event.set()
 
     def _mine_span(self, anchors: int, reused: int = 0):
         """``cycle_mine``: ``reused`` of the ``anchors`` asked for came from

@@ -37,13 +37,13 @@ or a rolling reload each make the next answer a new object (or a new
 process), hence a new token and a full body; the router never has to
 invalidate anything itself.
 
-Execution model: a call hops to the small thread pool only when it can
-mine or write (``expand_seeds`` on a cache miss, ``apply_delta``), so a
-slow expansion does not stop the worker from answering rank calls on
-other connections.  Every other call is answered on the event loop,
-where its frame was read: short pure-Python work the GIL would
-serialise anyway, for which the hop — two thread wake-ups — costs more
-than the answer (``docs/shard_protocol.md``).
+Execution model: one thread owns the shard.  Every call, a mining miss
+and ``apply_delta`` included, is answered on the event loop where its
+frame was read, one at a time — pure-Python work the GIL would
+serialise anyway, so a pool would only add hops and locks
+(``docs/shard_protocol.md``).  A call waiting behind a long mine waits
+for it; the router has already deduplicated concurrent mines of one
+seed set.
 
 Fault injection (:mod:`repro.service.faults`) hooks in *here*, at the
 frame layer — after a request is decoded, before it is dispatched — so
@@ -56,7 +56,6 @@ from __future__ import annotations
 import asyncio
 import itertools
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 from repro.core.expansion import Expander, NeighborhoodCycleExpander
 from repro.errors import ServiceError
@@ -123,9 +122,6 @@ class ShardWorkerServer:
         # Live-update receiver (repro.updates.ShardWorkerUpdater); a
         # server without one rejects apply_delta with an error frame.
         self._updater = updater
-        self._executor = ThreadPoolExecutor(
-            max_workers=4, thread_name_prefix=f"shard-{shard_id}"
-        )
         self._server: asyncio.AbstractServer | None = None
         self.calls_served = 0
         # seeds -> (etag, result) of the last expand_seeds answer, for
@@ -145,7 +141,6 @@ class ShardWorkerServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        self._executor.shutdown(wait=False)
 
     @property
     def port(self) -> int:
@@ -233,18 +228,9 @@ class ShardWorkerServer:
             return False
 
         trace = tracing.Trace(trace_id=request.get("trace_id") or None)
-
-        def run():
-            with tracing.start_trace(trace):
-                return self._dispatch(call, request)
-
         try:
-            if self._may_block(call, request):
-                response = await asyncio.get_running_loop().run_in_executor(
-                    self._executor, run
-                )
-            else:
-                response = run()
+            with tracing.start_trace(trace):
+                response = self._dispatch(call, request)
         except Exception as exc:  # noqa: BLE001 — becomes an error frame
             response = _error_frame(type(exc).__name__, str(exc))
         else:
@@ -260,16 +246,8 @@ class ShardWorkerServer:
         return True
 
     # ------------------------------------------------------------------
-    # Call dispatch (inside the call's trace; on an executor thread when
-    # the call may block, else on the event loop)
+    # Call dispatch (inside the call's trace, on the event loop)
     # ------------------------------------------------------------------
-
-    def _may_block(self, call: str, request: dict) -> bool:
-        """Whether the call can mine or write (a seed set evicted between
-        this peek and the call is mined on the loop: rare, still right)."""
-        if call == "expand_seeds":
-            return not self._worker.has_expansion(_seed_set(request["seeds"]))
-        return call == "apply_delta"
 
     def _dispatch(self, call: str, request: dict) -> dict:
         worker = self._worker
@@ -292,7 +270,7 @@ class ShardWorkerServer:
             results = worker.search_with_background(wire.SearchRequest(
                 wire.decode_query(request["root"]),
                 wire.decode_background(request["background"]),
-                int(request["top_k"]),
+                _json_int(request["top_k"], "top_k", 1),
             ))
             return {"results": wire.encode_results(results)}
         if call == "apply_delta":
@@ -304,7 +282,8 @@ class ShardWorkerServer:
             generation = request.get("generation")
             result = self._updater.apply_payloads(
                 request["deltas"],
-                generation=None if generation is None else int(generation),
+                generation=None if generation is None
+                else _json_int(generation, "generation"),
             )
             return {"result": result}
         raise AssertionError(f"unreachable call {call!r}")
@@ -314,9 +293,7 @@ class ShardWorkerServer:
 
         A cache hit hands back the object a previous call saw, so its
         token is reused; a re-mined result is a new object and gets a
-        new one.  Two threads racing on the same seeds may each mint a
-        token — the loser's is never matched again, which only costs
-        its holder one full body.
+        new one.
         """
         held = self._etags.get(seeds)
         if held is not None and held[1] is expansion:
@@ -326,8 +303,19 @@ class ShardWorkerServer:
         return etag
 
 
+def _json_int(value, name: str, minimum: int = 0) -> int:
+    """``value`` if it is a JSON integer of at least ``minimum``; a bool,
+    a float or a numeric string is the call's ValueError."""
+    if type(value) is not int or value < minimum:
+        raise ValueError(f"{name!r} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
 def _seed_set(values) -> frozenset[int]:
-    return frozenset(int(value) for value in values)
+    """The ``seeds`` field: a JSON list of integer article ids."""
+    if not isinstance(values, list):
+        raise TypeError(f"'seeds' must be a list, got {type(values).__name__}")
+    return frozenset(_json_int(value, "seed") for value in values)
 
 
 def _error_frame(error_type: str, message: str) -> dict:

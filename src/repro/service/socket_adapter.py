@@ -167,7 +167,7 @@ class SocketShardAdapter:
                 "leaf_collection_counts", {"root": wire.encode_query(root)}
             )
         except ShardUnavailableError:
-            return await self._fallback(
+            return self._fallback(
                 "counts", lambda engine: engine.leaf_collection_counts(root)
             )
         return wire.decode_counts(response["counts"])
@@ -176,7 +176,7 @@ class SocketShardAdapter:
         try:
             response = await self._call("search_with_background", request)
         except ShardUnavailableError:
-            return await self._fallback(
+            return self._fallback(
                 "score",
                 lambda engine: engine.search_with_background(
                     request.root, request.background, request.top_k
@@ -365,8 +365,9 @@ class SocketShardAdapter:
             except (KeyError, TypeError, ValueError):
                 continue  # a garbled span is not worth failing a call
 
-    async def _fallback(self, phase: str, run):
-        """Serve a rank call from the router-local engine, traced."""
+    def _fallback(self, phase: str, run):
+        """Serve a rank call from the router-local engine, traced, where
+        the caller stands (on the loop)."""
         if self._fallback_engine is None:
             raise ShardUnavailableError(
                 self._shard_id,
@@ -374,17 +375,8 @@ class SocketShardAdapter:
                 "fallback engine is configured",
             )
         self.fallback_calls_total += 1
-        engine = self._fallback_engine
-
-        def call():
-            with tracing.span(
-                "rank", shard=self._shard_id, phase=phase, fallback=True
-            ):
-                return run(engine)
-
-        return await asyncio.get_running_loop().run_in_executor(
-            None, tracing.carry_context(call)
-        )
+        with tracing.span("rank", shard=self._shard_id, phase=phase, fallback=True):
+            return run(self._fallback_engine)
 
     def __repr__(self) -> str:
         return (

@@ -401,13 +401,13 @@ class ShardWorkerUpdater:
     coordinator's :func:`fold_batch` and the same targeted eviction, so
     a worker that applied batches live answers bit-identically to one
     that replayed them from the log after a restart.  A worker holds no
-    linker, so it folds state and ball only.
+    linker, so it folds state and ball only.  Batches are applied one at
+    a time on the worker's event loop, so nothing here is locked.
     """
 
     def __init__(self, worker, base_graph, *, generation: int = 1) -> None:
         self._worker = worker
         self._base = base_graph
-        self._lock = threading.Lock()
         self._state = OverlayState(generation=generation)
 
     @property
@@ -426,22 +426,21 @@ class ShardWorkerUpdater:
         return self.apply(decode_deltas(payloads), generation=generation)
 
     def apply(self, deltas: list[Delta], *, generation: int | None = None) -> dict:
-        with self._lock:
-            worker = self._worker
-            new_state, applied, ball = fold_batch(
-                self._base, self._state, deltas, generation
+        worker = self._worker
+        new_state, applied, ball = fold_batch(
+            self._base, self._state, deltas, generation
+        )
+        evicted = 0
+        if applied:
+            worker.set_graph(OverlayGraphView(self._base, new_state))
+            self._state = new_state
+            evicted = worker.evict_expansions(
+                expansion_eviction_predicate(ball)
             )
-            evicted = 0
-            if applied:
-                worker.set_graph(OverlayGraphView(self._base, new_state))
-                self._state = new_state
-                evicted = worker.evict_expansions(
-                    expansion_eviction_predicate(ball)
-                )
-            return {
-                "generation": new_state.generation,
-                "applied": len(applied),
-                "last_seq": new_state.last_seq,
-                "ball_size": len(ball),
-                "invalidated": evicted,
-            }
+        return {
+            "generation": new_state.generation,
+            "applied": len(applied),
+            "last_seq": new_state.last_seq,
+            "ball_size": len(ball),
+            "invalidated": evicted,
+        }

@@ -19,8 +19,8 @@ def canned_stats() -> dict:
         "expansion_cache": {"hits": 80, "misses": 40, "hit_rate": 2 / 3,
                             "size": 40, "max_size": 256},
         "per_shard": [
-            {"queries": 70, "inflight_waits": 4},
-            {"queries": 48, "inflight_waits": 1},
+            {"queries": 70},
+            {"queries": 48},
         ],
         "per_shard_hit_rates": [0.8, 0.5],
         "per_shard_inflight": [1, 0],
@@ -28,7 +28,6 @@ def canned_stats() -> dict:
             "requests_total": 130,
             "errors": 5,
             "errors_by_status": {"404": 3, "500": 2},
-            "coalesced_requests": 7,
             "slow_queries": {
                 "threshold_ms": 100.0,
                 "requests": 120,
@@ -61,10 +60,10 @@ class TestRenderDashboard:
         frame = render_dashboard(canned_stats(), canned_metrics_text())
         assert "repro top — shards=2  uptime=42s" in frame
         assert "router  requests=120  queries=118  batches=3  errors=2" in frame
-        assert "http    requests=130  errors=5 (404:3 500:2)  coalesced=7" \
-            in frame
+        assert "http    requests=130  errors=5 (404:3 500:2)" in frame
         assert "link_cache" in frame and "75.0% hit" in frame
-        assert "shard  queries  inflight  waits  hit_rate" in frame
+        assert "shard  queries  inflight  hit_rate" in frame
+        assert "coalesced" not in frame and "waits" not in frame
         assert "stage        count   p50_ms   p95_ms   p99_ms" in frame
         assert "slow queries (>= 100 ms): 2/120 sampled" in frame
         assert "'graph mining'" in frame

@@ -1,4 +1,4 @@
-"""AsyncShardRouter: bit-identical to the sync router, plus coalescing."""
+"""AsyncShardRouter: bit-identical to the sync router, one mine per seed set."""
 
 import asyncio
 
@@ -83,14 +83,15 @@ class TestEquivalence:
 
 
 class TestCoalescing:
+    """Concurrent requests for one seed set share its in-flight
+    ``expand_seeds``: one mines, the others await it and answer cached.
+    Each request still links, ranks and is traced on its own."""
+
     def test_identical_concurrent_queries_share_one_computation(
-        self, small_benchmark, sharded_snapshot, monkeypatch
+        self, small_benchmark, sharded_snapshot
     ):
         """N concurrent copies of one cold query pay one expansion pass
         and every awaiter gets the same answer."""
-        # Asserts on the in-process workers' expansion-cache counters,
-        # which socket-mode (out-of-process) workers would not touch.
-        monkeypatch.delenv("REPRO_SHARD_ADAPTER", raising=False)
         keywords = small_benchmark.topics[0].keywords
         async_router = AsyncShardRouter(ShardRouter(sharded_snapshot))
 
@@ -100,22 +101,23 @@ class TestCoalescing:
             ))
 
         responses = run(fan_out())
-        assert async_router.coalesced_requests == 4
         first = responses[0]
         for other in responses[1:]:
             assert [(r.doc_id, r.score) for r in other.results] == \
                    [(r.doc_id, r.score) for r in first.results]
-        # One computation => the worker saw exactly one cold expansion.
+        assert sorted(r.expansion_cached for r in responses) == \
+            [False, True, True, True, True]
         stats = async_router.stats()
         assert stats["queries"] == 5  # offered load is still 5
         assert stats["expansion_cache"]["misses"] == 1
+        assert stats["expansion_cache"]["hits"] == 4
         async_router.close()
 
     def test_coalesced_requests_keep_their_own_raw_query_text(
         self, small_benchmark, sharded_snapshot
     ):
-        """Case variants normalise identically, coalesce, and still echo
-        their own raw text back."""
+        """Case variants normalise identically, share one mine, and each
+        echoes its own raw text back."""
         keywords = small_benchmark.topics[0].keywords
         variants = [keywords, keywords.upper(), f"  {keywords}  "]
         async_router = AsyncShardRouter(ShardRouter(sharded_snapshot))
@@ -128,12 +130,15 @@ class TestCoalescing:
         responses = run(fan_out())
         assert [r.query for r in responses] == variants
         assert len({r.normalized_query for r in responses}) == 1
-        assert async_router.coalesced_requests == 2
+        assert sorted(r.expansion_cached for r in responses) == \
+            [False, True, True]
         async_router.close()
 
     def test_different_top_k_do_not_coalesce(
         self, small_benchmark, sharded_snapshot
     ):
+        """Their answers stay their own, each ranked to its own
+        ``top_k``; only the seed set's mine is shared."""
         keywords = small_benchmark.topics[0].keywords
         async_router = AsyncShardRouter(ShardRouter(sharded_snapshot))
 
@@ -144,9 +149,48 @@ class TestCoalescing:
             )
 
         three, five = run(fan_out())
-        assert async_router.coalesced_requests == 0
         assert len(three.results) <= 3 < len(five.results) <= 5
+        assert sorted([three.expansion_cached, five.expansion_cached]) == \
+            [False, True]
         async_router.close()
+
+    def test_paraphrases_of_one_uncached_seed_set_share_one_mine(
+        self, small_benchmark, sharded_snapshot
+    ):
+        """Distinct texts that link to one seed set, sent at once: one
+        ``cycle_mine`` across all their traces, every answer but the one
+        that mined says cached, and each equals a fresh router's."""
+        keywords = small_benchmark.topics[0].keywords
+        texts = [keywords, keywords.upper(), f"{keywords} zqxv", f"zqxv {keywords}"]
+        fresh = ShardRouter(sharded_snapshot)
+        expected = [fresh.expand_query(text) for text in texts]
+        assert len({r.normalized_query for r in expected}) == 3
+        assert len({r.link.article_ids for r in expected}) == 1
+        assert expected[0].link.article_ids
+        async_router = AsyncShardRouter(ShardRouter(sharded_snapshot))
+
+        async def fan_out():
+            return await asyncio.gather(*(
+                async_router.expand_query(text) for text in texts
+            ))
+
+        try:
+            responses = run(fan_out())
+        finally:
+            async_router.close()
+        mines = [
+            span for response in responses for span in response.trace.spans
+            if span.stage == "cycle_mine"
+        ]
+        assert len(mines) == 1
+        assert len({response.trace.trace_id for response in responses}) == 4
+        assert sorted(r.expansion_cached for r in responses) == \
+            [False, True, True, True]
+        for mine, reference in zip(responses, expected):
+            assert mine.query == reference.query
+            assert mine.expansion == reference.expansion
+            assert [(r.doc_id, r.score) for r in mine.results] == \
+                   [(r.doc_id, r.score) for r in reference.results]
 
 
 class TestAccounting:

@@ -332,7 +332,7 @@ class TestHandshake:
             return err.value.error_type, adapter.retries_total, server.calls_served
 
         assert with_server(worker, fn) == ("unknown_call", 0, 0)
-        assert not any(worker.has_expansion(seeds) for seeds in seed_sets)
+        assert worker.stats().expansion_cache.size == 0
 
 
 class TestRouterSeesWorkerCacheOutcomes:

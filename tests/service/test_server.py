@@ -136,43 +136,6 @@ class TestBatch:
 
 
 class TestConcurrency:
-    def test_racing_identical_queries_compute_once(self, small_benchmark, snapshot):
-        """N threads hammering one query must mine cycles exactly once."""
-        calls = []
-        call_lock = threading.Lock()
-
-        class CountingExpander(NeighborhoodCycleExpander):
-            def expand(self, graph, seed_articles):
-                with call_lock:
-                    calls.append(frozenset(seed_articles))
-                return super().expand(graph, seed_articles)
-
-        service = ExpansionService.from_snapshot(snapshot, expander=CountingExpander())
-        keywords = small_benchmark.topics[0].keywords
-        barrier = threading.Barrier(8)
-        responses = [None] * 8
-        errors = []
-
-        def worker(slot):
-            try:
-                barrier.wait()
-                responses[slot] = service.expand_query(keywords)
-            except Exception as exc:  # pragma: no cover - failure reporting
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-
-        assert not errors
-        assert len(calls) == 1
-        first = responses[0]
-        assert all(r.expansion is first.expansion for r in responses)
-        stats = service.stats()
-        assert stats.queries == 8
-
     def test_mixed_concurrent_traffic_is_consistent(self, small_benchmark, snapshot):
         service = ExpansionService.from_snapshot(snapshot)
         queries = [topic.keywords for topic in list(small_benchmark.topics)[:4]]

@@ -1,12 +1,10 @@
 """Where a shard call runs, and what a fan-out writes.
 
-A shard worker answers on its event loop every call that can neither
-mine nor write, and hops to an executor thread only for those that can:
-the hop is two thread wake-ups, more than a cached answer costs, and it
-never bought pure-Python rank work any parallelism.  What must survive
-is the reason the executor exists — a slow mine on one connection does
-not delay rank calls on another — and the expansion cache's accounting,
-which the placement decision (an uncounted ``peek``) must not touch.
+A shard worker answers every call on its event loop, a mining miss and
+``apply_delta`` included: one thread owns the shard, and a pool never
+bought pure-Python work any parallelism under the GIL.  The expansion
+cache's accounting must read exactly as if every call had gone straight
+to the worker object.
 
 On the router side one ``search_with_background`` fan-out encodes its
 frame once for every shard, byte-identical to the per-shard encoding it
@@ -15,7 +13,6 @@ replaces.
 
 import asyncio
 import threading
-import time
 
 import pytest
 
@@ -108,6 +105,8 @@ class TestDispatchRule:
     def test_only_calls_that_can_block_leave_the_loop(
         self, worker, seed_sets, search_request
     ):
+        """None leaves it: every call, a miss and ``apply_delta``
+        included, runs on the thread of the worker's event loop."""
         ran = record_threads(worker)
 
         class Updater:
@@ -128,78 +127,54 @@ class TestDispatchRule:
             return loop_thread
 
         loop_thread = serve(worker, fn, updater=Updater())
-        where = [
-            (name, "loop" if thread is loop_thread else "executor")
-            for name, thread in ran
+        assert [name for name, _ in ran] == [
+            "expand_seeds", "expand_seeds", "expand_seeds",
+            "leaf_collection_counts", "search_with_background", "apply_delta",
         ]
-        assert where == [
-            ("expand_seeds", "executor"),
-            ("expand_seeds", "loop"),
-            ("expand_seeds", "loop"),
-            ("leaf_collection_counts", "loop"),
-            ("search_with_background", "loop"),
-            ("apply_delta", "executor"),
-        ]
-        executor_threads = {
-            thread.name for _, thread in ran if thread is not loop_thread
-        }
-        assert all(name.startswith("shard-0") for name in executor_threads)
-
-    def test_a_stalled_miss_does_not_delay_rank_on_another_connection(
-        self, worker, seed_sets, search_request
-    ):
-        mining, release = threading.Event(), threading.Event()
-        mine = worker._mine_seeds
-
-        def stalled(*args):
-            mining.set()
-            assert release.wait(30), "the rank call never got through"
-            return mine(*args)
-
-        worker._mine_seeds = stalled
-
-        async def fn(_server, a, b):
-            miss = asyncio.ensure_future(a.expand_seeds(seed_sets[0]))
-            await asyncio.get_running_loop().run_in_executor(None, mining.wait, 30)
-            assert mining.is_set() and not miss.done()
-            started = time.perf_counter()
-            results = await b.search_with_background(search_request)
-            elapsed = time.perf_counter() - started
-            assert not miss.done(), "the miss is still held on its thread"
-            release.set()
-            _, cached = await miss
-            return results, elapsed, cached
-
-        results, elapsed, cached = serve(worker, fn, adapters=2)
-        assert cached is False
-        assert elapsed < 5.0
-        assert results == worker.search_with_background(search_request)
+        assert all(thread is loop_thread for _, thread in ran)
 
     def test_malformed_calls_still_answer_with_an_error_frame(
         self, worker, search_request
     ):
-        """The placement peek parses the request before the dispatch
-        does; what it raises is the call's error, not a dropped
-        connection."""
+        """A field that is not what the protocol says is the call's
+        error, not a dropped connection: seeds are a list of JSON
+        integers and ``top_k`` an integer >= 1 — never a bool, a float
+        or a numeric string (``"12"`` must not mine seeds 1 and 2)."""
+        search = {
+            "root": wire.encode_query(search_request.root),
+            "background": wire.encode_background(search_request.background),
+        }
+        calls = [("expand_seeds", payload) for payload in (
+            {}, {"seeds": ["x"]}, {"seeds": 7}, {"seeds": "12"},
+            {"seeds": [True]}, {"seeds": [2.7]}, {"seeds": ["3"]},
+        )] + [
+            ("search_with_background", {**search, "top_k": top_k})
+            for top_k in (True, 2.7, "3", 0)
+        ]
 
         async def fn(server, adapter):
             errors = []
-            for payload in ({}, {"seeds": ["x"]}, {"seeds": 7}):
+            for call, payload in calls:
                 with pytest.raises(WorkerCallError) as err:
-                    await adapter._call("expand_seeds", payload)
+                    await adapter._call(call, payload)
                 errors.append(err.value.error_type)
             counts = await adapter.leaf_collection_counts(search_request.root)
             return errors, counts, server.calls_served
 
         errors, counts, served = serve(worker, fn)
-        assert errors == ["KeyError", "ValueError", "TypeError"]
+        assert errors == [
+            "KeyError", "ValueError", "TypeError", "TypeError",
+            "ValueError", "ValueError", "ValueError",
+            "ValueError", "ValueError", "ValueError", "ValueError",
+        ]
         assert counts == worker.leaf_collection_counts(search_request.root)
-        assert served == 4
+        assert served == len(calls) + 1
+        assert worker.stats().expansion_cache.misses == 0
 
     def test_worker_spans_ride_home_from_either_thread(self, worker, seed_sets):
         async def fn(_server, adapter):
             stages = []
-            for _ in range(2):  # a miss (executor), then a hit (loop)
+            for _ in range(2):  # a miss, then a hit
                 with tracing.start_trace() as trace:
                     await adapter.expand_seeds(seed_sets[0])
                 stages.append([span.stage for span in trace.spans])
@@ -214,10 +189,8 @@ class TestCacheAccounting:
     def test_hits_misses_and_recency_match_direct_calls(
         self, sharded1, worker, seed_sets
     ):
-        """The placement peek is uncounted and leaves recency alone:
-        after any call sequence the worker's expansion cache reads
-        exactly as if every call had gone straight to ``expand_seeds``
-        (which is all the parent's server did)."""
+        """After any call sequence the worker's expansion cache reads
+        exactly as if every call had gone straight to ``expand_seeds``."""
         a, b, c = seed_sets[:3]
         sequence = [a, b, a, c, b, b, frozenset(), a, c]
         reference = make_shard_worker(sharded1.shard(0))
@@ -234,18 +207,6 @@ class TestCacheAccounting:
         assert mine.expansion_cache.hits == 5
         assert list(worker._expansion_cache.keys()) == \
             list(reference._expansion_cache.keys())
-
-    def test_has_expansion_counts_nothing(self, worker, seed_sets):
-        seeds, other = seed_sets[:2]
-        assert worker.has_expansion(frozenset())
-        assert not worker.has_expansion(seeds)
-        worker.expand_seeds(seeds)
-        worker.expand_seeds(other)
-        before = worker.stats().expansion_cache
-        order = list(worker._expansion_cache.keys())
-        assert worker.has_expansion(seeds) and worker.has_expansion(other)
-        assert worker.stats().expansion_cache == before
-        assert list(worker._expansion_cache.keys()) == order
 
 
 class TestSharedSearchFrame:

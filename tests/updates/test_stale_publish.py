@@ -195,10 +195,12 @@ class TestExpansionMinedAcrossADelta:
             reference.close()
 
     def test_socket_worker(self, small_benchmark, sharded1, topic):
-        """The same window inside a worker process's own overlay
-        (``ShardWorkerUpdater.apply``), reached over the wire — and the
-        conditional fetch must not paper over it: the parked answer's
-        etag names an object the worker no longer serves."""
+        """The same race against a worker, reached over the wire: the
+        worker answers one call at a time on its loop, so a delta that
+        arrives while a mine is parked is applied after it — the parked
+        answer goes out, and the delta then evicts it.  The conditional
+        fetch must not paper over it: the parked answer's etag names an
+        object the worker no longer serves."""
         _query, seeds, payloads = topic
         gated = GatedExpander()
         worker = make_shard_worker(sharded1.shard(0), expander=gated)
@@ -206,30 +208,50 @@ class TestExpansionMinedAcrossADelta:
         rebuilt = make_shard_worker(
             _rebuilt(small_benchmark, sharded1, payloads).shard(0)
         )
+        # The worker's loop runs on a thread of its own, as in a worker
+        # process: the parked mine blocks it, not the caller's loop.
+        worker_loop = asyncio.new_event_loop()
+        server = ShardWorkerServer(worker, 0, updater=updater)
+        worker_loop.run_until_complete(server.start("127.0.0.1", 0))
+        thread = threading.Thread(target=worker_loop.run_forever, daemon=True)
+        thread.start()
 
         async def scenario():
             loop = asyncio.get_running_loop()
-            server = ShardWorkerServer(worker, 0, updater=updater)
-            await server.start("127.0.0.1", 0)
             adapter = SocketShardAdapter(lambda: ("127.0.0.1", server.port), 0)
+            writer = SocketShardAdapter(lambda: ("127.0.0.1", server.port), 0)
             try:
+                await writer._call("apply_delta", {"deltas": []})  # dial now
                 gated.arm()
                 first = asyncio.ensure_future(adapter.expand_seeds(seeds))
                 assert await loop.run_in_executor(
                     None, gated.entered.wait, _WAIT_S
                 )
-                applied = await adapter._call(
+                applying = asyncio.ensure_future(writer._call(
                     "apply_delta", {"deltas": payloads, "generation": 1}
-                )
-                assert applied["result"]["applied"] == 3
+                ))
+                await asyncio.sleep(0.05)  # the frame waits behind the mine
+                assert not applying.done()
                 gated.release.set()
                 stale, _ = await asyncio.wait_for(first, _WAIT_S)
+                applied = await asyncio.wait_for(applying, _WAIT_S)
+                assert applied["result"]["applied"] == 3
                 return stale, await adapter.expand_seeds(seeds)
             finally:
                 adapter.close()
-                await server.stop()
+                writer.close()
 
-        stale, (second, cached) = asyncio.run(scenario())
+        try:
+            stale, (second, cached) = asyncio.run(scenario())
+        finally:
+            gated.release.set()
+            asyncio.run_coroutine_threadsafe(server.stop(), worker_loop).result(
+                _WAIT_S
+            )
+            worker_loop.call_soon_threadsafe(worker_loop.stop)
+            thread.join(_WAIT_S)
+            worker_loop.close()
+        assert not thread.is_alive()
         expected, _ = rebuilt.expand_seeds(seeds)
         assert expected != stale, "the delta must change this expansion"
         assert second == expected
