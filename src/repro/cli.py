@@ -350,9 +350,9 @@ def _serve_http(snapshot, snapshot_dir: Path, args: argparse.Namespace) -> int:
     lines on stderr and sampled into the reservoir ``/stats`` exposes.
 
     With ``--workers`` (one per shard), shard calls run in supervised
-    out-of-process workers behind socket adapters: crashed workers are
-    restarted with backoff, stalled calls hit ``--call-timeout-s``, and
-    ``--hedge-after-ms`` arms tail-latency hedging.  See
+    out-of-process workers behind socket adapters: crashed workers, and
+    workers whose loop misses the supervisor's liveness ping, are
+    restarted with backoff, and failed shard calls are retried.  See
     ``docs/operations.md``.
 
     ``--queue-limit``/``--client-rate`` attach load shedding: a bounded
@@ -379,9 +379,8 @@ def _serve_http(snapshot, snapshot_dir: Path, args: argparse.Namespace) -> int:
     from repro.updates import UpdateCoordinator
 
     router = ShardRouter(snapshot)
-    supervisor = policy = None
+    supervisor = None
     if args.workers:
-        from repro.service.socket_adapter import ShardCallPolicy
         from repro.service.supervisor import ShardSupervisor
 
         supervisor = ShardSupervisor(
@@ -396,12 +395,7 @@ def _serve_http(snapshot, snapshot_dir: Path, args: argparse.Namespace) -> int:
         for info in supervisor.describe():
             print(f"workers: shard {info['shard']} up "
                   f"(pid={info.get('pid')}, port={info.get('port')})")
-        hedge_ms = args.hedge_after_ms
-        policy = ShardCallPolicy(
-            call_timeout_s=args.call_timeout_s,
-            hedge_after_s=hedge_ms / 1000.0 if hedge_ms else None,
-        )
-    service = AsyncShardRouter(router, supervisor=supervisor, policy=policy)
+    service = AsyncShardRouter(router, supervisor=supervisor)
     request_log = RequestLog(slow_ms=args.slow_ms, sink=sys.stderr.write)
     coordinator = UpdateCoordinator(
         router,
@@ -523,17 +517,6 @@ def serve_main(argv: list[str] | None = None) -> int:
              "backoff, see docs/operations.md",
     )
     parser.add_argument(
-        "--call-timeout-s", type=float, default=30.0,
-        help="with --workers: per-attempt deadline for one shard call "
-             "(default 30)",
-    )
-    parser.add_argument(
-        "--hedge-after-ms", type=float, default=None, metavar="MS",
-        help="with --workers: fire a second attempt for a shard call "
-             "still unanswered after MS milliseconds; first answer wins "
-             "(default: hedging off)",
-    )
-    parser.add_argument(
         "--max-restarts", type=int, default=5,
         help="with --workers: restarts each shard worker gets before the "
              "shard is marked failed and left down (default 5)",
@@ -568,10 +551,6 @@ def serve_main(argv: list[str] | None = None) -> int:
         parser.error("--workers requires --http")
     if args.workers < 0 or args.max_restarts < 0:
         parser.error("--workers and --max-restarts must be >= 0")
-    if args.call_timeout_s <= 0:
-        parser.error("--call-timeout-s must be > 0")
-    if args.hedge_after_ms is not None and args.hedge_after_ms <= 0:
-        parser.error("--hedge-after-ms must be > 0")
     if args.queue_limit is not None and args.queue_limit < 1:
         parser.error("--queue-limit must be >= 1")
     if args.client_rate is not None and args.client_rate <= 0:

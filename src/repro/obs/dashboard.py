@@ -129,14 +129,9 @@ def render_dashboard(
         f"batches={stats.get('batches', 0)}  errors={errors}  qps={qps}"
     )
     retries = stats.get("retries_total", 0)
-    hedges = stats.get("hedges_total", 0)
-    hedge_wins = stats.get("hedge_wins_total", 0)
     restarts = stats.get("worker_restarts", 0)
-    if retries or hedges or hedge_wins or restarts:
-        lines.append(
-            f"resil.  retries={retries}  hedges={hedges} "
-            f"(wins={hedge_wins})  worker_restarts={restarts}"
-        )
+    if retries or restarts:
+        lines.append(f"resil.  retries={retries}  worker_restarts={restarts}")
     if http:
         by_status = http.get("errors_by_status", {})
         status_text = " ".join(

@@ -23,8 +23,9 @@ answers ad-hoc queries online:
   :mod:`repro.service.socket_adapter` / :mod:`repro.service.supervisor` —
   out-of-process shard serving: a length-prefixed JSON frame protocol
   (``docs/shard_protocol.md``), the worker process that serves one shard
-  over it, the router-side socket adapter (deadlines, retries, hedging),
-  and the supervisor that spawns, health-checks and restarts workers;
+  over it, the router-side socket adapter (retries, rank fallback), and
+  the supervisor that spawns, health-checks and restarts workers — its
+  liveness ping is the one bound on a worker call;
 * :mod:`repro.service.faults` — env/flag-driven fault injection for the
   worker frame layer (kill / stall / garbage / short write).
 

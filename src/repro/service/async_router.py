@@ -78,7 +78,7 @@ class ExecutorShardAdapter:
     adapter that serialises these three calls over a socket (per
     ``docs/shard_protocol.md``) turns the in-process worker into a
     remote process without touching the router.  The worker records its
-    own spans; there is nothing to retry or hedge, so nothing to count.
+    own spans; an in-process call has no transport to fail or retry.
     """
 
     def __init__(self, worker, executor: ThreadPoolExecutor) -> None:
@@ -182,11 +182,12 @@ class AsyncShardRouter:
 
     def stats(self) -> dict:
         """The router's :meth:`~ShardRouter.stats` plus what only the
-        adapters and the supervisor hold: the resilience counters and
+        adapters and the supervisor hold: the shard-call retries and
         the worker restarts."""
         stats = self._router.stats()
-        for name in ("retries_total", "hedges_total", "hedge_wins_total"):
-            stats[name] = sum(getattr(a, name, 0) for a in self._adapters)
+        stats["retries_total"] = sum(
+            getattr(a, "retries_total", 0) for a in self._adapters
+        )
         if self._supervisor is not None:
             stats["worker_restarts"] = self._supervisor.restarts_total
         return stats

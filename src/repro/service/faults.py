@@ -4,10 +4,10 @@ A :class:`FaultPlan` arms a shard-worker process with failures that fire
 on the *n*-th matching protocol call — the deterministic counterpart of
 "the worker crashed in production at 3am".  Faults act at the
 frame-handling layer of :class:`~repro.service.shard_worker.ShardWorkerServer`
-(after the request frame is decoded, before it is dispatched), so a
-stalled or killed call never interacts with the worker's in-flight
-expansion dedup: a hedged second attempt on a fresh connection proceeds
-normally.
+(after the request frame is decoded, before it is dispatched), on the
+worker's one event loop: a stalled call holds that loop as a slow mine
+does, so every other call and the supervisor's liveness ping wait
+behind it.
 
 Spec grammar (``repro shard-worker --fault`` or ``REPRO_SHARD_FAULTS``)::
 
@@ -17,12 +17,16 @@ Spec grammar (``repro shard-worker --fault`` or ``REPRO_SHARD_FAULTS``)::
 
 * ``kill@2`` — ``os._exit`` while handling the 2nd call (a hard crash:
   no response frame, no cleanup — what a OOM-kill looks like);
-* ``stall=1.5@1`` — sleep 1.5 s before dispatching the 1st call (a slow
-  shard; the router's deadline/hedging machinery is the test subject);
+* ``stall=1.5@1`` — hold the loop for 1.5 s before dispatching the 1st
+  call (a slow mine; held past the supervisor's liveness bound, the
+  worker is killed as wedged and restarted);
 * ``garbage@1:expand_seeds`` — answer the 1st ``expand_seeds`` with a
   well-framed body that is not JSON, then drop the connection;
 * ``short@1`` — write only half of the response frame, then drop the
   connection (a torn write / crashed-mid-send peer).
+
+Only ``stall`` takes an argument, finite seconds > 0, and ``CALL`` must
+name a protocol call: a spec that could never fire is refused.
 
 Counters are per-fault and count only matching *protocol* calls
 (``hello`` handshakes are exempt, so supervisor health pings never
@@ -33,11 +37,13 @@ of zero models a permanently dead shard.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from dataclasses import dataclass, field
 
 from repro.errors import ServiceError
+from repro.service.wire import CALLS
 
 __all__ = ["Fault", "FaultPlan", "FAULTS_ENV"]
 
@@ -97,8 +103,17 @@ class FaultPlan:
                 raise ServiceError(f"malformed fault {part!r}: {exc}") from exc
             if nth < 1:
                 raise ServiceError(f"fault {part!r}: NTH must be >= 1")
-            if action == "stall" and arg <= 0:
-                raise ServiceError(f"fault {part!r}: stall needs '=SECONDS'")
+            if action == "stall" and not (math.isfinite(arg) and arg > 0):
+                raise ServiceError(
+                    f"fault {part!r}: stall needs '=SECONDS', finite and > 0"
+                )
+            if action != "stall" and eq:
+                raise ServiceError(f"fault {part!r}: {action} takes no '=ARG'")
+            if call and call not in CALLS:
+                raise ServiceError(
+                    f"fault {part!r}: unknown call {call!r} "
+                    f"(expected one of {CALLS})"
+                )
             faults.append(
                 Fault(action=action, nth=nth, arg=arg, call=call or None)
             )

@@ -707,7 +707,6 @@ class HttpFrontEnd:
             payload["workers"] = supervisor.describe()
             payload["worker_restarts"] = stats["worker_restarts"]
             payload["retries_total"] = stats["retries_total"]
-            payload["hedges_total"] = stats["hedges_total"]
         if self._snapshot_info:
             payload["snapshot"] = self._snapshot_info
         if self._snapshot_format:

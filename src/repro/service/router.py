@@ -236,8 +236,7 @@ class ShardRouter:
             - metrics.errors.value(path="batch_expand"),
             "unlinked_queries": texts(outcome="unlinked"),
             "uptime_s": round(metrics.uptime_s, 3),
-            "retries_total": 0, "hedges_total": 0, "hedge_wins_total": 0,
-            "worker_restarts": 0,
+            "retries_total": 0, "worker_restarts": 0,
             "generation": self.generation,
             "delta_seq": metrics.delta_seq.value(),
             "delta_invalidations": sum(

@@ -42,8 +42,9 @@ and ``apply_delta`` included, is answered on the event loop where its
 frame was read, one at a time — pure-Python work the GIL would
 serialise anyway, so a pool would only add hops and locks
 (``docs/shard_protocol.md``).  A call waiting behind a long mine waits
-for it; the router has already deduplicated concurrent mines of one
-seed set.
+for it, and so does the supervisor's liveness ping: a call that holds
+the loop past that bound gets the worker killed and restarted.  The
+router has already deduplicated concurrent mines of one seed set.
 
 Fault injection (:mod:`repro.service.faults`) hooks in *here*, at the
 frame layer — after a request is decoded, before it is dispatched — so
@@ -56,6 +57,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import os
+import time
 
 from repro.core.expansion import Expander, NeighborhoodCycleExpander
 from repro.errors import ServiceError
@@ -70,13 +72,6 @@ from repro.service.wire import SHARD_PROTOCOL_VERSION
 __all__ = ["make_shard_worker", "ShardWorkerServer", "run_worker"]
 
 READY_LINE = "shard-worker: shard {shard} serving on {host}:{port} pid={pid}"
-
-_CALLS = (
-    "expand_seeds",
-    "leaf_collection_counts",
-    "search_with_background",
-    "apply_delta",
-)
 
 
 def make_shard_worker(
@@ -209,7 +204,7 @@ class ShardWorkerServer:
     ) -> bool:
         """Answer one call frame; False closes the connection."""
         call = request.get("call")
-        if call not in _CALLS:
+        if call not in wire.CALLS:
             await wire.write_frame(
                 writer, _error_frame("unknown_call", f"unknown call {call!r}")
             )
@@ -218,7 +213,7 @@ class ShardWorkerServer:
         if fault is not None and fault.action == "kill":
             os._exit(17)  # a hard crash: no response, no cleanup
         if fault is not None and fault.action == "stall":
-            await asyncio.sleep(fault.arg)
+            time.sleep(fault.arg)  # holds the loop, as a slow mine does
         if fault is not None and fault.action == "garbage":
             # A well-framed body that is not JSON: exercises the
             # receiver's decode error path, not its length check.

@@ -1,4 +1,4 @@
-"""Socket-backed shard adapter: deadlines, retries, hedging, fallback.
+"""Socket-backed shard adapter: one deadline, retries, fallback.
 
 :class:`SocketShardAdapter` is the drop-in replacement for
 :class:`~repro.service.async_router.ExecutorShardAdapter` that speaks
@@ -13,20 +13,18 @@ two apart.
 What is genuinely new here is the robustness layer a remote shard
 needs:
 
-* **Deadlines** — every attempt is bounded by ``call_timeout_s``
-  (``connect_timeout_s`` for dialing); a stalled worker costs one
-  deadline, not a wedged router.
+* **One bound** — the supervisor's liveness ping kills a worker whose
+  loop a call holds too long.  Every attempt's deadline,
+  :data:`~repro.service.supervisor.CALL_DEADLINE_S`, is derived from it
+  so that it only bounds a peer no supervisor watches
+  (``connect_timeout_s`` bounds dialing).
 * **Retries** — transport failures (connect refused, torn frames,
-  deadlines) are retried on a *fresh* connection with bounded
-  exponential backoff.  Safe unconditionally: every protocol call is a
-  pure function of snapshot + arguments.  An *error frame* from a live
-  worker (:class:`~repro.errors.WorkerCallError`) is never retried —
-  the worker would deterministically fail again.
-* **Hedging** — with ``hedge_after_s`` set, an attempt that has not
-  answered within that delay gets a second, concurrent attempt on its
-  own connection; the first answer wins and the loser is cancelled.
-  This trades a bounded amount of duplicate work for the tail latency
-  of a slow-but-alive shard.
+  deadlines, a worker killed mid-call) are retried on a *fresh*
+  connection with bounded exponential backoff.  Safe unconditionally:
+  every protocol call is a pure function of snapshot + arguments.  An
+  *error frame* from a live worker
+  (:class:`~repro.errors.WorkerCallError`) is never retried — the
+  worker would deterministically fail again.
 * **Graceful degradation** — when every attempt fails the call raises
   :class:`~repro.errors.ShardUnavailableError`.  For the two *rank*
   calls the adapter can instead fall back to a router-local
@@ -43,8 +41,8 @@ per seed set with the ``etag`` the worker gave it, offers that token as
 ``not_modified`` (the worker alone decides — this memo is never
 invalidated from the router side).  And a ``search_with_background``
 fan-out shares one :class:`~repro.service.wire.SearchRequest`, so its
-frame is encoded once per request, not once per shard; an un-hedged
-attempt runs in the caller's task, so a cached request creates none.
+frame is encoded once per request, not once per shard; every attempt
+runs in the caller's task, so a cached request creates none.
 
 Worker spans ride home in each response (``spans``) and are replayed
 into the active request trace, so one ``/metrics`` scrape still sees
@@ -56,8 +54,7 @@ included.
 
 Loop affinity matches the async router: one adapter belongs to one
 event loop; counters (``connects_total``, ``retries_total``,
-``hedges_total``, ``hedge_wins_total``, ``fallback_calls_total``) are
-mutated loop-side only, no locks.
+``fallback_calls_total``) are mutated loop-side only, no locks.
 """
 
 from __future__ import annotations
@@ -74,6 +71,7 @@ from repro.errors import (
 from repro.obs import trace as tracing
 from repro.service import wire
 from repro.service.cache import LRUCache
+from repro.service.supervisor import CALL_DEADLINE_S
 from repro.service.wire import SHARD_PROTOCOL_VERSION
 
 __all__ = ["ShardCallPolicy", "SocketShardAdapter"]
@@ -91,19 +89,14 @@ _MAX_IDLE_CONNECTIONS = 16
 
 @dataclass(frozen=True, slots=True)
 class ShardCallPolicy:
-    """Tuning knobs for one shard's calls (see ``docs/operations.md``).
-
-    The defaults favour correctness over aggression: generous call
-    deadline (cold cycle mining is legitimately slow), three attempts
-    with sub-second backoff, hedging off.
-    """
+    """Retry knobs for one shard's calls (see ``docs/operations.md``):
+    three attempts with sub-second backoff.  The per-attempt deadline is
+    not a knob: it is derived from the supervisor's liveness ping."""
 
     connect_timeout_s: float = 2.0
-    call_timeout_s: float = 30.0
     max_attempts: int = 3
     backoff_base_s: float = 0.05
     backoff_max_s: float = 1.0
-    hedge_after_s: float | None = None
 
     def backoff_s(self, retry_index: int) -> float:
         """Delay before retry ``retry_index`` (1-based), capped."""
@@ -135,8 +128,6 @@ class SocketShardAdapter:
         self._pool: list[tuple] = []
         self.connects_total = 0
         self.retries_total = 0
-        self.hedges_total = 0
-        self.hedge_wins_total = 0
         self.fallback_calls_total = 0
         # seeds -> (etag, decoded ExpansionResult): what the worker last
         # sent for these seeds, reused only when it says not_modified.
@@ -191,7 +182,7 @@ class SocketShardAdapter:
             self._safe_close(writer)
 
     # ------------------------------------------------------------------
-    # Call machinery: retries around hedged, deadline-bounded attempts
+    # Call machinery: retries around deadline-bounded attempts
     # ------------------------------------------------------------------
 
     async def _call(self, call: str, payload) -> dict:
@@ -211,7 +202,8 @@ class SocketShardAdapter:
                 self.retries_total += 1
                 await asyncio.sleep(policy.backoff_s(attempt))
             try:
-                response = await self._attempt_hedged(call, frame)
+                async with asyncio.timeout(CALL_DEADLINE_S):
+                    response = await self._attempt_once(call, frame)
             except WorkerCallError:
                 raise  # the worker answered: deterministic, not transient
             except (
@@ -234,44 +226,6 @@ class SocketShardAdapter:
             f"{policy.max_attempts} attempt(s): {last_exc}",
         ) from last_exc
 
-    async def _attempt_hedged(self, call: str, frame: bytes) -> dict:
-        policy = self._policy
-        if policy.hedge_after_s is None:
-            return await self._attempt(call, frame)
-        primary = asyncio.ensure_future(self._attempt(call, frame))
-        done, _ = await asyncio.wait({primary}, timeout=policy.hedge_after_s)
-        if done:
-            return primary.result()
-        self.hedges_total += 1
-        hedge = asyncio.ensure_future(self._attempt(call, frame))
-        pending: set[asyncio.Future] = {primary, hedge}
-        last_exc: Exception | None = None
-        try:
-            while pending:
-                done, pending = await asyncio.wait(
-                    pending, return_when=asyncio.FIRST_COMPLETED
-                )
-                for task in done:
-                    exc = task.exception()
-                    if exc is None:
-                        if task is hedge:
-                            self.hedge_wins_total += 1
-                        return task.result()
-                    if isinstance(exc, WorkerCallError):
-                        raise exc
-                    last_exc = exc
-            assert last_exc is not None
-            raise last_exc
-        finally:
-            for task in pending:
-                task.cancel()
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
-
-    async def _attempt(self, call: str, frame: bytes) -> dict:
-        async with asyncio.timeout(self._policy.call_timeout_s):
-            return await self._attempt_once(call, frame)
-
     async def _attempt_once(self, call: str, frame: bytes) -> dict:
         with tracing.span(
             "wire", shard=self._shard_id, call=call,
@@ -290,7 +244,7 @@ class SocketShardAdapter:
                     )
                 span["bytes_in"] = wire.FRAME_PREFIX_BYTES + len(body)
                 response = wire.decode_frame_body(body)
-            except BaseException:  # includes hedge-loser cancellation
+            except BaseException:  # includes the deadline's cancellation
                 writer.close()
                 raise
             if call == "expand_seeds":
@@ -381,5 +335,5 @@ class SocketShardAdapter:
     def __repr__(self) -> str:
         return (
             f"SocketShardAdapter(shard={self._shard_id}, "
-            f"retries={self.retries_total}, hedges={self.hedges_total})"
+            f"retries={self.retries_total})"
         )

@@ -46,6 +46,22 @@ from repro.service import wire
 
 __all__ = ["ShardSupervisor", "WorkerInfo"]
 
+# The liveness bound (docs/shard_protocol.md "Execution model"): every
+# HEALTH_INTERVAL_S the monitor pings each worker with a hello frame and
+# kills one that does not answer within PING_TIMEOUT_S.  A worker's one
+# loop reads the ping behind the call it is running, so a call holding
+# the loop past WEDGED_KILL_S (next ping, then its timeout) is killed.
+HEALTH_INTERVAL_S = 0.5
+PING_TIMEOUT_S = 2.0
+POLL_INTERVAL_S = 0.05
+RESTART_BACKOFF_BASE_S = 0.1
+RESTART_BACKOFF_MAX_S = 2.0
+WEDGED_KILL_S = HEALTH_INTERVAL_S + POLL_INTERVAL_S + PING_TIMEOUT_S
+# One wire call's deadline.  Pings run one worker after another, so it
+# allows two: a supervised worker is always ended by its ping first,
+# and the deadline only bounds a peer that no supervisor watches.
+CALL_DEADLINE_S = 2 * WEDGED_KILL_S
+
 _READY_RE = re.compile(
     r"shard-worker: shard (?P<shard>\d+) serving on "
     r"(?P<host>[\d.]+):(?P<port>\d+) pid=(?P<pid>\d+)"
@@ -97,10 +113,6 @@ class ShardSupervisor:
         *,
         host: str = "127.0.0.1",
         max_restarts: int = 5,
-        restart_backoff_base_s: float = 0.1,
-        restart_backoff_max_s: float = 2.0,
-        health_interval_s: float = 0.5,
-        poll_interval_s: float = 0.05,
         fault_specs: dict[int, str] | None = None,
         metrics=None,
         python: str = sys.executable,
@@ -110,10 +122,6 @@ class ShardSupervisor:
         self._snapshot_dir = snapshot_dir
         self._host = host
         self._max_restarts = max_restarts
-        self._backoff_base_s = restart_backoff_base_s
-        self._backoff_max_s = restart_backoff_max_s
-        self._health_interval_s = health_interval_s
-        self._poll_interval_s = poll_interval_s
         self._fault_specs = dict(fault_specs or {})
         self._python = python
         self._lock = threading.Lock()
@@ -230,7 +238,7 @@ class ShardSupervisor:
             else:
                 retry_after = max(
                     0.1, info.next_restart_at - time.monotonic()
-                ) + self._backoff_base_s
+                ) + RESTART_BACKOFF_BASE_S
             raise ShardUnavailableError(
                 shard_id,
                 f"shard {shard_id} worker is {info.state} "
@@ -312,14 +320,9 @@ class ShardSupervisor:
             info.ready.set()
         # EOF: the process is gone; the monitor handles scheduling.
 
-    def _backoff_s(self, restarts: int) -> float:
-        return min(
-            self._backoff_base_s * (2 ** restarts), self._backoff_max_s
-        )
-
     def _monitor_loop(self) -> None:
         last_health = time.monotonic()
-        while not self._stop.wait(self._poll_interval_s):
+        while not self._stop.wait(POLL_INTERVAL_S):
             now = time.monotonic()
             with self._lock:
                 for info in self._workers:
@@ -334,8 +337,9 @@ class ShardSupervisor:
                             info.state = "failed"
                         else:
                             info.state = "restarting"
-                            info.next_restart_at = now + self._backoff_s(
-                                info.restarts
+                            info.next_restart_at = now + min(
+                                RESTART_BACKOFF_BASE_S * 2 ** info.restarts,
+                                RESTART_BACKOFF_MAX_S,
                             )
                     elif info.state == "restarting" and (
                         now >= info.next_restart_at
@@ -344,31 +348,25 @@ class ShardSupervisor:
                         if self._restart_counter is not None:
                             self._restart_counter.inc(shard=info.shard_id)
                         self._spawn_locked(info)
-            if now - last_health >= self._health_interval_s:
+            if now - last_health >= HEALTH_INTERVAL_S:
                 last_health = now
                 self._health_check()
 
     def _health_check(self) -> None:
         with self._lock:
             candidates = [
-                (info, info.proc, info.host, info.port)
+                (info.proc, info.host, info.port)
                 for info in self._workers
                 if info.state == "up" and info.host and info.port
             ]
-        for info, proc, host, port in candidates:
-            if self._ping(host, port):
-                continue
-            # Alive-but-unresponsive: kill it so the exit path (and its
-            # restart budget) applies uniformly.
-            if proc is not None and proc.poll() is None:
-                proc.kill()
-
-    def _ping(self, host: str, port: int) -> bool:
-        try:
-            wire.blocking_call((host, port), timeout=2.0)
-        except (OSError, ServiceError):
-            return False
-        return True
+        for proc, host, port in candidates:
+            try:
+                wire.blocking_call((host, port), timeout=PING_TIMEOUT_S)
+            except (OSError, ServiceError):
+                # Alive-but-unresponsive: kill it so the exit path (and
+                # its restart budget) applies uniformly.
+                if proc is not None and proc.poll() is None:
+                    proc.kill()
 
     def __repr__(self) -> str:
         states = ",".join(info.state for info in self._workers)

@@ -50,6 +50,7 @@ from repro.retrieval.qlang import (
 
 __all__ = [
     "SHARD_PROTOCOL_VERSION",
+    "CALLS",
     "MAX_FRAME_BYTES",
     "FRAME_PREFIX_BYTES",
     "EXPANSION_ETAG_ENTRIES",
@@ -83,6 +84,14 @@ __all__ = [
 # ``expand_seeds`` fetch (``have`` / ``etag`` / ``not_modified``).
 # Version 4 removed ``link_text``, version 5 the batch pre-fill call.
 SHARD_PROTOCOL_VERSION = 5
+
+# The calls a worker answers after the ``hello`` handshake.
+CALLS = (
+    "expand_seeds",
+    "leaf_collection_counts",
+    "search_with_background",
+    "apply_delta",
+)
 
 # Default bound on one frame.  The largest legitimate frames are ranked
 # lists and expansion results over the benchmark-scale graph — well

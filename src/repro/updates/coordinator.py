@@ -48,6 +48,7 @@ from repro.service.artifacts import (
     generation_dir_name,
     write_current_pointer,
 )
+from repro.service.supervisor import CALL_DEADLINE_S
 from repro.service.wire import SHARD_PROTOCOL_VERSION
 from repro.updates.deltas import Delta, decode_deltas
 from repro.updates.invalidation import (
@@ -66,10 +67,10 @@ from repro.updates.overlay import (
 
 __all__ = ["UpdateCoordinator", "ShardWorkerUpdater", "fold_batch"]
 
-# Sockets used for the worker fan-out are short-lived and blocking; a
-# worker that cannot take a delta within this window is left to catch
-# up from the log on its next restart.
-_FANOUT_TIMEOUT_S = 10.0
+# Sockets used for the worker fan-out are short-lived and blocking, and
+# bounded like every other worker call (CALL_DEADLINE_S); a worker that
+# cannot take a delta within it is left to catch up from the log on its
+# next restart.
 _FANOUT_ATTEMPTS = 3
 
 
@@ -383,7 +384,7 @@ class UpdateCoordinator:
             try:
                 _hello, response = wire.blocking_call(
                     self._supervisor.endpoint(shard_id), frame,
-                    timeout=_FANOUT_TIMEOUT_S,
+                    timeout=CALL_DEADLINE_S,
                 )
                 if response.get("error") is None:
                     return int(response["result"]["invalidated"])

@@ -86,6 +86,15 @@ class TestRenderDashboard:
         frame = render_dashboard(stats, previous=previous, interval_s=2.0)
         assert "qps=10.0" in frame
 
+    def test_resilience_line_counts_retries_and_restarts_only(self):
+        # An older server still sends the hedge counters; none renders.
+        stats = dict(canned_stats(), retries_total=4, worker_restarts=1,
+                     hedges_total=3, hedge_wins_total=1)
+        frame = render_dashboard(stats)
+        assert "resil.  retries=4  worker_restarts=1" in frame
+        assert "hedges" not in frame and "wins" not in frame
+        assert "resil." not in render_dashboard(canned_stats())
+
     def test_minimal_stats_render_without_optional_sections(self):
         frame = render_dashboard({"shards": 1})
         assert "repro top — shards=1" in frame

@@ -4,17 +4,20 @@ Three layers are exercised:
 
 * :class:`FaultPlan` parsing/counting (pure unit tests);
 * a real :class:`ShardWorkerServer` on a loopback socket *in this
-  process* (stall / garbage / short faults, handshake negotiation,
-  trace propagation) — deterministic and fast, no subprocesses;
-* :class:`ShardSupervisor`-managed worker *processes* (kill faults,
-  restart-with-backoff, permanent death → graceful degradation, and the
-  N-worker bit-identity acceptance check).
+  process* (garbage / short faults, handshake negotiation, trace
+  propagation) — deterministic and fast, no subprocesses;
+* :class:`ShardSupervisor`-managed worker *processes* (kill and stall
+  faults, restart-with-backoff, the liveness ping as the one bound on a
+  call, permanent death → graceful degradation, and the N-worker
+  bit-identity acceptance check).
 
-``kill`` is only ever used with supervised subprocesses: in-process it
-would take pytest down with it.
+``kill`` and ``stall`` are only ever used with supervised subprocesses:
+in-process, a kill would take pytest down with it, and a stall holds
+the worker's loop, which is the loop the adapter under test runs on.
 """
 
 import asyncio
+import json
 import time
 
 import pytest
@@ -25,10 +28,12 @@ from repro.errors import (
     WorkerCallError,
 )
 from repro.obs import trace as tracing
+from repro.obs.metrics import parse_prometheus_text
 from repro.retrieval.qlang import CombineNode, TermNode
 from repro.service import (
     AsyncShardRouter,
     FaultPlan,
+    HttpFrontEnd,
     ShardCallPolicy,
     ShardRouter,
     ShardSupervisor,
@@ -37,7 +42,12 @@ from repro.service import (
     SocketShardAdapter,
     make_shard_worker,
 )
-from repro.service import wire
+from repro.service import socket_adapter, wire
+from repro.service.supervisor import CALL_DEADLINE_S
+
+# Far longer than the liveness bound: a test that waits it out has
+# found a hang.
+STALL_S = 20.0
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +85,15 @@ def probe(text):
     return CombineNode(tuple(TermNode(word) for word in text.split()))
 
 
+def _owners(router, benchmark) -> dict[str, int]:
+    """Each topic's keywords -> the shard that owns its expansion."""
+    owners = {}
+    for topic in benchmark.topics:
+        link, _ = router.link_text(router.normalize(topic.keywords))
+        owners[topic.keywords] = router.owner_shard(link.article_ids)
+    return owners
+
+
 def with_server(worker, fn, *, fault_spec="", policy=None):
     """Run ``fn(adapter)`` against an in-process worker server."""
 
@@ -107,6 +126,12 @@ class TestFaultPlan:
         "kill@0",            # NTH < 1
         "kill@x",            # NTH not an int
         "stall@1",           # stall without =SECONDS
+        "stall=nan@1",       # stall seconds not finite
+        "stall=inf@1",
+        "kill=3@1",          # an argument on an action that takes none
+        "garbage=2@1",
+        "short=1@1",
+        "kill@1:expand_seed",  # not a protocol call: could never fire
     ])
     def test_malformed_specs_are_rejected(self, spec):
         with pytest.raises(ServiceError):
@@ -127,7 +152,8 @@ class TestFaultPlan:
 
 
 class TestInProcessWorkerFaults:
-    """stall / garbage / short against a loopback ShardWorkerServer."""
+    """garbage / short against a loopback ShardWorkerServer, and the
+    call deadline against a loopback peer that never answers."""
 
     def test_garbage_frame_is_retried_on_fresh_connection(self, worker):
         root = probe("grand reef of hallowbrook")
@@ -165,51 +191,42 @@ class TestInProcessWorkerFaults:
         assert retries == 1
         assert counts == worker.leaf_collection_counts(root)
 
-    def test_stalled_call_hits_deadline_then_retry_succeeds(self, worker):
-        """A 5 s stall against a 0.4 s deadline costs one deadline, not
-        a wedged caller — the retry lands on an unstalled worker."""
-        root = probe("azure archipelago of milling")
+    def test_an_unwatched_peer_that_never_answers_hits_the_deadline(
+        self, monkeypatch
+    ):
+        """No supervisor pings this peer, so the call deadline (shrunk
+        here from its derived value) is what ends each attempt: the call
+        retries once, then raises instead of hanging."""
+        monkeypatch.setattr(socket_adapter, "CALL_DEADLINE_S", 0.2)
 
-        async def fn(adapter):
-            started = time.perf_counter()
-            counts = await adapter.leaf_collection_counts(root)
-            return counts, adapter.retries_total, time.perf_counter() - started
-
-        counts, retries, elapsed = with_server(
-            worker, fn, fault_spec="stall=5@1",
-            policy=ShardCallPolicy(
-                call_timeout_s=0.4, max_attempts=2, backoff_base_s=0.01,
-            ),
-        )
-        assert retries == 1
-        assert elapsed < 4.0, "the stall must not be waited out"
-        assert counts == worker.leaf_collection_counts(root)
-
-    def test_hedge_wins_over_stalled_call(self, worker):
-        """With hedging armed, a stalled primary is overtaken by the
-        hedge on a fresh connection; the first answer wins."""
-        root = probe("emerald windmill guild")
-
-        async def fn(adapter):
-            started = time.perf_counter()
-            counts = await adapter.leaf_collection_counts(root)
-            return (
-                counts,
-                adapter.hedges_total,
-                adapter.hedge_wins_total,
-                adapter.retries_total,
-                time.perf_counter() - started,
+        async def mute(reader, writer):
+            await wire.read_frame(reader)  # the hello
+            await wire.write_frame(
+                writer, {"ok": True, "protocol": wire.SHARD_PROTOCOL_VERSION}
             )
+            await reader.read()  # the call, never answered
+            writer.close()
 
-        counts, hedges, wins, retries, elapsed = with_server(
-            worker, fn, fault_spec="stall=3@1",
-            policy=ShardCallPolicy(
-                call_timeout_s=15.0, max_attempts=1, hedge_after_s=0.15,
-            ),
-        )
-        assert (hedges, wins, retries) == (1, 1, 0)
-        assert elapsed < 2.5, "the hedge answer must beat the stall"
-        assert counts == worker.leaf_collection_counts(root)
+        async def go():
+            server = await asyncio.start_server(mute, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            adapter = SocketShardAdapter(
+                lambda: ("127.0.0.1", port), 0,
+                policy=ShardCallPolicy(max_attempts=2, backoff_base_s=0.01),
+            )
+            started = time.perf_counter()
+            try:
+                with pytest.raises(ShardUnavailableError):
+                    await adapter.leaf_collection_counts(probe("grand reef"))
+                return adapter.retries_total, time.perf_counter() - started
+            finally:
+                adapter.close()
+                server.close()
+                await server.wait_closed()
+
+        retries, elapsed = asyncio.run(go())
+        assert retries == 1
+        assert elapsed < 2.0, "each attempt must end at the deadline"
 
     def test_worker_error_frame_is_never_retried(self, worker):
         async def fn(adapter):
@@ -300,8 +317,7 @@ class TestSupervisedWorkers:
             adapter = SocketShardAdapter(
                 lambda: supervisor.endpoint(0), 0,
                 policy=ShardCallPolicy(
-                    max_attempts=12, backoff_base_s=0.25,
-                    backoff_max_s=1.0, call_timeout_s=30.0,
+                    max_attempts=12, backoff_base_s=0.25, backoff_max_s=1.0,
                 ),
             )
 
@@ -323,6 +339,105 @@ class TestSupervisedWorkers:
                 time.sleep(0.1)
             assert states == ["up"]
         finally:
+            supervisor.stop()
+
+    def test_stalled_call_hits_deadline_then_retry_succeeds(self, sharded1_dir):
+        """stall@2: the first call serves, the second holds the worker's
+        loop.  The supervisor's liveness ping is the deadline: it kills
+        the worker, and a patient adapter's retry succeeds against the
+        fresh process long before the stall would have ended."""
+        supervisor = ShardSupervisor(
+            str(sharded1_dir), 1,
+            fault_specs={0: f"stall={STALL_S}@2"}, max_restarts=3,
+        )
+        supervisor.start(timeout_s=120.0)
+        try:
+            adapter = SocketShardAdapter(
+                lambda: supervisor.endpoint(0), 0,
+                policy=ShardCallPolicy(
+                    max_attempts=12, backoff_base_s=0.25, backoff_max_s=1.0,
+                ),
+            )
+            root = probe("azure archipelago of milling")
+
+            async def go():
+                first = await adapter.leaf_collection_counts(root)
+                started = time.perf_counter()
+                second = await adapter.leaf_collection_counts(root)
+                return first, second, time.perf_counter() - started
+
+            first, second, elapsed = asyncio.run(go())
+            assert first == second
+            assert adapter.retries_total >= 1
+            assert supervisor.restarts_total == 1
+            assert elapsed < STALL_S / 2, "the stall must not be waited out"
+        finally:
+            supervisor.stop()
+
+    def test_a_loop_held_past_the_ping_ends_in_a_restart_not_a_hang(
+        self, small_benchmark, sharded2, sharded2_dir
+    ):
+        """Shard 1's worker holds its loop on the first call it gets,
+        and so does every worker restarted in its place.  The ping kills
+        each one: a query shard 1 owns answers 503 shard_unavailable, a
+        query shard 0 owns ranks over shard 1 through the router-local
+        fallback bit-identically, and each arrives within one call
+        deadline, never after the stall.  The second kill spends the
+        restart budget, so the shard ends ``failed``."""
+        router = ShardRouter(sharded2)
+        supervisor = ShardSupervisor(
+            str(sharded2_dir), 2, fault_specs={1: f"stall={STALL_S}@1"},
+            max_restarts=1, metrics=router.metrics,
+        )
+        supervisor.start(timeout_s=120.0)
+        service = AsyncShardRouter(router, supervisor=supervisor)
+        front = HttpFrontEnd(service)
+        try:
+            reference = ShardRouter(sharded2)
+            owners = _owners(reference, small_benchmark)
+            healthy = next(k for k, owner in owners.items() if owner == 0)
+            stalled = next(k for k, owner in owners.items() if owner == 1)
+
+            async def timed(awaitable):
+                started = time.perf_counter()
+                result = await awaitable
+                return result, time.perf_counter() - started
+
+            body = json.dumps({"query": stalled, "top_k": 10}).encode()
+            (status, payload), elapsed = asyncio.run(
+                timed(front._dispatch("POST", "/expand", body))
+            )
+            assert status == 503, payload
+            assert payload["error"]["code"] == "shard_unavailable"
+            assert payload["error"]["shard"] == 1
+            assert elapsed < CALL_DEADLINE_S
+
+            _, metrics = asyncio.run(front._dispatch("GET", "/metrics", b""))
+            restarts = {
+                dict(labels)["shard"]: value
+                for (family, labels), value
+                in parse_prometheus_text(metrics)["samples"].items()
+                if family == "repro_shard_worker_restarts_total"
+            }
+            assert restarts["1"] >= 1 and restarts["0"] == 0
+
+            deadline = time.monotonic() + 30.0
+            while supervisor.degraded and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert not supervisor.degraded, supervisor.describe()
+
+            mine, elapsed = asyncio.run(
+                timed(service.expand_query(healthy, top_k=10))
+            )
+            ref = reference.expand_query(healthy, top_k=10)
+            assert [(r.doc_id, repr(r.score)) for r in mine.results] == \
+                   [(r.doc_id, repr(r.score)) for r in ref.results]
+            assert elapsed < CALL_DEADLINE_S
+            assert service.adapters[1].fallback_calls_total >= 1
+            states = {w["shard"]: w["state"] for w in supervisor.describe()}
+            assert states == {0: "up", 1: "failed"}
+        finally:
+            service.close()
             supervisor.stop()
 
     def test_socket_serving_is_bit_identical_to_in_process(
@@ -373,18 +488,11 @@ class TestSupervisedWorkers:
         supervisor.start(timeout_s=120.0)
         async_router = AsyncShardRouter(
             ShardRouter(sharded2), supervisor=supervisor,
-            policy=ShardCallPolicy(
-                max_attempts=2, backoff_base_s=0.05, call_timeout_s=30.0,
-            ),
+            policy=ShardCallPolicy(max_attempts=2, backoff_base_s=0.05),
         )
         try:
             reference = ShardRouter(sharded2)
-            owners = {}
-            for topic in small_benchmark.topics:
-                link, _ = reference.link_text(
-                    reference.normalize(topic.keywords)
-                )
-                owners[topic.keywords] = reference.owner_shard(link.article_ids)
+            owners = _owners(reference, small_benchmark)
             healthy = [k for k, owner in owners.items() if owner == 0]
             dead = [k for k, owner in owners.items() if owner == 1]
             assert healthy and dead, f"need topics on both shards: {owners}"

@@ -282,7 +282,7 @@ class TestSharedSearchFrame:
 
 
 class TestNoTaskPerCall:
-    def test_an_unhedged_call_runs_in_the_callers_task(
+    def test_a_call_runs_in_the_callers_task(
         self, worker, search_request
     ):
         """No ``ensure_future`` + ``wait_for`` pair per attempt: the call

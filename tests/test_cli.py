@@ -250,6 +250,19 @@ class TestServe:
         with pytest.raises(SystemExit):
             serve_main(["--snapshot", str(tmp_path / "s"), "--http", "70000"])
 
+    @pytest.mark.parametrize("flag", [
+        ["--hedge-after-ms", "5"], ["--call-timeout-s", "1"],
+    ])
+    def test_deleted_resilience_flags_are_usage_errors(
+        self, flag, tmp_path, capsys
+    ):
+        # The liveness ping bounds every shard call; neither knob exists.
+        with pytest.raises(SystemExit) as excinfo:
+            serve_main(["--snapshot", str(tmp_path / "s"), "--http", "0",
+                        "--workers", "1", *flag])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_missing_snapshot_without_build_fails(self, tmp_path, capsys):
         code = serve_main(["--snapshot", str(tmp_path / "absent"), "--query", "x"])
         assert code == 2
