@@ -15,8 +15,8 @@ answers ad-hoc queries online:
   facade that fans expansion out to shard workers and merges per-segment
   ranked lists score-preservingly;
 * :mod:`repro.service.async_router` — :class:`AsyncShardRouter`, the
-  asyncio counterpart (executor-backed shard adapters, ``asyncio.gather``
-  scatter-gather, one in-flight mine per seed set);
+  asyncio counterpart (executor-backed shard adapters, scatter-gather,
+  one table of in-flight shard calls that concurrent requests share);
 * :mod:`repro.service.http` — :class:`HttpFrontEnd`, the hand-rolled
   HTTP/1.1 + JSON network surface (``docs/http_api.md``);
 * :mod:`repro.service.wire` / :mod:`repro.service.shard_worker` /

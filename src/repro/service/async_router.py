@@ -4,8 +4,8 @@
 query plan (:meth:`ShardRouter.query_plan
 <repro.service.router.ShardRouter.query_plan>`): the same link → expand
 → rank steps the synchronous router executes in order, but every shard
-call runs through a *shard adapter* and each step's fan-out is an
-``asyncio.gather``.  While one request's cycle mining sits on a shard
+call runs through a *shard adapter* and each step's fan-out is awaited
+together.  While one request's cycle mining sits on a shard
 thread (or in a worker process), the event loop keeps accepting and
 dispatching other requests — this is the front end the HTTP layer
 (:mod:`repro.service.http`) serves from.
@@ -14,13 +14,13 @@ Results are bit-identical (doc ids AND scores) to the synchronous
 router: there is one plan, and this module only decides how its steps
 reach the shards; the latency bench asserts the equality over HTTP.
 
-One dedup layer: concurrent requests whose texts link to the same
-non-empty *seed set* share one in-flight ``expand_seeds`` call, held in
-a loop-side table before any thread or socket is used.  A later caller
-awaits that call and answers ``expansion_cached: true``, the way it
-would had it come after the mine; identical texts and paraphrases alike
-pay one cycle-mining pass, in process and over the wire.  Each request
-links and ranks on its own.
+One dedup layer: a loop-side table of in-flight shard calls, keyed on
+``(call, shard, argument)`` and read before any thread or socket is
+used.  A request whose call is in flight awaits it instead of sending
+its own: texts that link to one seed set pay one mine (a joiner answers
+``expansion_cached: true``), and equal roots one probe and one rank
+fan-out, in process and over the wire.  A shared call lives while a
+request awaits it; the last awaiter to be cancelled cancels it.
 
 :class:`ExecutorShardAdapter` exposes exactly the three shard-protocol
 query calls (``expand_seeds``, ``leaf_collection_counts``,
@@ -145,9 +145,8 @@ class AsyncShardRouter:
             ExecutorShardAdapter(worker, self._executor)
             for worker in router.workers
         ]
-        # seed set -> its in-flight expand_seeds task.  Only touched
-        # from the owning event loop, so no lock is needed.
-        self._expanding: dict[frozenset[int], asyncio.Future] = {}
+        # (call, shard, argument) -> [task, awaiters, key]; loop-side, no lock.
+        self._inflight: dict[tuple, list] = {}
 
     # ------------------------------------------------------------------
     # Serving
@@ -194,7 +193,7 @@ class AsyncShardRouter:
 
     async def expand_query(self, text: str, top_k: int = 10) -> ServiceResponse:
         """Answer one query: the plan :meth:`ShardRouter.expand_query`
-        runs, in its own trace, sharing only an in-flight mine."""
+        runs, in its own trace, sharing any shard call in flight."""
         with self._router.accounting(1) as served:
             served += await self._run(
                 self._router.query_plan("expand_query", [text], top_k), top_k
@@ -205,7 +204,7 @@ class AsyncShardRouter:
         self, texts: list[str], top_k: int = 10
     ) -> list[ServiceResponse]:
         """Answer a batch: the plan :meth:`ShardRouter.batch_expand`
-        runs, every step fanned out with ``asyncio.gather``."""
+        runs, each step's shard calls awaited together."""
         if not texts:
             return []
         with self._router.accounting(len(texts)) as served:
@@ -278,8 +277,8 @@ class AsyncShardRouter:
         ``top_k`` (one query) it ranks ahead: the fan-out that followed
         this seed set last time starts beside ``expand_seeds`` and is
         used iff the plan then yields an equal step — a segment ranks
-        equal requests equally, whatever changed since.  No task
-        outlives the request."""
+        equal requests equally, whatever changed since.  No call
+        outlives the request but one another request awaits."""
         memo = self._router.rank_ahead
         resume, value = plan.send, None
         key = guess = early = None
@@ -315,37 +314,43 @@ class AsyncShardRouter:
                 await asyncio.gather(early, return_exceptions=True)
 
     async def _execute(self, call: str, items: list) -> list:
-        """One step: a single call is awaited here, a fan-out gathered."""
-        calls = [
-            self._link(argument) if shard is None
-            else self._expand(shard, argument) if call == "expand_seeds"
-            else getattr(self._adapters[shard], call)(argument)
-            for shard, argument in items
-        ]
-        if len(calls) == 1:
-            return [await calls[0]]
-        return await asyncio.gather(*calls)
+        """One step's calls, awaited together until the first failure.  A
+        call in flight (same call, shard and argument, from any request) is
+        joined, not sent again, and a joined mine answers cached; the last
+        awaiter to leave a call cancels it and waits for it to end."""
+        if items[0][0] is None:  # the router's own linking, never shared
+            return [await self._link(argument) for _, argument in items]
+        inflight, entries, joined = self._inflight, [], []
+        waiter, left = asyncio.get_running_loop().create_future(), [len(items)]
 
-    async def _expand(self, shard: int, seeds: frozenset[int]):
-        """``expand_seeds`` on the owner, one call per seed set in flight:
-        a caller that finds the set being expanded awaits that call and
-        answers cached.  The call is a task of its own behind ``shield``,
-        so a cancelled caller never cancels the others' answer."""
-        expanding = self._expanding
-        if not seeds:
-            return await self._adapters[shard].expand_seeds(seeds)
-        if seeds in expanding:
-            expansion, _ = await asyncio.shield(expanding[seeds])
-            return expansion, True
+        def wake(task):  # not gather, whose cancel would cancel a shared call
+            left[0] -= 1  # the first failure, or the last answer, ends the wait
+            failed = task.cancelled() or task.exception()  # read, or it is logged
+            if (failed or not left[0]) and not waiter.done():
+                waiter.set_result(task)
 
-        async def call():
-            try:
-                return await self._adapters[shard].expand_seeds(seeds)
-            finally:
-                del expanding[seeds]
-
-        task = expanding[seeds] = asyncio.ensure_future(call())
-        return await asyncio.shield(task)
+        for shard, argument in items:
+            key = call, shard, argument
+            entry = inflight.get(key)
+            joined.append(entry is not None and call == "expand_seeds" and argument)
+            if entry is None:
+                sent = getattr(self._adapters[shard], call)(argument)
+                entry = inflight[key] = [asyncio.ensure_future(sent), 0, key]
+            entry[1] += 1
+            entry[0].add_done_callback(wake)
+            entries.append(entry)
+        try:
+            (await waiter).result()
+        finally:
+            for entry in entries:
+                entry[1] -= 1
+                if not entry[1]:
+                    del inflight[entry[2]]
+                    entry[0].cancel()
+            if ended := [entry[0] for entry in entries if entry[0].cancelling()]:
+                await asyncio.wait(ended)
+        values = [entry[0].result() for entry in entries]
+        return [(v[0], True) if shared else v for v, shared in zip(values, joined)]
 
     async def _link(self, normalized: str):
         """The router's own linking: a cached text is answered here, a
@@ -360,5 +365,5 @@ class AsyncShardRouter:
     def __repr__(self) -> str:
         return (
             f"AsyncShardRouter(shards={self.num_shards}, "
-            f"expanding={len(self._expanding)})"
+            f"inflight={len(self._inflight)})"
         )

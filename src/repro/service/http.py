@@ -48,9 +48,9 @@ never shed, so operators can watch an overloaded server.
 Concurrency model: the event loop parses requests and dispatches to an
 :class:`~repro.service.async_router.AsyncShardRouter`; shard work runs
 on its executor threads (or in worker processes) while the loop keeps
-serving other connections.  Concurrent queries that link to one seed
-set share one in-flight mine (see the async router), so a thundering
-herd on one cold query pays one cycle mining pass.
+serving other connections.  Concurrent queries share every shard call
+in flight (see the async router), so a thundering herd on one cold
+query pays one cycle mining pass, one probe and one rank fan-out.
 
 Start one with ``repro serve --http PORT`` (port 0 picks an ephemeral
 port and prints it), or programmatically::

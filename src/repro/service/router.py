@@ -361,7 +361,7 @@ class ShardRouter:
         1. ``link_text`` each at the router (the ``link`` span);
         2. ``expand_seeds`` once per distinct seed set, on the shard that
            owns it; every query linked to the set gets its answer;
-        3. the steps of :meth:`rank_plan` for what there is to rank.
+        3. the steps of :meth:`rank_plan` for each distinct root to rank.
 
         The request runs in the ambient trace (or a new one) and is
         observed once, as ``path``; batch members carry no trace.
@@ -402,10 +402,9 @@ class ShardRouter:
                     self.build_query(query, expansion)
                     for query, (expansion, _) in zip(queries, expansions)
                 ]
-                ranked = iter((yield from self.rank_plan(
-                    [root for root in roots if root is not None], top_k
-                )))
-                results = [() if root is None else next(ranked) for root in roots]
+                unique = [root for root in dict.fromkeys(roots) if root is not None]
+                ranked = dict(zip(unique, (yield from self.rank_plan(unique, top_k))))
+                results = [ranked.get(root, ()) for root in roots]
         except Exception:
             error = True
             raise
@@ -432,17 +431,17 @@ class ShardRouter:
         return [by_query[normalized[text]] for text in texts]
 
     def rank_plan(self, roots: list[QueryNode], top_k: int):
-        """The rank steps: each root ranked over every segment under
-        exact global statistics; returns one merged top-k per root.
+        """The rank steps: each of ``roots`` (distinct: the plan dedupes them)
+        ranked over every segment under exact global statistics, one top-k each.
 
         1. ``leaf_collection_counts`` on every shard for each root with
            leaves whose global count is not cached, carrying only those
            leaves (counts are per leaf, so a sub-query probes the same
            numbers as the full exchange) — usually none, and no step.
-        2. The sums are cached and become the global background, keyed
-           in ``collect_leaves(root)`` order and equal to
-           :meth:`global_background` over the full exchange (the
-           ``merge`` span of the background phase; ``cached``: no probe).
+        2. The sums are cached and become the global background, keyed in
+           ``collect_leaves(root)`` order and equal to :meth:`global_background`
+           over the full exchange (the ``merge`` span of the background phase;
+           ``cached``: no probe, or a shared one another awaiter put first).
         3. ``search_with_background`` on every shard for each root, then
            the k-way merge that keeps scores and global tie-breaks (the
            ``merge`` span of the topk phase).
@@ -466,11 +465,12 @@ class ShardRouter:
             for leaves in missing if leaves for shard in shards
         ]
         counts = iter((yield "leaf_collection_counts", probes) if probes else ())
+        cached = [all(leaf in stats for leaf in leaves) for leaves in missing]
         requests = []
-        for root, known, leaves in zip(roots, totals, missing):
+        for root, known, leaves, hit in zip(roots, totals, missing, cached):
             per_segment = [next(counts) for _ in shards] if leaves else ()
             with tracing.span(
-                "merge", phase="background", cached=not leaves,
+                "merge", phase="background", cached=hit,
                 probed=len(leaves),
             ):
                 for leaf in leaves:

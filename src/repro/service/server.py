@@ -16,9 +16,9 @@ Two LRU layers absorb repeated work (see :mod:`repro.service.cache`):
 
 Concurrency: the service is thread-safe, but it does not deduplicate
 across callers — two threads racing on one uncached entity set each mine
-it.  Concurrent requests are deduplicated one layer up, on the event
-loop of :class:`~repro.service.async_router.AsyncShardRouter`, before
-any shard is called.  :meth:`ExpansionService.batch_expand` deduplicates
+it.  Concurrent requests share their shard calls one layer up, on the
+event loop of :class:`~repro.service.async_router.AsyncShardRouter`,
+before any shard is called.  :meth:`ExpansionService.batch_expand` deduplicates
 identical queries and identical entity sets *within* a batch: each
 distinct set is expanded once, the way a single query is.
 """

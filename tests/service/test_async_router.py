@@ -1,6 +1,8 @@
-"""AsyncShardRouter: bit-identical to the sync router, one mine per seed set."""
+"""AsyncShardRouter: bit-identical to the sync router, each shard call sent once
+while it is in flight."""
 
 import asyncio
+from collections import Counter
 
 import pytest
 
@@ -82,10 +84,19 @@ class TestEquivalence:
         async_router.close()
 
 
+def rank_calls(responses) -> Counter:
+    """``(shard, phase)`` of every ``rank`` span across the traces."""
+    return Counter(
+        (span.shard, span.labels.get("phase"))
+        for response in responses for span in response.trace.spans
+        if span.stage == "rank"
+    )
+
+
 class TestCoalescing:
-    """Concurrent requests for one seed set share its in-flight
-    ``expand_seeds``: one mines, the others await it and answer cached.
-    Each request still links, ranks and is traced on its own."""
+    """Concurrent requests share every shard call in flight: one mines,
+    probes or ranks, the others await it (a joined mine answers cached).
+    Each request still links and is traced on its own."""
 
     def test_identical_concurrent_queries_share_one_computation(
         self, small_benchmark, sharded_snapshot
@@ -152,7 +163,49 @@ class TestCoalescing:
         assert len(three.results) <= 3 < len(five.results) <= 5
         assert sorted([three.expansion_cached, five.expansion_cached]) == \
             [False, True]
+        # One probe per shard serves both; each top_k scores on its own.
+        assert rank_calls([three, five]) == Counter({
+            **{(shard, "counts"): 1 for shard in range(4)},
+            **{(shard, "score"): 2 for shard in range(4)},
+        })
         async_router.close()
+
+    def test_identical_concurrent_texts_share_one_probe_and_one_rank(
+        self, small_benchmark, sharded_snapshot
+    ):
+        """Four copies of one text at once, cold and then warm (expansion
+        cached, leaf counts forgotten): across their four traces each
+        shard answers one ``counts`` and one ``score`` rank call, and
+        every answer equals a fresh router's."""
+        keywords = small_benchmark.topics[0].keywords
+        expected = ShardRouter(sharded_snapshot).expand_query(keywords)
+        router = ShardRouter(sharded_snapshot)
+        async_router = AsyncShardRouter(router)
+
+        async def fan_out():
+            return await asyncio.gather(*(
+                async_router.expand_query(keywords) for _ in range(4)
+            ))
+
+        async def cold_then_warm():
+            cold = await fan_out()
+            router._collection_stats.clear()
+            return cold, await fan_out()
+
+        try:
+            cold, warm = run(cold_then_warm())
+        finally:
+            async_router.close()
+        assert sorted(r.expansion_cached for r in cold) == [False, True, True, True]
+        assert all(r.expansion_cached for r in warm)
+        once = Counter({
+            (shard, phase): 1 for shard in range(4) for phase in ("counts", "score")
+        })
+        for responses in (cold, warm):
+            assert rank_calls(responses) == once
+            for response in responses:
+                assert [(r.doc_id, repr(r.score)) for r in response.results] == \
+                       [(r.doc_id, repr(r.score)) for r in expected.results]
 
     def test_paraphrases_of_one_uncached_seed_set_share_one_mine(
         self, small_benchmark, sharded_snapshot

@@ -189,11 +189,12 @@ class TestBatch:
         first, shared = responses[0], responses[4]
         assert shared.expansion is first.expansion
         assert shared.expansion_cached is first.expansion_cached is False
-        # One rank fan-out for the whole batch: a request per query,
-        # shared by the shards it is sent to.
+        # One rank fan-out for the whole batch: a request per distinct
+        # root (same_seeds ranks topics[0]'s), shared by the shards it
+        # is sent to.
         requests = backend.items("search_with_background")
-        assert len(requests) == len(queries) * SHARDS
-        assert len({id(request) for _, request in requests}) == len(queries)
+        assert len(requests) == len(distinct) * SHARDS
+        assert len({id(request) for _, request in requests}) == len(distinct)
 
         # Input order kept; duplicates and variants share one response,
         # labelled with the first raw text; the batch mined every seed

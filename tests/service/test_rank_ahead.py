@@ -642,6 +642,34 @@ class TestNothingOrphaned:
             response, stack.reference.expand_query(text, 10), label=text
         )
 
+    def test_a_cancelled_awaiter_does_not_strand_a_shared_rank(
+        self, small_benchmark, stack
+    ):
+        """Two requests share each shard's held ``search_with_background``
+        (the one sent ahead); the one that sent it is cancelled, and each
+        call still answers the other, once."""
+        text, _ = _head(small_benchmark, stack)
+
+        async def scenario():
+            await _outcomes(stack, text, [10, 10, 10])
+            gate = asyncio.Event()
+            ended = self._hold(stack, gate)
+            impatient = asyncio.ensure_future(stack.service.expand_query(text, 10))
+            patient = asyncio.ensure_future(stack.service.expand_query(text, 10))
+            await asyncio.sleep(0.05)
+            impatient.cancel()
+            gate.set()
+            response = await patient
+            await asyncio.sleep(0)
+            return response, ended, self._others()
+
+        response, ended, pending = asyncio.run(scenario())
+        assert response.trace.labels["rank_ahead"] == "used"
+        assert ended == ["answered"] * SHARDS and pending == set()
+        assert_same_answers(
+            response, stack.reference.expand_query(text, 10), label=text
+        )
+
 
 class TestWorkersDyingMidFlight:
     """Real worker processes killed by the call the prediction sent."""

@@ -229,6 +229,21 @@ class TestValueCodecs:
             "top_k": 7,
         })
 
+    def test_search_requests_equal_by_value_hash_equal(self):
+        """The in-flight table of the async router keys rank calls on the
+        request: equal requests built apart must find each other."""
+        def build(top_k):
+            root = CombineNode((PhraseNode(("grand", "canal")), TermNode("venice")))
+            background = {PhraseNode(("grand", "canal")): 0.1 + 0.2,
+                          TermNode("venice"): 5e-324}
+            return wire.SearchRequest(root, background, top_k)
+
+        one, other = build(7), build(7)
+        assert one is not other and one.root is not other.root
+        assert one == other and hash(one) == hash(other)
+        assert {one: "sent"}[other] == "sent"
+        assert build(8) != one and build(8) not in {one}
+
     def test_conditional_expand_fields_survive_the_frame(self):
         """``have`` / ``etag`` / ``not_modified`` are plain JSON scalars
         beside the existing fields; a body-less response still frames."""
