@@ -161,9 +161,6 @@ class Trace:
         with self._lock:
             return tuple(self._spans)
 
-    def elapsed_ms(self) -> float:
-        return (time.perf_counter() - self._origin) * 1000.0
-
     def stage_totals_ms(self) -> dict[str, float]:
         """Busy milliseconds per stage (fan-out stages sum over shards)."""
         totals: dict[str, float] = {}

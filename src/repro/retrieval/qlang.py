@@ -21,7 +21,7 @@ paper uses (one ``#1`` phrase per article title under one ``#combine``).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.errors import QueryLanguageError
 from repro.retrieval.tokenizer import Tokenizer
@@ -64,25 +64,35 @@ class PhraseNode(QueryNode):
 
 
 @dataclass(frozen=True, slots=True)
-class CombineNode(QueryNode):
+class _OperatorNode(QueryNode):
+    """An operator over child nodes; a tree is hashed once, when built."""
+
+    children: tuple[QueryNode, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.children,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __str__(self) -> str:
+        inner = " ".join(str(child) for child in self.children)
+        return f"{self.operator}({inner})"
+
+
+class CombineNode(_OperatorNode):
     """Belief combination: the mean of child log beliefs (INDRI ``#combine``)."""
 
-    children: tuple[QueryNode, ...]
-
-    def __str__(self) -> str:
-        inner = " ".join(str(child) for child in self.children)
-        return f"#combine({inner})"
+    __slots__ = ()
+    operator = "#combine"
 
 
-@dataclass(frozen=True, slots=True)
-class BandNode(QueryNode):
+class BandNode(_OperatorNode):
     """Boolean AND filter over children (INDRI ``#band``)."""
 
-    children: tuple[QueryNode, ...]
-
-    def __str__(self) -> str:
-        inner = " ".join(str(child) for child in self.children)
-        return f"#band({inner})"
+    __slots__ = ()
+    operator = "#band"
 
 
 _LEXER_RE = re.compile(

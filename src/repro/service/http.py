@@ -2,55 +2,32 @@
 
 No web framework, no new dependencies: :class:`HttpFrontEnd` speaks a
 deliberately small slice of HTTP/1.1 (request line, headers,
-``Content-Length`` bodies, keep-alive) over ``asyncio`` streams and
-serves six endpoints::
+``Content-Length`` bodies, keep-alive, pipelining) and serves
+``/expand``, ``/search``, ``/batch_expand``, ``/stats``, ``/healthz``,
+``/metrics`` and, with an :class:`~repro.updates.UpdateCoordinator`
+attached, ``/admin/apply_delta`` and ``/admin/compact``.  Endpoints,
+schemas, the JSON error envelope and the status codes are specified in
+``docs/http_api.md`` (metric families in ``docs/observability.md``) —
+change them together.
 
-    POST /expand        one query, full ServiceResponse payload
-    POST /search        one query, ranked results only
-    POST /batch_expand  many queries in one request
-    GET  /stats         router and front-end counters + slow log
-    GET  /healthz       liveness: status, shards, per-shard health,
-                        hit-rate breakdown, error breakdown by status,
-                        serving snapshot generation + delta sequence
-    GET  /metrics       Prometheus text exposition (text/plain, not JSON)
-
-plus, when an :class:`~repro.updates.UpdateCoordinator` is attached
-(``repro serve --http`` always attaches one)::
-
-    POST /admin/apply_delta  apply one typed graph-delta batch live
-    POST /admin/compact      fold the overlay into generation N+1 + swap
-
-Every endpoint, every request/response schema, the error envelope and
-the status codes are specified in ``docs/http_api.md`` (the metric
-families in ``docs/observability.md``) — change the two together.
-Errors are always JSON::
-
-    {"error": {"code": "<machine-readable>", "message": "<human-readable>"}}
-
-with 400 (malformed JSON / invalid fields / invalid delta), 404
-(unknown path), 405 (known path, wrong method), 409 (delta batch
-against a stale snapshot generation), 413 (body over
-``max_body_bytes``), 429 (load shedding — see below) and 500 (handler
-raised; also bumps the router error counter via the failed request).
+Parsing is sans-IO: :class:`HttpParser` does no I/O, keeps no clock
+and uses no asyncio, and it owns every protocol limit.  A connection's
+loop feeds it what the socket has and answers its events in order — a
+:class:`Request` through :meth:`HttpFrontEnd._dispatch`, an
+:class:`HttpError` counted and with ``Connection: close``.  Reads of a
+partly received request run under one deadline, :data:`READ_TIMEOUT_S`
+from its first byte; idle keep-alive waits have none.
 
 Load shedding: with an :class:`~repro.service.admission.AdmissionPolicy`
-attached (``repro serve --http --queue-limit/--client-rate``), the query
-endpoints (``/expand``, ``/search``, ``/batch_expand``) pass an
-admission gate before any router work happens.  A full admission queue
-answers ``429 over_capacity``; a client that exhausted its token bucket
-(keyed by the ``X-Client-Id`` header, falling back to the peer address)
-answers ``429 client_rate_limited``.  Both carry ``retry_after_s`` in
-the envelope plus a ``Retry-After`` header, count into
-``repro_shed_total{reason}`` and ``errors_by_status``, and cost no
-router work — that is the point.  Monitoring and admin endpoints are
-never shed, so operators can watch an overloaded server.
+attached, the query endpoints (:data:`SHEDDABLE_PATHS`) pass an
+admission gate before any router work; a refusal is a structured 429
+with ``Retry-After``, counted in ``repro_shed_total{reason}``.
+Monitoring and admin endpoints are never shed.
 
-Concurrency model: the event loop parses requests and dispatches to an
-:class:`~repro.service.async_router.AsyncShardRouter`; shard work runs
-on its executor threads (or in worker processes) while the loop keeps
-serving other connections.  Concurrent queries share every shard call
-in flight (see the async router), so a thundering herd on one cold
-query pays one cycle mining pass, one probe and one rank fan-out.
+Concurrency: the event loop parses and dispatches to an
+:class:`~repro.service.async_router.AsyncShardRouter`, whose shard work
+runs on executor threads or in worker processes, and which shares every
+shard call already in flight between concurrent queries.
 
 Start one with ``repro serve --http PORT`` (port 0 picks an ephemeral
 port and prints it), or programmatically::
@@ -64,6 +41,7 @@ from __future__ import annotations
 import asyncio
 import json
 import time
+from dataclasses import dataclass, replace
 
 from repro.errors import DeltaError, ShardUnavailableError, StaleGenerationError
 from repro.obs.logs import RequestLog
@@ -75,16 +53,20 @@ from repro.service.admission import (
 )
 from repro.service.async_router import AsyncShardRouter
 
-__all__ = ["HttpFrontEnd", "DEFAULT_MAX_BODY_BYTES", "SHEDDABLE_PATHS"]
+__all__ = [
+    "HttpFrontEnd", "HttpParser", "DEFAULT_MAX_BODY_BYTES", "SHEDDABLE_PATHS",
+]
 
 # Prometheus text exposition content type (the version is part of it).
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 DEFAULT_MAX_BODY_BYTES = 1 << 20  # 1 MiB of JSON is already a huge batch
-DEFAULT_READ_TIMEOUT = 120.0  # seconds to finish sending one request
+READ_TIMEOUT_S = 120.0  # a client's time to send one request, first byte on
+HEAD_LIMIT = 64 * 1024  # request line, headers and the blank line
+MAX_HEADERS = 128
+DISCARD_LIMIT = 4 << 20  # most of an oversized body read before its 413
 _MAX_TOP_K = 1000
 _MAX_BATCH_QUERIES = 1024
-_MAX_HEADERS = 128
 _REASONS = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
     405: "Method Not Allowed", 409: "Conflict",
@@ -106,14 +88,143 @@ _SHED_MESSAGES = {
 }
 
 
-class _RequestError(Exception):
-    """A client error mapped straight onto the JSON error envelope."""
+@dataclass(frozen=True, slots=True)
+class Request:
+    """One whole request; header names are lower-cased, and the last of
+    a repeated header wins."""
 
-    def __init__(self, status: int, code: str, message: str) -> None:
+    method: str
+    path: str
+    headers: dict[str, str]
+    body: bytes = b""
+
+    @property
+    def keep_alive(self) -> bool:
+        return self.headers.get("connection", "").lower() != "close"
+
+
+@dataclass(frozen=True, slots=True)
+class HttpError:
+    """A refused request, in the JSON error envelope's terms."""
+
+    status: int
+    code: str
+    message: str
+
+
+class HttpParser:
+    """One connection's bytes to :class:`Request` / :class:`HttpError`.
+
+    A head may hold :data:`HEAD_LIMIT` bytes and :data:`MAX_HEADERS`
+    headers; ``Content-Length`` is ASCII digits (absent or empty is 0).
+    A body over ``max_body_bytes`` is dropped, up to
+    :data:`DISCARD_LIMIT` bytes, before its 413, so a client mid-send
+    reads the answer instead of a reset.  Lines end in CRLF or LF, and
+    blank lines before a request line are skipped.  An error is the last
+    event: the stream cannot be resynchronised after one.
+    """
+
+    def __init__(self, max_body_bytes: int) -> None:
+        self._max_body_bytes = max_body_bytes
+        self._buf = bytearray()
+        self._scanned = 0  # head bytes already searched for the blank line
+        # The event waiting for its body — a Request keeps the body, a
+        # 413 drops it — and how many body bytes are still to come.
+        self._awaiting: tuple[Request | HttpError, int] | None = None
+        self._failed = False
+
+    @property
+    def pending(self) -> bool:
+        """Whether part of a request has arrived that no event answered."""
+        return bool(self._buf) or self._awaiting is not None
+
+    def feed(self, data: bytes) -> list[Request | HttpError]:
+        """The events ``data`` completes, in order; never raises."""
+        if self._failed:
+            return []
+        self._buf += data
+        events: list[Request | HttpError] = []
+        while (event := self._next()) is not None:
+            events.append(event)
+            if isinstance(event, HttpError):
+                self._failed = True
+                self._buf.clear()
+                break
+        return events
+
+    def _next(self) -> Request | HttpError | None:
+        if self._awaiting is None:
+            head = self._head()
+            if not isinstance(head, tuple):
+                return head
+            self._awaiting = head
+        (event, size), buf = self._awaiting, self._buf
+        if isinstance(event, Request):
+            if len(buf) < size:
+                return None
+            event = replace(event, body=bytes(buf[:size]))
+        elif len(buf) < size:
+            self._awaiting = event, size - len(buf)
+            buf.clear()
+            return None
+        del buf[:size]
+        self._awaiting = None
+        return event
+
+    def _head(self) -> tuple[Request | HttpError, int] | HttpError | None:
+        """``(event, body length)`` for the next whole head, an error, or
+        None while the head is still arriving."""
+        buf = self._buf
+        if buf[:1] in (b"\r", b"\n"):
+            del buf[:len(buf) - len(buf.lstrip(b"\r\n"))]
+            self._scanned = 0
+        start = max(self._scanned - 2, 0)
+        ends = [
+            (at, at + len(blank))
+            for blank in (b"\n\r\n", b"\n\n")
+            if (at := buf.find(blank, start, HEAD_LIMIT)) >= 0
+        ]
+        if not ends:
+            self._scanned = len(buf)
+            if len(buf) < HEAD_LIMIT:
+                return None
+            return HttpError(
+                400, "bad_request", f"request head over {HEAD_LIMIT} bytes"
+            )
+        lines_end, head_end = min(ends)
+        request_line, *lines = buf[:lines_end].decode("latin-1").split("\n")
+        del buf[:head_end]
+        self._scanned = 0
+        parts = request_line.split()
+        if len(parts) != 3 or not parts[2].startswith("HTTP/"):
+            return HttpError(400, "bad_request", "malformed request line")
+        if len(lines) > MAX_HEADERS:
+            return HttpError(
+                400, "bad_request", f"more than {MAX_HEADERS} request headers"
+            )
+        headers = {}
+        for line in lines:
+            name, _, value = line.partition(":")
+            headers[name.strip().lower()] = value.strip()
+        length = headers.get("content-length", "")
+        if length and not (length.isascii() and length.isdigit()):
+            return HttpError(400, "bad_request", "invalid Content-Length")
+        length = int(length or 0)
+        if length > self._max_body_bytes:
+            return HttpError(
+                413, "payload_too_large",
+                f"request body of {length} bytes exceeds the "
+                f"{self._max_body_bytes}-byte limit",
+            ), min(length, DISCARD_LIMIT)
+        return Request(parts[0].upper(), parts[1], headers), length
+
+
+class _RequestError(Exception):
+    """A request body that fails validation: a 400 with this code."""
+
+    def __init__(self, code: str, message: str) -> None:
         super().__init__(message)
-        self.status = status
         self.code = code
-        self.message = message
 
 
 def _error_body(code: str, message: str) -> dict:
@@ -134,11 +245,8 @@ class HttpFrontEnd:
         loaded.
     snapshot_format:
         Optional on-disk format tag of the loaded snapshot (``"v3"``),
-        echoed in ``/healthz``.  The *serving generation* is not a
-        parameter: ``/healthz`` reports the router's live
-        ``snapshot_generation`` (an integer that advances on
-        compaction), so a fleet rollout can assert every replica serves
-        the same generation.
+        echoed in ``/healthz`` beside the router's live
+        ``snapshot_generation``.
     coordinator:
         Optional :class:`~repro.updates.UpdateCoordinator`.  When
         attached, the admin endpoints ``POST /admin/apply_delta`` and
@@ -146,26 +254,17 @@ class HttpFrontEnd:
         without one they 404.
     request_log:
         The :class:`~repro.obs.logs.RequestLog` receiving one record per
-        HTTP request (slow ones are sampled into its reservoir and
-        surfaced under ``/stats``).  A silent default is created when
-        omitted; ``repro serve`` passes one that writes slow-query JSON
-        lines to stderr.
+        HTTP request (slow ones surface under ``/stats``); a silent one
+        when omitted.
     admission:
-        Optional load-shedding configuration: an
+        Optional load shedding: an
         :class:`~repro.service.admission.AdmissionPolicy` (a controller
         is built from it) or a prebuilt
-        :class:`~repro.service.admission.AdmissionController` (tests
-        inject one with a fake clock).  ``None`` — the default — turns
-        admission control off entirely; no request is ever shed.
+        :class:`~repro.service.admission.AdmissionController`.  ``None``
+        turns admission control off; no request is ever shed.
     max_body_bytes:
-        Requests with a larger declared body are rejected with 413
-        before the body is read.
-    read_timeout:
-        Seconds a client gets to finish sending one request (headers and
-        body) once its request line arrived; a stalled sender is
-        disconnected instead of pinning the connection forever.  Idle
-        keep-alive connections (waiting *between* requests) are not
-        subject to it.
+        Requests with a larger declared body are answered 413 without
+        being processed.
     """
 
     def __init__(
@@ -178,7 +277,6 @@ class HttpFrontEnd:
         request_log: RequestLog | None = None,
         admission: AdmissionPolicy | AdmissionController | None = None,
         max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
-        read_timeout: float = DEFAULT_READ_TIMEOUT,
     ) -> None:
         self._service = service
         self._snapshot_info = snapshot_info
@@ -190,11 +288,9 @@ class HttpFrontEnd:
                 else None
         self._admission = admission
         self._max_body_bytes = max_body_bytes
-        self._read_timeout = read_timeout
         self._server: asyncio.AbstractServer | None = None
         self._closing = False
-        self._connections: set[asyncio.StreamWriter] = set()
-        self._busy: set[asyncio.StreamWriter] = set()
+        self._idle: set[asyncio.StreamWriter] = set()  # between requests
         self._conn_tasks: set[asyncio.Task] = set()
         # HTTP-plane families live in the router's registry, so one
         # /metrics scrape renders the whole serving stack, and /stats
@@ -239,31 +335,22 @@ class HttpFrontEnd:
         return self._server
 
     async def stop(self) -> None:
-        """Stop accepting connections and drain the open ones.
-
-        Idle keep-alive connections are closed (their handlers see EOF
-        and exit); connections mid-request finish and send their
-        response first (the handler sees ``_closing`` afterwards and
-        ends the connection instead of waiting for another request).
-        """
+        """Stop accepting connections and drain the open ones: idle
+        keep-alive connections close at once, and one mid-request sends
+        its response first, then closes."""
         self._closing = True
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        for writer in list(self._connections):
-            if writer not in self._busy:
-                writer.close()
+        for writer in list(self._idle):
+            writer.close()  # its handler reads EOF and exits
         if self._conn_tasks:
             await asyncio.gather(*self._conn_tasks, return_exceptions=True)
 
     @property
     def service(self) -> AsyncShardRouter:
         return self._service
-
-    @property
-    def request_log(self) -> RequestLog:
-        return self._request_log
 
     @property
     def admission(self) -> AdmissionController | None:
@@ -291,122 +378,61 @@ class HttpFrontEnd:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        self._connections.add(writer)
+        self._conn_tasks.add(task)
         peername = writer.get_extra_info("peername")
         peer = peername[0] if isinstance(peername, tuple) and peername \
             else "unknown"
-        async def timed(read_coro):
-            """One read step of an in-flight request; a sender that
-            stalls past the timeout is disconnected, not waited on."""
-            return await asyncio.wait_for(read_coro, self._read_timeout)
-
+        parser = HttpParser(self._max_body_bytes)
+        loop = asyncio.get_running_loop()
+        # One deadline per request, from its first byte, so a stalled or
+        # dribbling sender is cut off; an idle keep-alive wait has none.
+        deadline = None
         try:
-            while True:
-                # Waiting for the *next* request on a keep-alive
-                # connection is legitimate idleness: no timeout here.
-                try:
-                    request_line = await reader.readline()
-                except (ValueError, asyncio.LimitOverrunError):
-                    break  # request line over the stream limit: not ours
-                if not request_line or request_line in (b"\r\n", b"\n"):
+            # After stop(), only a request already in hand is read on.
+            while deadline is not None or not self._closing:
+                if deadline is None:
+                    self._idle.add(writer)  # stop() may close it now
+                async with asyncio.timeout_at(deadline):
+                    data = await reader.read(HEAD_LIMIT)
+                self._idle.discard(writer)
+                if not data:
                     break
-                # A request is now in flight: the connection is busy
-                # (stop() lets it finish) and reads are on the clock.
-                self._busy.add(writer)
-                parts = request_line.decode("latin-1").split()
-                if len(parts) != 3 or not parts[2].startswith("HTTP/"):
-                    await self._send(
-                        writer, 400,
-                        _error_body("bad_request", "malformed request line"),
-                        keep_alive=False,
-                    )
-                    break
-                method, path = parts[0].upper(), parts[1]
-
-                headers: dict[str, str] = {}
-                while True:
-                    try:
-                        line = await timed(reader.readline())
-                    except ValueError:  # a line over the stream limit
-                        raise _RequestError(400, "bad_request", "header line too long")
-                    if line in (b"\r\n", b"\n", b""):
-                        break
-                    if len(headers) >= _MAX_HEADERS:
-                        raise _RequestError(
-                            400, "bad_request",
-                            f"more than {_MAX_HEADERS} request headers",
+                arrived = loop.time() + READ_TIMEOUT_S
+                events = parser.feed(data)
+                if events or deadline is None:
+                    deadline = arrived  # what the parser holds began here
+                for event in events:
+                    if isinstance(event, HttpError):
+                        self._http_errors_metric.inc(status=str(event.status))
+                        await self._send(
+                            writer, event.status,
+                            _error_body(event.code, event.message),
+                            keep_alive=False,
                         )
-                    name, _, value = line.decode("latin-1").partition(":")
-                    headers[name.strip().lower()] = value.strip()
-                keep_alive = headers.get("connection", "").lower() != "close"
-
-                try:
-                    length = int(headers.get("content-length", "0") or "0")
-                    if length < 0:
-                        raise ValueError(length)
-                except ValueError:
-                    await self._send(
-                        writer, 400,
-                        _error_body("bad_request", "invalid Content-Length"),
-                        keep_alive=False,
+                        return
+                    # Admission keys on the declared client id, else the
+                    # peer address, so an anonymous flood is not pooled.
+                    client = event.headers.get("x-client-id", "").strip()
+                    status, payload = await self._dispatch(
+                        event.method, event.path, event.body,
+                        client=client or peer,
                     )
-                    break
-                if length > self._max_body_bytes:
-                    # Reject without processing — but drain a bounded
-                    # amount first so a client mid-send can still read
-                    # the 413 instead of hitting a connection reset.
-                    try:
-                        await timed(reader.readexactly(min(length, 4 << 20)))
-                    except asyncio.IncompleteReadError:
-                        pass
                     await self._send(
-                        writer, 413,
-                        _error_body(
-                            "payload_too_large",
-                            f"request body of {length} bytes exceeds the "
-                            f"{self._max_body_bytes}-byte limit",
-                        ),
-                        keep_alive=False,
+                        writer, status, payload, keep_alive=event.keep_alive
                     )
-                    break
-                body = await timed(reader.readexactly(length)) if length else b""
-
-                # Admission keys on the declared client id; the peer
-                # address is the fallback so an anonymous flood is still
-                # attributed to its sender, not pooled with everyone.
-                client = headers.get("x-client-id", "").strip() or peer
-                status, payload = await self._dispatch(
-                    method, path, body, client=client
-                )
-                await self._send(writer, status, payload, keep_alive=keep_alive)
-                self._busy.discard(writer)
-                if not keep_alive or self._closing:
-                    break
-        except _RequestError as exc:
-            self._http_errors_metric.inc(status=str(exc.status))
-            try:
-                await self._send(
-                    writer, exc.status, _error_body(exc.code, exc.message),
-                    keep_alive=False,
-                )
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-        except (
-            asyncio.IncompleteReadError, ConnectionResetError,
-            BrokenPipeError, TimeoutError, asyncio.TimeoutError,
-        ):
-            pass  # client went away or stalled mid-request; drop it
+                    if not event.keep_alive or self._closing:
+                        return
+                if not parser.pending:
+                    deadline = None
+        except (ConnectionError, TimeoutError):
+            pass  # the client went away or stalled mid-request; drop it
         finally:
-            self._busy.discard(writer)
-            self._connections.discard(writer)
-            if task is not None:
-                self._conn_tasks.discard(task)
+            self._idle.discard(writer)
+            self._conn_tasks.discard(task)
             writer.close()
             try:
                 await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
+            except ConnectionError:
                 pass
 
     async def _send(
@@ -468,32 +494,23 @@ class HttpFrontEnd:
         # Load shedding: query endpoints pass the admission gate before
         # the handler runs, so a refusal costs parsing only — never
         # router work.  The slot is held for the handler's full life.
-        admitted = False
-        shed = None
-        if (
-            self._admission is not None
-            and route is not None
-            and method == route[0]
-            and path in SHEDDABLE_PATHS
-        ):
-            decision = self._admission.admit(client)
-            if decision.admitted:
-                admitted = True
-            else:
-                shed = decision
-        try:
-            if shed is not None:
-                self._shed_metric.inc(reason=shed.reason)
-                payload = _error_body(shed.reason, _SHED_MESSAGES[shed.reason])
-                payload["error"]["retry_after_s"] = round(
-                    shed.retry_after_s, 3
-                )
-                status = 429
-            else:
+        gated = (
+            self._admission is not None and route is not None
+            and method == route[0] and path in SHEDDABLE_PATHS
+        )
+        decision = self._admission.admit(client) if gated else None
+        if decision is not None and not decision.admitted:
+            self._shed_metric.inc(reason=decision.reason)
+            status, payload = 429, _error_body(
+                decision.reason, _SHED_MESSAGES[decision.reason]
+            )
+            payload["error"]["retry_after_s"] = round(decision.retry_after_s, 3)
+        else:
+            try:
                 status, payload = await self._route(route, method, path, body)
-        finally:
-            if admitted:
-                self._admission.release()
+            finally:
+                if decision is not None:
+                    self._admission.release()
         if status >= 400:
             self._http_errors_metric.inc(status=str(status))
         self._log_request(
@@ -516,7 +533,7 @@ class HttpFrontEnd:
                 return 200, await handler(payload)
             return 200, await handler()
         except _RequestError as exc:
-            return exc.status, _error_body(exc.code, exc.message)
+            return 400, _error_body(exc.code, str(exc))
         except StaleGenerationError as exc:
             # The client validated its batch against a generation that
             # compaction has since retired: a retryable conflict, not a
@@ -547,19 +564,12 @@ class HttpFrontEnd:
     ) -> None:
         """Feed the request log; slow requests pull trace context out of
         the response payload (already serialised, so no trace objects)."""
-        query = trace_id = None
-        stages = None
-        if isinstance(payload, dict):
-            value = payload.get("query")
-            query = value if isinstance(value, str) else None
-            trace_id = payload.get("trace_id")
-            stages = payload.get("stages")
+        fields = payload if isinstance(payload, dict) else {}
+        query, stages = fields.get("query"), fields.get("stages")
         self._request_log.record(
-            endpoint=path,
-            latency_ms=latency_ms,
-            status=status,
-            query=query,
-            trace_id=trace_id,
+            endpoint=path, latency_ms=latency_ms, status=status,
+            query=query if isinstance(query, str) else None,
+            trace_id=fields.get("trace_id"),
             stages=stages if isinstance(stages, dict) else None,
         )
 
@@ -568,11 +578,11 @@ class HttpFrontEnd:
             payload = json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise _RequestError(
-                400, "bad_request", f"request body is not valid JSON: {exc}"
+                "bad_request", f"request body is not valid JSON: {exc}"
             ) from exc
         if not isinstance(payload, dict):
             raise _RequestError(
-                400, "bad_request", "request body must be a JSON object"
+                "bad_request", "request body must be a JSON object"
             )
         return payload
 
@@ -581,7 +591,7 @@ class HttpFrontEnd:
         query = payload.get("query")
         if not isinstance(query, str) or not query.strip():
             raise _RequestError(
-                400, "invalid_request", "'query' must be a non-empty string"
+                "invalid_request", "'query' must be a non-empty string"
             )
         return query
 
@@ -591,7 +601,7 @@ class HttpFrontEnd:
         if not isinstance(top_k, int) or isinstance(top_k, bool) \
                 or not 1 <= top_k <= _MAX_TOP_K:
             raise _RequestError(
-                400, "invalid_request",
+                "invalid_request",
                 f"'top_k' must be an integer in [1, {_MAX_TOP_K}]",
             )
         return top_k
@@ -623,12 +633,12 @@ class HttpFrontEnd:
         if not isinstance(queries, list) or not queries \
                 or not all(isinstance(q, str) and q.strip() for q in queries):
             raise _RequestError(
-                400, "invalid_request",
+                "invalid_request",
                 "'queries' must be a non-empty list of non-empty strings",
             )
         if len(queries) > _MAX_BATCH_QUERIES:
             raise _RequestError(
-                400, "invalid_request",
+                "invalid_request",
                 f"a batch may hold at most {_MAX_BATCH_QUERIES} queries",
             )
         top_k = self._top_k_field(payload)
@@ -668,18 +678,14 @@ class HttpFrontEnd:
 
         ``http_requests_total`` counts requests this front end parsed;
         ``router_requests_total`` counts queries offered to the shared
-        router (batch members each count, and the in-process surface
-        feeds the same counter) — the old ambiguous ``requests_total``
-        key is gone.
+        router (batch members each count).
         """
         stats = self._service.stats()
         http = self._http_counts()
         supervisor = getattr(self._service, "supervisor", None)
-        status = "ok"
-        if supervisor is not None and supervisor.degraded:
-            status = "degraded"
+        degraded = supervisor is not None and supervisor.degraded
         payload = {
-            "status": status,
+            "status": "degraded" if degraded else "ok",
             "shards": stats["shards"],
             "uptime_s": stats["uptime_s"],
             "http_requests_total": http["requests_total"],
@@ -722,35 +728,26 @@ class HttpFrontEnd:
         return payload
 
     async def _handle_metrics(self) -> str:
-        """The whole stack's families as Prometheus text exposition.
-
-        Counters and histograms are live (folded per request); the
-        gauges that follow state — queue depth, uptime, requests and
-        expansions in flight — are set here, at scrape time.
-        """
+        """The whole stack's families as Prometheus text exposition;
+        gauges that follow state are set here, at scrape time."""
         self._queue_depth_gauge.set(
             self._admission.queue_depth if self._admission is not None else 0
         )
         return self._service.router.render_metrics()
 
     async def _handle_apply_delta(self, payload: dict) -> dict:
-        """Apply one delta batch to the live stack (docs/live_updates.md).
-
-        The body carries ``deltas`` (a list of delta objects in wire
-        form) and ``generation`` (the generation the client validated
-        against — read it from ``/healthz``).  Validation errors are
-        400s; a stale generation is a 409; success returns the apply
-        summary (applied count, last sequence, eviction counts).
-        """
+        """Apply one delta batch to the live stack (docs/live_updates.md):
+        ``deltas`` in wire form, validated against ``generation`` (read
+        from ``/healthz``; a stale one is a 409)."""
         deltas = payload.get("deltas")
         if not isinstance(deltas, list) or not deltas:
             raise _RequestError(
-                400, "invalid_request",
+                "invalid_request",
                 "'deltas' must be a non-empty list of delta objects",
             )
         if len(deltas) > _MAX_DELTA_BATCH:
             raise _RequestError(
-                400, "invalid_request",
+                "invalid_request",
                 f"a delta batch may hold at most {_MAX_DELTA_BATCH} deltas",
             )
         generation = payload.get("generation")
@@ -758,7 +755,7 @@ class HttpFrontEnd:
             not isinstance(generation, int) or isinstance(generation, bool)
         ):
             raise _RequestError(
-                400, "invalid_request", "'generation' must be an integer"
+                "invalid_request", "'generation' must be an integer"
             )
         coordinator = self._coordinator
         return await asyncio.get_running_loop().run_in_executor(
@@ -766,13 +763,9 @@ class HttpFrontEnd:
         )
 
     async def _handle_compact(self, payload: dict) -> dict:
-        """Fold the overlay into a new on-disk generation and hot-swap.
-
-        The body is an empty JSON object (reserved for future options).
-        Compaction is serialised against concurrent applies inside the
-        coordinator; the response reports the new generation and how many
-        recent queries were replayed into the restarted caches.
-        """
+        """Fold the overlay into a new on-disk generation and hot-swap,
+        then replay the recent queries into the restarted caches.  The
+        body is an empty JSON object."""
         del payload  # no options yet; the empty object is the contract
         summary = await asyncio.get_running_loop().run_in_executor(
             None, self._coordinator.compact

@@ -386,7 +386,7 @@ class SearchRequest:
     rest; in-process adapters never ask for it and never pay for it.
     """
 
-    __slots__ = ("root", "background", "top_k", "_hash", "_payload", "_frame")
+    __slots__ = ("root", "background", "top_k", "_payload", "_frame")
 
     def __init__(
         self, root: QueryNode, background: dict[QueryNode, float], top_k: int
@@ -394,7 +394,6 @@ class SearchRequest:
         self.root = root
         self.background = background
         self.top_k = top_k
-        self._hash = hash((top_k, root))  # a root re-hashes its tree per call
         self._payload: dict | None = None
         self._frame: tuple[str | None, bytes] | None = None
 
@@ -408,7 +407,7 @@ class SearchRequest:
 
     def __hash__(self) -> int:
         """Over ``top_k`` and the root: the background is a dict."""
-        return self._hash
+        return hash((self.top_k, self.root))
 
     def wire_payload(self) -> dict:
         """The call's frame fields; callers must not mutate the result."""
