@@ -252,14 +252,37 @@ class SearchEngine:
             raise ValueError("top_k must be >= 1")
         if self._index.num_documents == 0:
             return []
-        scored = [
-            (self._score_with(root, doc_id, background), doc_id)
-            for doc_id in self._candidates(root)
-        ]
-        scored.sort(key=lambda pair: (-pair[0], pair[1]))
+        candidates = list(self._candidates(root))
+        if not candidates:
+            return []
+        lengths = [self._index.document_length(doc_id) for doc_id in candidates]
+        log_prob = self._smoothing.log_prob
+
+        def column(node: QueryNode) -> list[float]:
+            # One score per candidate.  Operators add child rows with the
+            # builtin ``sum`` in ``_score``'s order; ``+=``/``fsum`` round apart.
+            if isinstance(node, (CombineNode, BandNode)):
+                width = len(node.children)
+                return [sum(row) / width for row in zip(*map(column, node.children))]
+            if isinstance(node, TermNode):
+                frequency = self._index.term_frequency
+                counts = [frequency(node.term, doc_id) for doc_id in candidates]
+            elif isinstance(node, PhraseNode):
+                counted = collect_phrase_stats(self._index, node.tokens).per_document
+                counts = [counted.get(doc_id, 0) for doc_id in candidates]
+            else:
+                raise QueryLanguageError(
+                    f"unknown query node type: {type(node).__name__}"
+                )
+            prob = background[node]
+            return [log_prob(tf, length, prob) for tf, length in zip(counts, lengths)]
+
+        best = heapq.nsmallest(
+            top_k, zip(column(root), candidates), key=lambda pair: (-pair[0], pair[1])
+        )
         return [
             SearchResult(doc_id=doc_id, score=score, rank=rank)
-            for rank, (score, doc_id) in enumerate(scored[:top_k], start=1)
+            for rank, (score, doc_id) in enumerate(best, start=1)
         ]
 
     # ------------------------------------------------------------------
@@ -304,29 +327,6 @@ class SearchEngine:
         if isinstance(node, (CombineNode, BandNode)):
             children = node.children
             return sum(self._score(child, doc_id) for child in children) / len(children)
-        raise QueryLanguageError(f"unknown query node type: {type(node).__name__}")
-
-    def _score_with(
-        self, node: QueryNode, doc_id: str, background: Mapping[QueryNode, float]
-    ) -> float:
-        if isinstance(node, TermNode):
-            return self._smoothing.log_prob(
-                self._index.term_frequency(node.term, doc_id),
-                self._index.document_length(doc_id),
-                background[node],
-            )
-        if isinstance(node, PhraseNode):
-            stats = collect_phrase_stats(self._index, node.tokens)
-            return self._smoothing.log_prob(
-                stats.occurrences_in(doc_id),
-                self._index.document_length(doc_id),
-                background[node],
-            )
-        if isinstance(node, (CombineNode, BandNode)):
-            children = node.children
-            return sum(
-                self._score_with(child, doc_id, background) for child in children
-            ) / len(children)
         raise QueryLanguageError(f"unknown query node type: {type(node).__name__}")
 
     def __repr__(self) -> str:
